@@ -1,8 +1,8 @@
 """Command-line front end: construct, verify, and emit JSON reports.
 
 Subcommands: field | ring | torus | selfcheck.  Reports are deterministic
-for a fixed seed (timing is omitted unless requested) and validate against
-the schema shipped with the package; the exit code is 0 iff no check fails.
+for a fixed seed and validate against the schema shipped with the package;
+the exit code is 0 iff no check fails, and 2 for invalid arguments.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-import time
 from importlib import resources
 
 import numpy as np
@@ -20,11 +19,11 @@ import numpy as np
 from . import oscillator as osc
 from . import ring_rep as rr
 from . import torus as tor
-from .rings import legendre
+from .rings import _is_prime, legendre
 from .symplectic import (ClosureCapExceeded, SympModule, orbits,
                          symplectic_group, transvection_generators)
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _f(x):
@@ -44,7 +43,7 @@ class Report:
     def __init__(self, command, config, seed):
         self.doc = {"schema_version": SCHEMA_VERSION, "command": command,
                     "config": config, "seed": seed, "checks": [],
-                    "failures": 0, "timing_seconds": None}
+                    "failures": 0}
 
     def add(self, name, anchor, status, measured=None, residual=None, note=None):
         rec = {"name": name, "anchor": anchor, "status": status}
@@ -61,9 +60,7 @@ class Report:
     def check(self, name, anchor, ok, measured=None, residual=None, note=None):
         self.add(name, anchor, "pass" if ok else "fail", measured, residual, note)
 
-    def finish(self, out=None, timing=None):
-        if timing is not None:
-            self.doc["timing_seconds"] = _f(timing)
+    def finish(self, out=None):
         _validate(self.doc)
         text = json.dumps(self.doc, indent=2, sort_keys=True)
         if out:
@@ -87,13 +84,13 @@ def _validate(doc):
 def cmd_field(args) -> int:
     p, l = args.p, args.r
     rng = random.Random(args.seed)
-    rep_doc = Report("field", {"p": p, "rank": l, "tol": args.tol,
-                               "jobs": args.jobs}, args.seed)
+    rep_doc = Report("field", {"p": p, "rank": l, "tol": args.tol},
+                     args.seed)
     tol = args.tol
     if l not in (1, 2) or p > 7 or (l == 2 and p > 3):
         rep_doc.add("configuration", "caps", "skipped",
                     note="rank/prime outside the enumerable range")
-        return rep_doc.finish(args.out, None)
+        return rep_doc.finish(args.out)
 
     w1 = osc.weil_index(p, 1)
     rep_doc.check("weil-index-square", "weil-index-square",
@@ -159,7 +156,7 @@ def cmd_field(args) -> int:
         rep_doc.check("orbit-count-identity", "orbit-count-identity",
                       abs(cn - 2) <= 1e-6, measured={"character_norm": cn,
                                                      "orbit_count": 2})
-    return rep_doc.finish(args.out, None)
+    return rep_doc.finish(args.out)
 
 
 # -- ring command ---------------------------------------------------------------
@@ -170,8 +167,7 @@ def cmd_ring(args) -> int:
     rng = random.Random(args.seed)
     rep_doc = Report("ring", {"p": p, "r": r, "l": l, "n": n,
                               "cap_group": args.cap_group,
-                              "cap_dim": args.cap_dim, "twist": args.twist,
-                              "jobs": args.jobs},
+                              "cap_dim": args.cap_dim, "twist": args.twist},
                      args.seed)
     tol = args.tol
     spec = SympModule.standard(p, r, l, n)
@@ -182,7 +178,7 @@ def cmd_ring(args) -> int:
         rep_doc.add("model", "caps", "skipped",
                     note=f"model dimension {model_spec.size() ** 0.5:.0f} "
                          f"exceeds cap {args.cap_dim}")
-        return rep_doc.finish(args.out, None)
+        return rep_doc.finish(args.out)
     rep = rr.build_ring_rep(spec)
 
     shells = rr.shell_dimensions(p, r, l, n)
@@ -217,7 +213,7 @@ def cmd_ring(args) -> int:
                 lhs - rep.heis_op(g.act(w), t)).max()))
         rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                       residual=worst)
-        return rep_doc.finish(args.out, None)
+        return rep_doc.finish(args.out)
 
     rep_doc.doc["config"]["group_order"] = len(G)
     if args.twist:
@@ -261,7 +257,7 @@ def cmd_ring(args) -> int:
     if rep.spec.n >= 3 and not rep.lifted:
         rep_doc.add("sigma-level-compat", "level-compat-diagnostic", "info",
                     measured=_sigma_level_diagnostic(rep, rng))
-    return rep_doc.finish(args.out, None)
+    return rep_doc.finish(args.out)
 
 
 def _sigma_level_diagnostic(rep, rng):
@@ -291,8 +287,7 @@ def _sigma_level_diagnostic(rep, rng):
 def cmd_torus(args) -> int:
     tspec = tor.TorusSpec(args.p, args.kind, args.uval, args.n)
     rep_doc = Report("torus", {"p": args.p, "kind": args.kind,
-                               "uval": args.uval, "n": args.n,
-                               "jobs": args.jobs}, args.seed)
+                               "uval": args.uval, "n": args.n}, args.seed)
     tol = args.tol
     ctx = tor.TorusContext(tspec)
     rep_doc.doc["config"]["torus_order"] = len(ctx.C)
@@ -336,14 +331,14 @@ def cmd_torus(args) -> int:
                           "residue-operator-formulas",
                           all(rec["ok"] for rec in results),
                           residual=max(rec["deviation"] for rec in results))
-    return rep_doc.finish(args.out, None)
+    return rep_doc.finish(args.out)
 
 
 # -- selfcheck ---------------------------------------------------------------------
 
 
 def cmd_selfcheck(args) -> int:
-    rep_doc = Report("selfcheck", {"jobs": args.jobs}, args.seed)
+    rep_doc = Report("selfcheck", {}, args.seed)
     ns = argparse.Namespace(**vars(args))
     failures = 0
 
@@ -360,7 +355,7 @@ def cmd_selfcheck(args) -> int:
         run(cmd_torus, p=3, kind=kind, uval=uval, n=1)
     rep_doc.check("battery", "selfcheck", failures == 0,
                   measured={"sub_failures": failures})
-    return rep_doc.finish(args.out, None)
+    return rep_doc.finish(args.out)
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -390,13 +385,6 @@ def _parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=int, default=10_000)
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("WEILREP_JOBS", "1")),
-                        help="parallelism degree (runs are serial but the "
-                             "flag is recorded for reproducibility)")
-        sp.add_argument("--timing", action="store_true",
-                        help="include wall-clock timing (breaks byte-for-byte "
-                             "determinism of the report)")
 
     for name, fn in (("field", cmd_field), ("ring", cmd_ring),
                      ("torus", cmd_torus), ("selfcheck", cmd_selfcheck)):
@@ -406,16 +394,28 @@ def _parser():
     return ap
 
 
+def _argument_error(args):
+    """Why the arguments name no valid configuration, or None."""
+    if args.p < 3 or not _is_prime(args.p):
+        return "--p must be an odd prime"
+    if args.command in ("field", "ring") and args.r < 1:
+        return "--r must be at least 1"
+    if args.command == "ring" and not 0 <= args.l <= args.r:
+        return "--l must satisfy 0 <= l <= r"
+    if args.command in ("ring", "torus") and args.n < 1:
+        return "--n must be at least 1"
+    if args.command == "torus" and args.kind == "ramified" and args.uval:
+        return "--uval 1 needs --kind unramified"
+    return None
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.p < 3 or args.p % 2 == 0:
-        print("error: --p must be an odd prime", file=sys.stderr)
+    error = _argument_error(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return 2
-    t0 = time.time()
-    failures = args.fn(args)
-    if args.timing:
-        print(f"elapsed: {time.time() - t0:.3f}s", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if args.fn(args) else 0
 
 
 if __name__ == "__main__":

@@ -16,88 +16,11 @@ from itertools import product
 
 import numpy as np
 
+from .heisenberg import SchrodingerModel, standard_selfdual
+from .linalg import (gauss_jordan, mat_det, mat_inv, mat_mul, mat_rank,
+                     mat_T, mat_vec)
 from .rings import QuadExt, legendre, unit_phase
 from .symplectic import SympModule, symplectic_group
-
-
-# -- matrices over F_p -------------------------------------------------------
-
-
-def mat_mul(a, b, p):
-    n = len(a)
-    k = len(b[0])
-    return tuple(tuple(sum(a[i][t] * b[t][j] for t in range(len(b))) % p
-                       for j in range(k)) for i in range(n))
-
-
-def mat_vec(a, v, p):
-    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) % p
-                 for i in range(len(a)))
-
-
-def mat_T(a):
-    return tuple(zip(*a))
-
-
-def mat_inv(a, p):
-    n = len(a)
-    aug = [[x % p for x in row] + [int(i == j) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix mod p")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_det(a, p):
-    n = len(a)
-    m = [[x % p for x in row] for row in a]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], -1, p)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv % p
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[col])]
-    return det % p
-
-
-def mat_rank(a, p):
-    if not a:
-        return 0
-    m = [[x % p for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][col] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def _blocks(g, l):
@@ -147,58 +70,23 @@ def tau_matrix(S, l, p):
     return tuple(tuple(row) for row in g)
 
 
-def is_symplectic_field(g, l, p) -> bool:
-    a, b, c, d = _blocks(g, l)
-    at, bt, ct, dt = mat_T(a), mat_T(b), mat_T(c), mat_T(d)
-    eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-    c1 = mat_mul(at, c, p) == mat_mul(ct, a, p)
-    c2 = mat_mul(bt, d, p) == mat_mul(dt, b, p)
-    sub = tuple(tuple((x - y) % p for x, y in zip(r1, r2))
-                for r1, r2 in zip(mat_mul(at, d, p), mat_mul(ct, b, p)))
-    return c1 and c2 and sub == eye
-
-
 # -- Bruhat factorization g = p1 tau_S p2 ------------------------------------
 
 
 def _rank_normal_form(c, p):
     """Invertible u, w with u c w = diag(1_r, 0); returns (u, w, r)."""
     l = len(c)
-    m = [list(row) for row in c]
-    u = [[int(i == j) for j in range(l)] for i in range(l)]
-    r = 0
-    pivots = []
-    for col in range(l):
-        piv = next((i for i in range(r, l) if m[i][col] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        u[r], u[piv] = u[piv], u[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        u[r] = [x * inv % p for x in u[r]]
-        for i in range(l):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-                u[i] = [(x - f * y) % p for x, y in zip(u[i], u[r])]
-        pivots.append(col)
-        r += 1
-    # column operations: permute pivot columns to the front, clear the rest
-    perm = pivots + [c0 for c0 in range(l) if c0 not in pivots]
-    m = [[row[c0] for c0 in perm] for row in m]
-    wmat = [[int(perm[j] == i) for j in range(l)] for i in range(l)]
-    for i in range(r):
-        for j in range(r, l):
-            f = m[i][j]
-            if f:
-                for t in range(l):
-                    wmat[t][j] = (wmat[t][j] - f * wmat[t][i]) % p
-                for t in range(r):
-                    m[t][j] = (m[t][j] - f * m[t][i]) % p
-    u = tuple(tuple(x % p for x in row) for row in u)
-    wmat = tuple(tuple(row) for row in wmat)
-    return u, wmat, r
+    m, pivots, u, _ = gauss_jordan(c, p)
+    r = len(pivots)
+    # column operations: pivot columns to the front, then clear the rest
+    perm = pivots + [j for j in range(l) if j not in pivots]
+    w = [[0] * l for _ in range(l)]
+    for j, cj in enumerate(perm):
+        w[cj][j] = 1
+        if j >= r:
+            for i in range(r):
+                w[perm[i]][j] = -m[i][cj] % p
+    return u, tuple(map(tuple, w)), r
 
 
 def bruhat_decompose(g, l, p):
@@ -333,6 +221,10 @@ class OscillatorRep:
         self.half = pow(2, -1, p)
         self._op_cache: dict = {}
         self._omega1 = weil_index(p, 1, self.scale)
+        # the model polarized by X: its coset representatives (0, y) run
+        # over Y in the order of self.ys, so rho acts on the same basis
+        spec = SympModule.standard(p, l, 0, 0)
+        self.heis = SchrodingerModel(spec, standard_selfdual(spec), self.scale)
 
     def psi(self, c: int) -> complex:
         return unit_phase(self.scale * c, self.p)
@@ -376,19 +268,7 @@ class OscillatorRep:
 
     def rho(self, w, t: int = 0) -> np.ndarray:
         """Heisenberg operator on the same basis (central character psi)."""
-        op = np.zeros((self.dim, self.dim), dtype=complex)
-        p = self.p
-        for jrow, yj in enumerate(self.ys):
-            r = (0,) * self.l + yj
-            target = tuple((a + b) % p for a, b in zip(r, w))
-            i, ph = self._basis_eval(target)
-            beta = self._beta(r, w)
-            op[jrow, i] = self.psi(t + self.half * beta) * ph
-        return op
-
-    def _beta(self, v, w):
-        l = self.l
-        return sum(v[i] * w[l + i] - v[l + i] * w[i] for i in range(l)) % self.p
+        return self.heis.rho(w, t)
 
     def heis_transform(self, g, w):
         """g.(w,t) = (gw, t)."""

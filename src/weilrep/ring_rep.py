@@ -16,7 +16,8 @@ from itertools import product
 import numpy as np
 
 from .rings import unit_phase, vp
-from .oscillator import OscillatorRep, mat_mul, mat_vec
+from .linalg import mat_inv, mat_mul, mat_rank, mat_vec
+from .oscillator import OscillatorRep
 from .symplectic import (FiniteGroup, GroupElem, SympModule, orbits,
                          transvection_generators)
 
@@ -64,29 +65,10 @@ def _li_subset(vecs, p):
     rows = []
     for v in vecs:
         cand = rows + [list(v)]
-        if _rank_rows(cand, p) > len(rows):
+        if mat_rank(cand, p) > len(rows):
             rows = cand
             out.append(v)
     return out
-
-
-def _rank_rows(rows, p):
-    m = [row[:] for row in rows]
-    r = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((i for i in range(r, len(m)) if m[i][col] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                f = m[i][col]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
 
 
 @dataclass
@@ -218,7 +200,7 @@ def canonical_isotropic(spec: SympModule, gens=None) -> IsotropicData:
         res_gram.append(tuple(row))
     res_gram = tuple(res_gram)
     T = symplectic_basis_field(res_gram, p) if k else tuple()
-    Tinv = _mat_inv_tuple(T, p) if k else tuple()
+    Tinv = mat_inv(T, p) if k else tuple()
     return IsotropicData(spec, u_box, uperp_box, res_coords, res_gram,
                          T, Tinv, k // 2)
 
@@ -251,11 +233,6 @@ def _box_contains(spec, outer, inner):
     """outer-box contains inner-box iff inner's divisors dominate."""
     return all(min(o, e) <= min(i, e)
                for o, i, e in zip(outer, inner, spec.exps))
-
-
-def _mat_inv_tuple(T, p):
-    from .oscillator import mat_inv
-    return mat_inv(T, p)
 
 
 # -- the induced representation ----------------------------------------------
@@ -482,7 +459,6 @@ def decompose(rep: RingWeilRep, group: FiniteGroup | None = None,
         for c in orb:
             i = rep.cindex[c]
             sel[i * rep.sdim:(i + 1) * rep.sdim] = True
-        P = np.diag(sel.astype(complex))
         is_zero_orbit = (len(orb) == 1 and orb[0] == zero)
         tag = "sigma" if is_zero_orbit else "orbit"
         base_label = (tag,) if is_zero_orbit else (tag, orb[0])
@@ -534,10 +510,6 @@ def character_norm(group, rep: RingWeilRep):
         n += 1
     val = total / n
     return int(round(val)), abs(val - round(val))
-
-
-def group_orbit_count(gens, spec: SympModule) -> int:
-    return len(orbits(gens, list(spec.vectors())))
 
 
 # -- abelianization / twist diagnostics ---------------------------------------
@@ -595,7 +567,6 @@ def abelianization_cosets(group: FiniteGroup):
 
 def abelianization_character(group: FiniteGroup, a: int):
     """The a-th character of the (cyclic) abelianization, as a callable."""
-    from .rings import unit_phase
     labels, reps = abelianization_cosets(group)
     k = len(reps)
     if a % k == 0:
@@ -680,7 +651,7 @@ def direct_sum_isotropic(big: SympModule, isoA: IsotropicData,
         for i in range(kb):
             T[ka + i][col] = isoB.T[i][j]
     T = tuple(tuple(row) for row in T)
-    Tinv = _mat_inv_tuple(T, p) if k else tuple()
+    Tinv = mat_inv(T, p) if k else tuple()
     return IsotropicData(big, u_box, uperp_box, res_coords,
                          tuple(tuple(r) for r in gram), T, Tinv, la + lb)
 

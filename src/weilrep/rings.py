@@ -325,14 +325,15 @@ class QuadElem:
     def __pow__(self, k):
         return self.ext.pow(self, k)
 
+    def _key(self):
+        ext = self.ext
+        return (ext.p, ext.kind, ext.level, ext.d, self.xi, self.eta)
+
     def __eq__(self, other):
-        return (isinstance(other, QuadElem)
-                and (self.xi, self.eta) == (other.xi, other.eta)
-                and self.ext.kind == other.ext.kind
-                and self.ext.level == other.ext.level)
+        return isinstance(other, QuadElem) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.ext.kind, self.ext.level, self.xi, self.eta))
+        return hash(self._key())
 
     def __repr__(self):
         return f"({self.xi},{self.eta})"

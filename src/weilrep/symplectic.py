@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .linalg import mat_det, mat_inv
 from .rings import vp
 
 
@@ -29,6 +30,9 @@ class SympModule:
         self.r = r
         self.l = l
         self.flavor = flavor
+        # largest s with all gram entries divisible by p^s
+        self.form_content = min((vp(x, p) for row in self.gram for x in row
+                                 if x), default=n + 1)
         for i in range(self.dim):
             if self.gram[i][i] % self.modulus:
                 raise ValueError("gram must be alternating")
@@ -109,12 +113,6 @@ class SympModule:
                 if wj and row[j]:
                     s += vi * row[j] * wj
         return s % self.modulus
-
-    def form_content(self) -> int:
-        """Largest s with all gram entries divisible by p^s."""
-        vals = [vp(x % self.modulus, self.p)
-                for row in self.gram for x in row if x % self.modulus]
-        return min(vals) if vals else self.n + 1
 
     # -- boxes: submodules of the shape {v : p^{c_i} | v_i} ---------------------
 
@@ -216,7 +214,7 @@ class GroupElem:
         return GroupElem(self.spec, prod_mat, check=False)
 
     def inverse(self) -> "GroupElem":
-        inv = _matrix_inverse_mod_pk(self.mat, self.spec.p, self.spec.n + 1)
+        inv = mat_inv(self.mat, self.spec.p, self.spec.n + 1)
         return GroupElem(self.spec, inv, check=False)
 
     def is_symplectic(self) -> bool:
@@ -239,7 +237,7 @@ class GroupElem:
         return True
 
     def is_invertible(self) -> bool:
-        return _inverse_mod_p(self.mat, self.spec.p) is not None
+        return mat_det(self.mat, self.spec.p) != 0
 
     def __eq__(self, other):
         return self.mat == other.mat and self.spec.moduli == other.spec.moduli
@@ -249,49 +247,6 @@ class GroupElem:
 
     def __repr__(self):
         return f"GroupElem({self.mat})"
-
-
-def _matrix_inverse_mod_pk(mat, p, k):
-    """Inverse of an integer matrix mod p^k via F_p inverse + Newton lifting."""
-    n = len(mat)
-    inv_p = _inverse_mod_p(mat, p)
-    if inv_p is None:
-        raise ZeroDivisionError("matrix not invertible mod p")
-    q = p
-    X = inv_p
-    target = p ** k
-    while q < target:
-        q = min(q * q, target)
-        # X <- X(2I - A X) mod q
-        AX = _matmul_mod(mat, X, q)
-        two_minus = [[(2 * (i == j) - AX[i][j]) % q for j in range(n)]
-                     for i in range(n)]
-        X = _matmul_mod(X, two_minus, q)
-    return X
-
-
-def _matmul_mod(a, b, q):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n)]
-            for i in range(n)]
-
-
-def _inverse_mod_p(mat, p):
-    n = len(mat)
-    a = [[x % p for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [x * inv % p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 # -- generators and closure ------------------------------------------------
@@ -306,8 +261,7 @@ def transvection(spec: SympModule, a: int, v) -> GroupElem:
     is what makes closure match the brute-force symplectic count.
     """
     dim = spec.dim
-    s = spec.form_content()
-    ps = spec.p ** s
+    ps = spec.p ** spec.form_content
     cols = []
     for j in range(dim):
         e = spec.basis_vector(j)
@@ -352,9 +306,6 @@ class FiniteGroup:
 
     def identity(self):
         return GroupElem.identity(self.elements[0].spec)
-
-    def inverse(self, g):
-        return g.inverse()
 
 
 def group_closure(gens, cap: int = 2_000_000) -> FiniteGroup:

@@ -15,6 +15,7 @@ from math import gcd
 
 import numpy as np
 
+from .oscillator import weil_index
 from .rings import QuadExt, legendre, smallest_nonresidue, unit_phase
 from .ring_rep import (RingWeilRep, abelianization_character, direct_sum,
                        direct_sum_isotropic, embed_pair)
@@ -383,11 +384,6 @@ class TorusChar:
     def label(self) -> str:
         return f"chi[{self.a},{self.b}]"
 
-    def times(self, other: "TorusChar") -> "TorusChar":
-        table = {t: self._table[t] * other._table[t] for t in self._table}
-        return TorusChar(self.ctx, (self.a + other.a) % max(self.ctx._o1, 1),
-                         (self.b + other.b) % max(self.ctx._o2, 1), table)
-
     def __repr__(self):
         return self.label
 
@@ -536,7 +532,7 @@ def residue_operator_check(tspec: TorusSpec, tol: float = 1e-8):
         cols.append(ctx.rep.delta_vec(point))
     P = np.stack(cols, axis=1)
     Pinv = np.linalg.inv(P)
-    w1 = _residue_weil_index(p, 1)
+    w1 = weil_index(p, 1)
     gamma0 = 1  # the trace form over the prime field needs no correction
     results = []
     for t in ctx.C:
@@ -568,8 +564,3 @@ def residue_operator_check(tspec: TorusSpec, tol: float = 1e-8):
             rec["ok"] = rec["ok"] and rec["trace_consistent"]
         results.append(rec)
     return ctx, results
-
-
-def _residue_weil_index(p, a):
-    from .oscillator import weil_index
-    return weil_index(p, a)

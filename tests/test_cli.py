@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from weilrep.cli import main
 
 
@@ -105,9 +107,22 @@ def test_seed_changes_samples_not_verdicts(tmp_path):
     assert doc2["seed"] == 7
 
 
-def test_rejects_even_prime(capsys):
-    assert main(["field", "--p", "2"]) == 2
-    assert "odd prime" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["field", "--p", "2"], "odd prime"),
+    (["field", "--p", "9"], "odd prime"),
+    (["field", "--p", "15"], "odd prime"),
+    (["ring", "--r", "1", "--l", "2"], "0 <= l <= r"),
+    (["ring", "--r", "0"], "--r"),
+    (["ring", "--n", "0"], "--n"),
+    (["torus", "--n", "0"], "--n"),
+    (["torus", "--kind", "ramified", "--uval", "1"], "--uval"),
+], ids=["p2", "p9", "p15", "ring-l-above-r", "ring-r0", "ring-n0",
+        "torus-n0", "ramified-uval1"])
+def test_rejects_invalid_input(argv, message, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert message in out.err and out.out == ""
 
 
 def test_schema_validates_reports(tmp_path):

@@ -75,6 +75,18 @@ def test_quad_norm_examples():
     assert ram.norm(w) == (1 - 3) % 9
 
 
+def test_quad_elements_of_different_extensions_differ():
+    # same kind, level and coordinates; the extensions differ only in p or d
+    for e1, e2 in ((QuadExt(3, "unramified", 1, d=2),
+                    QuadExt(5, "unramified", 1, d=2)),
+                   (QuadExt(5, "unramified", 1, d=2),
+                    QuadExt(5, "unramified", 1, d=3))):
+        z1, z2 = e1.elem(1, 0), e2.elem(1, 0)
+        assert z1 != z2
+        assert len({z1, z2}) == 2
+        assert z1 == e1.one and hash(z1) == hash(e1.one)
+
+
 def test_conjugation_involution_and_trace():
     random.seed(0)
     for ext in (QuadExt(3, "unramified", 2), QuadExt(3, "ramified", 4)):
