@@ -12,7 +12,9 @@ import json
 import os
 import random
 import sys
+from functools import reduce
 from importlib import resources
+from operator import mul
 
 import numpy as np
 
@@ -195,7 +197,8 @@ def cmd_ring(args) -> int:
         # structural-only checks on sampled generator words
         gens = transvection_generators(rep.spec)
         worst = 0.0
-        words = [rng.choice(gens) * rng.choice(gens) for _ in range(20)]
+        words = [reduce(mul, rng.choices(gens, k=2 * rep.spec.dim))
+                 for _ in range(20)]
         for g in words:
             U = rep.op(g)
             worst = max(worst, float(np.abs(
@@ -272,9 +275,8 @@ def _sigma_level_diagnostic(rep, rng):
     lower = SympModule.standard(spec.p, spec.r, spec.l, spec.n - 2,
                                 flavor=spec.flavor or "B")
     low_rep = rr.build_ring_rep(lower, lift_degenerate=False)
-    gens = symplectic_group(spec).gens
     worst = 0.0
-    for g in gens[:10]:
+    for g in transvection_generators(spec):
         g_low = reduce_level(g, low_rep.spec)
         worst = max(worst, abs(np.trace(rep.sigma_op(g))
                                - np.trace(low_rep.sigma_op(g_low))))
@@ -293,7 +295,10 @@ def cmd_torus(args) -> int:
     rep_doc.doc["config"]["torus_order"] = len(ctx.C)
     rep_doc.doc["config"]["model_dim"] = ctx.dim
     rep_doc.doc["config"]["visibility_depth"] = ctx.visibility_depth()
-    report = tor.multiplicity_report(ctx)
+    report = tor.multiplicity_report(ctx, cap=args.cap_group)
+    if report["twist_skipped"]:
+        rep_doc.add("twist-diagnostic", "caps", "skipped",
+                    note=report["twist_skipped"])
     table = report["table"]
     rep_doc.check("mult-one", "mult-one",
                   all(rec["mult"] in (0, 1) for rec in table),
@@ -306,13 +311,18 @@ def cmd_torus(args) -> int:
                   bool(report["matching_twists"]),
                   measured={"raw_match": report["raw_match"],
                             "matching_twists": report["matching_twists"]})
-    worst = 0.0
+    worst, missing = 0.0, []
     for rec in table:
         if rec["mult"] == 1:
-            vec = ctx.eigenvector(rec["char"])
-            worst = max(worst, ctx.eigen_residual(rec["char"], vec))
+            try:
+                vec = ctx.eigenvector(rec["char"])
+                worst = max(worst, ctx.eigen_residual(rec["char"], vec))
+            except ValueError:
+                missing.append(rec["char"].label)
     rep_doc.check("eigenvector-residual", "eigenvector-residual",
-                  worst <= tol, residual=worst)
+                  worst <= tol and not missing,
+                  measured={"no_weight_vector": missing} if missing else None,
+                  residual=worst)
     rep_doc.add("conductor-table", "conductor-table", "info",
                 measured={rec["char"].label: rec["conductor"]
                           for rec in table})

@@ -150,7 +150,7 @@ def invariance_generators(spec: SympModule) -> list:
     return gens
 
 
-def canonical_isotropic(spec: SympModule, gens=None) -> IsotropicData:
+def canonical_isotropic(spec: SympModule) -> IsotropicData:
     """The unique maximal Sp-invariant isotropic box submodule.
 
     Searched over all coordinate boxes and certified: isotropy, invariance
@@ -161,8 +161,7 @@ def canonical_isotropic(spec: SympModule, gens=None) -> IsotropicData:
     p, M = spec.p, spec.modulus
     exps = spec.exps
     dim = spec.dim
-    if gens is None:
-        gens = invariance_generators(spec)
+    gens = invariance_generators(spec)
     candidates = []
     for divs in product(*[range(e + 1) for e in exps]):
         if not _box_isotropic(spec, divs):
@@ -242,10 +241,10 @@ class RingWeilRep:
     """Genuine Weil representation of Sp(W) for W over Z/p^{n+1}."""
 
     def __init__(self, spec: SympModule, iso: IsotropicData | None = None,
-                 scale: int = 1, gens=None):
+                 scale: int = 1):
         self.spec = spec
         self.scale = scale
-        self.iso = iso if iso is not None else canonical_isotropic(spec, gens)
+        self.iso = iso if iso is not None else canonical_isotropic(spec)
         self.p = spec.p
         self.M = spec.modulus
         self.half = pow(2, -1, self.M)
@@ -284,9 +283,6 @@ class RingWeilRep:
         return cached
 
     # -- block-monomial structure ---------------------------------------------
-
-    def coset_of(self, v) -> int:
-        return self.cindex[self.spec.quotient_reduce(v, self.iso.uperp_box)]
 
     def blocks(self, g: GroupElem):
         """Yield (row_coset, col_coset, phase, residue_class) for S(g).
@@ -436,8 +432,7 @@ def _minus_identity(spec: SympModule) -> GroupElem:
                             for i in range(spec.dim)], check=False)
 
 
-def decompose(rep: RingWeilRep, group: FiniteGroup | None = None,
-              gens=None) -> list[Summand]:
+def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
     """Orbit-support and parity decomposition of the representation.
 
     Summands are labelled ('sigma', eps) for the zero-coset block and
@@ -445,11 +440,8 @@ def decompose(rep: RingWeilRep, group: FiniteGroup | None = None,
     eps is the -Id eigenvalue, omitted when -Id acts by a scalar there.
     """
     spec = rep.spec
-    if gens is None:
-        gens = group.gens if (group is not None and group.gens) else \
-            transvection_generators(spec)
     act = lambda g, c: spec.quotient_reduce(g.act(c), rep.iso.uperp_box)
-    orbs = orbits(gens, rep.cosets, act=act)
+    orbs = orbits(group.gens, rep.cosets, act=act)
     zero = spec.quotient_reduce(spec.zero(), rep.iso.uperp_box)
     minus = _minus_identity(spec)
     S_minus = rep.op(minus)
@@ -517,18 +509,17 @@ def character_norm(group, rep: RingWeilRep):
 
 def derived_subgroup(group: FiniteGroup) -> set:
     """Normal closure of the commutators of the generators."""
-    gens = group.gens if group.gens else list(group)
     comms = {}
-    for a in gens:
+    for a in group.gens:
         ainv = a.inverse()
-        for b in gens:
+        for b in group.gens:
             c = a * b * ainv * b.inverse()
             comms[c.mat] = c
     dgens = list(comms.values())
     seen = dict(comms)
     seen[group.identity().mat] = group.identity()
     frontier = list(seen.values())
-    gen_pairs = [(g, g.inverse()) for g in gens]
+    gen_pairs = [(g, g.inverse()) for g in group.gens]
     while frontier:
         new = []
         for x in frontier:

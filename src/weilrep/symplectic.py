@@ -130,10 +130,6 @@ class SympModule:
             out *= self.p ** max(0, a - min(c, a))
         return out
 
-    def in_box(self, v, divs) -> bool:
-        return all(x % self.p ** min(c, a) == 0
-                   for x, c, a in zip(v, divs, self.exps))
-
     def quotient_reduce(self, v, divs):
         """Canonical representative of v modulo the box submodule."""
         return tuple(x % self.p ** min(c, a)
@@ -175,15 +171,12 @@ class GroupElem:
 
     def __init__(self, spec: SympModule, mat, check=True):
         self.spec = spec
-        p = spec.p
-        exps = spec.exps
-        canon = tuple(
-            tuple(x % (p ** exps[i]) for x in row)
-            for i, row in enumerate(mat)
-        )
+        canon = tuple(tuple(x % m for x in row)
+                      for row, m in zip(mat, spec.moduli))
         self.mat = canon
         self._hash = hash((spec.moduli, canon))
         if check:
+            p, exps = spec.p, spec.exps
             for i in range(spec.dim):
                 for j in range(spec.dim):
                     d = p ** max(0, exps[i] - exps[j])
@@ -272,15 +265,31 @@ def transvection(spec: SympModule, a: int, v) -> GroupElem:
 
 
 def transvection_generators(spec: SympModule) -> list:
-    """All distinct transvections tau_{a,v}, deduplicated by action."""
-    seen = {}
+    """Certified generating set: tau_{1,v} for v = e_i and e_i + e_{i+1},
+    identity dropped, deduplicated, sorted by matrix (at most 2*dim - 1).
+
+    They generate every transvection when `_generates_all_transvections`
+    holds, which is checked here, because tau_{gv} = g tau_v g^-1,
+    tau_{cv} = tau_v^{c^2} and tau_{a,v} = tau_{1,v}^a.
+    """
+    vecs = [spec.basis_vector(i) for i in range(spec.dim)]
+    vecs += [spec.add(vecs[i], vecs[i + 1]) for i in range(spec.dim - 1)]
+    if not _generates_all_transvections(spec, vecs):
+        raise AssertionError(f"transvections do not generate for {spec}")
     ident = GroupElem.identity(spec)
-    for v in spec.vectors():
-        for a in range(spec.modulus):
-            g = transvection(spec, a, v)
-            if g != ident:
-                seen.setdefault(g.mat, g)
-    return [seen[m] for m in sorted(seen)]
+    gens = {transvection(spec, 1, v) for v in vecs} - {ident}
+    return sorted(gens, key=lambda g: g.mat)
+
+
+def _generates_all_transvections(spec: SympModule, vecs) -> bool:
+    """Every orbit of <tau_{1,v} : v in vecs> on W meets a multiple of some
+    v in vecs, or has a trivial transvection tau_{1,orbit[0]}."""
+    gens = [transvection(spec, 1, v) for v in vecs]
+    multiples = {spec.smul(c, v) for v in vecs for c in range(spec.modulus)}
+    ident = GroupElem.identity(spec)
+    return all(not multiples.isdisjoint(orb)
+               or transvection(spec, 1, orb[0]) == ident
+               for orb in orbits(gens, list(spec.vectors())))
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -290,10 +299,10 @@ class ClosureCapExceeded(RuntimeError):
 class FiniteGroup:
     """A finite matrix group: canonical sorted element list plus index."""
 
-    def __init__(self, elements, gens=None):
+    def __init__(self, elements, gens):
         self.elements = sorted(elements, key=lambda g: g.mat)
         self.index = {g.mat: i for i, g in enumerate(self.elements)}
-        self.gens = gens or []
+        self.gens = gens
 
     def __len__(self):
         return len(self.elements)
@@ -335,26 +344,15 @@ _SP_CACHE: dict = {}
 
 
 def symplectic_group(spec: SympModule, cap: int = 2_000_000) -> FiniteGroup:
-    """The group generated by all transvections of the module.
-
-    Seeds the BFS with a small generator subset and then verifies that the
-    full transvection set is contained in the result; falls back to the full
-    set if not.  Cached per module.
-    """
+    """The closure of `transvection_generators`: the group generated by all
+    transvections.  Cached per module; the cap holds for cached groups too."""
     key = (spec.p, spec.n, spec.moduli, spec.gram)
-    if key in _SP_CACHE:
-        return _SP_CACHE[key]
-    gens = transvection_generators(spec)
-    k = len(gens)
-    seed_idx = sorted({0, k // 7, 2 * k // 7, 3 * k // 7, 4 * k // 7,
-                       5 * k // 7, 6 * k // 7, k - 1} & set(range(k)))
-    seed = [gens[i] for i in seed_idx]
-    G = group_closure(seed, cap=cap)
-    if not all(g in G for g in gens):
-        G = group_closure(gens, cap=cap)
-    G = FiniteGroup(G.elements, gens=gens)
-    _SP_CACHE[key] = G
-    return G
+    if key not in _SP_CACHE:
+        _SP_CACHE[key] = group_closure(transvection_generators(spec), cap=cap)
+    if len(_SP_CACHE[key]) > cap:
+        raise ClosureCapExceeded(
+            f"group closure exceeded cap of {cap} elements")
+    return _SP_CACHE[key]
 
 
 def brute_force_symplectic_count(spec: SympModule, limit: int = 2_000_000) -> int:

@@ -19,7 +19,8 @@ from .oscillator import weil_index
 from .rings import QuadExt, legendre, smallest_nonresidue, unit_phase
 from .ring_rep import (RingWeilRep, abelianization_character, direct_sum,
                        direct_sum_isotropic, embed_pair)
-from .symplectic import GroupElem, SympModule, symplectic_group
+from .symplectic import (ClosureCapExceeded, GroupElem, SympModule,
+                         symplectic_group)
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,6 @@ class TorusSpec:
     def mu(self) -> int:
         # e = 1, conductor 0, trivial different
         return -self.u_val if self.kind == "unramified" else -1
-
-    @property
-    def autodual(self) -> bool:
-        return self.kind == "ramified" or self.mu % 2 == 0
 
 
 class TorusContext:
@@ -86,9 +83,6 @@ class TorusContext:
             g = GroupElem(self.module, mat)
             self._emb_cache[t] = g
         return g
-
-    def torus_image(self):
-        return [self.embed(t) for t in self.C]
 
     # -- congruence subgroups ----------------------------------------------------
 
@@ -443,14 +437,14 @@ def torus_multiplicities(tspec: TorusSpec):
     return ctx, table
 
 
-def multiplicity_report(ctx: TorusContext):
+def multiplicity_report(ctx: TorusContext, cap: int = 2_000_000):
     """Computed table, predicate table, and the global-twist diagnostic."""
     table = ctx.multiplicities()
     computed = {rec["char"].label: rec["mult"] for rec in table}
     predicted = {rec["char"].label: int(ctx.appearance_predicate(rec["char"]))
                  for rec in table}
     raw_match = computed == predicted
-    twists = _twist_candidates(ctx)
+    twists, skipped = _twist_candidates(ctx, cap)
     matching = []
     chars = [rec["char"] for rec in table]
     for name, twist in twists:
@@ -465,25 +459,30 @@ def multiplicity_report(ctx: TorusContext):
             matching.append(name)
     return {"table": table, "computed": computed, "predicted": predicted,
             "raw_match": raw_match, "matching_twists": matching,
+            "twist_skipped": skipped,
             "sum_mult": sum(computed.values()), "dim": ctx.dim,
             "visibility_depth": ctx.visibility_depth()}
 
 
-def _twist_candidates(ctx: TorusContext):
-    """Characters of the ambient group's abelianization, pulled to the torus.
+def _twist_candidates(ctx: TorusContext, cap: int):
+    """Characters of the ambient group's abelianization, pulled to the torus,
+    and why only the trivial one is returned when its closure exceeds cap.
 
     Only the identity twist exists for p >= 5 (the group is perfect); for
     p = 3 the diagnostic also tries the nontrivial pullbacks.
     """
     out = [("trivial", {t: 1.0 for t in ctx.C})]
     if ctx.p != 3:
-        return out
-    G = symplectic_group(ctx.module)
+        return out, None
+    try:
+        G = symplectic_group(ctx.module, cap=cap)
+    except ClosureCapExceeded as exc:
+        return out, str(exc)
     _, k = abelianization_character(G, 0)
     for a in range(1, k):
         chi, _ = abelianization_character(G, a)
         out.append((f"ab^{a}", {t: chi(ctx.embed(t)) for t in ctx.C}))
-    return out
+    return out, None
 
 
 def product_torus_multiplicities(tspecs: list):

@@ -132,3 +132,31 @@ def test_schema_validates_reports(tmp_path):
                         .joinpath("report_schema.json").read_text())
     _, doc = run(tmp_path, "v.json", ["field", "--p", "3"])
     jsonschema.validate(doc, schema)
+
+
+def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):
+    code, doc = run(tmp_path, "even.json",
+                    ["torus", "--p", "3", "--kind", "unramified",
+                     "--uval", "1", "--n", "2"])
+    assert code == 1
+    rec = next(c for c in doc["checks"]
+               if c["anchor"] == "eigenvector-residual")
+    assert rec["status"] == "fail"
+    missing = rec["measured"]["no_weight_vector"]
+    mults = next(c for c in doc["checks"]
+                 if c["anchor"] == "mult-one")["measured"]
+    assert missing and all(mults[label] == 1 for label in missing)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_torus_twist_diagnostic_honours_cap(tmp_path):
+    code, doc = run(tmp_path, "cap.json",
+                    ["torus", "--p", "3", "--uval", "0", "--n", "1",
+                     "--cap-group", "100"])
+    assert code == 0 and doc["failures"] == 0
+    skipped = next(c for c in doc["checks"] if c["anchor"] == "caps")
+    assert skipped["status"] == "skipped" and "100" in skipped["note"]
+    crit = next(c for c in doc["checks"]
+                if c["anchor"] == "appearance-criteria")
+    assert crit["status"] == "pass"
+    assert crit["measured"]["matching_twists"] == ["trivial"]
