@@ -350,21 +350,28 @@ def cmd_torus(args) -> int:
 def cmd_selfcheck(args) -> int:
     rep_doc = Report("selfcheck", {}, args.seed)
     ns = argparse.Namespace(**vars(args))
+    commands = {"field": cmd_field, "ring": cmd_ring, "torus": cmd_torus}
     failures = 0
+    failed_runs = []
 
-    def run(fn, **over):
+    def run(command, **over):
         nonlocal failures
         sub = argparse.Namespace(**{**vars(ns), **over, "out": os.devnull})
-        failures += fn(sub)
+        failed = commands[command](sub)
+        failures += failed
+        if failed:
+            failed_runs.append({"command": command, "overrides": over})
 
-    run(cmd_field, p=3, r=1)
-    run(cmd_field, p=5, r=1)
-    run(cmd_ring, p=3, r=1, l=0, n=1)
-    run(cmd_ring, p=3, r=1, l=1, n=1)
+    run("field", p=3, r=1)
+    run("field", p=5, r=1)
+    run("ring", p=3, r=1, l=0, n=1)
+    run("ring", p=3, r=1, l=1, n=1)
     for kind, uval in (("unramified", 0), ("unramified", 1), ("ramified", 0)):
-        run(cmd_torus, p=3, kind=kind, uval=uval, n=1)
-    rep_doc.check("battery", "selfcheck", failures == 0,
-                  measured={"sub_failures": failures})
+        run("torus", p=3, kind=kind, uval=uval, n=1)
+    measured = {"sub_failures": failures}
+    if failed_runs:
+        measured["failed_runs"] = failed_runs
+    rep_doc.check("battery", "selfcheck", failures == 0, measured=measured)
     return rep_doc.finish(args.out)
 
 

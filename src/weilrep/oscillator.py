@@ -19,7 +19,7 @@ import numpy as np
 from .heisenberg import SchrodingerModel, standard_selfdual
 from .linalg import (gauss_jordan, mat_det, mat_inv, mat_mul, mat_rank,
                      mat_T, mat_vec)
-from .rings import QuadExt, legendre, unit_phase
+from .rings import QuadExt, _roots, legendre, unit_phase
 from .symplectic import SympModule, symplectic_group
 
 
@@ -217,8 +217,16 @@ class OscillatorRep:
             raise ValueError("character scale must be a unit")
         self.dim = p ** l
         self.ys = [y for y in product(range(p), repeat=l)]
-        self.yindex = {y: i for i, y in enumerate(self.ys)}
         self.half = pow(2, -1, p)
+        # M_X sums over the points (x, y_j), x inner, y_j outer; row j of
+        # the operator collects the points with y = y_j
+        self._points = np.array([x + y for y in self.ys for x in self.ys],
+                                dtype=np.int64)
+        self._rows = np.repeat(np.arange(self.dim), self.dim)
+        self._roots = np.array(_roots(p))
+        dots = (self._points[:, :l] * self._points[:, l:]).sum(axis=1)
+        self._in_phase = self._roots[self.scale * self.half * dots % p]
+        self._radix = p ** np.arange(l - 1, -1, -1)  # index of y in self.ys
         self._op_cache: dict = {}
         self._omega1 = weil_index(p, 1, self.scale)
         # the model polarized by X: its coset representatives (0, y) run
@@ -229,40 +237,33 @@ class OscillatorRep:
     def psi(self, c: int) -> complex:
         return unit_phase(self.scale * c, self.p)
 
-    def _split(self, w):
-        return w[:self.l], w[self.l:]
-
-    def _basis_eval(self, w):
-        """(index, phase) with phi(w) = phase * phi(0, y_index)."""
-        x, y = self._split(w)
-        dot = sum(a * b for a, b in zip(x, y))
-        return self.yindex[y], self.psi(-self.half * dot)
-
     def M_X(self, g) -> np.ndarray:
+        """S(g) up to the scalar m(g) p^{j/2}: one matrix product maps every
+        point (x, y_j) by g^{-1}, the phases are gathered from the p-th
+        roots, and np.add.at sums them into row j in point order."""
         p, l = self.p, self.l
-        ginv = mat_inv(g, p)
+        ginv = np.array(mat_inv(g, p), dtype=np.int64)
+        v = self._points @ ginv.T % p
+        dots = (v[:, :l] * v[:, l:]).sum(axis=1)
+        phase = self._roots[-self.scale * self.half * dots % p]
         op = np.zeros((self.dim, self.dim), dtype=complex)
-        for jrow, yj in enumerate(self.ys):
-            for x in product(range(p), repeat=l):
-                w = tuple(x) + yj
-                v = mat_vec(ginv, w, p)
-                i, ph = self._basis_eval(v)
-                dot = sum(a * b for a, b in zip(x, yj))
-                op[jrow, i] += self.psi(self.half * dot) * ph
+        np.add.at(op, (self._rows, v[:, l:] @ self._radix),
+                  self._in_phase * phase)
         return op / (p ** l)
 
-    def m_scalar(self, g) -> complex:
-        th = theta(g, self.l, self.p)
-        j = j_invariant(g, self.l, self.p)
-        return (1.0 / weil_index(self.p, th, self.scale)) * self._omega1 ** (1 - j)
-
     def op(self, g) -> np.ndarray:
-        g = tuple(tuple(x % self.p for x in row) for row in g)
+        """S(g) = m(g) p^{j/2} M_X(g), with m(g) = omega(theta)^{-1}
+        omega(1)^{1-j} from one Bruhat factorization g = p1 tau_S p2:
+        theta = det_X(p1) det_X(p2) and j = |S|."""
+        p = self.p
+        g = tuple(tuple(x % p for x in row) for row in g)
         cached = self._op_cache.get(g)
         if cached is not None:
             return cached
-        j = j_invariant(g, self.l, self.p)
-        out = self.m_scalar(g) * (self.p ** (j / 2.0)) * self.M_X(g)
+        p1, _, p2, j = bruhat_decompose(g, self.l, p)
+        th = det_X(p1, self.l, p) * det_X(p2, self.l, p) % p
+        m = (1.0 / weil_index(p, th, self.scale)) * self._omega1 ** (1 - j)
+        out = m * (p ** (j / 2.0)) * self.M_X(g)
         self._op_cache[g] = out
         return out
 
@@ -279,8 +280,7 @@ def parabolic_elements(l, p):
     """All symplectic elements with vanishing lower-left block."""
     out = []
     for g in sp_elements(l, p):
-        _, _, c, _ = _blocks(g, l)
-        if all(x % p == 0 for row in c for x in row):
+        if all(g[l + i][j] % p == 0 for i in range(l) for j in range(l)):
             out.append(g)
     return out
 

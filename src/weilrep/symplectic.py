@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
+
 from .linalg import mat_det, mat_inv
 from .rings import vp
 
@@ -171,8 +173,8 @@ class GroupElem:
 
     def __init__(self, spec: SympModule, mat, check=True):
         self.spec = spec
-        canon = tuple(tuple(x % m for x in row)
-                      for row, m in zip(mat, spec.moduli))
+        canon = tuple([tuple([x % m for x in row])
+                       for row, m in zip(mat, spec.moduli)])
         self.mat = canon
         self._hash = hash((spec.moduli, canon))
         if check:
@@ -317,27 +319,60 @@ class FiniteGroup:
         return GroupElem.identity(self.elements[0].spec)
 
 
+# frontier rows multiplied by the generators at once; bounds the work
+# arrays of group_closure to a few MB whatever the group order
+_CLOSURE_CHUNK = 2048
+
+
 def group_closure(gens, cap: int = 2_000_000) -> FiniteGroup:
-    """BFS closure of the generated subgroup, deduplicated by action."""
+    """BFS closure of the generated subgroup, deduplicated by action.
+
+    Elements are int64 matrices with row i reduced mod moduli[i].  Each
+    element is keyed by its entries as big-endian unsigned bytes, row-major,
+    so byte order of keys is the lexicographic order of `GroupElem.mat` and
+    the sorted array `seen` is the final element order.
+    """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    ident = GroupElem.identity(gens[0].spec)
-    seen = {ident.mat: ident}
-    frontier = [ident]
-    while frontier:
+    spec = gens[0].spec
+    d = spec.dim
+    top = max(spec.moduli)
+    if d * (top - 1) ** 2 >= 2 ** 63:
+        raise OverflowError(f"int64 matrix products overflow for {spec}")
+    mods = np.array(spec.moduli, dtype=np.int64)[:, None]
+    entry = np.dtype(np.min_scalar_type(top - 1)).newbyteorder(">")
+    keytype = np.dtype((np.void, d * d * entry.itemsize))
+
+    def keys(mats):
+        flat = np.ascontiguousarray(mats, dtype=entry).reshape(len(mats), -1)
+        return flat.view(keytype).ravel()
+
+    def mats(ks):
+        return ks.view(entry).reshape(-1, d, d).astype(np.int64)
+
+    gen_mats = np.array([g.mat for g in gens], dtype=np.int64)
+    seen = keys(np.eye(d, dtype=np.int64)[None] % mods)
+    frontier = seen
+    while len(frontier):
         new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y.mat not in seen:
-                    seen[y.mat] = y
-                    new.append(y)
-                    if len(seen) > cap:
-                        raise ClosureCapExceeded(
-                            f"group closure exceeded cap of {cap} elements")
-        frontier = new
-    return FiniteGroup(list(seen.values()), gens=gens)
+        for start in range(0, len(frontier), _CLOSURE_CHUNK):
+            x = mats(frontier[start:start + _CLOSURE_CHUNK])
+            y = x[:, None] @ gen_mats[None] % mods
+            ks = np.unique(keys(y.reshape(-1, d, d)))
+            pos = np.searchsorted(seen, ks)
+            known = seen[np.minimum(pos, len(seen) - 1)] == ks
+            seen = np.insert(seen, pos[~known], ks[~known])
+            if len(seen) > cap:
+                raise ClosureCapExceeded(
+                    f"group closure exceeded cap of {cap} elements")
+            new.append(ks[~known])
+        frontier = np.concatenate(new)
+    elements = []
+    for start in range(0, len(seen), _CLOSURE_CHUNK):
+        chunk = mats(seen[start:start + _CLOSURE_CHUNK]).tolist()
+        elements.extend(GroupElem(spec, m, check=False) for m in chunk)
+    return FiniteGroup(elements, gens=gens)
 
 
 _SP_CACHE: dict = {}

@@ -160,3 +160,16 @@ def test_torus_twist_diagnostic_honours_cap(tmp_path):
                 if c["anchor"] == "appearance-criteria")
     assert crit["status"] == "pass"
     assert crit["measured"]["matching_twists"] == ["trivial"]
+
+
+def test_selfcheck_names_failing_sub_run(tmp_path, monkeypatch):
+    import weilrep.cli as cli
+    monkeypatch.setattr(cli, "cmd_field", lambda args: 0)
+    monkeypatch.setattr(cli, "cmd_torus", lambda args: 0)
+    monkeypatch.setattr(cli, "cmd_ring", lambda args: int(args.l == 1))
+    code, doc = run(tmp_path, "s.json", ["selfcheck"])
+    assert code == 1
+    battery = next(c for c in doc["checks"] if c["name"] == "battery")
+    assert battery["status"] == "fail"
+    assert battery["measured"]["failed_runs"] == [
+        {"command": "ring", "overrides": {"p": 3, "r": 1, "l": 1, "n": 1}}]
