@@ -242,8 +242,8 @@ def cmd_ring(args) -> int:
     worst = 0.0
     for _ in range(args.samples // 100 or 50):
         g, h = rng.choice(G.elements), rng.choice(G.elements)
-        worst = max(worst, float(np.abs(
-            rep.op(g) @ rep.op(h) - rep.op(g * h)).max()))
+        Sg, Sh, Sgh = rep.blocks([g, h, g * h]).dense()
+        worst = max(worst, float(np.abs(Sg @ Sh - Sgh).max()))
     rep_doc.check("homomorphism-sampled", "genuine-splitting", worst <= tol,
                   residual=worst)
     vecs = list(rep.spec.vectors())

@@ -4,10 +4,14 @@ Every elimination in the package goes through `gauss_jordan`.  Its pivot
 rule (first nonzero entry at or below the current row, normalize the pivot
 row, clear every other row) fixes the transforms of the Bruhat
 factorization, which feed the theta invariant and hence the Gauss sums in
-the reports, so it must not change.
+the reports, so it must not change.  `mat_inv_stack` runs the same rule on
+a numpy stack of matrices at once; an inverse mod p^k is unique, so it
+agrees with `mat_inv` entry for entry.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def gauss_jordan(a, p):
@@ -61,6 +65,37 @@ def mat_inv(a, p, k=1):
         ax = mat_mul(a, x, q)
         x = mat_mul(x, [[2 * (i == j) - ax[i][j] for j in range(n)]
                         for i in range(n)], q)
+    return x
+
+
+def mat_inv_stack(a, p, k=1):
+    """Inverses mod p^k of a stack of square matrices, an int64 (N, n, n)
+    array: Gauss-Jordan mod p on every matrix at once, Newton-lifted."""
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[-1]
+    target = p ** k
+    if n * target ** 2 >= 2 ** 63:
+        raise OverflowError(f"int64 products overflow mod {p}^{k}")
+    inv_mod_p = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    eye = np.eye(n, dtype=np.int64)
+    m = np.concatenate([a % p, np.broadcast_to(eye, a.shape)], axis=-1)
+    rows = np.arange(len(m))
+    for col in range(n):
+        nonzero = m[:, col:, col] != 0
+        if not nonzero.any(axis=1).all():
+            raise ZeroDivisionError("singular matrix mod p")
+        piv = col + nonzero.argmax(axis=1)
+        top = m[rows, piv]
+        m[rows, piv] = m[:, col]
+        m[:, col] = top * inv_mod_p[top[:, col]][:, None] % p
+        f = m[:, :, col].copy()
+        f[:, col] = 0
+        m = (m - f[:, :, None] * m[:, None, col]) % p
+    x = m[:, :, n:]
+    q = p
+    while q < target:
+        q = min(q * q, target)
+        x = x @ (2 * eye - a @ x % q) % q
     return x
 
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
 import numpy as np
 
-from .rings import unit_phase, vp
-from .linalg import mat_inv, mat_mul, mat_rank, mat_vec
+from .rings import _roots, unit_phase, vp
+from .linalg import mat_inv, mat_inv_stack, mat_rank
 from .oscillator import OscillatorRep
 from .symplectic import (FiniteGroup, GroupElem, SympModule, orbits,
                          transvection_generators)
@@ -82,39 +83,39 @@ class IsotropicData:
     Tinv: tuple
     l_res: int                # half the residue dimension
 
-    def reduce_morphism(self, g: GroupElem):
-        """Image of g in Sp(residue) in standard symplectic coordinates."""
+    def _res_arrays(self):
+        """Residue coordinates, p^{uperp} on them, T and Tinv as arrays."""
+        rc = list(self.res_coords)
+        den = self.spec.p ** np.array([self.uperp_box[i] for i in rc],
+                                      dtype=np.int64)
+        T, Tinv = (np.array(m, dtype=np.int64).reshape(len(rc), len(rc))
+                   for m in (self.T, self.Tinv))
+        return rc, den, T, Tinv
+
+    def reduce_morphisms(self, mats) -> np.ndarray:
+        """Images in Sp(residue), in standard symplectic coordinates, of a
+        stack of matrices (N, dim, dim): an int64 (N, k, k) array."""
         p = self.spec.p
-        k = len(self.res_coords)
-        if k == 0:
-            return tuple()
-        cols = []
-        for gj in self.res_coords:
-            scale = p ** self.uperp_box[gj]
-            img = g.act(self.spec.smul(scale, self.spec.basis_vector(gj)))
-            col = []
-            for gi in self.res_coords:
-                num = img[gi]
-                den = p ** self.uperp_box[gi]
-                if num % den:
-                    raise AssertionError("U-perp not invariant under g")
-                col.append((num // den) % p)
-            cols.append(col)
-        R = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-        return mat_mul(self.Tinv, mat_mul(R, self.T, p), p)
+        rc, den, T, Tinv = self._res_arrays()
+        mods = np.array([self.spec.moduli[i] for i in rc], dtype=np.int64)
+        # column j: g applied to p^{uperp_j} e_j, read on the residue coords
+        img = mats[:, rc][:, :, rc] * den % mods[:, None]
+        if (img % den[:, None]).any():
+            raise AssertionError("U-perp not invariant under g")
+        return Tinv @ (img // den[:, None] % p @ T % p) % p
+
+    def residues(self, u) -> np.ndarray:
+        """Classes in U-perp/U, in standard residue coordinates, of points
+        of U-perp given as an int64 (..., dim) array: (..., k) digits mod p."""
+        rc, den, _, Tinv = self._res_arrays()
+        ur = u[..., rc]
+        if (ur % den).any():
+            raise AssertionError("element not in U-perp")
+        return (ur // den % self.spec.p) @ Tinv.T % self.spec.p
 
     def project(self, u):
         """Class of u in U-perp/U, in standard residue coordinates."""
-        p = self.spec.p
-        if not self.res_coords:
-            return tuple()
-        vec = []
-        for gi in self.res_coords:
-            den = p ** self.uperp_box[gi]
-            if u[gi] % den:
-                raise AssertionError("element not in U-perp")
-            vec.append((u[gi] // den) % p)
-        return mat_vec(self.Tinv, tuple(vec), p)
+        return tuple(self.residues(np.array(u, dtype=np.int64)).tolist())
 
 
 def scaled_pair_flip(spec: SympModule) -> GroupElem | None:
@@ -255,84 +256,119 @@ class RingWeilRep:
                       if self.l_res > 0 else None)
         self.sdim = self.p ** self.l_res
         self.dim = len(self.cosets) * self.sdim
-        self._rho_cache: dict = {}
         self._sigma_cache: dict = {}
+        # integer data of the coset splitting y = xc + u
+        self._mods = np.array(spec.moduli, dtype=np.int64)
+        self._gram = np.array(spec.gram, dtype=np.int64)
+        self._coset_mods = np.array(
+            [self.p ** min(c, a) for c, a in zip(self.iso.uperp_box,
+                                                 spec.exps)], dtype=np.int64)
+        # mixed radix of the coset index: quotient_reps order, first
+        # coordinate most significant
+        self._coset_radix = np.array(
+            [prod(self._coset_mods[i + 1:].tolist()) for i in range(spec.dim)],
+            dtype=np.int64)
+        self._coset_pts = np.array(self.cosets, dtype=np.int64)
+        self._roots = np.array(_roots(self.M))
+        # rho_res of every residue class, by label = base-p digits; rows are
+        # filled on first use
+        k = 2 * self.l_res
+        self._res_radix = self.p ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        self._rho_table = np.zeros((self.p ** k, self.sdim, self.sdim),
+                                   dtype=complex)
+        self._rho_known = np.zeros(self.p ** k, dtype=bool)
 
     def psi(self, c: int) -> complex:
         return unit_phase(self.scale * c, self.M)
 
     # -- residue operators ---------------------------------------------------
 
+    def _labels(self, ubar) -> np.ndarray:
+        """Rows of the residue table for residue digits (..., k), filling
+        the rows not yet built."""
+        labels = np.asarray(ubar @ self._res_radix)
+        for lab in set(labels[~self._rho_known[labels]].tolist()):
+            digits = tuple((lab // self._res_radix % self.p).tolist())
+            self._rho_table[lab] = (self.sigma.rho(digits, 0)
+                                    if self.sigma is not None else 1.0)
+            self._rho_known[lab] = True
+        return labels
+
     def rho_res(self, ubar) -> np.ndarray:
+        return self._rho_table[self._labels(np.array(ubar, dtype=np.int64))]
+
+    def _sigma_blocks(self, mats):
+        """sigma(g) for a stack of matrices (N, dim, dim), as a table of the
+        distinct blocks (K, s, s) and the row of each matrix (N,).
+
+        sigma.op runs once per distinct reduction over the instance's life.
+        """
         if self.sigma is None:
-            return np.ones((1, 1), dtype=complex)
-        cached = self._rho_cache.get(ubar)
-        if cached is None:
-            cached = self.sigma.rho(ubar, 0)
-            self._rho_cache[ubar] = cached
-        return cached
+            return np.ones((1, 1, 1), dtype=complex), np.zeros(len(mats), int)
+        rows, which = {}, []
+        for R in self.iso.reduce_morphisms(mats):
+            key = R.tobytes()
+            if key not in self._sigma_cache:
+                self._sigma_cache[key] = self.sigma.op(
+                    tuple(map(tuple, R.tolist())))
+            which.append(rows.setdefault(key, len(rows)))
+        return (np.stack([self._sigma_cache[key] for key in rows]),
+                np.array(which))
 
     def sigma_op(self, g: GroupElem) -> np.ndarray:
-        if self.sigma is None:
-            return np.ones((1, 1), dtype=complex)
-        R = self.iso.reduce_morphism(g)
-        cached = self._sigma_cache.get(R)
-        if cached is None:
-            cached = self.sigma.op(R)
-            self._sigma_cache[R] = cached
-        return cached
+        table, which = self._sigma_blocks(np.array([g.mat], dtype=np.int64))
+        return table[which[0]]
 
     # -- block-monomial structure ---------------------------------------------
 
-    def blocks(self, g: GroupElem):
-        """Yield (row_coset, col_coset, phase, residue_class) for S(g).
+    def split(self, y):
+        """Split points y of W, an int64 (..., dim) array reduced mod the
+        moduli, as y = xc + u with xc a coset representative and u in U-perp.
 
-        The full block is phase * sigma(g) @ rho_res(residue_class).
+        Returns the index of xc in `cosets`, the exponent beta(xc, u)/2 mod
+        M of the phase psi, and the residue class of u in digits mod p.
         """
-        spec = self.spec
-        ginv = g.inverse()
-        out = []
-        for ci, x in enumerate(self.cosets):
-            y = ginv.act(x)
-            xc = spec.quotient_reduce(y, self.iso.uperp_box)
-            u = spec.sub(y, xc)
-            ph = self.psi(self.half * spec.form(xc, u))
-            out.append((ci, self.cindex[xc], ph, self.iso.project(u)))
-        return out
+        xc = y % self._coset_mods
+        u = y - xc
+        form = (xc @ self._gram % self.M * u).sum(axis=-1)
+        return (xc @ self._coset_radix, form * self.half % self.M,
+                self.iso.residues(u))
+
+    def _phase(self, e) -> np.ndarray:
+        return self._roots[self.scale * e % self.M]
+
+    def blocks(self, gs) -> "MonomialOps":
+        """S(g) for each element of a sequence, in block-monomial form.
+
+        Row coset x of S(g) has one nonzero block, in the column of the
+        coset of y = g^{-1} x: psi(beta(xc, u)/2) sigma(g) rho_res(u).
+        """
+        d = self.spec.dim
+        mats = np.array([g.mat for g in gs], dtype=np.int64).reshape(-1, d, d)
+        ginv = mat_inv_stack(mats, self.p, self.spec.n + 1)
+        y = self._coset_pts @ ginv.transpose(0, 2, 1) % self._mods
+        cj, e, ubar = self.split(y)
+        return MonomialOps(cj, self._phase(e), self._labels(ubar),
+                           *self._sigma_blocks(mats), self._rho_table)
 
     def op(self, g: GroupElem) -> np.ndarray:
-        s = self.sdim
-        sig = self.sigma_op(g)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for ci, cj, ph, ubar in self.blocks(g):
-            out[ci * s:(ci + 1) * s, cj * s:(cj + 1) * s] = \
-                ph * (sig @ self.rho_res(ubar))
-        return out
+        return self.blocks([g]).dense()[0]
 
     def trace(self, g: GroupElem) -> complex:
-        sig = self.sigma_op(g)
-        tr = 0.0 + 0.0j
-        for ci, cj, ph, ubar in self.blocks(g):
-            if ci == cj:
-                tr += ph * np.trace(sig @ self.rho_res(ubar))
-        return tr
+        return self.blocks([g]).traces()[0]
 
     # -- Heisenberg action on the same space ----------------------------------
 
     def heis_op(self, w, t: int = 0) -> np.ndarray:
-        spec = self.spec
-        s = self.sdim
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for ci, x in enumerate(self.cosets):
-            target = spec.add(x, w)
-            xc = spec.quotient_reduce(target, self.iso.uperp_box)
-            u = spec.sub(target, xc)
-            ph = self.psi(t + self.half * spec.form(x, w)) \
-                * self.psi(self.half * spec.form(xc, u))
-            cj = self.cindex[xc]
-            out[ci * s:(ci + 1) * s, cj * s:(cj + 1) * s] = \
-                ph * self.rho_res(self.iso.project(u))
-        return out
+        """The Heisenberg element (w, t): phi(x) -> psi(t + beta(x, w)/2)
+        phi(x + w), on the same block-monomial form."""
+        w = np.array(w, dtype=np.int64)
+        cj, e, ubar = self.split((self._coset_pts + w) % self._mods)
+        shift = self._coset_pts @ self._gram % self.M @ w % self.M
+        ph = self._phase(t + shift * self.half + e)
+        sig = np.eye(self.sdim, dtype=complex)[None]
+        return MonomialOps(cj[None], ph[None], self._labels(ubar)[None], sig,
+                           np.zeros(1, int), self._rho_table).dense()[0]
 
     # -- distinguished vectors -------------------------------------------------
 
@@ -344,18 +380,68 @@ class RingWeilRep:
     def delta_vec(self, point, sigma_vec=None) -> np.ndarray:
         """Model vector of the delta function seeded at the given point.
 
-        phi is supported on point + U-perp with phi(point) = sigma_vec.
+        phi is supported on point + U-perp with phi(point) = sigma_vec; its
+        value at the representative xc = point - u is
+        psi(beta(point, -u)/2) rho_res(-u) sigma_vec.
         """
-        spec = self.spec
         if sigma_vec is None:
             sigma_vec = self.sigma_vacuum()
-        out = np.zeros(self.dim, dtype=complex)
-        xc = spec.quotient_reduce(point, self.iso.uperp_box)
-        u = spec.sub(xc, point)
-        ph = self.psi(self.half * spec.form(point, u))
-        block = ph * (self.rho_res(self.iso.project(u)) @ sigma_vec)
-        ci = self.cindex[xc]
-        out[ci * self.sdim:(ci + 1) * self.sdim] = block
+        cj, e, ubar = self.split(np.array(point, dtype=np.int64)
+                                 % self._mods)
+        out = np.zeros((len(self.cosets), self.sdim), dtype=complex)
+        # beta(point, -u) = -beta(xc, u) because beta(u, u) = 0
+        out[cj] = self._phase(-e) * (
+            self.rho_res(-ubar % self.p) @ sigma_vec)
+        return out.reshape(-1)
+
+
+@dataclass
+class MonomialOps:
+    """S(g) for a stack of N elements in block-monomial form.
+
+    Row coset c of S(g_n) has its one nonzero s x s block in column coset
+    cj[n, c], equal to ph[n, c] * sig[sidx[n]] @ rho[labels[n, c]].
+    """
+    cj: np.ndarray            # (N, C) column coset of each row coset
+    ph: np.ndarray            # (N, C) phases
+    labels: np.ndarray        # (N, C) residue labels, rows of rho
+    sig: np.ndarray           # (K, s, s) distinct sigma blocks
+    sidx: np.ndarray          # (N,) row of sig of each element
+    rho: np.ndarray           # (labels, s, s) residue operators
+
+    def dense(self) -> np.ndarray:
+        """The operators as dense (N, d, d) matrices."""
+        N, C = self.cj.shape
+        s = self.sig.shape[-1]
+        out = np.zeros((N, C, s, C, s), dtype=complex)
+        vals = self.ph[..., None, None] * (self.sig[self.sidx][:, None]
+                                           @ self.rho[self.labels])
+        out[np.arange(N)[:, None], np.arange(C), :, self.cj, :] = vals
+        return out.reshape(N, C * s, C * s)
+
+    def traces(self) -> np.ndarray:
+        """tr S(g_n) over the cosets g_n fixes: (N,).  tr(sig rho) is
+        computed once per distinct (sigma, residue) pair."""
+        n, c = np.nonzero(self.cj == np.arange(self.cj.shape[1]))
+        U = len(self.rho)
+        pairs, which = np.unique(self.sidx[n] * U + self.labels[n, c],
+                                 return_inverse=True)
+        table = np.einsum("mab,mba->m", self.sig[pairs // U],
+                          self.rho[pairs % U])
+        out = np.zeros(len(self.cj), dtype=complex)
+        np.add.at(out, n, self.ph[n, c] * table[which])
+        return out
+
+    def restricted_traces(self, P) -> np.ndarray:
+        """tr(P_k S(g_n)) for a stack of K matrices P viewed as (K, C, s, C,
+        s) blocks: (K, N), one row coset at a time to bound memory."""
+        sig = self.sig[self.sidx]
+        out = np.zeros((len(P), len(self.cj)), dtype=complex)
+        for c in range(self.cj.shape[1]):
+            block = self.ph[:, c, None, None] * (
+                sig @ self.rho[self.labels[:, c]])
+            out += np.einsum("nkab,nba->kn",
+                             P[:, self.cj[:, c], :, c, :], block)
         return out
 
 
@@ -481,26 +567,44 @@ def _minus_splits(Msub) -> bool:
     return abs(abs(tr) - Msub.shape[0]) > 1e-8
 
 
-def summand_characters(rep: RingWeilRep, group: FiniteGroup,
-                       summands: list[Summand]):
-    """chi_s(g) per summand per group element (dense, deterministic order)."""
-    chars = np.zeros((len(summands), len(group)), dtype=complex)
-    projs = [s.projector for s in summands]
-    for gi, g in enumerate(group):
-        op = rep.op(g)
-        for si, P in enumerate(projs):
-            chars[si, gi] = np.einsum("ij,ji->", P, op)
-    return chars
+# whole-group sums take the elements this many at a time, which bounds
+# their work arrays whatever the group order; with 1024 the process running
+# the 17,496-element sums of `ring --p 3 --r 1 --l 1 --n 1` peaked 1.1 MB
+# higher than with 512
+_CHUNK = 512
 
 
-def character_norm(group, rep: RingWeilRep):
+def _chunks(rep, elements):
+    """(start, rep.blocks) over consecutive slices of a sequence."""
+    for start in range(0, len(elements), _CHUNK):
+        yield start, rep.blocks(elements[start:start + _CHUNK])
+
+
+def traces(rep, elements) -> np.ndarray:
+    """tr S(g) for each element of a sequence, in order."""
+    out = np.empty(len(elements), dtype=complex)
+    for start, b in _chunks(rep, elements):
+        out[start:start + _CHUNK] = b.traces()
+    return out
+
+
+def summand_characters(rep, group: FiniteGroup, summands: list[Summand]):
+    """chi_s(g) = tr(P_s S(g)) per summand per group element, in element
+    order, from the block-monomial form of S(g)."""
+    C, s = len(rep.cosets), rep.sdim
+    projs = np.stack([sm.projector for sm in summands]).reshape(
+        len(summands), C, s, C, s)
+    elements = list(group)
+    out = np.empty((len(summands), len(elements)), dtype=complex)
+    for start, b in _chunks(rep, elements):
+        out[:, start:start + _CHUNK] = b.restricted_traces(projs)
+    return out
+
+
+def character_norm(group, rep):
     """(1/|G|) sum |tr S(g)|^2, with its deviation from the nearest integer."""
-    total = 0.0
-    n = 0
-    for g in group:
-        total += abs(rep.trace(g)) ** 2
-        n += 1
-    val = total / n
+    elements = list(group)
+    val = float(np.sum(np.abs(traces(rep, elements)) ** 2)) / len(elements)
     return int(round(val)), abs(val - round(val))
 
 
@@ -580,6 +684,11 @@ class TwistedRep:
     def __init__(self, rep: RingWeilRep, char):
         self._rep = rep
         self._char = char
+
+    def blocks(self, gs) -> MonomialOps:
+        out = self._rep.blocks(gs)
+        out.ph = out.ph * np.array([self._char(g) for g in gs])[:, None]
+        return out
 
     def op(self, g):
         return self._char(g) * self._rep.op(g)

@@ -18,7 +18,7 @@ import numpy as np
 from .oscillator import weil_index
 from .rings import QuadExt, legendre, smallest_nonresidue, unit_phase
 from .ring_rep import (RingWeilRep, abelianization_character, direct_sum,
-                       direct_sum_isotropic, embed_pair)
+                       direct_sum_isotropic, embed_pair, traces)
 from .symplectic import (ClosureCapExceeded, GroupElem, SympModule,
                          symplectic_group)
 
@@ -184,11 +184,11 @@ class TorusContext:
 
     def multiplicities(self):
         chars = self.characters()
-        ops = {t: self.rep.op(self.embed(t)) for t in self.C}
-        traces = {t: np.trace(op) for t, op in ops.items()}
+        trs = dict(zip(self.C, traces(self.rep,
+                                      [self.embed(t) for t in self.C])))
         out = []
         for chi in chars:
-            acc = sum(chi(t).conjugate() * traces[t] for t in self.C)
+            acc = sum(chi(t).conjugate() * trs[t] for t in self.C)
             val = acc / len(self.C)
             mult = int(round(val.real))
             dev = abs(val - mult)
@@ -495,16 +495,15 @@ def product_torus_multiplicities(tspecs: list):
     iso = direct_sum_isotropic(big, cA.rep.iso, cB.rep.iso)
     rep = RingWeilRep(big, iso)
     table = {}
-    traces = {}
-    for tA in cA.C:
-        for tB in cB.C:
-            g = embed_pair(big, cA.embed(tA), cB.embed(tB))
-            traces[(tA, tB)] = rep.trace(g)
+    pairs = [(tA, tB) for tA in cA.C for tB in cB.C]
+    trs = dict(zip(pairs, traces(rep, [embed_pair(big, cA.embed(tA),
+                                                  cB.embed(tB))
+                                       for tA, tB in pairs])))
     charsA, charsB = cA.characters(), cB.characters()
     for chA in charsA:
         for chB in charsB:
             acc = sum(chA(tA).conjugate() * chB(tB).conjugate() * tr
-                      for (tA, tB), tr in traces.items())
+                      for (tA, tB), tr in trs.items())
             val = acc / (len(cA.C) * len(cB.C))
             mult = int(round(val.real))
             table[(chA.label, chB.label)] = (mult, abs(val - mult))

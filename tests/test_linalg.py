@@ -1,11 +1,12 @@
 """Property tests of the modular-matrix layer on random small matrices."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilrep.linalg import (gauss_jordan, mat_det, mat_inv, mat_mul,
-                            mat_rank, mat_T)
+from weilrep.linalg import (gauss_jordan, mat_det, mat_inv, mat_inv_stack,
+                            mat_mul, mat_rank, mat_T)
 from weilrep.oscillator import _rank_normal_form
 
 
@@ -44,6 +45,33 @@ def test_inverse_exists_exactly_for_units(case):
     else:
         with pytest.raises(ZeroDivisionError):
             mat_inv(a, p, k)
+
+
+@st.composite
+def unit_stack(draw):
+    """(stack, p, k): 1-6 square matrices of one size, invertible mod p."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    entry = st.integers(0, p ** k - 1)
+    mat = st.tuples(*[st.tuples(*[entry] * n)] * n).filter(
+        lambda a: mat_det(a, p))
+    return draw(st.lists(mat, min_size=1, max_size=6)), p, k
+
+
+@settings(deadline=None)
+@given(unit_stack())
+def test_batched_inverse_matches_mat_inv(case):
+    stack, p, k = case
+    inv = mat_inv_stack(np.array(stack), p, k)
+    assert [tuple(map(tuple, x)) for x in inv.tolist()] == \
+        [mat_inv(a, p, k) for a in stack]
+
+
+def test_batched_inverse_rejects_a_singular_matrix():
+    stack = np.array([[[1, 0], [0, 1]], [[1, 2], [2, 4]]])
+    with pytest.raises(ZeroDivisionError):
+        mat_inv_stack(stack, 3, 2)
 
 
 @settings(deadline=None)
