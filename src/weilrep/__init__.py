@@ -13,7 +13,6 @@ from .oscillator import (OscillatorRep, bruhat_decompose, hasse_davenport_holds,
 from .ring_rep import (RingWeilRep, build_ring_rep, canonical_isotropic,
                        character_norm, decompose, shell_dimensions, sigma_gx)
 from .torus import (TorusContext, TorusSpec, multiplicity_report,
-                    product_torus_multiplicities, residue_operator_check,
-                    torus_multiplicities)
+                    product_torus_multiplicities, residue_operator_check)
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ the exit code is 0 iff no check fails, and 2 for invalid arguments.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -131,7 +132,6 @@ def cmd_field(args) -> int:
                       measured={"group_order": len(els), "pairs": args.samples},
                       residual=worst)
 
-    import itertools
     W = list(itertools.product(range(p), repeat=2 * l))
     worst = 0.0
     for _ in range(1000):

@@ -135,11 +135,6 @@ class SchrodingerModel:
             op[j, c] = self.psi(t + self.half * self.spec.form(rj, w)) * ph
         return op
 
-    def heisenberg_elements(self):
-        for w in self.spec.vectors():
-            for t in range(self.M):
-                yield (w, t)
-
     def character_norm(self) -> float:
         """(1/|H|) sum |tr rho(h)|^2; equals 1 iff irreducible."""
         total = 0.0

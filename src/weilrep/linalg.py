@@ -2,11 +2,11 @@
 
 Every elimination in the package goes through `gauss_jordan`.  Its pivot
 rule (first nonzero entry at or below the current row, normalize the pivot
-row, clear every other row) fixes the transforms of the Bruhat
-factorization, which feed the theta invariant and hence the Gauss sums in
-the reports, so it must not change.  `mat_inv_stack` runs the same rule on
-a numpy stack of matrices at once; an inverse mod p^k is unique, so it
-agrees with `mat_inv` entry for entry.
+row, clear every other row) fixes the transforms u and w of
+`_rank_normal_form`, and through them the theta invariant and hence the
+Gauss sums in the reports, so it must not change.  `mat_inv_stack` runs
+the same rule on a numpy stack of matrices at once; an inverse mod p^k is
+unique, so it agrees with `mat_inv` entry for entry.
 """
 
 from __future__ import annotations
@@ -97,6 +97,22 @@ def mat_inv_stack(a, p, k=1):
         q = min(q * q, target)
         x = x @ (2 * eye - a @ x % q) % q
     return x
+
+
+def _rank_normal_form(c, p):
+    """Invertible u, w with u c w = diag(1_r, 0); returns (u, w, r)."""
+    l = len(c)
+    m, pivots, u, _ = gauss_jordan(c, p)
+    r = len(pivots)
+    # column operations: pivot columns to the front, then clear the rest
+    perm = pivots + [j for j in range(l) if j not in pivots]
+    w = [[0] * l for _ in range(l)]
+    for j, cj in enumerate(perm):
+        w[cj][j] = 1
+        if j >= r:
+            for i in range(r):
+                w[perm[i]][j] = -m[i][cj] % p
+    return u, tuple(map(tuple, w)), r
 
 
 def mat_det(a, p):

@@ -2,10 +2,10 @@
 
 The model lives on functions indexed by Y-cosets for the standard polar
 decomposition W = X + Y; operators are S(g) = m(g) p^{j(g)/2} M_X(g) with
-m built from the Weil index (normalized quadratic Gauss sum) and the theta
-invariant of a Bruhat factorization g = p1 tau_S p2 through the Siegel
-parabolic.  The scalar normalization makes g -> S(g) a genuine homomorphism
-splitting the metaplectic extension.
+m built from the Weil index (normalized quadratic Gauss sum) of Rao's
+invariant theta and from j = rank C, both read off one elimination of the
+lower-left block C of g.  The scalar normalization makes g -> S(g) a genuine
+homomorphism splitting the metaplectic extension.
 """
 
 from __future__ import annotations
@@ -17,133 +17,40 @@ from itertools import product
 import numpy as np
 
 from .heisenberg import SchrodingerModel, standard_selfdual
-from .linalg import (gauss_jordan, mat_det, mat_inv, mat_mul, mat_rank,
-                     mat_T, mat_vec)
+from .linalg import (_rank_normal_form, mat_det, mat_inv, mat_mul, mat_T,
+                     mat_vec)
 from .rings import QuadExt, _roots, legendre, unit_phase
 from .symplectic import SympModule, symplectic_group
 
 
-def _blocks(g, l):
-    a = tuple(tuple(g[i][j] for j in range(l)) for i in range(l))
-    b = tuple(tuple(g[i][j + l] for j in range(l)) for i in range(l))
-    c = tuple(tuple(g[i + l][j] for j in range(l)) for i in range(l))
-    d = tuple(tuple(g[i + l][j + l] for j in range(l)) for i in range(l))
-    return a, b, c, d
-
-
-def _from_blocks(a, b, c, d, p):
-    l = len(a)
-    out = []
-    for i in range(l):
-        out.append(tuple(list(a[i]) + list(b[i])))
-    for i in range(l):
-        out.append(tuple(list(c[i]) + list(d[i])))
-    return tuple(tuple(x % p for x in row) for row in out)
-
-
-def levi(a, p):
-    """diag(a, (a^T)^{-1}) in the Siegel parabolic."""
-    l = len(a)
-    ait = mat_T(mat_inv(a, p))
-    zero = tuple(tuple(0 for _ in range(l)) for _ in range(l))
-    return _from_blocks(a, zero, zero, ait, p)
-
-
-def unipotent(b, p):
-    """[[I, b],[0, I]] with b symmetric."""
-    l = len(b)
-    eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-    zero = tuple(tuple(0 for _ in range(l)) for _ in range(l))
-    return _from_blocks(eye, b, zero, eye, p)
-
-
-def tau_matrix(S, l, p):
-    """e_i -> f_i, f_i -> -e_i for i in S, identity elsewhere."""
-    g = [[0] * (2 * l) for _ in range(2 * l)]
-    for i in range(l):
-        if i in S:
-            g[l + i][i] = 1
-            g[i][l + i] = -1 % p
-        else:
-            g[i][i] = 1
-            g[l + i][l + i] = 1
-    return tuple(tuple(row) for row in g)
-
-
-# -- Bruhat factorization g = p1 tau_S p2 ------------------------------------
-
-
-def _rank_normal_form(c, p):
-    """Invertible u, w with u c w = diag(1_r, 0); returns (u, w, r)."""
-    l = len(c)
-    m, pivots, u, _ = gauss_jordan(c, p)
-    r = len(pivots)
-    # column operations: pivot columns to the front, then clear the rest
-    perm = pivots + [j for j in range(l) if j not in pivots]
-    w = [[0] * l for _ in range(l)]
-    for j, cj in enumerate(perm):
-        w[cj][j] = 1
-        if j >= r:
-            for i in range(r):
-                w[perm[i]][j] = -m[i][cj] % p
-    return u, tuple(map(tuple, w)), r
+# -- the Bruhat cell of g -----------------------------------------------------
 
 
 def bruhat_decompose(g, l, p):
-    """Factor g = p1 tau_S p2 with p1, p2 in the Siegel parabolic.
+    """Invariants (theta, j) of the cell P tau_S P of g, P the Siegel
+    parabolic, from one elimination u C w = diag(1_j, 0) of the C block.
 
-    Returns (p1, S, p2, j) with j = |S| = rank of the lower-left block
-    = l - dim(X cap gX).
+    j = |S| = rank C = l - dim(X cap gX).  With A' = u^{-T} A w, the
+    factorization g = p1 tau_S p2 has det_X(p1) = det u and det_X(p2) =
+    det(A'_22) / det w, A'_22 the last l - j rows and columns of A'; theta
+    is their product mod p.
     """
-    g = tuple(tuple(x % p for x in row) for row in g)
-    _, _, c, _ = _blocks(g, l)
-    u, w, r = _rank_normal_form(c, p)
-    a1 = mat_T(mat_inv(u, p))
-    a2 = w
-    g2 = mat_mul(levi(a1, p), mat_mul(g, levi(a2, p), p), p)
-    a, _, c2, _ = _blocks(g2, l)
-    E = tuple(tuple(int(i == j and i < r) for j in range(l)) for i in range(l))
-    if c2 != E:
-        raise AssertionError("rank normal form failed")
-    # symplecticity forces a12 = 0 and a11 symmetric w.r.t. the r-split
-    bprime = [[0] * l for _ in range(l)]
-    for i in range(r):
-        for j in range(r):
-            bprime[i][j] = (-a[i][j]) % p
-    for i in range(r, l):
-        for j in range(r):
-            bprime[i][j] = (-a[i][j]) % p
-            bprime[j][i] = (-a[i][j]) % p
-    bprime = tuple(tuple(row) for row in bprime)
-    g3 = mat_mul(unipotent(bprime, p), g2, p)
-    S = frozenset(range(r))
-    tau = tau_matrix(S, l, p)
-    h = mat_mul(mat_inv(tau, p), g3, p)
-    _, _, ch, _ = _blocks(h, l)
-    if any(x % p for row in ch for x in row):
-        raise AssertionError("Bruhat reduction left a nonzero c-block")
-    p1 = mat_mul(levi(mat_inv(a1, p), p), unipotent(
-        tuple(tuple((-x) % p for x in row) for row in bprime), p), p)
-    p2 = mat_mul(h, levi(mat_inv(a2, p), p), p)
-    assert mat_mul(p1, mat_mul(tau, p2, p), p) == g
-    return p1, S, p2, r
+    a = tuple(row[:l] for row in g[:l])
+    c = tuple(row[:l] for row in g[l:])
+    u, w, j = _rank_normal_form(c, p)
+    a2 = mat_mul(mat_T(mat_inv(u, p)), mat_mul(a, w, p), p)
+    a22 = tuple(row[j:] for row in a2[j:])
+    return mat_det(u, p) * mat_det(a22, p) * pow(mat_det(w, p), -1, p) % p, j
 
 
 def det_X(par, l, p):
     """Determinant of the X-block of a parabolic element."""
-    a = tuple(tuple(par[i][j] for j in range(l)) for i in range(l))
-    return mat_det(a, p)
+    return mat_det(tuple(row[:l] for row in par[:l]), p)
 
 
 def theta(g, l, p) -> int:
-    """Square class (as a canonical unit) of the Rao-type invariant."""
-    p1, _, p2, _ = bruhat_decompose(g, l, p)
-    return det_X(p1, l, p) * det_X(p2, l, p) % p
-
-
-def j_invariant(g, l, p) -> int:
-    _, _, c, _ = _blocks(g, l)
-    return mat_rank(c, p)
+    """Rao's invariant x(g) as a unit mod p; its square class enters S(g)."""
+    return bruhat_decompose(g, l, p)[0]
 
 
 # -- Weil index --------------------------------------------------------------
@@ -234,9 +141,6 @@ class OscillatorRep:
         spec = SympModule.standard(p, l, 0, 0)
         self.heis = SchrodingerModel(spec, standard_selfdual(spec), self.scale)
 
-    def psi(self, c: int) -> complex:
-        return unit_phase(self.scale * c, self.p)
-
     def M_X(self, g) -> np.ndarray:
         """S(g) up to the scalar m(g) p^{j/2}: one matrix product maps every
         point (x, y_j) by g^{-1}, the phases are gathered from the p-th
@@ -253,15 +157,14 @@ class OscillatorRep:
 
     def op(self, g) -> np.ndarray:
         """S(g) = m(g) p^{j/2} M_X(g), with m(g) = omega(theta)^{-1}
-        omega(1)^{1-j} from one Bruhat factorization g = p1 tau_S p2:
-        theta = det_X(p1) det_X(p2) and j = |S|."""
+        omega(1)^{1-j} and (theta, j) from one elimination of the C block
+        (`bruhat_decompose`)."""
         p = self.p
         g = tuple(tuple(x % p for x in row) for row in g)
         cached = self._op_cache.get(g)
         if cached is not None:
             return cached
-        p1, _, p2, j = bruhat_decompose(g, self.l, p)
-        th = det_X(p1, self.l, p) * det_X(p2, self.l, p) % p
+        th, j = bruhat_decompose(g, self.l, p)
         m = (1.0 / weil_index(p, th, self.scale)) * self._omega1 ** (1 - j)
         out = m * (p ** (j / 2.0)) * self.M_X(g)
         self._op_cache[g] = out
@@ -287,10 +190,8 @@ def parabolic_elements(l, p):
 
 def J_element(l, p):
     """[[0, I],[-I, 0]]: inverse of tau_{1..l}."""
-    eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-    zero = tuple(tuple(0 for _ in range(l)) for _ in range(l))
-    neg = tuple(tuple((-x) % p for x in row) for row in eye)
-    return _from_blocks(zero, eye, neg, zero, p)
+    return tuple(tuple(int(j == i + l) if i < l else -(j == i - l) % p
+                       for j in range(2 * l)) for i in range(2 * l))
 
 
 def parabolic_identity_report(rep: OscillatorRep, tol: float = 1e-8):

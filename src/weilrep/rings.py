@@ -130,7 +130,7 @@ def _val_of(x):
 
 
 class AdditiveChar:
-    """x -> exp(2*pi*i*scale*x/p^m); primitive iff scale is a unit."""
+    """x -> exp(2*pi*i*scale*x/p^m), primitive: the scale must be a unit."""
 
     def __init__(self, ring: Zmod, scale: int = 1):
         self.ring = ring
@@ -140,10 +140,6 @@ class AdditiveChar:
 
     def __call__(self, x) -> complex:
         return unit_phase(self.scale * _val_of(x), self.ring.q)
-
-    @property
-    def is_primitive(self) -> bool:
-        return self.ring.is_unit(self.scale)
 
     def half(self) -> "AdditiveChar":
         """The character x -> psi(x/2)."""

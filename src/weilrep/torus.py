@@ -70,6 +70,7 @@ class TorusContext:
         self.rep = RingWeilRep(self.module)
         self.dim = self.rep.dim
         self._emb_cache = {}
+        self._subgroups = {}
 
     # -- embedding -------------------------------------------------------------
 
@@ -88,7 +89,11 @@ class TorusContext:
 
     def subgroup(self, j: int):
         """Image of the j-th congruence subgroup in the finite quotient."""
-        return self.ext.congruence_subgroup(self.C, min(j, self.level))
+        j = min(j, self.level)
+        sub = self._subgroups.get(j)
+        if sub is None:
+            sub = self._subgroups[j] = self.ext.congruence_subgroup(self.C, j)
+        return sub
 
     def visibility_depth(self) -> int:
         """Smallest j whose congruence subgroup is trivial here."""
@@ -263,13 +268,11 @@ class TorusContext:
         return self.module.reduce((s * a.eta, s * a.xi))
 
     def _coset_reps_mod(self, sub):
-        subset = set(sub)
-        reps, seen = [], set()
+        reps, covered = [], set()
         for t in self.C:
-            key = frozenset((t * s) for s in subset)
-            if key not in seen:
-                seen.add(key)
+            if t not in covered:
                 reps.append(t)
+                covered.update(t * s for s in sub)
         return reps
 
     def _match_b(self, chi, lam: int, j: int, restrict_j: int,
@@ -429,12 +432,6 @@ def _characters_of(ctx: TorusContext) -> list:
 
 
 # -- top-level operations -----------------------------------------------------
-
-
-def torus_multiplicities(tspec: TorusSpec):
-    ctx = TorusContext(tspec)
-    table = ctx.multiplicities()
-    return ctx, table
 
 
 def multiplicity_report(ctx: TorusContext, cap: int = 2_000_000):

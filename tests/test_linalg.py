@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilrep.linalg import (gauss_jordan, mat_det, mat_inv, mat_inv_stack,
-                            mat_mul, mat_rank, mat_T)
-from weilrep.oscillator import _rank_normal_form
+from weilrep.linalg import (_rank_normal_form, gauss_jordan, mat_det,
+                            mat_inv, mat_inv_stack, mat_mul, mat_rank, mat_T)
 
 
 @st.composite

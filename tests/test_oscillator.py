@@ -4,12 +4,97 @@ from itertools import product
 import numpy as np
 import pytest
 
+from weilrep.linalg import _rank_normal_form, mat_inv, mat_T
 from weilrep.oscillator import (J_element, OscillatorRep, bruhat_decompose,
-                                det_X, hasse_davenport_holds, j_invariant,
-                                mat_mul, parabolic_elements,
-                                parabolic_identity_report, sl2_elements,
-                                sp_elements, tau_matrix, theta, weil_index)
+                                det_X, hasse_davenport_holds, mat_mul,
+                                parabolic_elements, parabolic_identity_report,
+                                sl2_elements, sp_elements, theta, weil_index)
 from weilrep.rings import legendre
+
+
+# -- the Bruhat factorization that the cell invariants replace ----------------
+
+
+def _from_blocks(a, b, c, d, p):
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    rows += [list(rc) + list(rd) for rc, rd in zip(c, d)]
+    return tuple(tuple(x % p for x in row) for row in rows)
+
+
+def levi(a, p):
+    """diag(a, (a^T)^{-1}) in the Siegel parabolic."""
+    zero = tuple((0,) * len(a) for _ in a)
+    return _from_blocks(a, zero, zero, mat_T(mat_inv(a, p)), p)
+
+
+def unipotent(b, p):
+    """[[I, b],[0, I]] with b symmetric."""
+    l = len(b)
+    eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
+    zero = tuple((0,) * l for _ in range(l))
+    return _from_blocks(eye, b, zero, eye, p)
+
+
+def tau_matrix(S, l, p):
+    """e_i -> f_i, f_i -> -e_i for i in S, identity elsewhere."""
+    g = [[0] * (2 * l) for _ in range(2 * l)]
+    for i in range(l):
+        if i in S:
+            g[l + i][i] = 1
+            g[i][l + i] = -1 % p
+        else:
+            g[i][i] = 1
+            g[l + i][l + i] = 1
+    return tuple(tuple(row) for row in g)
+
+
+def reference_bruhat(g, l, p):
+    """g = p1 tau_S p2 with p1, p2 in the Siegel parabolic: (p1, S, p2)."""
+    g = tuple(tuple(x % p for x in row) for row in g)
+    c = tuple(row[:l] for row in g[l:])
+    u, w, r = _rank_normal_form(c, p)
+    a1 = mat_T(mat_inv(u, p))
+    g2 = mat_mul(levi(a1, p), mat_mul(g, levi(w, p), p), p)
+    # symplecticity forces a12 = 0 and a11 symmetric w.r.t. the r-split
+    bprime = [[0] * l for _ in range(l)]
+    for i in range(r):
+        for j in range(r):
+            bprime[i][j] = -g2[i][j] % p
+    for i in range(r, l):
+        for j in range(r):
+            bprime[i][j] = bprime[j][i] = -g2[i][j] % p
+    bprime = tuple(map(tuple, bprime))
+    S = frozenset(range(r))
+    tau = tau_matrix(S, l, p)
+    h = mat_mul(mat_inv(tau, p), mat_mul(unipotent(bprime, p), g2, p), p)
+    assert not any(x for row in h[l:] for x in row[:l])
+    p1 = mat_mul(levi(mat_inv(a1, p), p),
+                 unipotent(tuple(tuple(-x % p for x in row)
+                                 for row in bprime), p), p)
+    p2 = mat_mul(h, levi(mat_inv(w, p), p), p)
+    return p1, S, p2
+
+
+def _check_against_reference(g, l, p):
+    p1, S, p2 = reference_bruhat(g, l, p)
+    assert mat_mul(p1, mat_mul(tau_matrix(S, l, p), p2, p), p) == g
+    assert bruhat_decompose(g, l, p) == (
+        det_X(p1, l, p) * det_X(p2, l, p) % p, len(S))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_cell_invariants_match_factorization_sl2(p):
+    for g in sl2_elements(p):
+        _check_against_reference(g, 1, p)
+
+
+def test_cell_invariants_match_factorization_sp4():
+    l, p = 2, 3
+    taus = [tau_matrix(S, l, p)
+            for S in (frozenset(), {0}, {1}, {0, 1})]
+    for g in (parabolic_elements(l, p) + taus + [J_element(l, p)]
+              + random.Random(5).sample(sp_elements(l, p), 600)):
+        _check_against_reference(g, l, p)
 
 
 def test_weil_index_identities():
@@ -34,20 +119,18 @@ def test_hasse_davenport():
 def test_bruhat_parabolic_and_tau():
     p, l = 3, 2
     for g in parabolic_elements(l, p)[:50]:
-        p1, S, p2, j = bruhat_decompose(g, l, p)
-        assert j == 0 and S == frozenset()
+        assert bruhat_decompose(g, l, p)[1] == 0
     for S in (frozenset(), frozenset([0]), frozenset([1]), frozenset([0, 1])):
-        tau = tau_matrix(S, l, p)
-        p1, S2, p2, j = bruhat_decompose(tau, l, p)
+        th, j = bruhat_decompose(tau_matrix(S, l, p), l, p)
         assert j == len(S)
-        assert legendre(theta(tau, l, p), p) == 1
+        assert legendre(th, p) == 1
 
 
 def test_bruhat_lower_left_nonzero_j1():
     # SL2 elements with nonzero lower-left entry lie in the open cell
     for g in sl2_elements(3):
         if g[1][0] % 3:
-            assert j_invariant(g, 1, 3) == 1
+            assert bruhat_decompose(g, 1, 3)[1] == 1
 
 
 def test_theta_factorization_independence():
