@@ -1,13 +1,11 @@
 """Weil representations of symplectic groups over Z/p^n, exactly."""
 
-from .rings import (AdditiveChar, QuadElem, QuadExt, RingElem, Zmod, legendre,
-                    smallest_nonresidue, unit_phase)
+from .rings import (QuadElem, QuadExt, legendre, smallest_nonresidue,
+                    unit_phase)
 from .symplectic import (FiniteGroup, GroupElem, SympModule, group_closure,
                          orbits, symplectic_group, transvection,
                          transvection_generators)
-from .heisenberg import (SchrodingerModel, Submodule, dual_subgroup,
-                         heis_mul, intertwiner, op_basis_gram,
-                         standard_selfdual)
+from .heisenberg import SchrodingerModel, heis_mul, standard_selfdual
 from .oscillator import (OscillatorRep, bruhat_decompose, hasse_davenport_holds,
                          theta, weil_index)
 from .ring_rep import (RingWeilRep, build_ring_rep, canonical_isotropic,

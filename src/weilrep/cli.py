@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -423,6 +424,10 @@ def _argument_error(args):
         return "--n must be at least 1"
     if args.command == "torus" and args.kind == "ramified" and args.uval:
         return "--uval 1 needs --kind unramified"
+    if args.samples < 1:
+        return "--samples must be at least 1"
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        return "--tol must be a finite positive number"
     return None
 
 

@@ -171,7 +171,8 @@ class OscillatorRep:
         return out
 
     def rho(self, w, t: int = 0) -> np.ndarray:
-        """Heisenberg operator on the same basis (central character psi)."""
+        """Heisenberg operator on the same basis (central character psi):
+        the Schrodinger model on the box X."""
         return self.heis.rho(w, t)
 
     def heis_transform(self, g, w):

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import prod
 
 import numpy as np
 
-from .rings import _roots, unit_phase, vp
+from .heisenberg import SchrodingerModel, box_isotropic
+from .rings import unit_phase, vp
 from .linalg import mat_inv, mat_inv_stack, mat_rank
 from .oscillator import OscillatorRep
 from .symplectic import (FiniteGroup, GroupElem, SympModule, orbits,
@@ -165,7 +165,7 @@ def canonical_isotropic(spec: SympModule) -> IsotropicData:
     gens = invariance_generators(spec)
     candidates = []
     for divs in product(*[range(e + 1) for e in exps]):
-        if not _box_isotropic(spec, divs):
+        if not box_isotropic(spec, divs):
             continue
         if not _box_invariant(spec, divs, gens):
             continue
@@ -205,18 +205,6 @@ def canonical_isotropic(spec: SympModule) -> IsotropicData:
                          T, Tinv, k // 2)
 
 
-def _box_isotropic(spec, divs):
-    p, M = spec.p, spec.modulus
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            if spec.gram[i][j] % M == 0:
-                continue
-            e = min(divs[i], spec.exps[i]) + min(divs[j], spec.exps[j])
-            if (p ** e * spec.gram[i][j]) % M:
-                return False
-    return True
-
-
 def _box_invariant(spec, divs, gens):
     p = spec.p
     for g in gens:
@@ -249,7 +237,9 @@ class RingWeilRep:
         self.p = spec.p
         self.M = spec.modulus
         self.half = pow(2, -1, self.M)
-        self.cosets = spec.quotient_reps(self.iso.uperp_box)
+        # the coset split y = xc + u over U-perp
+        self.heis = SchrodingerModel(spec, self.iso.uperp_box, scale)
+        self.cosets = self.heis.reps
         self.cindex = {c: i for i, c in enumerate(self.cosets)}
         self.l_res = self.iso.l_res
         self.sigma = (OscillatorRep(self.l_res, self.p, scale)
@@ -257,19 +247,6 @@ class RingWeilRep:
         self.sdim = self.p ** self.l_res
         self.dim = len(self.cosets) * self.sdim
         self._sigma_cache: dict = {}
-        # integer data of the coset splitting y = xc + u
-        self._mods = np.array(spec.moduli, dtype=np.int64)
-        self._gram = np.array(spec.gram, dtype=np.int64)
-        self._coset_mods = np.array(
-            [self.p ** min(c, a) for c, a in zip(self.iso.uperp_box,
-                                                 spec.exps)], dtype=np.int64)
-        # mixed radix of the coset index: quotient_reps order, first
-        # coordinate most significant
-        self._coset_radix = np.array(
-            [prod(self._coset_mods[i + 1:].tolist()) for i in range(spec.dim)],
-            dtype=np.int64)
-        self._coset_pts = np.array(self.cosets, dtype=np.int64)
-        self._roots = np.array(_roots(self.M))
         # rho_res of every residue class, by label = base-p digits; rows are
         # filled on first use
         k = 2 * self.l_res
@@ -322,20 +299,10 @@ class RingWeilRep:
     # -- block-monomial structure ---------------------------------------------
 
     def split(self, y):
-        """Split points y of W, an int64 (..., dim) array reduced mod the
-        moduli, as y = xc + u with xc a coset representative and u in U-perp.
-
-        Returns the index of xc in `cosets`, the exponent beta(xc, u)/2 mod
-        M of the phase psi, and the residue class of u in digits mod p.
-        """
-        xc = y % self._coset_mods
-        u = y - xc
-        form = (xc @ self._gram % self.M * u).sum(axis=-1)
-        return (xc @ self._coset_radix, form * self.half % self.M,
-                self.iso.residues(u))
-
-    def _phase(self, e) -> np.ndarray:
-        return self._roots[self.scale * e % self.M]
+        """`SchrodingerModel.split` of points y of W over U-perp, with the
+        part u in U-perp replaced by its residue class in digits mod p."""
+        cj, e, u = self.heis.split(y)
+        return cj, e, self.iso.residues(u)
 
     def blocks(self, gs) -> "MonomialOps":
         """S(g) for each element of a sequence, in block-monomial form.
@@ -346,9 +313,9 @@ class RingWeilRep:
         d = self.spec.dim
         mats = np.array([g.mat for g in gs], dtype=np.int64).reshape(-1, d, d)
         ginv = mat_inv_stack(mats, self.p, self.spec.n + 1)
-        y = self._coset_pts @ ginv.transpose(0, 2, 1) % self._mods
+        y = self.heis.pts @ ginv.transpose(0, 2, 1) % self.heis.mods
         cj, e, ubar = self.split(y)
-        return MonomialOps(cj, self._phase(e), self._labels(ubar),
+        return MonomialOps(cj, self.heis.phase(e), self._labels(ubar),
                            *self._sigma_blocks(mats), self._rho_table)
 
     def op(self, g: GroupElem) -> np.ndarray:
@@ -361,14 +328,13 @@ class RingWeilRep:
 
     def heis_op(self, w, t: int = 0) -> np.ndarray:
         """The Heisenberg element (w, t): phi(x) -> psi(t + beta(x, w)/2)
-        phi(x + w), on the same block-monomial form."""
-        w = np.array(w, dtype=np.int64)
-        cj, e, ubar = self.split((self._coset_pts + w) % self._mods)
-        shift = self._coset_pts @ self._gram % self.M @ w % self.M
-        ph = self._phase(t + shift * self.half + e)
+        phi(x + w), on the same block-monomial form: `translate` of the
+        coset split, with the residue operator of the part in U-perp."""
+        cj, e, u = self.heis.translate(w, t)
+        labels = self._labels(self.iso.residues(u))
         sig = np.eye(self.sdim, dtype=complex)[None]
-        return MonomialOps(cj[None], ph[None], self._labels(ubar)[None], sig,
-                           np.zeros(1, int), self._rho_table).dense()[0]
+        return MonomialOps(cj[None], self.heis.phase(e)[None], labels[None],
+                           sig, np.zeros(1, int), self._rho_table).dense()[0]
 
     # -- distinguished vectors -------------------------------------------------
 
@@ -387,10 +353,10 @@ class RingWeilRep:
         if sigma_vec is None:
             sigma_vec = self.sigma_vacuum()
         cj, e, ubar = self.split(np.array(point, dtype=np.int64)
-                                 % self._mods)
+                                 % self.heis.mods)
         out = np.zeros((len(self.cosets), self.sdim), dtype=complex)
         # beta(point, -u) = -beta(xc, u) because beta(u, u) = 0
-        out[cj] = self._phase(-e) * (
+        out[cj] = self.heis.phase(-e) * (
             self.rho_res(-ubar % self.p) @ sigma_vec)
         return out.reshape(-1)
 
@@ -409,15 +375,28 @@ class MonomialOps:
     sidx: np.ndarray          # (N,) row of sig of each element
     rho: np.ndarray           # (labels, s, s) residue operators
 
+    def _blocks(self) -> np.ndarray:
+        """The nonzero block of every row coset of every element:
+        (N, C, s, s)."""
+        return self.ph[..., None, None] * (self.sig[self.sidx][:, None]
+                                           @ self.rho[self.labels])
+
     def dense(self) -> np.ndarray:
         """The operators as dense (N, d, d) matrices."""
         N, C = self.cj.shape
         s = self.sig.shape[-1]
         out = np.zeros((N, C, s, C, s), dtype=complex)
-        vals = self.ph[..., None, None] * (self.sig[self.sidx][:, None]
-                                           @ self.rho[self.labels])
-        out[np.arange(N)[:, None], np.arange(C), :, self.cj, :] = vals
+        out[np.arange(N)[:, None], np.arange(C), :, self.cj, :] = \
+            self._blocks()
         return out.reshape(N, C * s, C * s)
+
+    def apply(self, V) -> np.ndarray:
+        """S(g_n) V for every element of the stack, without dense operators:
+        (N, d) for a vector V of length d, (N, d, k) for a (d, k) matrix."""
+        N, C = self.cj.shape
+        s = self.sig.shape[-1]
+        out = self._blocks() @ V.reshape(C, s, -1)[self.cj]
+        return out.reshape((N, C * s) + V.shape[1:])
 
     def traces(self) -> np.ndarray:
         """tr S(g_n) over the cosets g_n fixes: (N,).  tr(sig rho) is

@@ -1,8 +1,7 @@
 """Exact arithmetic in Z/p^m (p odd) and its quadratic extensions.
 
 Everything here is integer arithmetic plus unit-circle phases; no floating
-point enters except through roots of unity, so equality up to PHASE_TOL is
-exact for the group sizes this library handles.
+point enters except through roots of unity.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-
-PHASE_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -23,10 +20,6 @@ def _roots(den: int):
 def unit_phase(num: int, den: int) -> complex:
     """exp(2*pi*i*num/den), cached per denominator."""
     return _roots(den)[num % den]
-
-
-def close(a, b, tol=PHASE_TOL) -> bool:
-    return abs(a - b) <= tol
 
 
 def vp(x: int, p: int, cap: int = 64) -> int:
@@ -40,53 +33,6 @@ def vp(x: int, p: int, cap: int = 64) -> int:
     return v
 
 
-class Zmod:
-    """The ring Z/p^m with p an odd prime and m >= 1."""
-
-    def __init__(self, p: int, m: int):
-        if p < 3 or p % 2 == 0 or not _is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
-        if m < 1:
-            raise ValueError(f"level m must be >= 1, got {m}")
-        self.p = p
-        self.m = m
-        self.q = p ** m
-
-    def reduce(self, x: int) -> int:
-        return x % self.q
-
-    def is_unit(self, x: int) -> bool:
-        return x % self.p != 0
-
-    def inv(self, x: int) -> int:
-        if not self.is_unit(x):
-            raise ZeroDivisionError(f"{x} is not a unit mod {self.p}^{self.m}")
-        return pow(x, -1, self.q)
-
-    def half(self, x: int = 1) -> int:
-        # p odd, so 2 is a unit
-        return (x * pow(2, -1, self.q)) % self.q
-
-    def val(self, x: int) -> int:
-        """Valuation, total on the finite ring: val(0) = m."""
-        return min(vp(x % self.q, self.p), self.m)
-
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        return [x for x in range(self.q) if x % self.p != 0]
-
-    def __eq__(self, other):
-        return isinstance(other, Zmod) and (self.p, self.m) == (other.p, other.m)
-
-    def __hash__(self):
-        return hash(("Zmod", self.p, self.m))
-
-    def __repr__(self):
-        return f"Zmod({self.p}, {self.m})"
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -98,54 +44,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RingElem:
-    ring: Zmod
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.ring.reduce(self.value))
-
-    def __add__(self, other):
-        return RingElem(self.ring, self.value + _val_of(other))
-
-    def __sub__(self, other):
-        return RingElem(self.ring, self.value - _val_of(other))
-
-    def __mul__(self, other):
-        return RingElem(self.ring, self.value * _val_of(other))
-
-    def __neg__(self):
-        return RingElem(self.ring, -self.value)
-
-    def inv(self):
-        return RingElem(self.ring, self.ring.inv(self.value))
-
-    def val(self):
-        return self.ring.val(self.value)
-
-
-def _val_of(x):
-    return x.value if isinstance(x, RingElem) else x
-
-
-class AdditiveChar:
-    """x -> exp(2*pi*i*scale*x/p^m), primitive: the scale must be a unit."""
-
-    def __init__(self, ring: Zmod, scale: int = 1):
-        self.ring = ring
-        self.scale = ring.reduce(scale)
-        if not ring.is_unit(self.scale):
-            raise ValueError("character scale must be a unit (primitivity)")
-
-    def __call__(self, x) -> complex:
-        return unit_phase(self.scale * _val_of(x), self.ring.q)
-
-    def half(self) -> "AdditiveChar":
-        """The character x -> psi(x/2)."""
-        return AdditiveChar(self.ring, self.scale * pow(2, -1, self.ring.q))
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p, with (0/p) = 0."""
     a = a % p
@@ -153,12 +51,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
-
-
-def legendre_elem(a: RingElem) -> int:
-    if a.ring.m != 1:
-        raise ValueError("legendre symbol requires the residue field (m=1)")
-    return legendre(a.value, a.ring.p)
 
 
 def smallest_nonresidue(p: int) -> int:
@@ -225,9 +117,6 @@ class QuadExt:
 
     def conj(self, a: "QuadElem") -> "QuadElem":
         return self.elem(a.xi, -a.eta)
-
-    def norm_modulus(self) -> int:
-        return self.mod_xi
 
     def norm(self, a: "QuadElem") -> int:
         """N(a) = a * conj(a), an integer mod the xi-modulus."""

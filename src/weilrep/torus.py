@@ -46,7 +46,8 @@ class TorusSpec:
 
 
 class TorusContext:
-    """Finite quotient of the torus, its module, embedding and Weil model."""
+    """Finite quotient of the torus, its module, embedding and Weil model,
+    and the operators S(t) of every t in C as one `MonomialOps`."""
 
     def __init__(self, tspec: TorusSpec):
         self.tspec = tspec
@@ -67,10 +68,12 @@ class TorusContext:
             self.module = SympModule.standard(p, 1, 0, n)
             self.ext = QuadExt(p, "ramified", self.level)
         self.C = self.ext.norm_one_group()
+        self._index = {t: i for i, t in enumerate(self.C)}
         self.rep = RingWeilRep(self.module)
         self.dim = self.rep.dim
         self._emb_cache = {}
         self._subgroups = {}
+        self.ops = self.rep.blocks([self.embed(t) for t in self.C])
 
     # -- embedding -------------------------------------------------------------
 
@@ -189,8 +192,7 @@ class TorusContext:
 
     def multiplicities(self):
         chars = self.characters()
-        trs = dict(zip(self.C, traces(self.rep,
-                                      [self.embed(t) for t in self.C])))
+        trs = dict(zip(self.C, self.ops.traces()))
         out = []
         for chi in chars:
             acc = sum(chi(t).conjugate() * trs[t] for t in self.C)
@@ -341,22 +343,21 @@ class TorusContext:
         return self._weight_sum(chi, self.subgroup(j + 1), point)
 
     def _weight_sum(self, chi, sub, point, sigma_vec=None):
+        """sum of chi(g^{-1}) S(g) applied to the delta seed at point, over
+        the coset representatives g of sub in C."""
         seed = self.rep.delta_vec(point, sigma_vec=sigma_vec)
-        out = np.zeros(self.rep.dim, dtype=complex)
-        for g in self._coset_reps_mod(sub):
-            out += chi(g.inv()) * (self.rep.op(self.embed(g)) @ seed)
-        return out
+        reps = self._coset_reps_mod(sub)
+        weights = np.array([chi(g.inv()) for g in reps])
+        return weights @ self.ops.apply(seed)[[self._index[g] for g in reps]]
 
     def eigen_residual(self, chi, vec) -> float:
+        """max over t in C of |S(t) vec - chi(t) vec| / |vec|."""
         nrm = np.linalg.norm(vec)
         if nrm < 1e-12:
             raise ValueError("zero candidate eigenvector")
-        worst = 0.0
-        for t in self.C:
-            dev = np.linalg.norm(self.rep.op(self.embed(t)) @ vec
-                                 - chi(t) * vec)
-            worst = max(worst, dev / nrm)
-        return worst
+        vals = np.array([chi(t) for t in self.C])
+        dev = np.linalg.norm(self.ops.apply(vec) - vals[:, None] * vec, axis=1)
+        return float(dev.max() / nrm)
 
 
 @dataclass
@@ -530,8 +531,8 @@ def residue_operator_check(tspec: TorusSpec, tol: float = 1e-8):
     w1 = weil_index(p, 1)
     gamma0 = 1  # the trace form over the prime field needs no correction
     results = []
-    for t in ctx.C:
-        op = Pinv @ ctx.rep.op(ctx.embed(t)) @ P
+    for t, S in zip(ctx.C, ctx.ops.dense()):
+        op = Pinv @ S @ P
         x, y = t.xi % p, t.eta % p
         if y == 0:
             # t is +-1 at the residue: identity, or the signed flip s -> -s

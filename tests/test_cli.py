@@ -116,8 +116,17 @@ def test_seed_changes_samples_not_verdicts(tmp_path):
     (["ring", "--n", "0"], "--n"),
     (["torus", "--n", "0"], "--n"),
     (["torus", "--kind", "ramified", "--uval", "1"], "--uval"),
+    (["field", "--p", "3", "--r", "2", "--samples", "0"], "--samples"),
+    (["ring", "--p", "3", "--samples", "-5"], "--samples"),
+    (["torus", "--p", "3", "--tol", "-1"], "--tol"),
+    (["torus", "--p", "3", "--tol", "0"], "--tol"),
+    (["torus", "--p", "3", "--tol", "inf"], "--tol"),
+    (["field", "--p", "3", "--tol", "nan"], "--tol"),
+    (["selfcheck", "--tol", "inf"], "--tol"),
 ], ids=["p2", "p9", "p15", "ring-l-above-r", "ring-r0", "ring-n0",
-        "torus-n0", "ramified-uval1"])
+        "torus-n0", "ramified-uval1", "field-samples0", "ring-samples-neg",
+        "torus-tol-neg", "torus-tol0", "torus-tol-inf", "field-tol-nan",
+        "selfcheck-tol-inf"])
 def test_rejects_invalid_input(argv, message, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()

@@ -4,7 +4,10 @@
 BFS over `GroupElem` products, `OscillatorRep.M_X` the same operator as a
 loop over the points (x, y_j) of W, and the block-monomial form of
 `RingWeilRep` the same operators, traces and summand characters as a loop
-over the cosets of U-perp for one element at a time.
+over the cosets of U-perp for one element at a time.  `MonomialOps.apply`
+must equal the dense product, the torus weight sums and residuals the loops
+over dense operators, and `SchrodingerModel.rho` the row loop over coset
+representatives.
 """
 
 import random
@@ -15,6 +18,7 @@ from operator import mul
 import numpy as np
 import pytest
 
+from weilrep.heisenberg import SchrodingerModel
 from weilrep.linalg import mat_inv, mat_mul, mat_vec
 from weilrep.oscillator import OscillatorRep, sl2_elements, sp_elements
 from weilrep.ring_rep import (_CHUNK, TwistedRep, abelianization_character,
@@ -24,7 +28,8 @@ from weilrep.rings import unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
                                 SympModule, group_closure, symplectic_group,
                                 transvection_generators)
-from weilrep.torus import TorusSpec, product_torus_multiplicities
+from weilrep.torus import (TorusContext, TorusSpec,
+                           product_torus_multiplicities)
 
 
 def reference_closure(gens):
@@ -292,3 +297,148 @@ def test_heis_op_and_delta_vec_match_reference(args):
                       - reference_heis_op(rep, w, t)).max() < 1e-12
         assert np.abs(rep.delta_vec(w)
                       - reference_delta_vec(rep, w)).max() < 1e-12
+
+
+# -- MonomialOps.apply against the dense operators -----------------------------
+
+
+def _check_apply(ops, seed=0):
+    """apply(V) == dense() @ V for a vector and a three-column matrix."""
+    rng = np.random.default_rng(seed)
+    dense = ops.dense()
+    d = dense.shape[-1]
+    for shape in ((d,), (d, 3)):
+        V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = ops.apply(V)
+        assert out.shape == (len(dense),) + shape
+        assert np.abs(out - dense @ V).max() < 1e-12
+
+
+def test_apply_matches_dense_on_ring_3101_and_twist():
+    rep = build_ring_rep(SympModule.standard(3, 1, 0, 1))
+    G = symplectic_group(rep.spec)
+    _check_apply(rep.blocks(G.elements))
+    chi, _ = abelianization_character(G, 1)
+    _check_apply(TwistedRep(rep, chi).blocks(G.elements), seed=1)
+
+
+def test_apply_matches_dense_across_a_chunk_boundary_3111():
+    rep = build_ring_rep(SympModule.standard(3, 1, 1, 1))
+    G = symplectic_group(rep.spec)
+    _check_apply(rep.blocks(G.elements[_CHUNK - 20:_CHUNK + 20]))
+
+
+@pytest.mark.parametrize("flavor", ["B", "Bstar"])
+def test_apply_matches_dense_on_generator_words_3211(flavor):
+    rep = build_ring_rep(SympModule.standard(3, 2, 1, 1, flavor=flavor))
+    assert rep.sdim > 1
+    gens = transvection_generators(rep.spec)
+    rng = random.Random(12)
+    words = [reduce(mul, rng.choices(gens, k=2 * rep.spec.dim))
+             for _ in range(20)]
+    _check_apply(rep.blocks(words))
+
+
+TORUS_CASES = [(p, kind, u, 1) for p in (3, 5)
+               for kind, u in (("unramified", 0), ("unramified", 1),
+                               ("ramified", 0))]
+
+
+@pytest.mark.parametrize("args", TORUS_CASES, ids=str)
+def test_apply_matches_dense_on_torus_stacks(args):
+    ctx = TorusContext(TorusSpec(*args))
+    assert len(ctx.ops.cj) == len(ctx.C)
+    _check_apply(ctx.ops)
+
+
+# -- torus weight sums and residuals: the loops over dense operators ----------
+
+
+def reference_weight_sum(ctx, chi, sub, point, sigma_vec=None):
+    seed = ctx.rep.delta_vec(point, sigma_vec=sigma_vec)
+    out = np.zeros(ctx.rep.dim, dtype=complex)
+    for g in ctx._coset_reps_mod(sub):
+        out += chi(g.inv()) * (ctx.rep.op(ctx.embed(g)) @ seed)
+    return out
+
+
+def reference_eigen_residual(ctx, chi, vec):
+    nrm = np.linalg.norm(vec)
+    worst = 0.0
+    for t in ctx.C:
+        dev = np.linalg.norm(ctx.rep.op(ctx.embed(t)) @ vec - chi(t) * vec)
+        worst = max(worst, dev / nrm)
+    return worst
+
+
+@pytest.mark.parametrize("args", TORUS_CASES + [(3, "unramified", 1, 3)],
+                         ids=str)
+def test_torus_weight_sums_and_residuals_match_reference(args):
+    ctx = TorusContext(TorusSpec(*args))
+    calls = []
+    weight_sum = ctx._weight_sum
+
+    def recorded(chi, sub, point, sigma_vec=None):
+        out = weight_sum(chi, sub, point, sigma_vec=sigma_vec)
+        calls.append((chi, sub, point, sigma_vec, out))
+        return out
+
+    ctx._weight_sum = recorded
+    rng = np.random.default_rng(3)
+    for rec in ctx.multiplicities():
+        chi = rec["char"]
+        if rec["mult"] == 1:
+            vec = ctx.eigenvector(chi)
+            assert abs(ctx.eigen_residual(chi, vec)
+                       - reference_eigen_residual(ctx, chi, vec)) < 1e-12
+        # a vector that is no eigenvector has a residual of order one
+        vec = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+        ref = reference_eigen_residual(ctx, chi, vec)
+        assert ref > 0.1
+        assert abs(ctx.eigen_residual(chi, vec) - ref) < 1e-12
+    assert calls
+    for chi, sub, point, sigma_vec, out in calls:
+        assert np.abs(out - reference_weight_sum(ctx, chi, sub, point,
+                                                 sigma_vec)).max() < 1e-12
+
+
+# -- the Heisenberg model: the row loop over coset representatives -----------
+
+
+def reference_schrodinger_rho(model, w, t):
+    """Row j: the coset of r_j + w, psi(t + beta(r_j, w)/2) times the phase
+    psi(beta(rep, a)/2) of the split r_j + w = rep + a."""
+    spec = model.spec
+    psi = lambda c: unit_phase(model.scale * c, model.M)
+    index = {r: i for i, r in enumerate(model.reps)}
+    op = np.zeros((model.dim, model.dim), dtype=complex)
+    for j, rj in enumerate(model.reps):
+        v = spec.add(rj, w)
+        rep = spec.quotient_reduce(v, model.box)
+        ph = psi(model.half * spec.form(rep, spec.sub(v, rep)))
+        op[j, index[rep]] = psi(t + model.half * spec.form(rj, w)) * ph
+    return op
+
+
+def _check_rho(rho, model):
+    for w in model.spec.vectors():
+        for t in range(model.M):
+            assert np.abs(rho(w, t)
+                          - reference_schrodinger_rho(model, w, t)).max() \
+                < 1e-12
+
+
+@pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_oscillator_rho_matches_row_loop(l, p):
+    # scale 1 and a non-square scale
+    nonsquare = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
+    for scale in (1, nonsquare):
+        rep = OscillatorRep(l, p, scale)
+        assert rep.heis.reps == [(0,) * l + y for y in rep.ys]
+        _check_rho(rep.rho, rep.heis)
+
+
+def test_y_box_rho_matches_row_loop():
+    model = SchrodingerModel(SympModule.standard(3, 1, 0, 1), (2, 0), 2)
+    assert model.selfdual
+    _check_rho(model.rho, model)
