@@ -178,10 +178,7 @@ def cmd_ring(args) -> int:
     rep_doc.doc["config"]["model_moduli"] = list(model_spec.moduli)
     rep_doc.doc["config"]["lifted"] = lifted
     if model_spec.size() > args.cap_dim ** 2:
-        rep_doc.add("model", "caps", "skipped",
-                    note=f"model dimension {model_spec.size() ** 0.5:.0f} "
-                         f"exceeds cap {args.cap_dim}")
-        return rep_doc.finish(args.out)
+        return _skip_model(rep_doc, round(model_spec.size() ** 0.5), args)
     rep = rr.build_ring_rep(spec)
 
     shells = rr.shell_dimensions(p, r, l, n)
@@ -206,17 +203,7 @@ def cmd_ring(args) -> int:
                 U @ U.conj().T - np.eye(rep.dim)).max()))
         rep_doc.check("unitarity-sampled", "unitarity", worst <= tol,
                       residual=worst)
-        vecs = list(rep.spec.vectors())
-        worst = 0.0
-        for g in words[:10]:
-            w = rng.choice(vecs)
-            t = rng.randrange(rep.M)
-            U = rep.op(g)
-            lhs = U @ rep.heis_op(w, t) @ U.conj().T
-            worst = max(worst, float(np.abs(
-                lhs - rep.heis_op(g.act(w), t)).max()))
-        rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
-                      residual=worst)
+        _check_intertwining(rep_doc, rep, words[:10], rng, tol)
         return rep_doc.finish(args.out)
 
     rep_doc.doc["config"]["group_order"] = len(G)
@@ -247,10 +234,26 @@ def cmd_ring(args) -> int:
         worst = max(worst, float(np.abs(Sg @ Sh - Sgh).max()))
     rep_doc.check("homomorphism-sampled", "genuine-splitting", worst <= tol,
                   residual=worst)
+    _check_intertwining(rep_doc, rep,
+                        (rng.choice(G.elements) for _ in range(50)), rng, tol)
+    if rep.spec.n >= 3 and not rep.lifted:
+        rep_doc.add("sigma-level-compat", "level-compat-diagnostic", "info",
+                    measured=_sigma_level_diagnostic(rep, rng))
+    return rep_doc.finish(args.out)
+
+
+def _skip_model(rep_doc, dim, args):
+    rep_doc.add("model", "caps", "skipped",
+                note=f"model dimension {dim} exceeds cap {args.cap_dim}")
+    return rep_doc.finish(args.out)
+
+
+def _check_intertwining(rep_doc, rep, elements, rng, tol):
+    """S(g) rho(w, t) S(g)^* = rho(g w, t) for each g, drawing w and t from
+    rng after each g is drawn."""
     vecs = list(rep.spec.vectors())
     worst = 0.0
-    for _ in range(50):
-        g = rng.choice(G.elements)
+    for g in elements:
         w = rng.choice(vecs)
         t = rng.randrange(rep.M)
         U = rep.op(g)
@@ -258,10 +261,6 @@ def cmd_ring(args) -> int:
         worst = max(worst, float(np.abs(lhs - rep.heis_op(g.act(w), t)).max()))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
-    if rep.spec.n >= 3 and not rep.lifted:
-        rep_doc.add("sigma-level-compat", "level-compat-diagnostic", "info",
-                    measured=_sigma_level_diagnostic(rep, rng))
-    return rep_doc.finish(args.out)
 
 
 def _sigma_level_diagnostic(rep, rng):
@@ -292,6 +291,9 @@ def cmd_torus(args) -> int:
     rep_doc = Report("torus", {"p": args.p, "kind": args.kind,
                                "uval": args.uval, "n": args.n}, args.seed)
     tol = args.tol
+    dim = args.p ** (args.n + 1 - args.uval)
+    if dim > args.cap_dim:
+        return _skip_model(rep_doc, dim, args)
     ctx = tor.TorusContext(tspec)
     rep_doc.doc["config"]["torus_order"] = len(ctx.C)
     rep_doc.doc["config"]["model_dim"] = ctx.dim
@@ -328,12 +330,10 @@ def cmd_torus(args) -> int:
                 measured={rec["char"].label: rec["conductor"]
                           for rec in table})
     if tspec.kind == "unramified" and tspec.u_val == 1:
-        eta0_rec = next(rec for rec in table
-                        if all(abs(rec["char"](t) - ctx.eta0(t)) < 1e-9
-                               for t in ctx.C))
+        eta0 = ctx.character_of([ctx.eta0(t) for t in ctx.C])
         rep_doc.check("eta0-exclusion", "eta0-exclusion",
-                      eta0_rec["mult"] == 0,
-                      measured={"eta0": eta0_rec["char"].label})
+                      report["computed"][eta0.label] == 0,
+                      measured={"eta0": eta0.label})
         h90 = all(ctx.eta0(t) == ctx.eta0_via_hilbert90(t) for t in ctx.C)
         rep_doc.check("eta0-hilbert90", "eta0-hilbert90", h90)
         if tspec.n == 1:

@@ -120,9 +120,12 @@ class QuadExt:
 
     def norm(self, a: "QuadElem") -> int:
         """N(a) = a * conj(a), an integer mod the xi-modulus."""
-        if self.kind == "unramified":
-            return (a.xi * a.xi - self.d * a.eta * a.eta) % self.mod_xi
-        return (a.xi * a.xi - self.p * a.eta * a.eta) % self.mod_xi
+        return self.norm_of(a.xi, a.eta)
+
+    def norm_of(self, xi, eta):
+        """N(xi + eta * nu) of integers or integer arrays xi, eta."""
+        nu2 = self.d if self.kind == "unramified" else self.p
+        return (xi * xi - nu2 * eta * eta) % self.mod_xi
 
     def trace(self, a: "QuadElem") -> int:
         return (2 * a.xi) % self.mod_xi

@@ -16,7 +16,8 @@ from math import gcd
 import numpy as np
 
 from .oscillator import weil_index
-from .rings import QuadExt, legendre, smallest_nonresidue, unit_phase
+from .rings import (QuadExt, _roots, legendre, smallest_nonresidue,
+                    unit_phase)
 from .ring_rep import (RingWeilRep, abelianization_character, direct_sum,
                        direct_sum_isotropic, embed_pair, traces)
 from .symplectic import (ClosureCapExceeded, GroupElem, SympModule,
@@ -46,8 +47,14 @@ class TorusSpec:
 
 
 class TorusContext:
-    """Finite quotient of the torus, its module, embedding and Weil model,
-    and the operators S(t) of every t in C as one `MonomialOps`."""
+    """Finite quotient C of the torus, its module, embedding and Weil model.
+
+    Built once: the operators S(t) of every t in C as one `MonomialOps`;
+    the congruence depth val_pi(t - 1) of every t (T_j is depth >= j); the
+    (K, N) character table, row a * o2 + b holding the character with
+    exponents (a, b) on the two cyclic generators; its conductors; and the
+    units of the extension with their norms, in `QuadExt.units` order.
+    """
 
     def __init__(self, tspec: TorusSpec):
         self.tspec = tspec
@@ -67,12 +74,28 @@ class TorusContext:
             self.level = 2 * (n + 1)
             self.module = SympModule.standard(p, 1, 0, n)
             self.ext = QuadExt(p, "ramified", self.level)
-        self.C = self.ext.norm_one_group()
+        ext = self.ext
+        self.C = ext.norm_one_group()
         self._index = {t: i for i, t in enumerate(self.C)}
+        self.eta = np.array([t.eta for t in self.C])
+        self.depth = np.array([ext.val_pi(ext.elem(t.xi - 1, t.eta))
+                               for t in self.C])
+        self.o1, self.o2, (i, j) = _two_cyclic_coordinates(ext, self.C)
+        a, b = np.divmod(np.arange(self.o1 * self.o2), self.o2)
+        self.table = (np.array(_roots(self.o1))[np.outer(a, i) % self.o1]
+                      * np.array(_roots(self.o2))[np.outer(b, j) % self.o2])
+        self.chars = [TorusChar(self, int(a[k]), int(b[k]), k)
+                      for k in range(len(a))]
+        nontrivial = np.abs(self.table - 1) > 1e-9
+        self.conductors = np.where(nontrivial, self.depth, -1).max(axis=1) + 1
+        xi, eta = np.divmod(np.arange(ext.mod_xi * ext.mod_eta), ext.mod_eta)
+        norms = ext.norm_of(xi, eta)
+        unit = norms % p != 0
+        self.units = np.stack([xi[unit], eta[unit]], axis=1)
+        self.unit_norms = norms[unit]
         self.rep = RingWeilRep(self.module)
         self.dim = self.rep.dim
         self._emb_cache = {}
-        self._subgroups = {}
         self.ops = self.rep.blocks([self.embed(t) for t in self.C])
 
     # -- embedding -------------------------------------------------------------
@@ -93,32 +116,39 @@ class TorusContext:
     def subgroup(self, j: int):
         """Image of the j-th congruence subgroup in the finite quotient."""
         j = min(j, self.level)
-        sub = self._subgroups.get(j)
-        if sub is None:
-            sub = self._subgroups[j] = self.ext.congruence_subgroup(self.C, j)
-        return sub
+        return [t for t, depth in zip(self.C, self.depth) if depth >= j]
 
     def visibility_depth(self) -> int:
         """Smallest j whose congruence subgroup is trivial here."""
-        for j in range(self.level + 1):
-            if len(self.subgroup(j)) == 1:
-                return j
-        return self.level
+        return int(self.depth[self.depth < self.level].max(initial=-1)) + 1
 
     # -- characters ---------------------------------------------------------------
 
-    def characters(self) -> list:
-        return _characters_of(self)
+    def character_of(self, values) -> "TorusChar":
+        """The character with the given values on C, in the order of C."""
+        dev = np.abs(self.table - np.asarray(values)).max(axis=1)
+        hits = np.flatnonzero(dev < 1e-9)
+        if len(hits) != 1:
+            raise ValueError("the values are not a character of C")
+        return self.chars[hits[0]]
 
     def conductor(self, chi: "TorusChar") -> int:
-        for lam in range(self.level + 1):
-            sub = self.subgroup(lam)
-            if all(abs(chi(t) - 1) < 1e-9 for t in sub):
-                return lam
-        raise ValueError(
-            f"conductor not resolvable within truncation depth {self.level}")
+        return int(self.conductors[chi.row])
 
     # -- distinguished characters ---------------------------------------------------
+
+    def _blj_coeff(self, b, lam: int, j: int):
+        """(coeff, p^lam) with chi_{b,lam,j}(t) = psi(coeff * eta_t / p^lam);
+        b may be an integer array."""
+        mod = self.p ** lam
+        half = pow(2, -1, mod)
+        if self.tspec.kind == "unramified":
+            if not (j < lam <= 3 * j):
+                raise ValueError("need j < lam <= 3j")
+            return (-half * b * self.d) % mod, mod
+        if not (j < lam <= 3 * j + 1):
+            raise ValueError("need j < lam <= 3j+1")
+        return (((-1) ** lam) * half * b) % mod, mod
 
     def chi_blj(self, b: int, lam: int, j: int):
         """The congruence-subgroup character cut out by the trace form.
@@ -128,21 +158,8 @@ class TorusContext:
         T_{2j+1} for j < lam <= 3j+1, conductor 2*lam; value
         psi((-1)^lam * b * eta_t / (2 p^lam)).
         """
-        p = self.p
-        mod = p ** lam
-        half = pow(2, -1, mod)
-        if self.tspec.kind == "unramified":
-            if not (j < lam <= 3 * j):
-                raise ValueError("need j < lam <= 3j")
-            coeff = (-half * b * self.d) % mod
-        else:
-            if not (j < lam <= 3 * j + 1):
-                raise ValueError("need j < lam <= 3j+1")
-            coeff = (((-1) ** lam) * half * b) % mod
-
-        def value(t):
-            return unit_phase(coeff * t.eta, mod)
-        return value
+        coeff, mod = self._blj_coeff(b, lam, j)
+        return lambda t: unit_phase(coeff * t.eta, mod)
 
     def eta0(self, t) -> int:
         """The excluded conductor-one character, by its closed form.
@@ -191,17 +208,12 @@ class TorusContext:
     # -- the multiplicity table -------------------------------------------------
 
     def multiplicities(self):
-        chars = self.characters()
-        trs = dict(zip(self.C, self.ops.traces()))
-        out = []
-        for chi in chars:
-            acc = sum(chi(t).conjugate() * trs[t] for t in self.C)
-            val = acc / len(self.C)
-            mult = int(round(val.real))
-            dev = abs(val - mult)
-            out.append({"char": chi, "conductor": self.conductor(chi),
-                        "mult": mult, "deviation": dev})
-        return out
+        vals = self.table.conj() @ self.ops.traces() / len(self.C)
+        mults = np.rint(vals.real).astype(int)
+        return [{"char": chi, "conductor": int(cond), "mult": int(mult),
+                 "deviation": float(abs(val - mult))}
+                for chi, cond, mult, val in zip(self.chars, self.conductors,
+                                                mults, vals)]
 
     # -- predicted appearance ------------------------------------------------------
 
@@ -212,30 +224,14 @@ class TorusContext:
         if self.tspec.kind == "unramified" and self.tspec.u_val == 0:
             return cond % 2 == 0
         if self.tspec.kind == "ramified":
-            if cond % 2:
-                return False
-            j = cond // 2
-            sub = self.subgroup(j)
-            norms = sorted({self.ext.norm(a) for a in self.ext.units()})
-            for b in norms:
-                f = self.chi_blj(b % self.p ** j, j, j // 2)
-                if all(abs(chi(t) - f(t)) < 1e-9 for t in sub):
-                    return True
-            return False
+            return cond % 2 == 0 and self._match_b(
+                chi, cond // 2, cond // 4, cond // 2) is not None
         # unramified, non-autodual
         if cond == 1:
             return any(abs(chi(t) - self.eta0(t)) > 1e-9 for t in self.C)
-        if cond % 2 == 0:
-            return False
         j = (cond - 1) // 2
-        sub = self.subgroup(j + 1)
-        cands = sorted({self.ext.norm(a) for a in self.ext.units()
-                        if a.xi % self.p != 0})
-        for b in cands:
-            f = self.chi_blj(b % self.p ** cond, cond, j + 1)
-            if all(abs(chi(t) - f(t)) < 1e-9 for t in sub):
-                return True
-        return False
+        return cond % 2 == 1 and self._match_b(
+            chi, cond, j + 1, j + 1, unit_xi=True) is not None
 
     # -- eigenvectors ----------------------------------------------------------------
 
@@ -279,16 +275,21 @@ class TorusContext:
 
     def _match_b(self, chi, lam: int, j: int, restrict_j: int,
                  unit_xi: bool = False):
-        """Find a unit a with chi = chi_{N(a), lam, j} on the subgroup."""
-        sub = self.subgroup(restrict_j)
-        for a in self.ext.units():
-            if unit_xi and a.xi % self.p == 0:
-                continue
-            b = self.ext.norm(a)
-            f = self.chi_blj(b % self.p ** lam, lam, j)
-            if all(abs(chi(t) - f(t)) < 1e-9 for t in sub):
-                return a
-        return None
+        """The first unit a, in `QuadExt.units` order, with
+        chi = chi_{N(a), lam, j} on T_restrict_j, or None."""
+        cand = np.arange(len(self.units))
+        if unit_xi:
+            cand = cand[self.units[:, 0] % self.p != 0]
+        coeff, mod = self._blj_coeff(self.unit_norms[cand] % self.p ** lam,
+                                     lam, j)
+        coeffs, first = np.unique(coeff, return_index=True)
+        sub = self.depth >= min(restrict_j, self.level)
+        vals = np.array(_roots(mod))[np.outer(coeffs, self.eta[sub]) % mod]
+        match = (np.abs(vals - self.table[chi.row, sub]) < 1e-9).all(axis=1)
+        if not match.any():
+            return None
+        xi, eta = self.units[cand[first[match].min()]]
+        return self.ext.elem(int(xi), int(eta))
 
     def eigenvector(self, chi: "TorusChar"):
         """Explicit weight vector for an appearing character.
@@ -355,27 +356,33 @@ class TorusContext:
         nrm = np.linalg.norm(vec)
         if nrm < 1e-12:
             raise ValueError("zero candidate eigenvector")
-        vals = np.array([chi(t) for t in self.C])
+        vals = self.table[chi.row]
         dev = np.linalg.norm(self.ops.apply(vec) - vals[:, None] * vec, axis=1)
         return float(dev.max() / nrm)
 
 
 @dataclass
 class TorusChar:
-    """Character of the finite torus quotient on two cyclic coordinates."""
+    """Character of the finite torus quotient on two cyclic coordinates:
+    row `row` of the context's character table."""
 
     ctx: TorusContext
     a: int                    # exponent on the prime-to-p generator
     b: int                    # exponent on the p-part generator
-    _table: dict
+    row: int
 
     def __call__(self, t) -> complex:
-        return self._table[t]
+        return complex(self.ctx.table[self.row, self.ctx._index[t]])
+
+    def __mul__(self, other: "TorusChar") -> "TorusChar":
+        ctx = self.ctx
+        return ctx.chars[(self.a + other.a) % ctx.o1 * ctx.o2
+                         + (self.b + other.b) % ctx.o2]
 
     @property
     def order(self) -> int:
-        o1 = self.ctx._o1 // gcd(self.ctx._o1, self.a) if self.a else 1
-        o2 = self.ctx._o2 // gcd(self.ctx._o2, self.b) if self.b else 1
+        o1 = self.ctx.o1 // gcd(self.ctx.o1, self.a) if self.a else 1
+        o2 = self.ctx.o2 // gcd(self.ctx.o2, self.b) if self.b else 1
         return o1 * o2 // gcd(o1, o2)
 
     @property
@@ -398,12 +405,11 @@ def _order_of(ext, t):
     return k
 
 
-def _characters_of(ctx: TorusContext) -> list:
-    """All characters of the abelian group C = (prime-to-p) x (p-part)."""
-    ext = ctx.ext
-    C = ctx.C
+def _two_cyclic_coordinates(ext, C: list):
+    """C = (prime-to-p) x (p-part), both cyclic: the generator orders
+    (o1, o2) and the coordinates (i, j) with t = g1^i g2^j of each t in C."""
     N = len(C)
-    p = ctx.p
+    p = ext.p
     p_part = 1
     while N % (p_part * p) == 0:
         p_part *= p
@@ -415,7 +421,6 @@ def _characters_of(ctx: TorusContext) -> list:
     o1, o2 = _order_of(ext, g1), _order_of(ext, g2)
     if o1 * o2 != N:
         raise AssertionError("torus quotient is not two-cyclic as expected")
-    ctx._o1, ctx._o2 = o1, o2
     coords = {}
     for i in range(o1):
         gi = ext.pow(g1, i)
@@ -423,13 +428,7 @@ def _characters_of(ctx: TorusContext) -> list:
             coords[ext.mul(gi, ext.pow(g2, j))] = (i, j)
     if len(coords) != N:
         raise AssertionError("generator decomposition failed")
-    out = []
-    for a in range(o1):
-        for b in range(o2):
-            table = {t: unit_phase(a * i, o1) * unit_phase(b * j, o2)
-                     for t, (i, j) in coords.items()}
-            out.append(TorusChar(ctx, a, b, table))
-    return out
+    return o1, o2, np.array([coords[t] for t in C]).T
 
 
 # -- top-level operations -----------------------------------------------------
@@ -441,35 +440,26 @@ def multiplicity_report(ctx: TorusContext, cap: int = 2_000_000):
     computed = {rec["char"].label: rec["mult"] for rec in table}
     predicted = {rec["char"].label: int(ctx.appearance_predicate(rec["char"]))
                  for rec in table}
-    raw_match = computed == predicted
     twists, skipped = _twist_candidates(ctx, cap)
     matching = []
-    chars = [rec["char"] for rec in table]
-    for name, twist in twists:
-        twisted = {}
-        for chi in chars:
-            prod_vals = {t: chi(t) * twist[t] for t in ctx.C}
-            target = next(c for c in chars
-                          if all(abs(c(t) - prod_vals[t]) < 1e-9
-                                 for t in ctx.C))
-            twisted[chi.label] = computed[target.label]
-        if twisted == predicted:
+    for name, values in twists:
+        twist = ctx.character_of(values)
+        if {chi.label: computed[(chi * twist).label]
+                for chi in ctx.chars} == predicted:
             matching.append(name)
     return {"table": table, "computed": computed, "predicted": predicted,
-            "raw_match": raw_match, "matching_twists": matching,
-            "twist_skipped": skipped,
-            "sum_mult": sum(computed.values()), "dim": ctx.dim,
-            "visibility_depth": ctx.visibility_depth()}
+            "raw_match": computed == predicted, "matching_twists": matching,
+            "twist_skipped": skipped, "sum_mult": sum(computed.values())}
 
 
 def _twist_candidates(ctx: TorusContext, cap: int):
-    """Characters of the ambient group's abelianization, pulled to the torus,
+    """Characters of the ambient group's abelianization, as values on C,
     and why only the trivial one is returned when its closure exceeds cap.
 
     Only the identity twist exists for p >= 5 (the group is perfect); for
     p = 3 the diagnostic also tries the nontrivial pullbacks.
     """
-    out = [("trivial", {t: 1.0 for t in ctx.C})]
+    out = [("trivial", np.ones(len(ctx.C)))]
     if ctx.p != 3:
         return out, None
     try:
@@ -479,7 +469,7 @@ def _twist_candidates(ctx: TorusContext, cap: int):
     _, k = abelianization_character(G, 0)
     for a in range(1, k):
         chi, _ = abelianization_character(G, a)
-        out.append((f"ab^{a}", {t: chi(ctx.embed(t)) for t in ctx.C}))
+        out.append((f"ab^{a}", [chi(ctx.embed(t)) for t in ctx.C]))
     return out, None
 
 
@@ -492,19 +482,15 @@ def product_torus_multiplicities(tspecs: list):
     big = direct_sum(cA.module, cB.module)
     iso = direct_sum_isotropic(big, cA.rep.iso, cB.rep.iso)
     rep = RingWeilRep(big, iso)
-    table = {}
-    pairs = [(tA, tB) for tA in cA.C for tB in cB.C]
-    trs = dict(zip(pairs, traces(rep, [embed_pair(big, cA.embed(tA),
-                                                  cB.embed(tB))
-                                       for tA, tB in pairs])))
-    charsA, charsB = cA.characters(), cB.characters()
-    for chA in charsA:
-        for chB in charsB:
-            acc = sum(chA(tA).conjugate() * chB(tB).conjugate() * tr
-                      for (tA, tB), tr in trs.items())
-            val = acc / (len(cA.C) * len(cB.C))
-            mult = int(round(val.real))
-            table[(chA.label, chB.label)] = (mult, abs(val - mult))
+    T = traces(rep, [embed_pair(big, cA.embed(tA), cB.embed(tB))
+                     for tA in cA.C for tB in cB.C])
+    T = T.reshape(len(cA.C), len(cB.C))
+    vals = cA.table.conj() @ T @ cB.table.conj().T / T.size
+    mults = np.rint(vals.real).astype(int)
+    table = {(chA.label, chB.label): (int(mults[i, k]),
+                                      float(abs(vals[i, k] - mults[i, k])))
+             for i, chA in enumerate(cA.chars)
+             for k, chB in enumerate(cB.chars)}
     return ctxs, big, rep, table
 
 

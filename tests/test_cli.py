@@ -82,6 +82,20 @@ def test_torus_commands(tmp_path):
         assert doc["config"]["visibility_depth"] >= 1
 
 
+@pytest.mark.parametrize("argv, dim", [
+    (["--uval", "0", "--n", "1", "--cap-dim", "8"], 9),
+    (["--uval", "1", "--n", "2", "--cap-dim", "8"], 9),
+    (["--kind", "ramified", "--n", "3", "--cap-dim", "80"], 81),
+], ids=["u0", "u1", "ramified"])
+def test_torus_honours_cap_dim(tmp_path, argv, dim):
+    code, doc = run(tmp_path, "capdim.json", ["torus", "--p", "3"] + argv)
+    assert code == 0 and doc["failures"] == 0
+    [rec] = doc["checks"]
+    assert (rec["anchor"], rec["status"]) == ("caps", "skipped")
+    assert rec["note"] == f"model dimension {dim} exceeds cap {argv[-1]}"
+    assert "torus_order" not in doc["config"]
+
+
 def test_torus_eta0_records(tmp_path):
     code, doc = run(tmp_path, "tu1.json",
                     ["torus", "--p", "3", "--kind", "unramified",

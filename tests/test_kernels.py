@@ -6,8 +6,10 @@ loop over the points (x, y_j) of W, and the block-monomial form of
 `RingWeilRep` the same operators, traces and summand characters as a loop
 over the cosets of U-perp for one element at a time.  `MonomialOps.apply`
 must equal the dense product, the torus weight sums and residuals the loops
-over dense operators, and `SchrodingerModel.rho` the row loop over coset
-representatives.
+over dense operators, the torus character table, conductors, appearance
+predicate, matched units, twist diagnostic and product table the
+dict-valued characters and loops over units they replace, and
+`SchrodingerModel.rho` the row loop over coset representatives.
 """
 
 import random
@@ -28,8 +30,8 @@ from weilrep.rings import unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
                                 SympModule, group_closure, symplectic_group,
                                 transvection_generators)
-from weilrep.torus import (TorusContext, TorusSpec,
-                           product_torus_multiplicities)
+from weilrep.torus import (TorusContext, TorusSpec, _twist_candidates,
+                           multiplicity_report, product_torus_multiplicities)
 
 
 def reference_closure(gens):
@@ -400,6 +402,190 @@ def test_torus_weight_sums_and_residuals_match_reference(args):
     for chi, sub, point, sigma_vec, out in calls:
         assert np.abs(out - reference_weight_sum(ctx, chi, sub, point,
                                                  sigma_vec)).max() < 1e-12
+
+
+# -- torus character theory: dict-valued characters and loops over units -----
+
+
+def reference_characters(ctx):
+    """(label, {t: chi(t)}) for every character of C = <g1> x <g2>, with g1
+    of prime-to-p order and g2 of p-power order, a outer and b inner."""
+    ext, C, p = ctx.ext, ctx.C, ctx.p
+
+    def order(t):
+        k, cur = 1, t
+        while cur != ext.one:
+            cur, k = ext.mul(cur, t), k + 1
+        return k
+
+    p_part = 1
+    while len(C) % (p_part * p) == 0:
+        p_part *= p
+    A = len(C) // p_part
+    g1 = ext.pow(max(C, key=lambda t: order(ext.pow(t, p_part))), p_part)
+    g2 = ext.pow(max(C, key=lambda t: order(ext.pow(t, A))), A)
+    o1, o2 = order(g1), order(g2)
+    coords = {ext.mul(ext.pow(g1, i), ext.pow(g2, j)): (i, j)
+              for i in range(o1) for j in range(o2)}
+    assert len(coords) == len(C)
+    return [(f"chi[{a},{b}]",
+             {t: unit_phase(a * i, o1) * unit_phase(b * j, o2)
+              for t, (i, j) in coords.items()})
+            for a in range(o1) for b in range(o2)]
+
+
+def reference_conductor(ctx, chi):
+    """Smallest lam with chi trivial on the congruence subgroup T_lam."""
+    for lam in range(ctx.level + 1):
+        if all(abs(chi[t] - 1) < 1e-9
+               for t in ctx.ext.congruence_subgroup(ctx.C, lam)):
+            return lam
+    raise ValueError("conductor not resolvable")
+
+
+def reference_chi_blj(ctx, b, lam, j):
+    mod = ctx.p ** lam
+    half = pow(2, -1, mod)
+    if ctx.tspec.kind == "unramified":
+        assert j < lam <= 3 * j
+        coeff = (-half * b * ctx.d) % mod
+    else:
+        assert j < lam <= 3 * j + 1
+        coeff = (((-1) ** lam) * half * b) % mod
+    return lambda t: unit_phase(coeff * t.eta, mod)
+
+
+def reference_match_b(ctx, chi, lam, j, restrict_j, unit_xi=False):
+    """The first unit of `QuadExt.units` whose chi_{N(a), lam, j} is chi on
+    T_restrict_j."""
+    sub = ctx.ext.congruence_subgroup(ctx.C, min(restrict_j, ctx.level))
+    for a in ctx.ext.units():
+        if unit_xi and a.xi % ctx.p == 0:
+            continue
+        f = reference_chi_blj(ctx, ctx.ext.norm(a) % ctx.p ** lam, lam, j)
+        if all(abs(chi[t] - f(t)) < 1e-9 for t in sub):
+            return a
+    return None
+
+
+def match_args(ctx, cond):
+    """The arguments `TorusContext.eigenvector` passes to `_match_b` for a
+    character of conductor cond, or None when it passes none."""
+    if ctx.tspec.kind == "ramified":
+        j = cond // 2
+        return ((j, j // 2, j), {}) if cond and cond % 2 == 0 else None
+    if ctx.tspec.u_val == 0:
+        j = cond // 2
+        return ((2 * j, j, j), {}) if cond and cond % 2 == 0 else None
+    j = (cond - 1) // 2
+    return (((cond, j + 1, j + 1), {"unit_xi": True})
+            if cond >= 3 and cond % 2 else None)
+
+
+def reference_predicate(ctx, chi, cond):
+    if cond == 0:
+        return True
+    if ctx.tspec.kind == "unramified" and ctx.tspec.u_val == 0:
+        return cond % 2 == 0
+    if ctx.tspec.kind == "ramified":
+        if cond % 2:
+            return False
+        j = cond // 2
+        sub = ctx.ext.congruence_subgroup(ctx.C, j)
+        for b in sorted({ctx.ext.norm(a) for a in ctx.ext.units()}):
+            f = reference_chi_blj(ctx, b % ctx.p ** j, j, j // 2)
+            if all(abs(chi[t] - f(t)) < 1e-9 for t in sub):
+                return True
+        return False
+    if cond == 1:
+        return any(abs(chi[t] - ctx.eta0(t)) > 1e-9 for t in ctx.C)
+    if cond % 2 == 0:
+        return False
+    j = (cond - 1) // 2
+    sub = ctx.ext.congruence_subgroup(ctx.C, j + 1)
+    for b in sorted({ctx.ext.norm(a) for a in ctx.ext.units()
+                     if a.xi % ctx.p != 0}):
+        f = reference_chi_blj(ctx, b % ctx.p ** cond, cond, j + 1)
+        if all(abs(chi[t] - f(t)) < 1e-9 for t in sub):
+            return True
+    return False
+
+
+def reference_matching_twists(ctx, chars, computed, predicted, twists):
+    """Names of the twists under which the computed table is the predicted
+    one, finding each product chi * twist by its values."""
+    matching = []
+    for name, values in twists:
+        twist = dict(zip(ctx.C, values))
+        twisted = {}
+        for label, chi in chars:
+            target = next(lab for lab, c in chars
+                          if all(abs(c[t] - chi[t] * twist[t]) < 1e-9
+                                 for t in ctx.C))
+            twisted[label] = computed[target]
+        if twisted == predicted:
+            matching.append(name)
+    return matching
+
+
+# the n = 3, u = 0 ambient group has 472,392 elements: under this cap its
+# twist diagnostic tries the trivial twist only
+TWIST_CAP = 200_000
+
+
+@pytest.mark.parametrize("args", TORUS_CASES + [(3, "unramified", 0, 3),
+                                                (3, "unramified", 1, 3),
+                                                (3, "ramified", 0, 2)],
+                         ids=str)
+def test_torus_character_theory_matches_dict_reference(args):
+    ctx = TorusContext(TorusSpec(*args))
+    chars = reference_characters(ctx)
+    report = multiplicity_report(ctx, cap=TWIST_CAP)
+    table = report["table"]
+    assert [rec["char"].label for rec in table] == [lab for lab, _ in chars]
+    trs = dict(zip(ctx.C, ctx.ops.traces()))
+    for rec, (label, chi) in zip(table, chars):
+        assert max(abs(rec["char"](t) - chi[t]) for t in ctx.C) < 1e-12
+        val = sum(chi[t].conjugate() * trs[t] for t in ctx.C) / len(ctx.C)
+        mult = int(round(val.real))
+        assert rec["mult"] == mult
+        assert abs(rec["deviation"] - abs(val - mult)) < 1e-12
+        cond = reference_conductor(ctx, chi)
+        assert rec["conductor"] == cond
+        assert report["predicted"][label] == int(
+            reference_predicate(ctx, chi, cond))
+        m = match_args(ctx, cond)
+        if m:
+            assert (ctx._match_b(rec["char"], *m[0], **m[1])
+                    == reference_match_b(ctx, chi, *m[0], **m[1]))
+    twists, _ = _twist_candidates(ctx, TWIST_CAP)
+    assert report["matching_twists"] == reference_matching_twists(
+        ctx, chars, report["computed"], report["predicted"], twists)
+
+
+@pytest.mark.parametrize("kinds", [((3, "unramified", 0, 1),) * 2,
+                                   ((3, "unramified", 0, 1),
+                                    (3, "unramified", 1, 1)),
+                                   ((3, "ramified", 0, 1),
+                                    (3, "unramified", 1, 1))], ids=str)
+def test_product_torus_table_matches_double_loop(kinds):
+    (cA, cB), big, rep, table = product_torus_multiplicities(
+        [TorusSpec(*k) for k in kinds])
+    pairs = [(tA, tB) for tA in cA.C for tB in cB.C]
+    trs = dict(zip(pairs, traces(rep, [embed_pair(big, cA.embed(tA),
+                                                  cB.embed(tB))
+                                       for tA, tB in pairs])))
+    expected = {}
+    for labA, chA in reference_characters(cA):
+        for labB, chB in reference_characters(cB):
+            val = sum(chA[tA].conjugate() * chB[tB].conjugate() * tr
+                      for (tA, tB), tr in trs.items()) / len(pairs)
+            mult = int(round(val.real))
+            expected[(labA, labB)] = (mult, abs(val - mult))
+    assert list(table) == list(expected)
+    for key, (mult, dev) in expected.items():
+        assert table[key][0] == mult
+        assert abs(table[key][1] - dev) < 1e-12
 
 
 # -- the Heisenberg model: the row loop over coset representatives -----------

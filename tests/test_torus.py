@@ -14,9 +14,7 @@ def ctx_of(p, kind, uval=0, n=1):
 
 
 def eta0_char(ctx):
-    return next(rec["char"] for rec in ctx.multiplicities()
-                if all(abs(rec["char"](t) - ctx.eta0(t)) < 1e-9
-                       for t in ctx.C))
+    return ctx.character_of([ctx.eta0(t) for t in ctx.C])
 
 
 def test_embedding_is_injective_symplectic_homomorphism():
