@@ -192,6 +192,10 @@ def cmd_ring(args) -> int:
         rep_doc.add("group-closure", "caps", "skipped", note=str(exc))
         G = None
     if G is None:
+        if args.twist:
+            rep_doc.add("twist", "caps", "skipped",
+                        note=f"--twist needs the group closure, which "
+                             f"exceeds cap {args.cap_group}")
         # structural-only checks on sampled generator words
         gens = transvection_generators(rep.spec)
         worst = 0.0
@@ -222,20 +226,20 @@ def cmd_ring(args) -> int:
     rep_doc.check("summand-irreducibility", "summand-irreducibility",
                   irr_dev <= 1e-6, residual=irr_dev)
     cn, dev = rr.character_norm(G, rep)
-    orb = len(orbits(G.gens, list(rep.spec.vectors())))
+    orb = len(orbits(G.gens, rep.spec.exps))
     rep_doc.check("orbit-count-identity", "orbit-count-identity",
                   cn == orb and dev <= 1e-6,
                   measured={"character_norm": cn, "orbit_count": orb},
                   residual=dev)
     worst = 0.0
     for _ in range(args.samples // 100 or 50):
-        g, h = rng.choice(G.elements), rng.choice(G.elements)
+        g, h = rng.choice(G), rng.choice(G)
         Sg, Sh, Sgh = rep.blocks([g, h, g * h]).dense()
         worst = max(worst, float(np.abs(Sg @ Sh - Sgh).max()))
     rep_doc.check("homomorphism-sampled", "genuine-splitting", worst <= tol,
                   residual=worst)
     _check_intertwining(rep_doc, rep,
-                        (rng.choice(G.elements) for _ in range(50)), rng, tol)
+                        (rng.choice(G) for _ in range(50)), rng, tol)
     if rep.spec.n >= 3 and not rep.lifted:
         rep_doc.add("sigma-level-compat", "level-compat-diagnostic", "info",
                     measured=_sigma_level_diagnostic(rep, rng))

@@ -97,12 +97,11 @@ def sl2_elements(p):
 
 @lru_cache(maxsize=None)
 def sp_elements(l, p):
-    """All of Sp(2l, F_p) for desk-scale parameters."""
-    if l == 1:
-        return tuple(sl2_elements(p))
-    spec = SympModule.standard(p, l, 0, 0)
-    G = symplectic_group(spec, cap=2_000_000)
-    return tuple(g.mat for g in G)
+    """All of Sp(2l, F_p), sorted; equal rows are one shared tuple."""
+    mats = symplectic_group(SympModule.standard(p, l, 0, 0)).mats
+    rows = list(product(range(p), repeat=2 * l))
+    radix = p ** np.arange(2 * l - 1, -1, -1)
+    return tuple(tuple(rows[i] for i in m) for m in (mats @ radix).tolist())
 
 
 # -- the canonical representation --------------------------------------------

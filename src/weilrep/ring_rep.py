@@ -16,11 +16,11 @@ from itertools import product
 import numpy as np
 
 from .heisenberg import SchrodingerModel, box_isotropic
-from .rings import unit_phase, vp
+from .rings import _roots, unit_phase, vp
 from .linalg import mat_inv, mat_inv_stack, mat_rank
 from .oscillator import OscillatorRep
-from .symplectic import (FiniteGroup, GroupElem, SympModule, orbits,
-                         transvection_generators)
+from .symplectic import (FiniteGroup, GroupElem, SympModule, group_closure,
+                         orbits, transvection_generators)
 
 
 # -- residue space -----------------------------------------------------------
@@ -305,13 +305,14 @@ class RingWeilRep:
         return cj, e, self.iso.residues(u)
 
     def blocks(self, gs) -> "MonomialOps":
-        """S(g) for each element of a sequence, in block-monomial form.
+        """S(g) for each element of a sequence or (N, d, d) stack, in
+        block-monomial form.
 
         Row coset x of S(g) has one nonzero block, in the column of the
         coset of y = g^{-1} x: psi(beta(xc, u)/2) sigma(g) rho_res(u).
         """
         d = self.spec.dim
-        mats = np.array([g.mat for g in gs], dtype=np.int64).reshape(-1, d, d)
+        mats = np.asarray(gs, dtype=np.int64).reshape(-1, d, d)
         ginv = mat_inv_stack(mats, self.p, self.spec.n + 1)
         y = self.heis.pts @ ginv.transpose(0, 2, 1) % self.heis.mods
         cj, e, ubar = self.split(y)
@@ -464,9 +465,9 @@ def sigma_gx(rep: RingWeilRep, G, x):
     space): sigma(g) rho(g^{-1}x - x, beta(x, g^{-1}x)/2).
     """
     spec = rep.spec
-    xhat = spec.quotient_reduce(x, rep.iso.uperp_box)
-    stab = [g for g in G
-            if spec.quotient_reduce(g.act(x), rep.iso.uperp_box) == xhat]
+    quot = [spec.p ** min(c, a) for c, a in zip(rep.iso.uperp_box, spec.exps)]
+    moved = (G.mats @ np.array(x) - x) % quot
+    stab = [G[i] for i in np.flatnonzero(~moved.any(axis=1))]
 
     def op(g: GroupElem) -> np.ndarray:
         y = g.inverse().act(x)
@@ -492,11 +493,6 @@ class Summand:
             self.projector = self.basis @ self.basis.conj().T
 
 
-def _minus_identity(spec: SympModule) -> GroupElem:
-    return GroupElem(spec, [[(-1 if i == j else 0) for j in range(spec.dim)]
-                            for i in range(spec.dim)], check=False)
-
-
 def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
     """Orbit-support and parity decomposition of the representation.
 
@@ -505,11 +501,9 @@ def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
     eps is the -Id eigenvalue, omitted when -Id acts by a scalar there.
     """
     spec = rep.spec
-    act = lambda g, c: spec.quotient_reduce(g.act(c), rep.iso.uperp_box)
-    orbs = orbits(group.gens, rep.cosets, act=act)
+    orbs = orbits(group.gens, rep.iso.uperp_box)
     zero = spec.quotient_reduce(spec.zero(), rep.iso.uperp_box)
-    minus = _minus_identity(spec)
-    S_minus = rep.op(minus)
+    S_minus = rep.op(GroupElem(spec, (-np.eye(spec.dim, dtype=int)).tolist()))
     out = []
     for orb in orbs:
         sel = np.zeros(rep.dim, dtype=bool)
@@ -560,7 +554,7 @@ def _chunks(rep, elements):
 
 
 def traces(rep, elements) -> np.ndarray:
-    """tr S(g) for each element of a sequence, in order."""
+    """tr S(g) for each element of a sequence or stack, in order."""
     out = np.empty(len(elements), dtype=complex)
     for start, b in _chunks(rep, elements):
         out[start:start + _CHUNK] = b.traces()
@@ -573,88 +567,81 @@ def summand_characters(rep, group: FiniteGroup, summands: list[Summand]):
     C, s = len(rep.cosets), rep.sdim
     projs = np.stack([sm.projector for sm in summands]).reshape(
         len(summands), C, s, C, s)
-    elements = list(group)
-    out = np.empty((len(summands), len(elements)), dtype=complex)
-    for start, b in _chunks(rep, elements):
+    out = np.empty((len(summands), len(group)), dtype=complex)
+    for start, b in _chunks(rep, group.mats):
         out[:, start:start + _CHUNK] = b.restricted_traces(projs)
     return out
 
 
 def character_norm(group, rep):
     """(1/|G|) sum |tr S(g)|^2, with its deviation from the nearest integer."""
-    elements = list(group)
-    val = float(np.sum(np.abs(traces(rep, elements)) ** 2)) / len(elements)
+    val = float(np.sum(np.abs(traces(rep, group.mats)) ** 2)) / len(group)
     return int(round(val)), abs(val - round(val))
 
 
 # -- abelianization / twist diagnostics ---------------------------------------
 
 
-def derived_subgroup(group: FiniteGroup) -> set:
-    """Normal closure of the commutators of the generators."""
-    comms = {}
-    for a in group.gens:
-        ainv = a.inverse()
-        for b in group.gens:
-            c = a * b * ainv * b.inverse()
-            comms[c.mat] = c
-    dgens = list(comms.values())
-    seen = dict(comms)
-    seen[group.identity().mat] = group.identity()
-    frontier = list(seen.values())
-    gen_pairs = [(g, g.inverse()) for g in group.gens]
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in dgens:
-                z = x * y
-                if z.mat not in seen:
-                    seen[z.mat] = z
-                    new.append(z)
-            for g, ginv in gen_pairs:
-                z = g * x * ginv
-                if z.mat not in seen:
-                    seen[z.mat] = z
-                    new.append(z)
-        frontier = new
-    return set(seen.values())
+def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
+    """Normal closure of the commutators of the generators.
+
+    The closure D of the current generators is normal once s x s^-1 lies in
+    D for every generator s of the group and x of D; each round adds the
+    conjugates that miss D and closes again (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005).
+    """
+    mods, d = group._mods, group.spec.dim
+    S = np.array(group.gens, dtype=np.int64)
+    Sinv = np.array([g.inverse() for g in group.gens], dtype=np.int64)
+    new = S[:, None] @ S[None] % mods @ Sinv[:, None] % mods @ Sinv[None] % mods
+    dgens = []
+    while len(new := np.unique(new.reshape(-1, d, d), axis=0)):
+        dgens += [GroupElem(group.spec, m, check=False) for m in new.tolist()]
+        D = group_closure(dgens)
+        conj = S[:, None] @ np.array(dgens)[None] % mods @ Sinv[:, None] % mods
+        new = conj[D.find(conj) < 0]
+    return D
 
 
 def abelianization_cosets(group: FiniteGroup):
-    """Map element -> coset index of the derived subgroup, plus coset reps."""
+    """The coset of the derived subgroup D of each element index, numbered
+    in order of first element, and the index of that first element."""
     cached = getattr(group, "_ab_cache", None)
     if cached is not None:
         return cached
     D = derived_subgroup(group)
-    labels = {}
+    labels = np.full(len(group), -1)
     reps = []
-    for g in group:
-        if g.mat in labels:
-            continue
-        rep_idx = len(reps)
-        reps.append(g)
-        for d in D:
-            labels[(g * d).mat] = rep_idx
+    while (labels < 0).any():
+        i = int(np.argmax(labels < 0))
+        labels[group.find(group.mats[i] @ D.mats % group._mods)] = len(reps)
+        reps.append(i)
     group._ab_cache = (labels, reps)
     return labels, reps
 
 
 def abelianization_character(group: FiniteGroup, a: int):
-    """The a-th character of the (cyclic) abelianization, as a callable."""
+    """The a-th character of the (cyclic) abelianization, as a function of
+    an element or a stack of them, and the order k of the abelianization."""
     labels, reps = abelianization_cosets(group)
     k = len(reps)
-    if a % k == 0:
-        return lambda g: 1.0, k
-    ident_label = labels[group.identity().mat]
-    gen = next(r for r in reps if labels[r.mat] != ident_label)
-    power_of = {ident_label: 0}
-    cur = gen
-    for e in range(1, k):
-        power_of[labels[cur.mat]] = e
+    cur = group.identity()
+    ident = labels[group.find(cur)]
+    gen = group[next((r for r in reps if labels[r] != ident), reps[0])]
+    power_of = {}
+    for e in range(k):
+        power_of[labels[group.find(cur)]] = e
         cur = cur * gen
     if len(power_of) != k:
         raise AssertionError("abelianization is not cyclic")
-    return (lambda g: unit_phase(a * power_of[labels[g.mat]], k)), k
+    values = np.array(_roots(k))[[a * power_of[c] % k for c in range(k)]]
+
+    def chi(g):
+        idx = group.find(g)
+        if np.any(idx < 0):
+            raise KeyError("not an element of the group")
+        return values[labels[idx]]
+    return chi, k
 
 
 class TwistedRep:
@@ -666,7 +653,7 @@ class TwistedRep:
 
     def blocks(self, gs) -> MonomialOps:
         out = self._rep.blocks(gs)
-        out.ph = out.ph * np.array([self._char(g) for g in gs])[:, None]
+        out.ph = out.ph * self._char(gs)[:, None]
         return out
 
     def op(self, g):
@@ -685,16 +672,14 @@ class TwistedRep:
 def direct_sum(specA: SympModule, specB: SympModule) -> SympModule:
     if (specA.p, specA.n) != (specB.p, specB.n):
         raise ValueError("direct sum needs matching p and level")
-    moduli = specA.moduli + specB.moduli
-    da, db = specA.dim, specB.dim
-    gram = [[0] * (da + db) for _ in range(da + db)]
-    for i in range(da):
-        for j in range(da):
-            gram[i][j] = specA.gram[i][j]
-    for i in range(db):
-        for j in range(db):
-            gram[da + i][da + j] = specB.gram[i][j]
-    return SympModule(specA.p, specA.n, moduli, gram)
+    return SympModule(specA.p, specA.n, specA.moduli + specB.moduli,
+                      _block_diag(specA.gram, specB.gram))
+
+
+def _block_diag(a, b) -> list:
+    """Rows of diag(a, b) for two square nested sequences."""
+    return ([list(row) + [0] * len(b) for row in a]
+            + [[0] * len(a) + list(row) for row in b])
 
 
 def direct_sum_isotropic(big: SympModule, isoA: IsotropicData,
@@ -712,39 +697,19 @@ def direct_sum_isotropic(big: SympModule, isoA: IsotropicData,
     res_coords = isoA.res_coords + tuple(da + i for i in isoB.res_coords)
     ka, kb = len(isoA.res_coords), len(isoB.res_coords)
     k = ka + kb
-    gram = [[0] * k for _ in range(k)]
-    for i in range(ka):
-        for j in range(ka):
-            gram[i][j] = isoA.res_gram[i][j]
-    for i in range(kb):
-        for j in range(kb):
-            gram[ka + i][ka + j] = isoB.res_gram[i][j]
+    gram = _block_diag(isoA.res_gram, isoB.res_gram)
     la, lb = isoA.l_res, isoB.l_res
-    T = [[0] * k for _ in range(k)]
-    for j in range(2 * la):
-        col = j if j < la else la + lb + (j - la)
-        for i in range(ka):
-            T[i][col] = isoA.T[i][j]
-    for j in range(2 * lb):
-        col = la + j if j < lb else la + lb + la + (j - lb)
-        for i in range(kb):
-            T[ka + i][col] = isoB.T[i][j]
-    T = tuple(tuple(row) for row in T)
+    cols = [*range(la), *range(ka, ka + lb), *range(la, ka),
+            *range(ka + lb, k)]
+    T = tuple(tuple(row[c] for c in cols)
+              for row in _block_diag(isoA.T, isoB.T))
     Tinv = mat_inv(T, p) if k else tuple()
     return IsotropicData(big, u_box, uperp_box, res_coords,
                          tuple(tuple(r) for r in gram), T, Tinv, la + lb)
 
 
 def embed_pair(big: SympModule, gA: GroupElem, gB: GroupElem) -> GroupElem:
-    da, db = gA.spec.dim, gB.spec.dim
-    mat = [[0] * (da + db) for _ in range(da + db)]
-    for i in range(da):
-        for j in range(da):
-            mat[i][j] = gA.mat[i][j]
-    for i in range(db):
-        for j in range(db):
-            mat[da + i][da + j] = gB.mat[i][j]
-    return GroupElem(big, mat)
+    return GroupElem(big, _block_diag(gA.mat, gB.mat))
 
 
 def tensor_intertwiner(repAB: RingWeilRep, repA: RingWeilRep,

@@ -10,6 +10,9 @@ mod p^{a_i}.
 
 from __future__ import annotations
 
+import math
+import operator
+from collections.abc import Sequence
 from itertools import product
 
 import numpy as np
@@ -192,6 +195,10 @@ class GroupElem:
         return cls(spec, [[int(i == j) for j in range(spec.dim)]
                           for i in range(spec.dim)], check=False)
 
+    def __array__(self, dtype=None, copy=None):
+        """The matrix as an array, so a sequence of elements is a stack."""
+        return np.array(self.mat, dtype=dtype or np.int64)
+
     def act(self, v):
         mat = self.mat
         return tuple(
@@ -230,9 +237,6 @@ class GroupElem:
                 if (s - spec.gram[i][j]) % M:
                     return False
         return True
-
-    def is_invertible(self) -> bool:
-        return mat_det(self.mat, self.spec.p) != 0
 
     def __eq__(self, other):
         return self.mat == other.mat and self.spec.moduli == other.spec.moduli
@@ -291,32 +295,67 @@ def _generates_all_transvections(spec: SympModule, vecs) -> bool:
     ident = GroupElem.identity(spec)
     return all(not multiples.isdisjoint(orb)
                or transvection(spec, 1, orb[0]) == ident
-               for orb in orbits(gens, list(spec.vectors())))
+               for orb in orbits(gens, spec.exps))
 
 
 class ClosureCapExceeded(RuntimeError):
     pass
 
 
-class FiniteGroup:
-    """A finite matrix group: canonical sorted element list plus index."""
+def _entry_dtype(spec: SympModule) -> np.dtype:
+    """Big-endian unsigned matrix entries, wide enough for every modulus, so
+    that the byte order of keys is the lexicographic order of the matrices."""
+    return np.dtype(np.min_scalar_type(max(spec.moduli) - 1)).newbyteorder(">")
 
-    def __init__(self, elements, gens):
-        self.elements = sorted(elements, key=lambda g: g.mat)
-        self.index = {g.mat: i for i, g in enumerate(self.elements)}
+
+def _keys(mats, entry: np.dtype) -> np.ndarray:
+    """One void key per canonical matrix of an (N, d, d) stack: its entries
+    row-major as `entry` bytes."""
+    flat = np.ascontiguousarray(mats, dtype=entry).reshape(len(mats), -1)
+    return flat.view(np.dtype((np.void, flat.shape[1] * entry.itemsize))).ravel()
+
+
+class FiniteGroup(Sequence):
+    """A finite matrix group as its int64 (N, d, d) stack `mats`, rows
+    reduced mod moduli[i], and their `keys`, both sorted in the order of
+    `GroupElem.mat`.  `G[i]` is one `GroupElem`; `G.find` searches the keys.
+    Without `keys`, the elements (matrices) are sorted and deduplicated."""
+
+    def __init__(self, elements, gens, keys=None):
         self.gens = gens
+        self.spec = spec = gens[0].spec
+        self._mods = np.array(spec.moduli, dtype=np.int64)[:, None]
+        self._entry = _entry_dtype(spec)
+        mats = np.asarray(elements, dtype=np.int64).reshape(
+            -1, spec.dim, spec.dim) % self._mods
+        if keys is None:
+            keys, first = np.unique(_keys(mats, self._entry),
+                                    return_index=True)
+            mats = mats[first]
+        self.mats, self.keys = mats, keys
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.mats)
 
-    def __iter__(self):
-        return iter(self.elements)
+    def __getitem__(self, i) -> GroupElem:
+        return GroupElem(self.spec, self.mats[operator.index(i)].tolist(),
+                         check=False)
+
+    def find(self, mats):
+        """Index of each matrix of an (..., d, d) array-like in the group,
+        -1 where it is not an element; an int for a single matrix."""
+        mats = np.asarray(mats, dtype=np.int64)
+        d = self.spec.dim
+        ks = _keys(mats.reshape(-1, d, d) % self._mods, self._entry)
+        pos = np.minimum(np.searchsorted(self.keys, ks), len(self) - 1)
+        out = np.where(self.keys[pos] == ks, pos, -1).reshape(mats.shape[:-2])
+        return int(out) if out.ndim == 0 else out
 
     def __contains__(self, g):
-        return g.mat in self.index
+        return self.find(g) >= 0
 
     def identity(self):
-        return GroupElem.identity(self.elements[0].spec)
+        return GroupElem.identity(self.spec)
 
 
 # frontier rows multiplied by the generators at once; bounds the work
@@ -327,39 +366,32 @@ _CLOSURE_CHUNK = 2048
 def group_closure(gens, cap: int = 2_000_000) -> FiniteGroup:
     """BFS closure of the generated subgroup, deduplicated by action.
 
-    Elements are int64 matrices with row i reduced mod moduli[i].  Each
-    element is keyed by its entries as big-endian unsigned bytes, row-major,
-    so byte order of keys is the lexicographic order of `GroupElem.mat` and
-    the sorted array `seen` is the final element order.
+    Elements are int64 matrices with row i reduced mod moduli[i], kept as
+    their keys (`_keys`); the sorted key array `seen` is the final element
+    order.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     spec = gens[0].spec
     d = spec.dim
-    top = max(spec.moduli)
-    if d * (top - 1) ** 2 >= 2 ** 63:
+    if d * (max(spec.moduli) - 1) ** 2 >= 2 ** 63:
         raise OverflowError(f"int64 matrix products overflow for {spec}")
     mods = np.array(spec.moduli, dtype=np.int64)[:, None]
-    entry = np.dtype(np.min_scalar_type(top - 1)).newbyteorder(">")
-    keytype = np.dtype((np.void, d * d * entry.itemsize))
-
-    def keys(mats):
-        flat = np.ascontiguousarray(mats, dtype=entry).reshape(len(mats), -1)
-        return flat.view(keytype).ravel()
+    entry = _entry_dtype(spec)
 
     def mats(ks):
         return ks.view(entry).reshape(-1, d, d).astype(np.int64)
 
-    gen_mats = np.array([g.mat for g in gens], dtype=np.int64)
-    seen = keys(np.eye(d, dtype=np.int64)[None] % mods)
+    gen_mats = np.array(gens, dtype=np.int64)
+    seen = _keys(np.eye(d, dtype=np.int64)[None] % mods, entry)
     frontier = seen
     while len(frontier):
         new = []
         for start in range(0, len(frontier), _CLOSURE_CHUNK):
             x = mats(frontier[start:start + _CLOSURE_CHUNK])
             y = x[:, None] @ gen_mats[None] % mods
-            ks = np.unique(keys(y.reshape(-1, d, d)))
+            ks = np.unique(_keys(y.reshape(-1, d, d), entry))
             pos = np.searchsorted(seen, ks)
             known = seen[np.minimum(pos, len(seen) - 1)] == ks
             seen = np.insert(seen, pos[~known], ks[~known])
@@ -368,11 +400,7 @@ def group_closure(gens, cap: int = 2_000_000) -> FiniteGroup:
                     f"group closure exceeded cap of {cap} elements")
             new.append(ks[~known])
         frontier = np.concatenate(new)
-    elements = []
-    for start in range(0, len(seen), _CLOSURE_CHUNK):
-        chunk = mats(seen[start:start + _CLOSURE_CHUNK]).tolist()
-        elements.extend(GroupElem(spec, m, check=False) for m in chunk)
-    return FiniteGroup(elements, gens=gens)
+    return FiniteGroup(mats(seen), gens, keys=seen)
 
 
 _SP_CACHE: dict = {}
@@ -410,7 +438,7 @@ def brute_force_symplectic_count(spec: SympModule, limit: int = 2_000_000) -> in
     for flat in product(*entry_ranges):
         mat = [list(flat[i * dim:(i + 1) * dim]) for i in range(dim)]
         g = GroupElem(spec, mat, check=False)
-        if g.is_symplectic() and g.is_invertible():
+        if g.is_symplectic() and mat_det(g.mat, p):
             count += 1
     return count
 
@@ -418,33 +446,31 @@ def brute_force_symplectic_count(spec: SympModule, limit: int = 2_000_000) -> in
 # -- orbits ------------------------------------------------------------------
 
 
-def orbits(gens, points, act=None):
-    """Partition of the given points under the group generated by gens.
+def orbits(gens, box):
+    """Orbits of the group generated by gens on W modulo the box submodule
+    (all of W for box = spec.exps), which gens must preserve.
 
-    Returns a sorted list of sorted orbits (deterministic).
+    The points are `spec.quotient_reps(box)`; each generator is one index
+    array over them, and labels fall to the smallest index in reach until
+    they are constant on each orbit.  Returns a sorted list of sorted
+    orbits, ordered by (length, first point).
     """
-    if act is None:
-        act = lambda g, v: g.act(v)
-    remaining = set(points)
-    out = []
-    for start in sorted(points):
-        if start not in remaining:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for v in frontier:
-                for g in gens:
-                    w = act(g, v)
-                    if w not in orbit:
-                        orbit.add(w)
-                        new.append(w)
-            frontier = new
-        remaining -= orbit
-        out.append(sorted(orbit))
-    out.sort(key=lambda o: (len(o), o[0]))
-    return out
+    spec = gens[0].spec
+    quot = [spec.p ** min(c, a) for c, a in zip(box, spec.exps)]
+    pts = np.stack(np.unravel_index(np.arange(math.prod(quot)), quot), axis=1)
+    perms = [np.ravel_multi_index(
+        (pts @ np.array(g, dtype=np.int64).T % quot).T, quot) for g in gens]
+    label, prev = np.arange(len(pts)), None
+    while prev is None or (label != prev).any():
+        prev = label
+        for perm in perms:
+            label = np.minimum(label, label[perm])
+        label = label[label]
+    order = np.argsort(label, kind="stable")
+    firsts, sizes = np.unique(label, return_counts=True)
+    groups = np.split(pts[order], np.cumsum(sizes)[:-1])
+    return [list(map(tuple, groups[i].tolist()))
+            for i in np.lexsort((firsts, sizes))]
 
 
 def reduce_level(g: GroupElem, target: SympModule) -> GroupElem:

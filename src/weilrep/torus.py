@@ -53,7 +53,7 @@ class TorusContext:
     the congruence depth val_pi(t - 1) of every t (T_j is depth >= j); the
     (K, N) character table, row a * o2 + b holding the character with
     exponents (a, b) on the two cyclic generators; its conductors; and the
-    units of the extension with their norms, in `QuadExt.units` order.
+    distinct unit norms, each with its first unit in `QuadExt.units` order.
     """
 
     def __init__(self, tspec: TorusSpec):
@@ -91,8 +91,14 @@ class TorusContext:
         xi, eta = np.divmod(np.arange(ext.mod_xi * ext.mod_eta), ext.mod_eta)
         norms = ext.norm_of(xi, eta)
         unit = norms % p != 0
-        self.units = np.stack([xi[unit], eta[unit]], axis=1)
-        self.unit_norms = norms[unit]
+        # the distinct norms of units (and of units with xi a unit), each
+        # with its first unit in `QuadExt.units` order
+        self.norm_reps = {}
+        for unit_xi, keep in ((False, unit), (True, unit & (xi % p != 0))):
+            first = np.sort(np.unique(norms[keep], return_index=True)[1])
+            self.norm_reps[unit_xi] = (norms[keep][first],
+                                       np.stack([xi[keep], eta[keep]],
+                                                axis=1)[first])
         self.rep = RingWeilRep(self.module)
         self.dim = self.rep.dim
         self._emb_cache = {}
@@ -277,18 +283,14 @@ class TorusContext:
                  unit_xi: bool = False):
         """The first unit a, in `QuadExt.units` order, with
         chi = chi_{N(a), lam, j} on T_restrict_j, or None."""
-        cand = np.arange(len(self.units))
-        if unit_xi:
-            cand = cand[self.units[:, 0] % self.p != 0]
-        coeff, mod = self._blj_coeff(self.unit_norms[cand] % self.p ** lam,
-                                     lam, j)
-        coeffs, first = np.unique(coeff, return_index=True)
+        norms, units = self.norm_reps[unit_xi]
+        coeff, mod = self._blj_coeff(norms % self.p ** lam, lam, j)
         sub = self.depth >= min(restrict_j, self.level)
-        vals = np.array(_roots(mod))[np.outer(coeffs, self.eta[sub]) % mod]
+        vals = np.array(_roots(mod))[np.outer(coeff, self.eta[sub]) % mod]
         match = (np.abs(vals - self.table[chi.row, sub]) < 1e-9).all(axis=1)
         if not match.any():
             return None
-        xi, eta = self.units[cand[first[match].min()]]
+        xi, eta = units[np.argmax(match)]
         return self.ext.elem(int(xi), int(eta))
 
     def eigenvector(self, chi: "TorusChar"):
@@ -469,7 +471,7 @@ def _twist_candidates(ctx: TorusContext, cap: int):
     _, k = abelianization_character(G, 0)
     for a in range(1, k):
         chi, _ = abelianization_character(G, a)
-        out.append((f"ab^{a}", [chi(ctx.embed(t)) for t in ctx.C]))
+        out.append((f"ab^{a}", chi([ctx.embed(t) for t in ctx.C])))
     return out, None
 
 

@@ -121,13 +121,13 @@ def test_criterion_5_orbit_count_identity():
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
     cn, dev = character_norm(G, rep)
-    orb = len(orbits(G.gens, list(spec.vectors())))
+    orb = len(orbits(G.gens, spec.exps))
     ok = (cn == orb == 3 and dev < 1e-6)
     details = [f"Sp: norm={cn} orbits={orb}"]
     for kind, uval in (("unramified", 0), ("unramified", 1), ("ramified", 0)):
         ctx = TorusContext(TorusSpec(3, kind, uval, 1))
         gens = [ctx.embed(t) for t in ctx.C]
-        n_orb = len(orbits(gens, list(ctx.module.vectors())))
+        n_orb = len(orbits(gens, ctx.module.exps))
         total = sum(abs(ctx.rep.trace(g)) ** 2 for g in gens)
         cn_t = total / len(ctx.C)
         ok = ok and abs(cn_t - n_orb) < 1e-6
@@ -231,7 +231,7 @@ def test_criterion_10_tensor_factorization():
     G = symplectic_group(sA)
     worst = 0.0
     for _ in range(50):
-        g, h = RNG.choice(G.elements), RNG.choice(G.elements)
+        g, h = RNG.choice(G), RNG.choice(G)
         lhs = J @ np.kron(repA.op(g), repB.op(h))
         rhs = repAB.op(embed_pair(big, g, h)) @ J
         worst = max(worst, float(np.abs(lhs - rhs).max()))

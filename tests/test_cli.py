@@ -61,6 +61,17 @@ def test_ring_structural_when_group_too_large(tmp_path):
     assert "unitarity-sampled" in names
 
 
+def test_ring_twist_skipped_on_structural_path(tmp_path):
+    code, doc = run(tmp_path, "tw_cap.json",
+                    ["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1",
+                     "--twist", "1", "--cap-group", "100"])
+    assert code == 0 and doc["failures"] == 0
+    skipped = next(c for c in doc["checks"] if c["name"] == "twist")
+    assert skipped["status"] == "skipped" and skipped["anchor"] == "caps"
+    assert "100" in skipped["note"]
+    assert "twist_order" not in doc["config"]
+
+
 def test_ring_twist_parameter(tmp_path):
     code, doc = run(tmp_path, "tw.json",
                     ["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1",

@@ -1,7 +1,10 @@
 """The numpy kernels against the pure-Python loops they replace.
 
 `group_closure` must return the same elements in the same order as a plain
-BFS over `GroupElem` products, `OscillatorRep.M_X` the same operator as a
+BFS over `GroupElem` products, `derived_subgroup` and
+`abelianization_cosets` the same subgroup and cosets as the BFS normal
+closure, `orbits` the same partition as a BFS over points,
+`OscillatorRep.M_X` the same operator as a
 loop over the points (x, y_j) of W, and the block-monomial form of
 `RingWeilRep` the same operators, traces and summand characters as a loop
 over the cosets of U-perp for one element at a time.  `MonomialOps.apply`
@@ -24,12 +27,14 @@ from weilrep.heisenberg import SchrodingerModel
 from weilrep.linalg import mat_inv, mat_mul, mat_vec
 from weilrep.oscillator import OscillatorRep, sl2_elements, sp_elements
 from weilrep.ring_rep import (_CHUNK, TwistedRep, abelianization_character,
-                              build_ring_rep, character_norm, decompose,
-                              embed_pair, summand_characters, traces)
+                              abelianization_cosets, build_ring_rep,
+                              canonical_isotropic, character_norm, decompose,
+                              derived_subgroup, embed_pair, summand_characters,
+                              traces)
 from weilrep.rings import unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
-                                SympModule, group_closure, symplectic_group,
-                                transvection_generators)
+                                SympModule, group_closure, orbits,
+                                symplectic_group, transvection_generators)
 from weilrep.torus import (TorusContext, TorusSpec, _twist_candidates,
                            multiplicity_report, product_torus_multiplicities)
 
@@ -62,7 +67,7 @@ def test_closure_matches_reference_bfs(args):
     gens = transvection_generators(SympModule.standard(*args))
     G = group_closure(gens)
     assert [g.mat for g in G] == reference_closure(gens)
-    assert all(G.index[g.mat] == i for i, g in enumerate(G))
+    assert (G.find(G.mats) == np.arange(len(G))).all()
     assert G.gens == gens
 
 
@@ -71,6 +76,119 @@ def test_closure_cap_without_overflow():
     gens = transvection_generators(SympModule.standard(5, 3, 0, 0))
     with pytest.raises(ClosureCapExceeded):
         group_closure(gens, cap=1000)
+
+
+# -- abelianization and orbits: BFS over GroupElem products and points ---------
+
+
+def reference_derived_subgroup(group):
+    """Normal closure of the generator commutators, by BFS over products."""
+    comms = {}
+    for a in group.gens:
+        ainv = a.inverse()
+        for b in group.gens:
+            c = a * b * ainv * b.inverse()
+            comms[c.mat] = c
+    dgens = list(comms.values())
+    seen = dict(comms)
+    seen[group.identity().mat] = group.identity()
+    frontier = list(seen.values())
+    gen_pairs = [(g, g.inverse()) for g in group.gens]
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in dgens:
+                z = x * y
+                if z.mat not in seen:
+                    seen[z.mat] = z
+                    new.append(z)
+            for g, ginv in gen_pairs:
+                z = g * x * ginv
+                if z.mat not in seen:
+                    seen[z.mat] = z
+                    new.append(z)
+        frontier = new
+    return set(seen)
+
+
+def reference_abelianization_cosets(group, D):
+    """matrix -> coset number, numbered in order of first element."""
+    labels, nreps = {}, 0
+    for g in group:
+        if g.mat in labels:
+            continue
+        for d in D:
+            labels[(g * GroupElem(g.spec, d, check=False)).mat] = nreps
+        nreps += 1
+    return labels
+
+
+def reference_orbits(gens, points, act):
+    remaining = set(points)
+    out = []
+    for start in sorted(points):
+        if start not in remaining:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            new = []
+            for v in frontier:
+                for g in gens:
+                    w = act(g, v)
+                    if w not in orbit:
+                        orbit.add(w)
+                        new.append(w)
+            frontier = new
+        remaining -= orbit
+        out.append(sorted(orbit))
+    out.sort(key=lambda o: (len(o), o[0]))
+    return out
+
+
+# SL2(Z/9), SL2(Z/27) and the scaled modules at levels 1 and 2
+AB_CASES = [(3, 1, 0, 1), (3, 1, 0, 2), (3, 1, 1, 1), (3, 1, 1, 2)]
+
+
+@pytest.mark.parametrize("args", AB_CASES, ids=str)
+def test_abelianization_matches_reference_bfs(args):
+    G = symplectic_group(SympModule.standard(*args))
+    D = reference_derived_subgroup(G)
+    assert {tuple(map(tuple, m)) for m in derived_subgroup(G).mats.tolist()} \
+        == D
+    ref = reference_abelianization_cosets(G, D)
+    labels, reps = abelianization_cosets(G)
+    assert [ref[g.mat] for g in G] == labels.tolist()
+    assert reps == [labels.tolist().index(c) for c in range(len(reps))]
+
+
+def test_derived_subgroup_adds_conjugates():
+    """S_4 as permutation matrices, generated by (12) and (1234): the
+    commutators of the generators close to a group of order 3, and only
+    the conjugation rounds reach A_4."""
+    spec = SympModule.standard(3, 2, 0, 0)
+
+    def perm(images):
+        return GroupElem(spec, [[int(images[j] == i) for j in range(4)]
+                                for i in range(4)])
+    G = group_closure([perm([1, 0, 2, 3]), perm([1, 2, 3, 0])])
+    D = reference_derived_subgroup(G)
+    assert len(G) == 24 and len(D) == 12
+    assert {tuple(map(tuple, m)) for m in derived_subgroup(G).mats.tolist()} \
+        == D
+    labels, reps = abelianization_cosets(G)
+    assert [reference_abelianization_cosets(G, D)[g.mat] for g in G] \
+        == labels.tolist() and len(reps) == 2
+
+
+@pytest.mark.parametrize("args", AB_CASES, ids=str)
+def test_orbits_match_reference_bfs(args):
+    spec = SympModule.standard(*args)
+    gens = symplectic_group(spec).gens
+    for box in (spec.exps, canonical_isotropic(spec).uperp_box, (1,) * 2):
+        act = lambda g, c: spec.quotient_reduce(g.act(c), box)
+        assert orbits(gens, box) == reference_orbits(
+            gens, spec.quotient_reps(box), act)
 
 
 def reference_M_X(rep, g):
@@ -211,7 +329,7 @@ def _check_characters(rep, group, idx, twist=lambda g: 1.0):
     chars = summand_characters(rep, group, summands)
     assert chars.shape == (len(summands), len(group))
     for i in idx:
-        g = group.elements[i]
+        g = group[i]
         op = twist(g) * reference_op(rep, g)
         for si, sm in enumerate(summands):
             ref = np.einsum("ij,ji->", sm.projector, op)
@@ -228,7 +346,7 @@ def _sample_idx(n, k, seed):
 def test_ring_ops_match_reference_on_every_element_3101():
     rep = build_ring_rep(SympModule.standard(3, 1, 0, 1))
     G = symplectic_group(rep.spec)
-    _check_ops(rep, G.elements)
+    _check_ops(rep, list(G))
     _check_characters(rep, G, range(len(G)))
 
 
@@ -238,11 +356,11 @@ def test_ring_ops_match_reference_on_large_groups(args):
     G = symplectic_group(rep.spec)
     assert len(G) > 2 * _CHUNK
     idx = _sample_idx(len(G), 150, seed=5)
-    _check_ops(rep, [G.elements[i] for i in idx])
+    _check_ops(rep, [G[i] for i in idx])
     _check_characters(rep, G, idx)
-    whole = traces(rep, G.elements)
+    whole = traces(rep, G.mats)
     for i in idx:
-        assert abs(whole[i] - reference_trace(rep, G.elements[i])) < 1e-12
+        assert abs(whole[i] - reference_trace(rep, G[i])) < 1e-12
     cn, dev = character_norm(G, rep)
     assert cn == {(3, 1, 1, 1): 4, (5, 1, 0, 1): 3}[args] and dev < 1e-9
 
@@ -283,7 +401,7 @@ def test_twisted_rep_matches_reference():
     chi, k = abelianization_character(G, 1)
     assert k == 3
     twisted = TwistedRep(rep, chi)
-    _check_ops(twisted, G.elements, twist=chi)
+    _check_ops(twisted, list(G), twist=chi)
     _check_characters(twisted, G, range(len(G)), twist=chi)
 
 
@@ -319,15 +437,15 @@ def _check_apply(ops, seed=0):
 def test_apply_matches_dense_on_ring_3101_and_twist():
     rep = build_ring_rep(SympModule.standard(3, 1, 0, 1))
     G = symplectic_group(rep.spec)
-    _check_apply(rep.blocks(G.elements))
+    _check_apply(rep.blocks(G.mats))
     chi, _ = abelianization_character(G, 1)
-    _check_apply(TwistedRep(rep, chi).blocks(G.elements), seed=1)
+    _check_apply(TwistedRep(rep, chi).blocks(G.mats), seed=1)
 
 
 def test_apply_matches_dense_across_a_chunk_boundary_3111():
     rep = build_ring_rep(SympModule.standard(3, 1, 1, 1))
     G = symplectic_group(rep.spec)
-    _check_apply(rep.blocks(G.elements[_CHUNK - 20:_CHUNK + 20]))
+    _check_apply(rep.blocks(G.mats[_CHUNK - 20:_CHUNK + 20]))
 
 
 @pytest.mark.parametrize("flavor", ["B", "Bstar"])

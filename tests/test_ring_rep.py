@@ -49,7 +49,7 @@ def test_rep_dimension_and_unitarity():
     assert rep.dim == 9
     G = symplectic_group(spec)
     random.seed(0)
-    for g in random.sample(G.elements, 25):
+    for g in random.sample(G, 25):
         U = rep.op(g)
         assert np.abs(U @ U.conj().T - np.eye(rep.dim)).max() < 1e-9
 
@@ -82,7 +82,7 @@ def test_rep_heisenberg_intertwining():
     random.seed(1)
     vecs = list(spec.vectors())
     for _ in range(1000):
-        g = random.choice(G.elements)
+        g = random.choice(G)
         w = random.choice(vecs)
         t = random.randrange(rep.M)
         U = rep.op(g)
@@ -141,7 +141,7 @@ def test_unlifted_degenerate_model_matches_residue():
     assert not rep.lifted and rep.dim == 3
     G = symplectic_group(spec)
     cn, dev = character_norm(G, rep)
-    assert cn == len(orbits(G.gens, list(spec.vectors()))) == 2
+    assert cn == len(orbits(G.gens, spec.exps)) == 2
     summands = decompose(rep, G)
     assert len(summands) == 2
     assert sorted(s.dim for s in summands) == [1, 2]
@@ -153,7 +153,7 @@ def test_character_norm_identity():
     G = symplectic_group(spec)
     cn, dev = character_norm(G, rep)
     assert cn == 3 and dev < 1e-9
-    assert cn == len(orbits(G.gens, list(spec.vectors())))
+    assert cn == len(orbits(G.gens, spec.exps))
     # trivial group: the norm is the squared dimension
     ident_group = [G.identity()]
     total = sum(abs(rep.trace(g)) ** 2 for g in ident_group)
@@ -167,19 +167,19 @@ def test_sigma_gx():
     stab0, op0 = sigma_gx(rep, G, spec.zero())
     assert len(stab0) == len(G)
     random.seed(2)
-    for g in random.sample(G.elements, 15):
+    for g in random.sample(G, 15):
         assert np.abs(op0(g) - rep.sigma_op(g)).max() < 1e-9
     # x in U-perp, nonzero: the operator is sigma twisted by a phase
     x = (3, 0)
     stab, opx = sigma_gx(rep, G, x)
     assert len(stab) == len(G)
-    for g in random.sample(G.elements, 15):
+    for g in random.sample(G, 15):
         val = opx(g)
         assert abs(abs(val[0, 0]) - 1) < 1e-9
     # depends only on x mod U
     u = (3, 3)  # element of U = 3W
     stab2, opx2 = sigma_gx(rep, G, spec.add(x, u))
-    for g in random.sample(G.elements, 20):
+    for g in random.sample(G, 20):
         assert np.abs(opx(g) - opx2(g)).max() < 1e-9
 
 
@@ -219,13 +219,13 @@ def test_tensor_two_copies():
     random.seed(4)
     worst = 0.0
     for _ in range(50):
-        g, h = random.choice(GA.elements), random.choice(GA.elements)
+        g, h = random.choice(GA), random.choice(GA)
         lhs = J @ np.kron(repA.op(g), repB.op(h))
         rhs = repAB.op(embed_pair(big, g, h)) @ J
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst < 1e-8
     for _ in range(20):
-        g, h = random.choice(GA.elements), random.choice(GA.elements)
+        g, h = random.choice(GA), random.choice(GA)
         assert abs(repAB.trace(embed_pair(big, g, h))
                    - repA.trace(g) * repB.trace(h)) < 1e-8
 

@@ -1,7 +1,12 @@
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weilrep.ring_rep import abelianization_character, canonical_isotropic
 from weilrep.symplectic import (ClosureCapExceeded, GroupElem, SympModule,
                                 brute_force_symplectic_count, group_closure,
                                 orbits, reduce_level, symplectic_group,
@@ -119,7 +124,7 @@ def test_closure_cap():
 def test_orbits_b1():
     spec = SympModule.standard(3, 1, 0, 1)
     G = symplectic_group(spec)
-    orbs = orbits(G.gens, list(spec.vectors()))
+    orbs = orbits(G.gens, spec.exps)
     assert [len(o) for o in orbs] == [1, 8, 72]
     assert orbs[0] == [(0, 0)]
     for o in orbs:
@@ -131,9 +136,7 @@ def test_orbits_on_quotient():
     spec = SympModule.standard(3, 1, 0, 1)
     G = symplectic_group(spec)
     box = (1, 1)   # the submodule 3W
-    pts = spec.quotient_reps(box)
-    act = lambda g, c: spec.quotient_reduce(g.act(c), box)
-    orbs = orbits(G.gens, pts, act=act)
+    orbs = orbits(G.gens, box)
     assert [len(o) for o in orbs] == [1, 8]
 
 
@@ -145,7 +148,7 @@ def test_reduction_map():
     assert reduce_level(ident, spec0) == GroupElem.identity(spec0)
     random.seed(4)
     for _ in range(50):
-        g, h = random.choice(G.elements), random.choice(G.elements)
+        g, h = random.choice(G), random.choice(G)
         assert reduce_level(g * h, spec0) \
             == reduce_level(g, spec0) * reduce_level(h, spec0)
     image = {reduce_level(g, spec0).mat for g in G}
@@ -158,6 +161,37 @@ def test_inverse_and_symplectic_everywhere():
     G = symplectic_group(spec)
     ident = GroupElem.identity(spec)
     random.seed(5)
-    for g in random.sample(G.elements, 40):
+    for g in random.sample(G, 40):
         assert g.is_symplectic()
         assert g * g.inverse() == ident
+
+
+# SL2(Z/9) and the 24-element group of the scaled module standard(3, 1, 1, 1)
+WORD_MODULES = [(3, 1, 0, 1), (3, 1, 1, 1)]
+word = st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=12)
+
+
+def _word(gens, letters):
+    return reduce(mul, [gens[i % len(gens)] for i in letters])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(WORD_MODULES), word, word)
+def test_group_words_find_character_and_orbits(args, letters1, letters2):
+    spec = SympModule.standard(*args)
+    G = symplectic_group(spec)
+    w1, w2 = _word(G.gens, letters1), _word(G.gens, letters2)
+    for w in (w1, w2, w1 * w2):
+        assert G[G.find(w)] == w and w in G
+    chi, _ = abelianization_character(G, 1)
+    assert abs(chi(w1 * w2) - chi(w1) * chi(w2)) < 1e-12
+    # the orbits of <w1, w2> partition W and the U-perp cosets, and each is
+    # closed under both words
+    for box in (spec.exps, canonical_isotropic(spec).uperp_box):
+        orbs = orbits([w1, w2], box)
+        pts = [v for orb in orbs for v in orb]
+        assert sorted(pts) == spec.quotient_reps(box)
+        for orb in orbs:
+            for g in (w1, w2):
+                assert {spec.quotient_reduce(g.act(v), box)
+                        for v in orb} == set(orb)

@@ -172,7 +172,7 @@ def test_character_norm_equals_torus_orbit_count():
     for kind, uval in (("unramified", 0), ("unramified", 1), ("ramified", 0)):
         ctx = ctx_of(3, kind, uval, 1)
         gens = [ctx.embed(t) for t in ctx.C]
-        n_orb = len(orbits(gens, list(ctx.module.vectors())))
+        n_orb = len(orbits(gens, ctx.module.exps))
         total = sum(abs(np.trace(ctx.rep.op(ctx.embed(t)))) ** 2
                     for t in ctx.C)
         cn = total / len(ctx.C)
