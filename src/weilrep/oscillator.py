@@ -70,11 +70,10 @@ def weil_index_quadratic_ext(p: int, scale: int = 1, d: int | None = None) -> co
     """omega'(1) for the residue quadratic extension F_{p^2}."""
     ext = QuadExt(p, "unramified", 1, d=d)
     half = pow(2, -1, p)
-    total = 0
-    for z in ext.elements():
-        z2 = ext.mul(z, z)
-        total += unit_phase(scale * half * ext.trace(z2), p)
-    return total / p
+    x, y = np.divmod(np.arange(p * p), p)
+    # psi(Tr(z^2) / 2) for z = x + y nu, with Tr(z^2) = 2 (x^2 + d y^2)
+    ks = scale * half * 2 * (x * x + ext.d * y * y) % p
+    return sum(_roots(p)[k] for k in ks.tolist()) / p
 
 
 def hasse_davenport_holds(p: int, scale: int = 1, tol: float = 1e-9) -> bool:

@@ -1,15 +1,18 @@
 """Exact arithmetic in Z/p^m (p odd) and its quadratic extensions.
 
 Everything here is integer arithmetic plus unit-circle phases; no floating
-point enters except through roots of unity.
+point enters except through roots of unity.  An element xi + eta * nu of a
+quadratic extension is a pair (xi, eta): `QuadExt` computes on (..., 2) int
+arrays of pairs, and `QuadElem` is one pair of Python ints.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from typing import NamedTuple
+
+import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -60,8 +63,16 @@ def smallest_nonresidue(p: int) -> int:
     raise ValueError(f"no quadratic nonresidue mod {p}?")
 
 
+class QuadElem(NamedTuple):
+    """An element xi + eta * nu of a truncated quadratic extension."""
+
+    xi: int
+    eta: int
+
+
 class QuadExt:
-    """Truncated quadratic extension of Z_p.
+    """Truncated quadratic extension of Z_p, on (..., 2) int arrays of
+    (xi, eta) for xi + eta * nu.
 
     unramified: adjoin nu with nu^2 = d (d a nonresidue unit); truncation at
     level m keeps both coordinates mod p^m.
@@ -82,146 +93,55 @@ class QuadExt:
             self.d = smallest_nonresidue(p) if d is None else d % p ** level
             if legendre(self.d % p, p) != -1:
                 raise ValueError(f"d={d} is not a nonresidue unit mod {p}")
+            self.nu2 = self.d
             self.mod_xi = p ** level
             self.mod_eta = p ** level
         else:
             self.d = None
+            self.nu2 = p
             self.mod_xi = p ** ((level + 1) // 2)
             self.mod_eta = p ** (level // 2) if level // 2 > 0 else 1
 
-    # -- element constructors ------------------------------------------------
-
-    def elem(self, xi: int, eta: int) -> "QuadElem":
-        return QuadElem(self, xi % self.mod_xi, eta % self.mod_eta)
-
-    @property
-    def one(self):
-        return self.elem(1, 0)
-
-    def elements(self):
-        for xi, eta in product(range(self.mod_xi), range(self.mod_eta)):
-            yield self.elem(xi, eta)
-
-    def units(self):
-        return [z for z in self.elements() if self.is_unit(z)]
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def mul(self, a: "QuadElem", b: "QuadElem") -> "QuadElem":
-        if self.kind == "unramified":
-            xi = a.xi * b.xi + self.d * a.eta * b.eta
-        else:
-            xi = a.xi * b.xi + self.p * a.eta * b.eta
-        eta = a.xi * b.eta + a.eta * b.xi
-        return self.elem(xi, eta)
-
-    def conj(self, a: "QuadElem") -> "QuadElem":
-        return self.elem(a.xi, -a.eta)
-
-    def norm(self, a: "QuadElem") -> int:
-        """N(a) = a * conj(a), an integer mod the xi-modulus."""
-        return self.norm_of(a.xi, a.eta)
+    def mul(self, a, b) -> np.ndarray:
+        """The product of (..., 2) int arrays of (xi, eta), broadcast."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        xi = a[..., 0] * b[..., 0] + self.nu2 * a[..., 1] * b[..., 1]
+        eta = a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]
+        return np.stack([xi % self.mod_xi, eta % self.mod_eta], axis=-1)
 
     def norm_of(self, xi, eta):
         """N(xi + eta * nu) of integers or integer arrays xi, eta."""
-        nu2 = self.d if self.kind == "unramified" else self.p
-        return (xi * xi - nu2 * eta * eta) % self.mod_xi
+        return (xi * xi - self.nu2 * eta * eta) % self.mod_xi
 
-    def trace(self, a: "QuadElem") -> int:
-        return (2 * a.xi) % self.mod_xi
-
-    def is_unit(self, a: "QuadElem") -> bool:
-        return self.norm(a) % self.p != 0
-
-    def inv(self, a: "QuadElem") -> "QuadElem":
-        n = self.norm(a)
-        if n % self.p == 0:
-            raise ZeroDivisionError("not a unit")
-        ninv = pow(n, -1, self.mod_xi)
-        c = self.conj(a)
-        return self.elem(c.xi * ninv, c.eta * ninv)
-
-    def pow(self, a: "QuadElem", k: int) -> "QuadElem":
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        out = self.one
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
-    # -- congruence structure --------------------------------------------------
-
-    def val_pi(self, a: "QuadElem") -> int:
-        """Valuation in the uniformizer of the extension, capped at level."""
+    def val_pi(self, a) -> np.ndarray:
+        """Valuation in the uniformizer of a (..., 2) int array of (xi, eta),
+        capped at the level."""
+        powers = self.p ** np.arange(1, self.level + 1)
+        v = (np.asarray(a)[..., None] % powers == 0).sum(axis=-1)
         if self.kind == "unramified":
-            v = min(vp(a.xi, self.p, cap=self.level),
-                    vp(a.eta, self.p, cap=self.level))
-            return min(v, self.level)
-        v = min(2 * vp(a.xi, self.p, cap=self.level),
-                2 * vp(a.eta, self.p, cap=self.level) + 1)
-        return min(v, self.level)
+            return v.min(axis=-1)
+        return np.minimum(np.minimum(2 * v[..., 0], 2 * v[..., 1] + 1),
+                          self.level)
 
-    def norm_one_group(self) -> list:
-        """All truncated elements of norm 1, sorted canonically."""
-        out = [z for z in self.elements() if self.norm(z) == 1]
-        out.sort(key=lambda z: (z.xi, z.eta))
-        return out
+    def norm_one_group(self) -> np.ndarray:
+        """The truncated elements of norm 1 as an (N, 2) array, in
+        (xi, eta) order."""
+        xi, eta = np.divmod(np.arange(self.mod_xi * self.mod_eta),
+                            self.mod_eta)
+        keep = self.norm_of(xi, eta) == 1
+        return np.stack([xi[keep], eta[keep]], axis=1)
 
-    def congruence_subgroup(self, group: list, j: int) -> list:
-        """T_j = elements g of the group with g - 1 in pi^j O''."""
+    def congruence_subgroup(self, group, j: int) -> np.ndarray:
+        """T_j: the rows g of an (N, 2) array with g - 1 in pi^j O''."""
         if j < 0:
             raise ValueError("j must be >= 0")
         if j > self.level:
             raise ValueError(
                 f"congruence depth {j} exceeds truncation level {self.level}")
-        one = self.one
-        out = [g for g in group
-               if self.val_pi(self.elem(g.xi - one.xi, g.eta - one.eta)) >= j]
-        return out
+        group = np.asarray(group)
+        return group[self.val_pi(group - (1, 0)) >= j]
 
     def __repr__(self):
         if self.kind == "unramified":
             return f"QuadExt({self.p}, unramified, level={self.level}, d={self.d})"
         return f"QuadExt({self.p}, ramified, pi-level={self.level})"
-
-
-@dataclass(frozen=True)
-class QuadElem:
-    ext: QuadExt
-    xi: int
-    eta: int
-
-    def __mul__(self, other):
-        return self.ext.mul(self, other)
-
-    def conj(self):
-        return self.ext.conj(self)
-
-    def norm(self):
-        return self.ext.norm(self)
-
-    def trace(self):
-        return self.ext.trace(self)
-
-    def inv(self):
-        return self.ext.inv(self)
-
-    def __pow__(self, k):
-        return self.ext.pow(self, k)
-
-    def _key(self):
-        ext = self.ext
-        return (ext.p, ext.kind, ext.level, ext.d, self.xi, self.eta)
-
-    def __eq__(self, other):
-        return isinstance(other, QuadElem) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"({self.xi},{self.eta})"

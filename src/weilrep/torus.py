@@ -3,9 +3,11 @@
 Base parameters are fixed at r = 1 over Q_p with an unramified character
 (conductor 0), so the torus of a quadratic extension embeds 2x2:
 multiplication on a suitable lattice basis gives [[x, y],[d y, x]] in the
-unramified case and [[x, y],[p y, x]] in the ramified case.  Characters are
-carried on a two-cyclic-factor coordinate system with conductor metadata;
-multiplicities in the Weil representation are exact rounded inner products.
+unramified case and [[x, y],[p y, x]] in the ramified case.  The finite
+torus C is an (N, 2) int array of pairs (xi, eta) in (xi, eta) order, and
+all group arithmetic runs on such arrays.  Characters are carried on a
+two-cyclic-factor coordinate system with conductor metadata; multiplicities
+in the Weil representation are exact rounded inner products.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from math import gcd
 import numpy as np
 
 from .oscillator import weil_index
-from .rings import (QuadExt, _roots, legendre, smallest_nonresidue,
-                    unit_phase)
+from .rings import (QuadElem, QuadExt, _roots, legendre,
+                    smallest_nonresidue, unit_phase)
 from .ring_rep import (RingWeilRep, abelianization_character, direct_sum,
-                       direct_sum_isotropic, embed_pair, traces)
+                       direct_sum_isotropic, traces)
 from .symplectic import (ClosureCapExceeded, GroupElem, SympModule,
                          symplectic_group)
 
@@ -49,11 +51,14 @@ class TorusSpec:
 class TorusContext:
     """Finite quotient C of the torus, its module, embedding and Weil model.
 
-    Built once: the operators S(t) of every t in C as one `MonomialOps`;
-    the congruence depth val_pi(t - 1) of every t (T_j is depth >= j); the
-    (K, N) character table, row a * o2 + b holding the character with
-    exponents (a, b) on the two cyclic generators; its conductors; and the
-    distinct unit norms, each with its first unit in `QuadExt.units` order.
+    Built once: C as the (N, 2) array `elems` of pairs (xi, eta) in
+    (xi, eta) order, viewed as the list `C` of `QuadElem`; the (N, 2, 2)
+    embedding stack `mats` and the operators S(t) of every t in C as one
+    `MonomialOps`; the congruence depth val_pi(t - 1) of every t (T_j is
+    depth >= j); the (K, N) character table, row a * o2 + b holding the
+    character with exponents (a, b) on the two cyclic generators; its
+    conductors; and the distinct unit norms, each with its first unit in
+    (xi, eta) order.
     """
 
     def __init__(self, tspec: TorusSpec):
@@ -75,12 +80,14 @@ class TorusContext:
             self.module = SympModule.standard(p, 1, 0, n)
             self.ext = QuadExt(p, "ramified", self.level)
         ext = self.ext
-        self.C = ext.norm_one_group()
-        self._index = {t: i for i, t in enumerate(self.C)}
-        self.eta = np.array([t.eta for t in self.C])
-        self.depth = np.array([ext.val_pi(ext.elem(t.xi - 1, t.eta))
-                               for t in self.C])
-        self.o1, self.o2, (i, j) = _two_cyclic_coordinates(ext, self.C)
+        self.elems = ext.norm_one_group()
+        self.C = [QuadElem(*t) for t in self.elems.tolist()]
+        # the index in C of the pair (xi, eta) at xi * mod_eta + eta
+        self._at = np.full(ext.mod_xi * ext.mod_eta, -1)
+        self._at[self.elems @ (ext.mod_eta, 1)] = np.arange(len(self.C))
+        self.eta = self.elems[:, 1]
+        self.depth = ext.val_pi(self.elems - (1, 0))
+        self.o1, self.o2, (i, j) = _two_cyclic_coordinates(self)
         a, b = np.divmod(np.arange(self.o1 * self.o2), self.o2)
         self.table = (np.array(_roots(self.o1))[np.outer(a, i) % self.o1]
                       * np.array(_roots(self.o2))[np.outer(b, j) % self.o2])
@@ -92,37 +99,43 @@ class TorusContext:
         norms = ext.norm_of(xi, eta)
         unit = norms % p != 0
         # the distinct norms of units (and of units with xi a unit), each
-        # with its first unit in `QuadExt.units` order
+        # with its first unit in (xi, eta) order
         self.norm_reps = {}
         for unit_xi, keep in ((False, unit), (True, unit & (xi % p != 0))):
             first = np.sort(np.unique(norms[keep], return_index=True)[1])
             self.norm_reps[unit_xi] = (norms[keep][first],
                                        np.stack([xi[keep], eta[keep]],
                                                 axis=1)[first])
+        # t = xi + eta nu acts as [[xi, eta], [nu^2 eta, xi]]
+        xi, eta = self.elems.T
+        self.mats = (np.stack([xi, eta, ext.nu2 * eta, xi], axis=1)
+                     .reshape(-1, 2, 2)
+                     % np.array(self.module.moduli)[:, None])
         self.rep = RingWeilRep(self.module)
         self.dim = self.rep.dim
-        self._emb_cache = {}
-        self.ops = self.rep.blocks([self.embed(t) for t in self.C])
+        self.ops = self.rep.blocks(self.mats)
 
-    # -- embedding -------------------------------------------------------------
+    def index_of(self, t) -> int:
+        """The index in C of the pair t = (xi, eta)."""
+        ext = self.ext
+        i = int(self._at[t[0] % ext.mod_xi * ext.mod_eta + t[1] % ext.mod_eta])
+        if i < 0:
+            raise KeyError(f"{tuple(t)} is not an element of C")
+        return i
+
+    def _indices(self, a) -> np.ndarray:
+        """The index in C of each pair of an (..., 2) array of elements."""
+        return self._at[a @ (self.ext.mod_eta, 1)]
 
     def embed(self, t) -> GroupElem:
-        g = self._emb_cache.get(t)
-        if g is None:
-            if self.tspec.kind == "unramified":
-                mat = [[t.xi, t.eta], [self.d * t.eta, t.xi]]
-            else:
-                mat = [[t.xi, t.eta], [self.p * t.eta, t.xi]]
-            g = GroupElem(self.module, mat)
-            self._emb_cache[t] = g
-        return g
+        return GroupElem(self.module, self.mats[self.index_of(t)].tolist())
 
     # -- congruence subgroups ----------------------------------------------------
 
-    def subgroup(self, j: int):
-        """Image of the j-th congruence subgroup in the finite quotient."""
-        j = min(j, self.level)
-        return [t for t, depth in zip(self.C, self.depth) if depth >= j]
+    def subgroup(self, j: int) -> np.ndarray:
+        """Image of the j-th congruence subgroup in the finite quotient, as
+        an array of pairs."""
+        return self.ext.congruence_subgroup(self.elems, min(j, self.level))
 
     def visibility_depth(self) -> int:
         """Smallest j whose congruence subgroup is trivial here."""
@@ -156,8 +169,9 @@ class TorusContext:
             raise ValueError("need j < lam <= 3j+1")
         return (((-1) ** lam) * half * b) % mod, mod
 
-    def chi_blj(self, b: int, lam: int, j: int):
-        """The congruence-subgroup character cut out by the trace form.
+    def chi_blj(self, b: int, lam: int, j: int) -> np.ndarray:
+        """The congruence-subgroup character cut out by the trace form, as
+        its values on C (meaningful on its domain).
 
         Unramified: defined on T_j for j < lam <= 3j, conductor lam iff b is
         a unit; value psi(-b*d*eta_t / (2 p^lam)).  Ramified: defined on
@@ -165,7 +179,7 @@ class TorusContext:
         psi((-1)^lam * b * eta_t / (2 p^lam)).
         """
         coeff, mod = self._blj_coeff(b, lam, j)
-        return lambda t: unit_phase(coeff * t.eta, mod)
+        return np.array(_roots(mod))[coeff * self.eta % mod]
 
     def eta0(self, t) -> int:
         """The excluded conductor-one character, by its closed form.
@@ -179,37 +193,19 @@ class TorusContext:
         return 1 if val == 0 else val
 
     def eta0_via_hilbert90(self, t) -> int:
-        """eta0 through a solution g = z * conj(z)^{-1} at the residue level."""
+        """eta0 through a solution g = z * conj(z)^{-1}, that is
+        z^2 = N(z) g, among the residue units z."""
         if self.tspec.kind != "unramified":
             raise ValueError("eta0 lives on unramified tori")
-        ext1 = QuadExt(self.p, "unramified", 1, d=self.d % self.p)
-        g1 = ext1.elem(t.xi, t.eta)
-        for z in ext1.units():
-            if ext1.mul(z, ext1.inv(ext1.conj(z))) == g1:
-                return legendre(ext1.norm(z), self.p)
-        raise ArithmeticError("no Hilbert-90 solution found")
-
-    def theta_j(self, eta: int, j: int):
-        """The unique congruence element with prescribed nu-coordinate.
-
-        Unramified: the element of T_j whose eta-part is p^j * eta;
-        ramified: the element of T_{2j+1} with eta-part p^j * eta.
-        """
         p = self.p
-        if self.tspec.kind == "unramified":
-            if j < 1:
-                raise ValueError("need j >= 1")
-            sub = self.subgroup(j)
-        else:
-            sub = self.subgroup(2 * j + 1)
-        target = (p ** j * eta) % self.ext.mod_eta
-        hits = [t for t in sub
-                if t.eta == target and (t.xi - 1) % p == 0]
-        if len(hits) != 1:
-            raise ValueError(
-                f"theta_{j}({eta}) not determined at truncation "
-                f"{self.level}: {len(hits)} candidates")
-        return hits[0]
+        ext1 = QuadExt(p, "unramified", 1, d=self.d % p)
+        z = np.stack(np.divmod(np.arange(p * p), p), axis=1)
+        norms = ext1.norm_of(z[:, 0], z[:, 1])
+        hits = (norms != 0) & (ext1.mul(z, z) == norms[:, None]
+                               * np.asarray(t) % p).all(axis=1)
+        if not hits.any():
+            raise ArithmeticError("no Hilbert-90 solution found")
+        return legendre(int(norms[np.argmax(hits)]), p)
 
     # -- the multiplicity table -------------------------------------------------
 
@@ -271,17 +267,15 @@ class TorusContext:
         s = p ** ((e_tot + 1) // 2)
         return self.module.reduce((s * a.eta, s * a.xi))
 
-    def _coset_reps_mod(self, sub):
-        reps, covered = [], set()
-        for t in self.C:
-            if t not in covered:
-                reps.append(t)
-                covered.update(t * s for s in sub)
-        return reps
+    def _coset_reps(self, sub) -> np.ndarray:
+        """Indices in C of the first element of each coset of the subgroup
+        sub (an array of pairs), in the order of C."""
+        cosets = self._indices(self.ext.mul(self.elems[:, None], sub[None]))
+        return np.unique(cosets.min(axis=1))
 
     def _match_b(self, chi, lam: int, j: int, restrict_j: int,
                  unit_xi: bool = False):
-        """The first unit a, in `QuadExt.units` order, with
+        """The first unit a, in (xi, eta) order, with
         chi = chi_{N(a), lam, j} on T_restrict_j, or None."""
         norms, units = self.norm_reps[unit_xi]
         coeff, mod = self._blj_coeff(norms % self.p ** lam, lam, j)
@@ -291,7 +285,7 @@ class TorusContext:
         if not match.any():
             return None
         xi, eta = units[np.argmax(match)]
-        return self.ext.elem(int(xi), int(eta))
+        return QuadElem(int(xi), int(eta))
 
     def eigenvector(self, chi: "TorusChar"):
         """Explicit weight vector for an appearing character.
@@ -349,9 +343,10 @@ class TorusContext:
         """sum of chi(g^{-1}) S(g) applied to the delta seed at point, over
         the coset representatives g of sub in C."""
         seed = self.rep.delta_vec(point, sigma_vec=sigma_vec)
-        reps = self._coset_reps_mod(sub)
-        weights = np.array([chi(g.inv()) for g in reps])
-        return weights @ self.ops.apply(seed)[[self._index[g] for g in reps]]
+        reps = self._coset_reps(sub)
+        inverses = self._indices(self.elems[reps] * (1, -1)
+                                 % (self.ext.mod_xi, self.ext.mod_eta))
+        return self.table[chi.row, inverses] @ self.ops.apply(seed)[reps]
 
     def eigen_residual(self, chi, vec) -> float:
         """max over t in C of |S(t) vec - chi(t) vec| / |vec|."""
@@ -374,7 +369,7 @@ class TorusChar:
     row: int
 
     def __call__(self, t) -> complex:
-        return complex(self.ctx.table[self.row, self.ctx._index[t]])
+        return complex(self.ctx.table[self.row, self.ctx.index_of(t)])
 
     def __mul__(self, other: "TorusChar") -> "TorusChar":
         ctx = self.ctx
@@ -395,42 +390,44 @@ class TorusChar:
         return self.label
 
 
-def _order_of(ext, t):
-    k = 1
-    cur = t
-    one = ext.one
-    while cur != one:
-        cur = ext.mul(cur, t)
-        k += 1
-        if k > 10 ** 6:
-            raise ArithmeticError("order computation ran away")
-    return k
+def _power(ext, a, k) -> np.ndarray:
+    """a^k for an (..., 2) array a and nonnegative integers k broadcasting
+    against a[..., 0], by repeated squaring."""
+    k = np.asarray(k)
+    out = np.broadcast_to((1, 0), np.broadcast(a[..., 0], k).shape + (2,))
+    while k.any():
+        out = np.where((k % 2 == 1)[..., None], ext.mul(out, a), out)
+        a, k = ext.mul(a, a), k // 2
+    return out
 
 
-def _two_cyclic_coordinates(ext, C: list):
+def _two_cyclic_coordinates(ctx):
     """C = (prime-to-p) x (p-part), both cyclic: the generator orders
-    (o1, o2) and the coordinates (i, j) with t = g1^i g2^j of each t in C."""
-    N = len(C)
-    p = ext.p
-    p_part = 1
-    while N % (p_part * p) == 0:
-        p_part *= p
-    A = N // p_part
-    g1 = max(C, key=lambda t: _order_of(ext, ext.pow(t, p_part)))
-    g1 = ext.pow(g1, p_part)
-    g2 = max(C, key=lambda t: _order_of(ext, ext.pow(t, A)))
-    g2 = ext.pow(g2, A)
-    o1, o2 = _order_of(ext, g1), _order_of(ext, g2)
+    (o1, o2) and the coordinates (i, j) with t = g1^i g2^j of each t in C.
+    g1 (g2) is the p_part-th (A-th) power of the first element of C whose
+    such power has the largest order."""
+    ext, C, N = ctx.ext, ctx.elems, len(ctx.elems)
+    p_part = ext.p ** next(e for e in range(N) if N % ext.p ** (e + 1))
+    divisors = np.array([k for k in range(1, N + 1) if N % k == 0])
+    # the order of t is the least divisor k of N with t^k = 1, and that of
+    # t^e is ord(t) / gcd(ord(t), e)
+    ones = (_power(ext, C[:, None], divisors) == (1, 0)).all(axis=-1)
+    orders = divisors[np.argmax(ones, axis=1)]
+    gens = []
+    for e in (p_part, N // p_part):
+        power_orders = orders // np.gcd(orders, e)
+        first = np.argmax(power_orders)
+        gens.append((_power(ext, C[first], e), int(power_orders[first])))
+    (g1, o1), (g2, o2) = gens
     if o1 * o2 != N:
         raise AssertionError("torus quotient is not two-cyclic as expected")
-    coords = {}
-    for i in range(o1):
-        gi = ext.pow(g1, i)
-        for j in range(o2):
-            coords[ext.mul(gi, ext.pow(g2, j))] = (i, j)
-    if len(coords) != N:
+    i, j = np.divmod(np.arange(N), o2)
+    at = ctx._indices(ext.mul(_power(ext, g1, i), _power(ext, g2, j)))
+    if len(np.unique(at)) != N:
         raise AssertionError("generator decomposition failed")
-    return o1, o2, np.array([coords[t] for t in C]).T
+    coords = np.empty((2, N), dtype=int)
+    coords[:, at] = i, j
+    return o1, o2, coords
 
 
 # -- top-level operations -----------------------------------------------------
@@ -471,7 +468,7 @@ def _twist_candidates(ctx: TorusContext, cap: int):
     _, k = abelianization_character(G, 0)
     for a in range(1, k):
         chi, _ = abelianization_character(G, a)
-        out.append((f"ab^{a}", chi([ctx.embed(t) for t in ctx.C])))
+        out.append((f"ab^{a}", chi(ctx.mats)))
     return out, None
 
 
@@ -484,8 +481,11 @@ def product_torus_multiplicities(tspecs: list):
     big = direct_sum(cA.module, cB.module)
     iso = direct_sum_isotropic(big, cA.rep.iso, cB.rep.iso)
     rep = RingWeilRep(big, iso)
-    T = traces(rep, [embed_pair(big, cA.embed(tA), cB.embed(tB))
-                     for tA in cA.C for tB in cB.C])
+    dA, dB = cA.module.dim, cB.module.dim
+    stack = np.zeros((len(cA.C), len(cB.C), dA + dB, dA + dB), dtype=np.int64)
+    stack[:, :, :dA, :dA] = cA.mats[:, None]
+    stack[:, :, dA:, dA:] = cB.mats[None]
+    T = traces(rep, stack.reshape(-1, dA + dB, dA + dB))
     T = T.reshape(len(cA.C), len(cB.C))
     vals = cA.table.conj() @ T @ cB.table.conj().T / T.size
     mults = np.rint(vals.real).astype(int)

@@ -471,14 +471,63 @@ def test_apply_matches_dense_on_torus_stacks(args):
     _check_apply(ctx.ops)
 
 
+# -- a tuple arithmetic of the torus extension, apart from QuadExt's arrays ---
+
+
+def ref_mul(ctx, a, b):
+    ext = ctx.ext
+    nu2 = ext.d if ext.kind == "unramified" else ext.p
+    return ((a[0] * b[0] + nu2 * a[1] * b[1]) % ext.mod_xi,
+            (a[0] * b[1] + a[1] * b[0]) % ext.mod_eta)
+
+
+def ref_pow(ctx, a, k):
+    out = (1, 0)
+    for _ in range(k):
+        out = ref_mul(ctx, out, a)
+    return out
+
+
+def ref_order(ctx, a):
+    k, cur = 1, tuple(a)
+    while cur != (1, 0):
+        cur, k = ref_mul(ctx, cur, a), k + 1
+    return k
+
+
+def ref_norm(ctx, a):
+    return ref_mul(ctx, a, (a[0], -a[1]))[0]
+
+
+def ref_units(ctx):
+    """The units of the truncated ring, in (xi, eta) order."""
+    ext = ctx.ext
+    return [(x, y) for x in range(ext.mod_xi) for y in range(ext.mod_eta)
+            if ref_norm(ctx, (x, y)) % ctx.p]
+
+
+def ref_subgroup(ctx, j):
+    """T_j, the t in C with t - 1 in pi^j: xi = 1 and eta = 0 modulo p^j
+    (unramified), or modulo p^ceil(j/2) and p^floor(j/2) (ramified)."""
+    a, b = (j, j) if ctx.ext.kind == "unramified" else ((j + 1) // 2, j // 2)
+    return [t for t in ctx.C
+            if (t.xi - 1) % ctx.p ** a == 0 and t.eta % ctx.p ** b == 0]
+
+
 # -- torus weight sums and residuals: the loops over dense operators ----------
 
 
 def reference_weight_sum(ctx, chi, sub, point, sigma_vec=None):
+    """Over the first element g of each coset of sub in the order of C."""
     seed = ctx.rep.delta_vec(point, sigma_vec=sigma_vec)
     out = np.zeros(ctx.rep.dim, dtype=complex)
-    for g in ctx._coset_reps_mod(sub):
-        out += chi(g.inv()) * (ctx.rep.op(ctx.embed(g)) @ seed)
+    sub, covered = [tuple(s) for s in np.asarray(sub).tolist()], set()
+    for g in ctx.C:
+        if g in covered:
+            continue
+        covered.update(ref_mul(ctx, g, s) for s in sub)
+        g_inv = ref_pow(ctx, g, ref_order(ctx, g) - 1)
+        out += chi(g_inv) * (ctx.rep.op(ctx.embed(g)) @ seed)
     return out
 
 
@@ -528,22 +577,22 @@ def test_torus_weight_sums_and_residuals_match_reference(args):
 def reference_characters(ctx):
     """(label, {t: chi(t)}) for every character of C = <g1> x <g2>, with g1
     of prime-to-p order and g2 of p-power order, a outer and b inner."""
-    ext, C, p = ctx.ext, ctx.C, ctx.p
+    C, p = ctx.C, ctx.p
 
     def order(t):
-        k, cur = 1, t
-        while cur != ext.one:
-            cur, k = ext.mul(cur, t), k + 1
-        return k
+        return ref_order(ctx, t)
+
+    def pw(t, k):
+        return ref_pow(ctx, t, k)
 
     p_part = 1
     while len(C) % (p_part * p) == 0:
         p_part *= p
     A = len(C) // p_part
-    g1 = ext.pow(max(C, key=lambda t: order(ext.pow(t, p_part))), p_part)
-    g2 = ext.pow(max(C, key=lambda t: order(ext.pow(t, A))), A)
+    g1 = pw(max(C, key=lambda t: order(pw(t, p_part))), p_part)
+    g2 = pw(max(C, key=lambda t: order(pw(t, A))), A)
     o1, o2 = order(g1), order(g2)
-    coords = {ext.mul(ext.pow(g1, i), ext.pow(g2, j)): (i, j)
+    coords = {ref_mul(ctx, pw(g1, i), pw(g2, j)): (i, j)
               for i in range(o1) for j in range(o2)}
     assert len(coords) == len(C)
     return [(f"chi[{a},{b}]",
@@ -555,8 +604,7 @@ def reference_characters(ctx):
 def reference_conductor(ctx, chi):
     """Smallest lam with chi trivial on the congruence subgroup T_lam."""
     for lam in range(ctx.level + 1):
-        if all(abs(chi[t] - 1) < 1e-9
-               for t in ctx.ext.congruence_subgroup(ctx.C, lam)):
+        if all(abs(chi[t] - 1) < 1e-9 for t in ref_subgroup(ctx, lam)):
             return lam
     raise ValueError("conductor not resolvable")
 
@@ -574,13 +622,13 @@ def reference_chi_blj(ctx, b, lam, j):
 
 
 def reference_match_b(ctx, chi, lam, j, restrict_j, unit_xi=False):
-    """The first unit of `QuadExt.units` whose chi_{N(a), lam, j} is chi on
-    T_restrict_j."""
-    sub = ctx.ext.congruence_subgroup(ctx.C, min(restrict_j, ctx.level))
-    for a in ctx.ext.units():
-        if unit_xi and a.xi % ctx.p == 0:
+    """The first unit, in (xi, eta) order, whose chi_{N(a), lam, j} is chi
+    on T_restrict_j."""
+    sub = ref_subgroup(ctx, min(restrict_j, ctx.level))
+    for a in ref_units(ctx):
+        if unit_xi and a[0] % ctx.p == 0:
             continue
-        f = reference_chi_blj(ctx, ctx.ext.norm(a) % ctx.p ** lam, lam, j)
+        f = reference_chi_blj(ctx, ref_norm(ctx, a) % ctx.p ** lam, lam, j)
         if all(abs(chi[t] - f(t)) < 1e-9 for t in sub):
             return a
     return None
@@ -609,8 +657,8 @@ def reference_predicate(ctx, chi, cond):
         if cond % 2:
             return False
         j = cond // 2
-        sub = ctx.ext.congruence_subgroup(ctx.C, j)
-        for b in sorted({ctx.ext.norm(a) for a in ctx.ext.units()}):
+        sub = ref_subgroup(ctx, j)
+        for b in sorted({ref_norm(ctx, a) for a in ref_units(ctx)}):
             f = reference_chi_blj(ctx, b % ctx.p ** j, j, j // 2)
             if all(abs(chi[t] - f(t)) < 1e-9 for t in sub):
                 return True
@@ -620,9 +668,9 @@ def reference_predicate(ctx, chi, cond):
     if cond % 2 == 0:
         return False
     j = (cond - 1) // 2
-    sub = ctx.ext.congruence_subgroup(ctx.C, j + 1)
-    for b in sorted({ctx.ext.norm(a) for a in ctx.ext.units()
-                     if a.xi % ctx.p != 0}):
+    sub = ref_subgroup(ctx, j + 1)
+    for b in sorted({ref_norm(ctx, a) for a in ref_units(ctx)
+                     if a[0] % ctx.p != 0}):
         f = reference_chi_blj(ctx, b % ctx.p ** cond, cond, j + 1)
         if all(abs(chi[t] - f(t)) < 1e-9 for t in sub):
             return True

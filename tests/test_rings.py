@@ -1,6 +1,7 @@
-import random
-
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilrep.rings import QuadExt, legendre, unit_phase, vp
 
@@ -64,43 +65,46 @@ def test_val_total():
 
 def test_quad_norm_examples():
     ext = QuadExt(3, "unramified", 1, d=2)
-    z = ext.elem(1, 1)
-    assert ext.norm(z) == (1 - 2) % 3 == 2
+    assert ext.norm_of(1, 1) == (1 - 2) % 3 == 2
     ram = QuadExt(3, "ramified", 3)
-    w = ram.elem(1, 1)
-    assert ram.norm(w) == (1 - 3) % 9
+    assert ram.norm_of(1, 1) == (1 - 3) % 9
 
 
-def test_quad_elements_of_different_extensions_differ():
-    # same kind, level and coordinates; the extensions differ only in p or d
-    for e1, e2 in ((QuadExt(3, "unramified", 1, d=2),
-                    QuadExt(5, "unramified", 1, d=2)),
-                   (QuadExt(5, "unramified", 1, d=2),
-                    QuadExt(5, "unramified", 1, d=3))):
-        z1, z2 = e1.elem(1, 0), e2.elem(1, 0)
-        assert z1 != z2
-        assert len({z1, z2}) == 2
-        assert z1 == e1.one and hash(z1) == hash(e1.one)
+def ring(ext):
+    """Every element of the truncated ring, as an (M, 2) array."""
+    return np.stack(np.divmod(np.arange(ext.mod_xi * ext.mod_eta),
+                              ext.mod_eta), axis=1)
+
+
+def conj(ext, a):
+    return np.asarray(a) * (1, -1) % (ext.mod_xi, ext.mod_eta)
+
+
+def as_set(a):
+    return set(map(tuple, np.asarray(a).tolist()))
 
 
 def test_conjugation_involution_and_trace():
-    random.seed(0)
+    rng = np.random.default_rng(0)
     for ext in (QuadExt(3, "unramified", 2), QuadExt(3, "ramified", 4)):
-        for _ in range(25):
-            z = ext.elem(random.randrange(ext.mod_xi),
-                         random.randrange(ext.mod_eta))
-            assert ext.conj(ext.conj(z)) == z
-            assert ext.trace(z) == (2 * z.xi) % ext.mod_xi
+        z = rng.integers(0, (ext.mod_xi, ext.mod_eta), size=(25, 2))
+        assert (conj(ext, conj(ext, z)) == z).all()
+        # z * conj(z) = N(z), and N(z + 1) - N(z) - 1 = Tr(z) = 2 xi
+        xi, eta = z.T
+        assert (ext.mul(z, conj(ext, z))
+                == np.stack([ext.norm_of(xi, eta), 0 * xi], axis=1)).all()
+        assert ((ext.norm_of(xi + 1, eta) - ext.norm_of(xi, eta) - 1)
+                % ext.mod_xi == 2 * xi % ext.mod_xi).all()
 
 
 def test_norm_multiplicative_exhaustive():
     for level in (1, 2):
         ext = QuadExt(3, "unramified", level)
-        els = list(ext.elements())
-        for z in els:
-            for w in els:
-                assert ext.norm(ext.mul(z, w)) == \
-                    (ext.norm(z) * ext.norm(w)) % ext.mod_xi
+        z = ring(ext)
+        prod = ext.mul(z[:, None], z[None])
+        assert (ext.norm_of(*np.moveaxis(prod, -1, 0))
+                == np.multiply.outer(ext.norm_of(*z.T), ext.norm_of(*z.T))
+                % ext.mod_xi).all()
 
 
 def test_norm_one_orders():
@@ -108,31 +112,29 @@ def test_norm_one_orders():
     assert len(QuadExt(3, "unramified", 2).norm_one_group()) == 12
     ram = QuadExt(3, "ramified", 3)
     T = ram.norm_one_group()
-    assert len(T) == 6
-    minus_one = ram.elem(-1, 0)
-    assert minus_one in T
+    assert T.shape == (6, 2)
+    assert T.tolist() == sorted(T.tolist())
+    assert (ram.mod_xi - 1, 0) in as_set(T)
     # {+-1} x congruence part
     T1 = ram.congruence_subgroup(T, 1)
     assert len(T1) == 3
-    assert set(T) == {ram.mul(s, t)
-                      for s in (ram.one, minus_one) for t in T1}
+    assert as_set(T) == as_set(ram.mul([[1, 0], [-1, 0]], T1[:, None])
+                               .reshape(-1, 2))
 
 
 def test_norm_one_closure():
     for ext in (QuadExt(3, "unramified", 2), QuadExt(3, "ramified", 4),
                 QuadExt(5, "unramified", 1)):
         T = ext.norm_one_group()
-        Ts = set(T)
-        for z in T:
-            assert ext.inv(z) in Ts
-            for w in T:
-                assert ext.mul(z, w) in Ts
+        assert (ext.mul(T, conj(ext, T)) == (1, 0)).all()
+        assert as_set(ext.mul(T[:, None], T[None]).reshape(-1, 2)) \
+            == as_set(T)
 
 
 def test_congruence_filtration():
     ext = QuadExt(3, "unramified", 2)
     T = ext.norm_one_group()
-    assert ext.congruence_subgroup(T, 0) == T
+    assert (ext.congruence_subgroup(T, 0) == T).all()
     assert len(T) // len(ext.congruence_subgroup(T, 1)) == 4
     with pytest.raises(ValueError):
         ext.congruence_subgroup(T, 99)
@@ -142,8 +144,34 @@ def test_ramified_congruence_collapse():
     # depth 2j and 2j+1 agree for j > 0
     ext = QuadExt(3, "ramified", 6)
     T = ext.norm_one_group()
-    assert ext.congruence_subgroup(T, 2) == ext.congruence_subgroup(T, 3)
-    assert ext.congruence_subgroup(T, 4) == ext.congruence_subgroup(T, 5)
+    for j in (1, 2):
+        assert (ext.congruence_subgroup(T, 2 * j)
+                == ext.congruence_subgroup(T, 2 * j + 1)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([3, 5, 7]),
+       kind=st.sampled_from(["unramified", "ramified"]),
+       level=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_array_group_law(p, kind, level, seed):
+    if kind == "unramified":
+        level = min(level, 3)
+    ext = QuadExt(p, kind, level)
+    mods = (ext.mod_xi, ext.mod_eta)
+    z, w, v = np.random.default_rng(seed).integers(0, mods, size=(3, 200, 2))
+    assert (ext.norm_of(*ext.mul(z, w).T)
+            == ext.norm_of(*z.T) * ext.norm_of(*w.T) % ext.mod_xi).all()
+    assert (ext.mul(ext.mul(z, w), v) == ext.mul(z, ext.mul(w, v))).all()
+    assert (ext.mul(z, (1, 0)) == z).all() and (ext.mul((1, 0), z) == z).all()
+    C = ext.norm_one_group()
+    assert (ext.mul(C, conj(ext, C)) == (1, 0)).all()
+    assert as_set(ext.mul(C[:, None], C[None]).reshape(-1, 2)) == as_set(C)
+    if kind == "unramified":
+        assert len(C) == (p + 1) * p ** (level - 1)
+        return
+    for j in range(1, (level - 1) // 2 + 1):
+        assert (ext.congruence_subgroup(C, 2 * j)
+                == ext.congruence_subgroup(C, 2 * j + 1)).all()
 
 
 def test_unit_phase_cache():
