@@ -8,7 +8,6 @@ the exit code is 0 iff no check fails, and 2 for invalid arguments.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -133,11 +132,10 @@ def cmd_field(args) -> int:
                       measured={"group_order": len(els), "pairs": args.samples},
                       residual=worst)
 
-    W = list(itertools.product(range(p), repeat=2 * l))
     worst = 0.0
     for _ in range(1000):
         g = rng.choice(els)
-        w = rng.choice(W)
+        w = _draw_point(rng, (p,) * (2 * l))
         t = rng.randrange(p)
         U = rep.op(g)
         lhs = U @ rep.rho(w, t) @ U.conj().T
@@ -214,7 +212,7 @@ def cmd_ring(args) -> int:
     if args.twist:
         chi, k = rr.abelianization_character(G, args.twist)
         rep_doc.doc["config"]["twist_order"] = k
-        rep = rr.TwistedRep(rep, chi)
+        rep.twist = chi
     summands = rr.decompose(rep, G)
     dims = sorted(s.dim for s in summands)
     rep_doc.check("summand-count", "summand-count", True,
@@ -252,13 +250,19 @@ def _skip_model(rep_doc, dim, args):
     return rep_doc.finish(args.out)
 
 
+def _draw_point(rng, moduli):
+    """A uniform point of the product of the Z/m, drawn as one index in C
+    order: the same draw as rng.choice over the list of all points."""
+    index = rng.randrange(math.prod(moduli))
+    return tuple(int(x) for x in np.unravel_index(index, moduli))
+
+
 def _check_intertwining(rep_doc, rep, elements, rng, tol):
     """S(g) rho(w, t) S(g)^* = rho(g w, t) for each g, drawing w and t from
     rng after each g is drawn."""
-    vecs = list(rep.spec.vectors())
     worst = 0.0
     for g in elements:
-        w = rng.choice(vecs)
+        w = _draw_point(rng, rep.spec.moduli)
         t = rng.randrange(rep.M)
         U = rep.op(g)
         lhs = U @ rep.heis_op(w, t) @ U.conj().T

@@ -10,8 +10,10 @@ through the reduction morphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -254,6 +256,9 @@ class RingWeilRep:
         self._rho_table = np.zeros((self.p ** k, self.sdim, self.sdim),
                                    dtype=complex)
         self._rho_known = np.zeros(self.p ** k, dtype=bool)
+        # a group character multiplied into every S(g) by `blocks`; set it
+        # before building any operator
+        self.twist = None
 
     def psi(self, c: int) -> complex:
         return unit_phase(self.scale * c, self.M)
@@ -309,14 +314,18 @@ class RingWeilRep:
         block-monomial form.
 
         Row coset x of S(g) has one nonzero block, in the column of the
-        coset of y = g^{-1} x: psi(beta(xc, u)/2) sigma(g) rho_res(u).
+        coset of y = g^{-1} x: psi(beta(xc, u)/2) sigma(g) rho_res(u),
+        times twist(g) when a twist is set.
         """
         d = self.spec.dim
         mats = np.asarray(gs, dtype=np.int64).reshape(-1, d, d)
         ginv = mat_inv_stack(mats, self.p, self.spec.n + 1)
         y = self.heis.pts @ ginv.transpose(0, 2, 1) % self.heis.mods
         cj, e, ubar = self.split(y)
-        return MonomialOps(cj, self.heis.phase(e), self._labels(ubar),
+        ph = self.heis.phase(e)
+        if self.twist is not None:
+            ph = ph * self.twist(mats)[:, None]
+        return MonomialOps(cj, ph, self._labels(ubar),
                            *self._sigma_blocks(mats), self._rho_table)
 
     def op(self, g: GroupElem) -> np.ndarray:
@@ -376,9 +385,10 @@ class MonomialOps:
     sidx: np.ndarray          # (N,) row of sig of each element
     rho: np.ndarray           # (labels, s, s) residue operators
 
+    @cached_property
     def _blocks(self) -> np.ndarray:
         """The nonzero block of every row coset of every element:
-        (N, C, s, s)."""
+        (N, C, s, s), built on first use."""
         return self.ph[..., None, None] * (self.sig[self.sidx][:, None]
                                            @ self.rho[self.labels])
 
@@ -388,7 +398,7 @@ class MonomialOps:
         s = self.sig.shape[-1]
         out = np.zeros((N, C, s, C, s), dtype=complex)
         out[np.arange(N)[:, None], np.arange(C), :, self.cj, :] = \
-            self._blocks()
+            self._blocks
         return out.reshape(N, C * s, C * s)
 
     def apply(self, V) -> np.ndarray:
@@ -396,33 +406,23 @@ class MonomialOps:
         (N, d) for a vector V of length d, (N, d, k) for a (d, k) matrix."""
         N, C = self.cj.shape
         s = self.sig.shape[-1]
-        out = self._blocks() @ V.reshape(C, s, -1)[self.cj]
+        out = self._blocks @ V.reshape(C, s, -1)[self.cj]
         return out.reshape((N, C * s) + V.shape[1:])
 
-    def traces(self) -> np.ndarray:
-        """tr S(g_n) over the cosets g_n fixes: (N,).  tr(sig rho) is
-        computed once per distinct (sigma, residue) pair."""
+    def traces(self, owner=None) -> np.ndarray:
+        """tr S(g_n) over the cosets g_n fixes: (N,), or (K, N) summed per
+        part when owner (C,) numbers the part 0..K-1 of each coset.
+        tr(sig rho) is computed once per distinct (sigma, residue) pair."""
         n, c = np.nonzero(self.cj == np.arange(self.cj.shape[1]))
         U = len(self.rho)
         pairs, which = np.unique(self.sidx[n] * U + self.labels[n, c],
                                  return_inverse=True)
         table = np.einsum("mab,mba->m", self.sig[pairs // U],
                           self.rho[pairs % U])
-        out = np.zeros(len(self.cj), dtype=complex)
-        np.add.at(out, n, self.ph[n, c] * table[which])
-        return out
-
-    def restricted_traces(self, P) -> np.ndarray:
-        """tr(P_k S(g_n)) for a stack of K matrices P viewed as (K, C, s, C,
-        s) blocks: (K, N), one row coset at a time to bound memory."""
-        sig = self.sig[self.sidx]
-        out = np.zeros((len(P), len(self.cj)), dtype=complex)
-        for c in range(self.cj.shape[1]):
-            block = self.ph[:, c, None, None] * (
-                sig @ self.rho[self.labels[:, c]])
-            out += np.einsum("nkab,nba->kn",
-                             P[:, self.cj[:, c], :, c, :], block)
-        return out
+        parts = np.zeros(self.cj.shape[1], int) if owner is None else owner
+        out = np.zeros((parts.max() + 1, len(self.cj)), dtype=complex)
+        np.add.at(out, (parts[c], n), self.ph[n, c] * table[which])
+        return out[0] if owner is None else out
 
 
 def faithful_model(spec: SympModule) -> tuple[SympModule, bool]:
@@ -451,7 +451,6 @@ def build_ring_rep(spec: SympModule, scale: int = 1,
                           else (spec, False))
     rep = RingWeilRep(model_spec, scale=scale)
     rep.lifted = lifted
-    rep.requested_spec = spec
     return rep
 
 
@@ -481,16 +480,13 @@ def sigma_gx(rep: RingWeilRep, G, x):
 # -- decomposition -----------------------------------------------------------
 
 
-@dataclass
-class Summand:
+class Summand(NamedTuple):
+    """The eps-eigenspace of S(-1) on the functions supported on one orbit
+    O of U-perp cosets."""
     label: tuple
     dim: int
-    basis: np.ndarray           # dim x d, orthonormal columns
-    projector: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.projector is None:
-            self.projector = self.basis @ self.basis.conj().T
+    cosets: np.ndarray          # indices in rep.cosets of the cosets of O
+    eps: int                    # the eigenvalue of S(-1) on the summand
 
 
 def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
@@ -498,46 +494,31 @@ def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
 
     Summands are labelled ('sigma', eps) for the zero-coset block and
     ('orbit', representative, eps) for each nonzero orbit of cosets;
-    eps is the -Id eigenvalue, omitted when -Id acts by a scalar there.
+    eps is the -Id eigenvalue, None in the label when -Id acts by a scalar
+    there.  With s the sigma-block size and tr_O S(-1) the trace of S(-1)
+    over the cosets of O, the eps-summand of O has dimension
+    (|O| s + eps tr_O S(-1))/2.
     """
     spec = rep.spec
     orbs = orbits(group.gens, rep.iso.uperp_box)
     zero = spec.quotient_reduce(spec.zero(), rep.iso.uperp_box)
-    S_minus = rep.op(GroupElem(spec, (-np.eye(spec.dim, dtype=int)).tolist()))
+    parts = [np.array([rep.cindex[c] for c in orb]) for orb in orbs]
+    owner = np.empty(len(rep.cosets), int)
+    for k, cosets in enumerate(parts):
+        owner[cosets] = k
+    minus = GroupElem(spec, (-np.eye(spec.dim, dtype=int)).tolist())
+    tr_minus = np.rint(rep.blocks([minus]).traces(owner)[:, 0].real)
     out = []
-    for orb in orbs:
-        sel = np.zeros(rep.dim, dtype=bool)
-        for c in orb:
-            i = rep.cindex[c]
-            sel[i * rep.sdim:(i + 1) * rep.sdim] = True
-        is_zero_orbit = (len(orb) == 1 and orb[0] == zero)
-        tag = "sigma" if is_zero_orbit else "orbit"
-        base_label = (tag,) if is_zero_orbit else (tag, orb[0])
-        Msub = S_minus[np.ix_(sel, sel)]
+    for orb, cosets, tr in zip(orbs, parts, tr_minus.astype(int).tolist()):
+        size = len(orb) * rep.sdim
+        label = ("sigma",) if orb == [zero] else ("orbit", orb[0])
         for eps in (+1, -1):
-            proj = (np.eye(Msub.shape[0]) + eps * Msub) / 2
-            d = int(round(np.trace(proj).real))
-            if d == 0:
-                continue
-            # orthonormal basis of the eps-eigenspace inside the support block
-            vals, vecs = np.linalg.eigh((proj + proj.conj().T) / 2)
-            cols = vecs[:, vals > 0.5]
-            full = np.zeros((rep.dim, cols.shape[1]), dtype=complex)
-            full[sel, :] = cols
-            label = base_label + ((eps,) if _minus_splits(Msub) else (None,))
-            out.append(Summand(label, cols.shape[1], full))
-            if not _minus_splits(Msub):
-                break
-    total = sum(s.dim for s in out)
-    if total != rep.dim:
+            if size + eps * tr:
+                out.append(Summand(label + (eps if abs(tr) != size else None,),
+                                   (size + eps * tr) // 2, cosets, eps))
+    if sum(sm.dim for sm in out) != rep.dim:
         raise AssertionError("summand dimensions do not sum to the model dim")
     return out
-
-
-def _minus_splits(Msub) -> bool:
-    """True when -Id acts on the block with both eigenvalues present."""
-    tr = np.trace(Msub).real
-    return abs(abs(tr) - Msub.shape[0]) > 1e-8
 
 
 # whole-group sums take the elements this many at a time, which bounds
@@ -547,29 +528,32 @@ def _minus_splits(Msub) -> bool:
 _CHUNK = 512
 
 
-def _chunks(rep, elements):
-    """(start, rep.blocks) over consecutive slices of a sequence."""
-    for start in range(0, len(elements), _CHUNK):
-        yield start, rep.blocks(elements[start:start + _CHUNK])
-
-
 def traces(rep, elements) -> np.ndarray:
     """tr S(g) for each element of a sequence or stack, in order."""
     out = np.empty(len(elements), dtype=complex)
-    for start, b in _chunks(rep, elements):
-        out[start:start + _CHUNK] = b.traces()
+    for start in range(0, len(elements), _CHUNK):
+        out[start:start + _CHUNK] = rep.blocks(
+            elements[start:start + _CHUNK]).traces()
     return out
 
 
 def summand_characters(rep, group: FiniteGroup, summands: list[Summand]):
-    """chi_s(g) = tr(P_s S(g)) per summand per group element, in element
-    order, from the block-monomial form of S(g)."""
-    C, s = len(rep.cosets), rep.sdim
-    projs = np.stack([sm.projector for sm in summands]).reshape(
-        len(summands), C, s, C, s)
+    """chi(g) = (tr_O S(g) + eps tr_O S(-g))/2 per summand (O, eps) per
+    group element, in element order, as S(-1) S(g) = S(-g).  Each chunk of
+    elements goes through `blocks` stacked with its negation, and the
+    traces over the cosets of each orbit O are summed at once."""
+    orbit, owner = {}, np.full(len(rep.cosets), len(summands))
+    for sm in summands:
+        owner[sm.cosets] = orbit.setdefault(int(sm.cosets[0]), len(orbit))
+    rows = [orbit[int(sm.cosets[0])] for sm in summands]
+    eps = np.array([sm.eps for sm in summands])[:, None]
     out = np.empty((len(summands), len(group)), dtype=complex)
-    for start, b in _chunks(rep, group.mats):
-        out[:, start:start + _CHUNK] = b.restricted_traces(projs)
+    for start in range(0, len(group), _CHUNK):
+        mats = group.mats[start:start + _CHUNK]
+        tr = rep.blocks(np.concatenate([mats, -mats % group._mods])).traces(
+            owner)[rows]
+        out[:, start:start + len(mats)] = (tr[:, :len(mats)]
+                                           + eps * tr[:, len(mats):]) / 2
     return out
 
 
@@ -642,28 +626,6 @@ def abelianization_character(group: FiniteGroup, a: int):
             raise KeyError("not an element of the group")
         return values[labels[idx]]
     return chi, k
-
-
-class TwistedRep:
-    """A representation multiplied by a character of the group."""
-
-    def __init__(self, rep: RingWeilRep, char):
-        self._rep = rep
-        self._char = char
-
-    def blocks(self, gs) -> MonomialOps:
-        out = self._rep.blocks(gs)
-        out.ph = out.ph * self._char(gs)[:, None]
-        return out
-
-    def op(self, g):
-        return self._char(g) * self._rep.op(g)
-
-    def trace(self, g):
-        return self._char(g) * self._rep.trace(g)
-
-    def __getattr__(self, name):
-        return getattr(self._rep, name)
 
 
 # -- tensor / direct-sum structure ---------------------------------------------

@@ -1,4 +1,5 @@
-"""The `torus` benchmark workload runs in-process and passes its own checks.
+"""The `torus` and `ring` benchmark workloads run in-process and pass their
+own checks.
 
 `bench/workloads.py` and `bench/child.py` are read and executed into fresh
 namespaces (nothing is written under `bench/`).  A CLI operation runs
@@ -33,8 +34,7 @@ WORKLOADS = _load("workloads").WORKLOADS
 CHILD = _load("child")
 
 
-@pytest.mark.parametrize("op", WORKLOADS["torus"], ids=lambda op: op["name"])
-def test_torus_operation_passes_its_check(op, tmp_path):
+def _check_operation(op, tmp_path):
     if op["kind"] == "cli":
         out = tmp_path / "report.json"
         assert main(op["argv"] + ["--seed", "1", "--out", str(out)]) == 0
@@ -42,4 +42,14 @@ def test_torus_operation_passes_its_check(op, tmp_path):
     else:
         result = CHILD.LIB[op["fn"]](**op["params"], seed=1)
         assert op["check"](json.loads(json.dumps(result)), op["params"]) == []
+
+
+@pytest.mark.parametrize("op", WORKLOADS["torus"], ids=lambda op: op["name"])
+def test_torus_operation_passes_its_check(op, tmp_path):
+    _check_operation(op, tmp_path)
+
+
+@pytest.mark.parametrize("op", WORKLOADS["ring"], ids=lambda op: op["name"])
+def test_ring_operation_passes_its_check(op, tmp_path):
+    _check_operation(op, tmp_path)
 

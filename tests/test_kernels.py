@@ -16,6 +16,7 @@ dict-valued characters and loops over units they replace, and
 """
 
 import random
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 from operator import mul
@@ -26,7 +27,7 @@ import pytest
 from weilrep.heisenberg import SchrodingerModel
 from weilrep.linalg import mat_inv, mat_mul, mat_vec
 from weilrep.oscillator import OscillatorRep, sl2_elements, sp_elements
-from weilrep.ring_rep import (_CHUNK, TwistedRep, abelianization_character,
+from weilrep.ring_rep import (_CHUNK, MonomialOps, abelianization_character,
                               abelianization_cosets, build_ring_rep,
                               canonical_isotropic, character_norm, decompose,
                               derived_subgroup, embed_pair, summand_characters,
@@ -323,17 +324,40 @@ def _check_ops(rep, elements, twist=lambda g: 1.0):
         assert abs(tr - np.trace(ref)) < 1e-12
 
 
+def _no_dense(self):
+    raise AssertionError("a dense operator was built")
+
+
 def _check_characters(rep, group, idx, twist=lambda g: 1.0):
-    """summand_characters of the whole group, at the columns idx."""
-    summands = decompose(rep, group)
-    chars = summand_characters(rep, group, summands)
+    """summand_characters of the whole group, at the columns idx, against
+    tr(P S(g)) with P = (1 + eps S(-1))/2 on the orbit's coset block built
+    from reference_op; decompose and summand_characters build no dense
+    operator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MonomialOps, "dense", _no_dense)
+        summands = decompose(rep, group)
+        chars = summand_characters(rep, group, summands)
     assert chars.shape == (len(summands), len(group))
+    s = rep.sdim
+    minus = GroupElem(rep.spec, (-np.eye(rep.spec.dim, dtype=int)).tolist())
+    S_minus = twist(minus) * reference_op(rep, minus)
+    gen_ops = [twist(g) * reference_op(rep, g) for g in group.gens]
+    projs = []
+    for sm in summands:
+        sel = np.zeros(rep.dim)
+        for c in sm.cosets:
+            sel[c * s:(c + 1) * s] = 1.0
+        P = (np.diag(sel) + sm.eps * sel[:, None] * S_minus * sel) / 2
+        assert np.abs(P @ P - P).max() < 1e-12
+        for S in gen_ops:
+            assert np.abs(P @ S - S @ P).max() < 1e-12
+        assert abs(np.trace(P) - sm.dim) < 1e-12
+        projs.append(P)
+    assert np.abs(sum(projs) - np.eye(rep.dim)).max() < 1e-12
     for i in idx:
-        g = group[i]
-        op = twist(g) * reference_op(rep, g)
-        for si, sm in enumerate(summands):
-            ref = np.einsum("ij,ji->", sm.projector, op)
-            assert abs(chars[si, i] - ref) < 1e-12
+        op = twist(group[i]) * reference_op(rep, group[i])
+        for si, P in enumerate(projs):
+            assert abs(chars[si, i] - np.einsum("ij,ji->", P, op)) < 1e-12
 
 
 def _sample_idx(n, k, seed):
@@ -400,9 +424,29 @@ def test_twisted_rep_matches_reference():
     G = symplectic_group(rep.spec)
     chi, k = abelianization_character(G, 1)
     assert k == 3
-    twisted = TwistedRep(rep, chi)
-    _check_ops(twisted, list(G), twist=chi)
-    _check_characters(twisted, G, range(len(G)), twist=chi)
+    rep.twist = chi
+    _check_ops(rep, list(G), twist=chi)
+    _check_characters(rep, G, range(len(G)), twist=chi)
+    # the Heisenberg operators stay untwisted
+    w, t = (1, 2), 4
+    assert np.abs(rep.heis_op(w, t)
+                  - reference_heis_op(rep, w, t)).max() < 1e-12
+
+
+@pytest.mark.parametrize("args, dims", [((3, 2, 0, 1), [1, 40, 40]),
+                                        ((5, 1, 1, 1), [2, 3, 60, 60]),
+                                        ((3, 1, 1, 2),
+                                         [1, 2, 12, 12, 108, 108])], ids=str)
+def test_decompose_from_generators_alone(args, dims, monkeypatch):
+    """One summand per orbit of the generators on W, with no closure and no
+    dense operator."""
+    rep = build_ring_rep(SympModule.standard(*args))
+    gens = transvection_generators(rep.spec)
+    monkeypatch.setattr(MonomialOps, "dense", _no_dense)
+    summands = decompose(rep, FiniteGroup([GroupElem.identity(rep.spec)],
+                                          gens))
+    assert sorted(sm.dim for sm in summands) == dims
+    assert len(summands) == len(orbits(gens, rep.spec.exps))
 
 
 @pytest.mark.parametrize("args", [(3, 1, 0, 1), (3, 1, 1, 1), (3, 2, 1, 1)],
@@ -437,9 +481,39 @@ def _check_apply(ops, seed=0):
 def test_apply_matches_dense_on_ring_3101_and_twist():
     rep = build_ring_rep(SympModule.standard(3, 1, 0, 1))
     G = symplectic_group(rep.spec)
-    _check_apply(rep.blocks(G.mats))
+    plain = rep.blocks(G.mats)
+    _check_apply(plain)
     chi, _ = abelianization_character(G, 1)
-    _check_apply(TwistedRep(rep, chi).blocks(G.mats), seed=1)
+    rep.twist = chi
+    twisted = rep.blocks(G.mats)
+    _check_apply(twisted, seed=1)
+    assert np.abs(twisted.dense()
+                  - chi(G.mats)[:, None, None] * plain.dense()).max() < 1e-12
+
+
+class _CountingIndex(np.ndarray):
+    """An array that counts the times it is indexed."""
+    count = 0
+
+    def __getitem__(self, key):
+        _CountingIndex.count += 1
+        return np.asarray(self)[key]
+
+
+def test_blocks_are_built_once_per_instance():
+    rep = build_ring_rep(SympModule.standard(3, 1, 1, 1))
+    G = symplectic_group(rep.spec)
+    ops = rep.blocks(G.mats[:40])
+    dense = ops.dense()
+    # the residue table is gathered once per build of the block product
+    counted = replace(ops, rho=ops.rho.view(_CountingIndex))
+    _CountingIndex.count = 0
+    rng = np.random.default_rng(7)
+    for shape in ((rep.dim,), (rep.dim, 2)):
+        V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.abs(counted.apply(V) - dense @ V).max() < 1e-12
+    assert np.abs(counted.dense() - dense).max() == 0
+    assert _CountingIndex.count == 1
 
 
 def test_apply_matches_dense_across_a_chunk_boundary_3111():
