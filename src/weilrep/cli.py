@@ -108,38 +108,38 @@ def cmd_field(args) -> int:
     rep_doc.check("hasse-davenport", "hasse-davenport", hd <= tol, residual=hd)
 
     rep = osc.OscillatorRep(l, p)
-    els = osc.sp_elements(l, p)
-    exhaustive = len(els) <= 150
+    G = symplectic_group(SympModule.standard(p, l, 0, 0))
+    mats, order = G.mats, len(G)
+    exhaustive = order <= 150
+    # every element, point and level is drawn before any check runs, in
+    # the order in which the checks use them
+    pairs = None if exhaustive else np.array(
+        [(rng.randrange(order), rng.randrange(order))
+         for _ in range(args.samples)])
+    draws = [(rng.randrange(order), _draw_point(rng, (p,) * (2 * l)),
+              rng.randrange(p)) for _ in range(1000)]
     if exhaustive:
-        ops = {g: rep.op(g) for g in els}
-        worst = 0.0
-        for g in els:
-            A = ops[g]
-            for h in els:
-                worst = max(worst, float(np.abs(
-                    A @ ops[h] - ops[osc.mat_mul(g, h, p)]).max()))
-        rep_doc.check("homomorphism-exhaustive", "genuine-splitting",
-                      worst <= tol, measured={"group_order": len(els)},
-                      residual=worst)
+        S = rep.ops(mats)
+        prods = G.find(mats[:, None] @ mats[None] % p)
+        worst = max(float(np.abs(S[i] @ S - S[prods[i]]).max())
+                    for i in range(order))
     else:
         worst = 0.0
-        for _ in range(args.samples):
-            g, h = rng.choice(els), rng.choice(els)
-            worst = max(worst, float(np.abs(
-                rep.op(g) @ rep.op(h) - rep.op(osc.mat_mul(g, h, p))).max()))
-        rep_doc.check("homomorphism-sampled", "genuine-splitting",
-                      worst <= tol,
-                      measured={"group_order": len(els), "pairs": args.samples},
-                      residual=worst)
+        for start in range(0, len(pairs), osc._CHUNK):
+            g, h = mats[pairs[start:start + osc._CHUNK].T]
+            S = rep.ops(np.concatenate([g, h, g @ h % p]))
+            Sg, Sh, Sgh = np.split(S, 3)
+            worst = max(worst, float(np.abs(Sg @ Sh - Sgh).max()))
+    name = "exhaustive" if exhaustive else "sampled"
+    rep_doc.check(f"homomorphism-{name}", "genuine-splitting", worst <= tol,
+                  measured={"group_order": order} if exhaustive else
+                  {"group_order": order, "pairs": args.samples},
+                  residual=worst)
 
     worst = 0.0
-    for _ in range(1000):
-        g = rng.choice(els)
-        w = _draw_point(rng, (p,) * (2 * l))
-        t = rng.randrange(p)
-        U = rep.op(g)
+    for U, (g, w, t) in zip(rep.ops(mats[[g for g, _, _ in draws]]), draws):
         lhs = U @ rep.rho(w, t) @ U.conj().T
-        rhs = rep.rho(rep.heis_transform(g, w), t)
+        rhs = rep.rho(rep.heis_transform(mats[g], w), t)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
@@ -151,12 +151,10 @@ def cmd_field(args) -> int:
     rep_doc.check("siegel-flip-scalar", "siegel-flip-scalar",
                   rpt["J_deviation"] <= tol, residual=rpt["J_deviation"])
 
-    cn = sum(abs(np.trace(rep.op(g))) ** 2 for g in els) / len(els) \
-        if exhaustive else None
-    if cn is not None:
-        rep_doc.check("orbit-count-identity", "orbit-count-identity",
-                      abs(cn - 2) <= 1e-6, measured={"character_norm": cn,
-                                                     "orbit_count": 2})
+    cn = float(np.sum(np.abs(rep.traces(mats)) ** 2)) / order
+    rep_doc.check("orbit-count-identity", "orbit-count-identity",
+                  abs(cn - 2) <= 1e-6, measured={"character_norm": cn,
+                                                 "orbit_count": 2})
     return rep_doc.finish(args.out)
 
 
@@ -223,7 +221,8 @@ def cmd_ring(args) -> int:
     irr_dev = float(np.abs(gram - np.eye(len(summands))).max())
     rep_doc.check("summand-irreducibility", "summand-irreducibility",
                   irr_dev <= 1e-6, residual=irr_dev)
-    cn, dev = rr.character_norm(G, rep)
+    # the summands decompose the model, so their characters sum to tr S(g)
+    cn, dev = rr.character_norm(chars.sum(axis=0))
     orb = len(orbits(G.gens, rep.spec.exps))
     rep_doc.check("orbit-count-identity", "orbit-count-identity",
                   cn == orb and dev <= 1e-6,

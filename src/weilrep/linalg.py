@@ -1,12 +1,14 @@
-"""Integer matrices over F_p and Z/p^k, stored as tuples of rows.
+"""Integer matrices over F_p and Z/p^k: tuples of rows, or int64 stacks.
 
-Every elimination in the package goes through `gauss_jordan`.  Its pivot
-rule (first nonzero entry at or below the current row, normalize the pivot
-row, clear every other row) fixes the transforms u and w of
+Every elimination in the package follows the pivot rule of `gauss_jordan`
+(first nonzero entry at or below the current row, normalize the pivot row,
+clear every other row).  It fixes the transforms u and w of
 `_rank_normal_form`, and through them the theta invariant and hence the
-Gauss sums in the reports, so it must not change.  `mat_inv_stack` runs
-the same rule on a numpy stack of matrices at once; an inverse mod p^k is
-unique, so it agrees with `mat_inv` entry for entry.
+Gauss sums in the reports, so it must not change.  The stacked rank normal
+form `rank_normal_form_stack` runs the same rule on a numpy stack of
+matrices at once, with a pivot-row counter per matrix, so its u and the
+pivot columns of its w are those of `_rank_normal_form`.  `mat_inv_stack`
+lifts its u; an inverse mod p^k is unique, so it agrees with `mat_inv`.
 """
 
 from __future__ import annotations
@@ -70,32 +72,19 @@ def mat_inv(a, p, k=1):
 
 def mat_inv_stack(a, p, k=1):
     """Inverses mod p^k of a stack of square matrices, an int64 (N, n, n)
-    array: Gauss-Jordan mod p on every matrix at once, Newton-lifted."""
+    array: u of `rank_normal_form_stack`, the inverse mod p, Newton-lifted."""
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[-1]
     target = p ** k
     if n * target ** 2 >= 2 ** 63:
         raise OverflowError(f"int64 products overflow mod {p}^{k}")
-    inv_mod_p = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
-    eye = np.eye(n, dtype=np.int64)
-    m = np.concatenate([a % p, np.broadcast_to(eye, a.shape)], axis=-1)
-    rows = np.arange(len(m))
-    for col in range(n):
-        nonzero = m[:, col:, col] != 0
-        if not nonzero.any(axis=1).all():
-            raise ZeroDivisionError("singular matrix mod p")
-        piv = col + nonzero.argmax(axis=1)
-        top = m[rows, piv]
-        m[rows, piv] = m[:, col]
-        m[:, col] = top * inv_mod_p[top[:, col]][:, None] % p
-        f = m[:, :, col].copy()
-        f[:, col] = 0
-        m = (m - f[:, :, None] * m[:, None, col]) % p
-    x = m[:, :, n:]
+    x, _, r, _ = rank_normal_form_stack(a, p)
+    if (r < n).any():
+        raise ZeroDivisionError("singular matrix mod p")
     q = p
     while q < target:
         q = min(q * q, target)
-        x = x @ (2 * eye - a @ x % q) % q
+        x = x @ (2 * np.eye(n, dtype=np.int64) - a @ x % q) % q
     return x
 
 
@@ -113,6 +102,35 @@ def _rank_normal_form(c, p):
             for i in range(r):
                 w[perm[i]][j] = -m[i][cj] % p
     return u, tuple(map(tuple, w)), r
+
+
+def rank_normal_form_stack(c, p):
+    """`_rank_normal_form` of every matrix of an int64 (N, l, l) stack:
+    (u, pivot, r, det u), pivot (N, l) marking the pivot columns, which
+    its w takes first, in order.  det u is det(c)^{-1} when r = l.  A
+    matrix without a pivot in a column keeps its rows."""
+    m = np.asarray(c, dtype=np.int64) % p
+    N, l, _ = m.shape
+    inv_mod_p = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
+    m = np.concatenate([m, np.broadcast_to(np.eye(l, dtype=np.int64),
+                                           m.shape)], axis=-1)
+    n, r, det = np.arange(N), np.zeros(N, dtype=np.int64), np.ones(N, int)
+    pivot = np.zeros((N, l), dtype=bool)
+    for col in range(l):
+        found = (m[:, :, col] != 0) & (np.arange(l) >= r[:, None])
+        pivot[:, col] = has = found.any(axis=1)
+        at = np.minimum(r, l - 1)
+        piv = np.where(has, found.argmax(axis=1), at)
+        top = m[n, piv]
+        m[n, piv] = m[n, at]
+        scale = np.where(has, inv_mod_p[top[:, col]], 1)
+        det = det * np.where(piv == at, scale, p - scale) % p
+        m[n, at] = top = top * scale[:, None] % p
+        f = m[:, :, col] * has[:, None]
+        f[n, at] = 0
+        m = (m - f[:, :, None] * top[:, None]) % p
+        r += has
+    return m[:, :, l:], pivot, r, det
 
 
 def mat_det(a, p):

@@ -3,8 +3,8 @@
 The model lives on functions indexed by Y-cosets for the standard polar
 decomposition W = X + Y; operators are S(g) = m(g) p^{j(g)/2} M_X(g) with
 m built from the Weil index (normalized quadratic Gauss sum) of Rao's
-invariant theta and from j = rank C, both read off one elimination of the
-lower-left block C of g.  The scalar normalization makes g -> S(g) a genuine
+invariant theta and from j = rank C, both read off eliminations of the
+lower-left block C of g and of one matrix built from C and D.  The scalar normalization makes g -> S(g) a genuine
 homomorphism splitting the metaplectic extension.
 """
 
@@ -17,30 +17,44 @@ from itertools import product
 import numpy as np
 
 from .heisenberg import SchrodingerModel, standard_selfdual
-from .linalg import (_rank_normal_form, mat_det, mat_inv, mat_mul, mat_T,
-                     mat_vec)
+from .linalg import mat_det, mat_vec, rank_normal_form_stack
 from .rings import QuadExt, _roots, legendre, unit_phase
 from .symplectic import SympModule, symplectic_group
+
+# stacked operators and traces take the elements this many at a time, which
+# bounds their work arrays whatever the group order; with 1024 the process
+# running the 17,496-element sums of `ring --p 3 --r 1 --l 1 --n 1` peaked
+# 1.1 MB higher than with 512
+_CHUNK = 512
 
 
 # -- the Bruhat cell of g -----------------------------------------------------
 
 
-def bruhat_decompose(g, l, p):
-    """Invariants (theta, j) of the cell P tau_S P of g, P the Siegel
-    parabolic, from one elimination u C w = diag(1_j, 0) of the C block.
+def cell_invariants(mats, l, p):
+    """Invariants (theta, j) of the cell P tau_S P of each matrix of an
+    int64 (N, 2l, 2l) stack, P the Siegel parabolic, as two (N,) arrays,
+    from the stacked elimination u C w = diag(1_j, 0) and one of K below.
 
     j = |S| = rank C = l - dim(X cap gX).  With A' = u^{-T} A w, the
     factorization g = p1 tau_S p2 has det_X(p1) = det u and det_X(p2) =
     det(A'_22) / det w, A'_22 the last l - j rows and columns of A'; theta
-    is their product mod p.
+    is their product mod p.  The element with blocks A' and D' = u D w^{-T}
+    is symplectic, so det A'_22 = det(D'_22)^{-1}.  For K, the matrix with
+    the columns of C at the pivot columns of C and those of D elsewhere,
+    u K is block triangular up to the column order of w, with diagonal
+    blocks 1_j and D'_22; so theta = det(K)^{-1}.
     """
-    a = tuple(row[:l] for row in g[:l])
-    c = tuple(row[:l] for row in g[l:])
-    u, w, j = _rank_normal_form(c, p)
-    a2 = mat_mul(mat_T(mat_inv(u, p)), mat_mul(a, w, p), p)
-    a22 = tuple(row[j:] for row in a2[j:])
-    return mat_det(u, p) * mat_det(a22, p) * pow(mat_det(w, p), -1, p) % p, j
+    mats = np.asarray(mats, dtype=np.int64) % p
+    _, pivot, j, _ = rank_normal_form_stack(mats[:, l:, :l], p)
+    K = np.where(pivot[:, None], mats[:, l:, :l], mats[:, l:, l:])
+    return rank_normal_form_stack(K, p)[3], j
+
+
+def bruhat_decompose(g, l, p):
+    """`cell_invariants` of one matrix: (theta, j) as ints."""
+    th, j = cell_invariants(np.asarray(g, dtype=np.int64)[None], l, p)
+    return int(th[0]), int(j[0])
 
 
 def det_X(par, l, p):
@@ -83,26 +97,6 @@ def hasse_davenport_holds(p: int, scale: int = 1, tol: float = 1e-9) -> bool:
     return abs(-wp - (-w1) ** 2) <= tol
 
 
-# -- element enumeration -----------------------------------------------------
-
-
-def sl2_elements(p):
-    out = []
-    for a, b, c, d in product(range(p), repeat=4):
-        if (a * d - b * c) % p == 1:
-            out.append(((a, b), (c, d)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def sp_elements(l, p):
-    """All of Sp(2l, F_p), sorted; equal rows are one shared tuple."""
-    mats = symplectic_group(SympModule.standard(p, l, 0, 0)).mats
-    rows = list(product(range(p), repeat=2 * l))
-    radix = p ** np.arange(2 * l - 1, -1, -1)
-    return tuple(tuple(rows[i] for i in m) for m in (mats @ radix).tolist())
-
-
 # -- the canonical representation --------------------------------------------
 
 
@@ -123,50 +117,91 @@ class OscillatorRep:
         self.dim = p ** l
         self.ys = [y for y in product(range(p), repeat=l)]
         self.half = pow(2, -1, p)
-        # M_X sums over the points (x, y_j), x inner, y_j outer; row j of
-        # the operator collects the points with y = y_j
-        self._points = np.array([x + y for y in self.ys for x in self.ys],
-                                dtype=np.int64)
+        # M_X sums over the points z = (x, y_j), x inner, y_j outer; row j
+        # of the operator collects the points with y = y_j
+        self._ys = np.array(self.ys, dtype=np.int64).reshape(-1, l)
         self._rows = np.repeat(np.arange(self.dim), self.dim)
         self._roots = np.array(_roots(p))
-        dots = (self._points[:, :l] * self._points[:, l:]).sum(axis=1)
-        self._in_phase = self._roots[self.scale * self.half * dots % p]
         self._radix = p ** np.arange(l - 1, -1, -1)  # index of y in self.ys
-        self._op_cache: dict = {}
+        # index of y + y' in self.ys at [index of y, index of y']
+        self._add = (self._ys[:, None] + self._ys) % p @ self._radix
+        # the products z_a z_b of every point z, a row per (a, b)
+        z = np.concatenate([np.tile(self._ys, (self.dim, 1)),
+                            np.repeat(self._ys, self.dim, axis=0)], axis=1)
+        self._zz = (z[:, :, None] * z[:, None]).reshape(len(z), -1).T * 1.0
         self._omega1 = weil_index(p, 1, self.scale)
+        # m(theta, j) p^{j/2} at [theta, j], theta a unit
+        self._scalar = np.array([[0j] * (l + 1)] + [
+            [(1.0 / weil_index(p, th, self.scale)) * self._omega1 ** (1 - j)
+             * (p ** (j / 2.0)) for j in range(l + 1)] for th in range(1, p)])
         # the model polarized by X: its coset representatives (0, y) run
         # over Y in the order of self.ys, so rho acts on the same basis
         spec = SympModule.standard(p, l, 0, 0)
         self.heis = SchrodingerModel(spec, standard_selfdual(spec), self.scale)
+        # g^{-1} = J^{-1} g^T J for symplectic g, and J^{-1} = J^T
+        self._gram = np.array(spec.gram, dtype=np.int64)
+
+    def _terms(self, mats):
+        """The term of each point z = (x, y_j) in row j of M_X(g), for a
+        stack reduced mod p: its column, the index of v_Y for v = z g^{-T},
+        from the addition table of Y; and its phase exponent, the form
+        (x.y - v_X.v_Y)/2 at z, from one float product (exact here)."""
+        p, l, N = self.p, self.l, len(mats)
+        gt = self._gram.T @ mats @ self._gram % p  # g^{-T}
+        index = lambda v: v % p @ self._radix
+        cols = self._add[index(self._ys @ gt[:, l:, l:])[:, :, None],
+                         index(self._ys @ gt[:, :l, l:])[:, None]]
+        xy = np.eye(2 * l, k=l, dtype=np.int64)  # the form x.y
+        form = self.scale * self.half * (
+            xy - gt[..., :l] @ gt[..., l:].swapaxes(1, 2)) % p
+        return (cols.reshape(N, -1),
+                (form.reshape(N, -1) @ self._zz).astype(np.int64) % p)
+
+    def _M_X(self, mats) -> np.ndarray:
+        """M_X of a stack: the phases of the terms summed into their rows
+        and columns in point order, by bincount on a flat index."""
+        cols, e = self._terms(mats)
+        N, d = len(mats), self.dim
+        flat = ((np.arange(N)[:, None] * d + self._rows) * d + cols).ravel()
+        vals = self._roots[e].ravel()
+        op = np.bincount(flat, vals.real, N * d * d) \
+            + 1j * np.bincount(flat, vals.imag, N * d * d)
+        return op.reshape(N, d, d) / d
+
+    def _chunks(self, mats):
+        """The chunks of a stack, reduced mod p, each with its scalars
+        m(g) p^{j/2}, m(g) = omega(theta)^{-1} omega(1)^{1-j}."""
+        mats = np.asarray(mats, dtype=np.int64)
+        for start in range(0, len(mats), _CHUNK):
+            chunk = mats[start:start + _CHUNK] % self.p
+            yield start, chunk, self._scalar[cell_invariants(chunk, self.l,
+                                                             self.p)]
+
+    def ops(self, mats) -> np.ndarray:
+        """S(g) = m(g) p^{j/2} M_X(g) for every matrix of an int64
+        (N, 2l, 2l) stack, _CHUNK at a time: (N, p^l, p^l)."""
+        out = np.empty((len(mats), self.dim, self.dim), dtype=complex)
+        for start, chunk, m in self._chunks(mats):
+            out[start:start + _CHUNK] = m[:, None, None] * self._M_X(chunk)
+        return out
+
+    def traces(self, mats) -> np.ndarray:
+        """tr S(g) for every matrix of a stack, _CHUNK at a time, from the
+        terms on the diagonal of M_X alone: (N,)."""
+        out = np.empty(len(mats), dtype=complex)
+        for start, chunk, m in self._chunks(mats):
+            cols, e = self._terms(chunk)
+            out[start:start + _CHUNK] = m * np.where(
+                cols == self._rows, self._roots[e], 0).sum(axis=1) / self.dim
+        return out
 
     def M_X(self, g) -> np.ndarray:
-        """S(g) up to the scalar m(g) p^{j/2}: one matrix product maps every
-        point (x, y_j) by g^{-1}, the phases are gathered from the p-th
-        roots, and np.add.at sums them into row j in point order."""
-        p, l = self.p, self.l
-        ginv = np.array(mat_inv(g, p), dtype=np.int64)
-        v = self._points @ ginv.T % p
-        dots = (v[:, :l] * v[:, l:]).sum(axis=1)
-        phase = self._roots[-self.scale * self.half * dots % p]
-        op = np.zeros((self.dim, self.dim), dtype=complex)
-        np.add.at(op, (self._rows, v[:, l:] @ self._radix),
-                  self._in_phase * phase)
-        return op / (p ** l)
+        """S(g) up to the scalar m(g) p^{j/2}."""
+        return self._M_X(np.asarray(g, dtype=np.int64)[None] % self.p)[0]
 
     def op(self, g) -> np.ndarray:
-        """S(g) = m(g) p^{j/2} M_X(g), with m(g) = omega(theta)^{-1}
-        omega(1)^{1-j} and (theta, j) from one elimination of the C block
-        (`bruhat_decompose`)."""
-        p = self.p
-        g = tuple(tuple(x % p for x in row) for row in g)
-        cached = self._op_cache.get(g)
-        if cached is not None:
-            return cached
-        th, j = bruhat_decompose(g, self.l, p)
-        m = (1.0 / weil_index(p, th, self.scale)) * self._omega1 ** (1 - j)
-        out = m * (p ** (j / 2.0)) * self.M_X(g)
-        self._op_cache[g] = out
-        return out
+        """S(g), the one-element view of `ops`."""
+        return self.ops(np.asarray(g, dtype=np.int64)[None])[0]
 
     def rho(self, w, t: int = 0) -> np.ndarray:
         """Heisenberg operator on the same basis (central character psi):
@@ -178,15 +213,6 @@ class OscillatorRep:
         return mat_vec(g, w, self.p)
 
 
-def parabolic_elements(l, p):
-    """All symplectic elements with vanishing lower-left block."""
-    out = []
-    for g in sp_elements(l, p):
-        if all(g[l + i][j] % p == 0 for i in range(l) for j in range(l)):
-            out.append(g)
-    return out
-
-
 def J_element(l, p):
     """[[0, I],[-I, 0]]: inverse of tau_{1..l}."""
     return tuple(tuple(int(j == i + l) if i < l else -(j == i - l) % p
@@ -194,14 +220,20 @@ def J_element(l, p):
 
 
 def parabolic_identity_report(rep: OscillatorRep, tol: float = 1e-8):
-    """Check S(p) = (det_X p / q) M_X(p) on the parabolic, and the J scalar."""
+    """Check S(p) = (det_X p / q) M_X(p) on the parabolic, the elements of
+    Sp(2l, F_p) with C = 0, and the J scalar."""
     l, p = rep.l, rep.p
+    mats = symplectic_group(SympModule.standard(p, l, 0, 0)).mats
+    par = mats[~mats[:, l:, :l].any(axis=(1, 2))]
+    signs = np.array([legendre(x, p) for x in range(p)])
     failures = []
-    for g in parabolic_elements(l, p):
-        zeta = legendre(det_X(g, l, p), p)
-        dev = np.abs(rep.op(g) - zeta * rep.M_X(g)).max()
-        if dev > tol:
-            failures.append((g, dev))
+    for start in range(0, len(par), _CHUNK):
+        chunk = par[start:start + _CHUNK]
+        # det u of the X-block is 1 / det_X: one square class
+        zeta = signs[rank_normal_form_stack(chunk[:, :l, :l], p)[3]]
+        dev = np.abs(rep.ops(chunk) - zeta[:, None, None] * rep._M_X(chunk))
+        failures += [(g.tolist(), d) for g, d in
+                     zip(chunk, dev.max(axis=(1, 2)).tolist()) if d > tol]
     J = J_element(l, p)
     scal = (legendre(-1, p) ** l) * rep._omega1 ** (-l) * p ** (l / 2.0)
     devJ = np.abs(rep.op(J) - scal * rep.M_X(J)).max()

@@ -20,9 +20,9 @@ import numpy as np
 from .heisenberg import SchrodingerModel, box_isotropic
 from .rings import _roots, unit_phase, vp
 from .linalg import mat_inv, mat_inv_stack, mat_rank
-from .oscillator import OscillatorRep
-from .symplectic import (FiniteGroup, GroupElem, SympModule, group_closure,
-                         orbits, transvection_generators)
+from .oscillator import _CHUNK, OscillatorRep
+from .symplectic import (FiniteGroup, GroupElem, SympModule, _keys,
+                         group_closure, orbits, transvection_generators)
 
 
 # -- residue space -----------------------------------------------------------
@@ -248,7 +248,6 @@ class RingWeilRep:
                       if self.l_res > 0 else None)
         self.sdim = self.p ** self.l_res
         self.dim = len(self.cosets) * self.sdim
-        self._sigma_cache: dict = {}
         # rho_res of every residue class, by label = base-p digits; rows are
         # filled on first use
         k = 2 * self.l_res
@@ -281,21 +280,14 @@ class RingWeilRep:
 
     def _sigma_blocks(self, mats):
         """sigma(g) for a stack of matrices (N, dim, dim), as a table of the
-        distinct blocks (K, s, s) and the row of each matrix (N,).
-
-        sigma.op runs once per distinct reduction over the instance's life.
-        """
+        distinct blocks (K, s, s) and the row of each matrix (N,): one
+        `sigma.ops` pass over the distinct reductions."""
         if self.sigma is None:
             return np.ones((1, 1, 1), dtype=complex), np.zeros(len(mats), int)
-        rows, which = {}, []
-        for R in self.iso.reduce_morphisms(mats):
-            key = R.tobytes()
-            if key not in self._sigma_cache:
-                self._sigma_cache[key] = self.sigma.op(
-                    tuple(map(tuple, R.tolist())))
-            which.append(rows.setdefault(key, len(rows)))
-        return (np.stack([self._sigma_cache[key] for key in rows]),
-                np.array(which))
+        R = self.iso.reduce_morphisms(mats)
+        _, first, which = np.unique(_keys(R, np.min_scalar_type(self.p - 1)),
+                                    return_index=True, return_inverse=True)
+        return self.sigma.ops(R[first]), which.reshape(-1)
 
     def sigma_op(self, g: GroupElem) -> np.ndarray:
         table, which = self._sigma_blocks(np.array([g.mat], dtype=np.int64))
@@ -521,13 +513,6 @@ def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
     return out
 
 
-# whole-group sums take the elements this many at a time, which bounds
-# their work arrays whatever the group order; with 1024 the process running
-# the 17,496-element sums of `ring --p 3 --r 1 --l 1 --n 1` peaked 1.1 MB
-# higher than with 512
-_CHUNK = 512
-
-
 def traces(rep, elements) -> np.ndarray:
     """tr S(g) for each element of a sequence or stack, in order."""
     out = np.empty(len(elements), dtype=complex)
@@ -557,9 +542,10 @@ def summand_characters(rep, group: FiniteGroup, summands: list[Summand]):
     return out
 
 
-def character_norm(group, rep):
-    """(1/|G|) sum |tr S(g)|^2, with its deviation from the nearest integer."""
-    val = float(np.sum(np.abs(traces(rep, group.mats)) ** 2)) / len(group)
+def character_norm(chi):
+    """(1/|G|) sum |chi(g)|^2 of a character given as its row of values
+    over the whole group, with its deviation from the nearest integer."""
+    val = float(np.sum(np.abs(chi) ** 2)) / len(chi)
     return int(round(val)), abs(val - round(val))
 
 

@@ -1,5 +1,5 @@
-"""The `torus` and `ring` benchmark workloads run in-process and pass their
-own checks.
+"""The `torus`, `ring` and `field` benchmark workloads run in-process and
+pass their own checks.
 
 `bench/workloads.py` and `bench/child.py` are read and executed into fresh
 namespaces (nothing is written under `bench/`).  A CLI operation runs
@@ -53,3 +53,8 @@ def test_torus_operation_passes_its_check(op, tmp_path):
 def test_ring_operation_passes_its_check(op, tmp_path):
     _check_operation(op, tmp_path)
 
+
+
+@pytest.mark.parametrize("op", WORKLOADS["field"], ids=lambda op: op["name"])
+def test_field_operation_passes_its_check(op, tmp_path):
+    _check_operation(op, tmp_path)

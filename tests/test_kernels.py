@@ -4,8 +4,9 @@
 BFS over `GroupElem` products, `derived_subgroup` and
 `abelianization_cosets` the same subgroup and cosets as the BFS normal
 closure, `orbits` the same partition as a BFS over points,
-`OscillatorRep.M_X` the same operator as a
-loop over the points (x, y_j) of W, and the block-monomial form of
+`OscillatorRep.M_X` the same operator as a loop over the points (x, y_j)
+of W, `OscillatorRep.ops` and `traces` that loop times the scalar of the
+reference Bruhat factorization, and the block-monomial form of
 `RingWeilRep` the same operators, traces and summand characters as a loop
 over the cosets of U-perp for one element at a time.  `MonomialOps.apply`
 must equal the dense product, the torus weight sums and residuals the loops
@@ -24,9 +25,11 @@ from operator import mul
 import numpy as np
 import pytest
 
+from elements import sl2_elements, sp_elements
+from test_oscillator import reference_invariants, sp4_cases
 from weilrep.heisenberg import SchrodingerModel
 from weilrep.linalg import mat_inv, mat_mul, mat_vec
-from weilrep.oscillator import OscillatorRep, sl2_elements, sp_elements
+from weilrep.oscillator import OscillatorRep, weil_index
 from weilrep.ring_rep import (_CHUNK, MonomialOps, abelianization_character,
                               abelianization_cosets, build_ring_rep,
                               canonical_isotropic, character_norm, decompose,
@@ -226,6 +229,33 @@ def test_M_X_matches_reference_on_sp4():
     _check_M_X(2, 3, random.Random(4).sample(sp_elements(2, 3), 200))
 
 
+def _check_field_ops(l, p, elements, scale):
+    """ops and traces against reference_M_X times the scalar
+    m(theta, j) p^{j/2} of the reference factorization."""
+    rep = OscillatorRep(l, p, scale)
+    w = lambda a: weil_index(p, a, scale)
+    ref = []
+    for g in elements:
+        th, j = reference_invariants(g, l, p)
+        ref.append(w(1) ** (1 - j) / w(th) * p ** (j / 2)
+                   * reference_M_X(rep, g))
+    ref, stack = np.array(ref), np.array(elements)
+    assert np.abs(rep.ops(stack) - ref).max() < 1e-12
+    assert np.abs(rep.traces(stack) - np.trace(ref, axis1=1, axis2=2)).max() \
+        < 1e-12
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_field_ops_match_reference_on_sl2(p):
+    nonsquare = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
+    for scale in (1, nonsquare):
+        _check_field_ops(1, p, sl2_elements(p), scale)
+
+
+def test_field_ops_match_reference_on_sp4():
+    _check_field_ops(2, 3, sp4_cases(), 1)
+
+
 # -- RingWeilRep: the coset loop for one element at a time --------------------
 
 
@@ -385,7 +415,7 @@ def test_ring_ops_match_reference_on_large_groups(args):
     whole = traces(rep, G.mats)
     for i in idx:
         assert abs(whole[i] - reference_trace(rep, G[i])) < 1e-12
-    cn, dev = character_norm(G, rep)
+    cn, dev = character_norm(traces(rep, G.mats))
     assert cn == {(3, 1, 1, 1): 4, (5, 1, 0, 1): 3}[args] and dev < 1e-9
 
 

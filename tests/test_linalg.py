@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weilrep.linalg import (_rank_normal_form, gauss_jordan, mat_det,
-                            mat_inv, mat_inv_stack, mat_mul, mat_rank, mat_T)
+                            mat_inv, mat_inv_stack, mat_mul, mat_rank, mat_T,
+                            rank_normal_form_stack)
 
 
 @st.composite
@@ -106,3 +107,29 @@ def test_rank_normal_form(case):
     assert r == mat_rank(c, p)
     assert mat_mul(u, mat_mul(c, w, p), p) == target
     assert mat_det(u, p) and mat_det(w, p)
+
+
+@st.composite
+def square_stack(draw):
+    """(stack, p): 1-8 square matrices of one size mod p, half the entries
+    zero, so that every rank occurs."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(0, p - 1))
+    mat = st.tuples(*[st.tuples(*[entry] * n)] * n)
+    return draw(st.lists(mat, min_size=1, max_size=8)), p
+
+
+@settings(deadline=None)
+@given(square_stack())
+def test_stacked_rank_normal_form_matches_per_matrix(case):
+    stack, p = case
+    n = len(stack[0])
+    u, pivot, r, det = rank_normal_form_stack(np.array(stack), p)
+    for c, ui, pi, ri, di in zip(stack, u.tolist(), pivot.tolist(),
+                                 r.tolist(), det.tolist()):
+        U, W, R = _rank_normal_form(c, p)
+        assert tuple(map(tuple, ui)) == U and ri == R
+        # w takes the pivot columns first, in order
+        assert [W[c][i] for i, c in enumerate(np.flatnonzero(pi))] == [1] * R
+        assert di == mat_det(U, p)

@@ -4,12 +4,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from weilrep.linalg import _rank_normal_form, mat_inv, mat_T
+from elements import parabolic_elements, sl2_elements, sp_elements
+from weilrep import linalg
+from weilrep.linalg import _rank_normal_form, mat_inv, mat_mul, mat_T
 from weilrep.oscillator import (J_element, OscillatorRep, bruhat_decompose,
-                                det_X, hasse_davenport_holds, mat_mul,
-                                parabolic_elements, parabolic_identity_report,
-                                sl2_elements, sp_elements, theta, weil_index)
+                                cell_invariants, det_X, hasse_davenport_holds,
+                                parabolic_identity_report, theta, weil_index)
 from weilrep.rings import legendre
+from weilrep.symplectic import SympModule, symplectic_group
 
 
 # -- the Bruhat factorization that the cell invariants replace ----------------
@@ -88,13 +90,48 @@ def test_cell_invariants_match_factorization_sl2(p):
         _check_against_reference(g, 1, p)
 
 
-def test_cell_invariants_match_factorization_sp4():
+def sp4_cases():
+    """The parabolic elements of Sp(4, F_3), the four tau_S, J and a
+    600-element sample; as one stack they cross a 512-element chunk."""
     l, p = 2, 3
     taus = [tau_matrix(S, l, p)
             for S in (frozenset(), {0}, {1}, {0, 1})]
-    for g in (parabolic_elements(l, p) + taus + [J_element(l, p)]
-              + random.Random(5).sample(sp_elements(l, p), 600)):
-        _check_against_reference(g, l, p)
+    return (parabolic_elements(l, p) + taus + [J_element(l, p)]
+            + random.Random(5).sample(sp_elements(l, p), 600))
+
+
+def test_cell_invariants_match_factorization_sp4():
+    for g in sp4_cases():
+        _check_against_reference(g, 2, 3)
+
+
+def reference_invariants(g, l, p):
+    """(theta, j) read off the reference factorization g = p1 tau_S p2."""
+    p1, S, p2 = reference_bruhat(g, l, p)
+    return det_X(p1, l, p) * det_X(p2, l, p) % p, len(S)
+
+
+@pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_stacked_cell_invariants_match_factorization(l, p):
+    """The whole set as one stack, mixing every rank of C."""
+    els = sl2_elements(p) if l == 1 else sp4_cases()
+    th, j = cell_invariants(np.array(els), l, p)
+    assert list(zip(th.tolist(), j.tolist())) == \
+        [reference_invariants(g, l, p) for g in els]
+
+
+def test_stacked_path_runs_no_per_element_elimination(monkeypatch):
+    rep = OscillatorRep(2, 3)
+    G = symplectic_group(SympModule.standard(3, 2, 0, 0))
+    mats = G.mats[random.Random(6).sample(range(len(G)), 1000)]
+
+    def refuse(*args):
+        raise AssertionError("per-element elimination on the stacked path")
+    monkeypatch.setattr(linalg, "gauss_jordan", refuse)
+    S = rep.ops(mats)
+    assert np.abs(S @ S.conj().swapaxes(1, 2) - np.eye(rep.dim)).max() < 1e-12
+    assert bruhat_decompose(mats[0], 2, 3)[1] == np.linalg.matrix_rank(
+        mats[0][2:, :2])
 
 
 def test_weil_index_identities():

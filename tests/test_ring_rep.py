@@ -7,7 +7,8 @@ from weilrep.ring_rep import (RingWeilRep, build_ring_rep,
                               canonical_isotropic, character_norm, decompose,
                               direct_sum, direct_sum_isotropic, embed_pair,
                               faithful_model, shell_dimensions, sigma_gx,
-                              summand_characters, tensor_intertwiner)
+                              summand_characters, tensor_intertwiner,
+                              traces)
 from weilrep.symplectic import SympModule, orbits, symplectic_group
 
 
@@ -129,7 +130,7 @@ def test_decompose_lifted_l_equals_r():
     summands = decompose(rep, G)
     assert len(summands) == 4
     assert sorted(s.dim for s in summands) == [1, 2, 12, 12]
-    cn, dev = character_norm(G, rep)
+    cn, dev = character_norm(traces(rep, G.mats))
     assert cn == 4 and dev < 1e-6
 
 
@@ -140,18 +141,30 @@ def test_unlifted_degenerate_model_matches_residue():
     rep = build_ring_rep(spec, lift_degenerate=False)
     assert not rep.lifted and rep.dim == 3
     G = symplectic_group(spec)
-    cn, dev = character_norm(G, rep)
+    cn, dev = character_norm(traces(rep, G.mats))
     assert cn == len(orbits(G.gens, spec.exps)) == 2
     summands = decompose(rep, G)
     assert len(summands) == 2
     assert sorted(s.dim for s in summands) == [1, 2]
 
 
+@pytest.mark.parametrize("args", [(3, 1, 0, 1), (3, 1, 1, 1)], ids=str)
+def test_summand_characters_sum_to_the_trace(args):
+    """The row `cmd_ring` hands to `character_norm`: the summands decompose
+    the model, so their characters add up to tr S(g)."""
+    rep = build_ring_rep(SympModule.standard(*args))
+    G = symplectic_group(rep.spec)
+    total = summand_characters(rep, G, decompose(rep, G)).sum(axis=0)
+    assert np.abs(total - traces(rep, G.mats)).max() < 1e-12
+    cn, dev = character_norm(total)
+    assert cn == len(orbits(G.gens, rep.spec.exps)) and dev < 1e-9
+
+
 def test_character_norm_identity():
     spec = SympModule.standard(3, 1, 0, 1)
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
-    cn, dev = character_norm(G, rep)
+    cn, dev = character_norm(traces(rep, G.mats))
     assert cn == 3 and dev < 1e-9
     assert cn == len(orbits(G.gens, spec.exps))
     # trivial group: the norm is the squared dimension
