@@ -28,15 +28,7 @@ def heis_mul(spec: SympModule, h1, h2):
 
 def box_isotropic(spec: SympModule, divs) -> bool:
     """Whether the box with divisor exponents divs is isotropic."""
-    p, M = spec.p, spec.modulus
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            if spec.gram[i][j] % M == 0:
-                continue
-            e = min(divs[i], spec.exps[i]) + min(divs[j], spec.exps[j])
-            if (p ** e * spec.gram[i][j]) % M:
-                return False
-    return True
+    return not spec.box_form(divs).any()
 
 
 def standard_selfdual(spec: SympModule) -> tuple:

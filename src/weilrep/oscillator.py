@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .heisenberg import SchrodingerModel, standard_selfdual
-from .linalg import mat_det, mat_vec, rank_normal_form_stack
+from .linalg import rank_normal_form_stack
 from .rings import QuadExt, _roots, legendre, unit_phase
 from .symplectic import SympModule, symplectic_group
 
@@ -37,9 +37,9 @@ def cell_invariants(mats, l, p):
     from the stacked elimination u C w = diag(1_j, 0) and one of K below.
 
     j = |S| = rank C = l - dim(X cap gX).  With A' = u^{-T} A w, the
-    factorization g = p1 tau_S p2 has det_X(p1) = det u and det_X(p2) =
-    det(A'_22) / det w, A'_22 the last l - j rows and columns of A'; theta
-    is their product mod p.  The element with blocks A' and D' = u D w^{-T}
+    factorization g = p1 tau_S p2 has X-block determinants det u for p1
+    and det(A'_22) / det w for p2, A'_22 the last l - j rows and columns
+    of A'; theta is their product mod p.  The element with blocks A' and D' = u D w^{-T}
     is symplectic, so det A'_22 = det(D'_22)^{-1}.  For K, the matrix with
     the columns of C at the pivot columns of C and those of D elsewhere,
     u K is block triangular up to the column order of w, with diagonal
@@ -55,11 +55,6 @@ def bruhat_decompose(g, l, p):
     """`cell_invariants` of one matrix: (theta, j) as ints."""
     th, j = cell_invariants(np.asarray(g, dtype=np.int64)[None], l, p)
     return int(th[0]), int(j[0])
-
-
-def det_X(par, l, p):
-    """Determinant of the X-block of a parabolic element."""
-    return mat_det(tuple(row[:l] for row in par[:l]), p)
 
 
 def theta(g, l, p) -> int:
@@ -210,7 +205,7 @@ class OscillatorRep:
 
     def heis_transform(self, g, w):
         """g.(w,t) = (gw, t)."""
-        return mat_vec(g, w, self.p)
+        return np.asarray(g, dtype=np.int64) @ w % self.p
 
 
 def J_element(l, p):
@@ -220,7 +215,7 @@ def J_element(l, p):
 
 
 def parabolic_identity_report(rep: OscillatorRep, tol: float = 1e-8):
-    """Check S(p) = (det_X p / q) M_X(p) on the parabolic, the elements of
+    """Check S(p) = (det A / q) M_X(p) on the parabolic, the elements of
     Sp(2l, F_p) with C = 0, and the J scalar."""
     l, p = rep.l, rep.p
     mats = symplectic_group(SympModule.standard(p, l, 0, 0)).mats
@@ -229,7 +224,7 @@ def parabolic_identity_report(rep: OscillatorRep, tol: float = 1e-8):
     failures = []
     for start in range(0, len(par), _CHUNK):
         chunk = par[start:start + _CHUNK]
-        # det u of the X-block is 1 / det_X: one square class
+        # det u of the X-block A is 1 / det A: one square class
         zeta = signs[rank_normal_form_stack(chunk[:, :l, :l], p)[3]]
         dev = np.abs(rep.ops(chunk) - zeta[:, None, None] * rep._M_X(chunk))
         failures += [(g.tolist(), d) for g, d in

@@ -19,7 +19,7 @@ import numpy as np
 
 from .heisenberg import SchrodingerModel, box_isotropic
 from .rings import _roots, unit_phase, vp
-from .linalg import mat_inv, mat_inv_stack, mat_rank
+from .linalg import mat_inv_stack, symplectic_basis
 from .oscillator import _CHUNK, OscillatorRep
 from .symplectic import (FiniteGroup, GroupElem, SympModule, _keys,
                          group_closure, orbits, transvection_generators)
@@ -28,92 +28,41 @@ from .symplectic import (FiniteGroup, GroupElem, SympModule, _keys,
 # -- residue space -----------------------------------------------------------
 
 
-def symplectic_basis_field(gram, p):
-    """Columns of T form a symplectic basis (e_1..e_k, f_1..f_k) over F_p."""
-    dim = len(gram)
-    if dim == 0:
-        return tuple()
-    def beta(v, w):
-        return sum(v[i] * gram[i][j] * w[j]
-                   for i in range(dim) for j in range(dim)) % p
-    avail = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
-    es, fs = [], []
-    while avail:
-        e = avail[0]
-        f = next((v for v in avail[1:] if beta(e, v) % p), None)
-        if f is None:
-            raise ValueError("degenerate residue form")
-        c = pow(beta(e, f), -1, p)
-        f = tuple(x * c % p for x in f)
-        rest = []
-        for v in avail:
-            if v == e:
-                continue
-            w = tuple((v[i] - beta(v, f) * e[i] + beta(v, e) * f[i]) % p
-                      for i in range(dim))
-            if any(w):
-                rest.append(w)
-        # keep a linearly independent subset of the projected complement
-        rest = _li_subset(rest, p)
-        es.append(e)
-        fs.append(f)
-        avail = rest
-    cols = es + fs
-    T = tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
-    return T
-
-
-def _li_subset(vecs, p):
-    out = []
-    rows = []
-    for v in vecs:
-        cand = rows + [list(v)]
-        if mat_rank(cand, p) > len(rows):
-            rows = cand
-            out.append(v)
-    return out
-
-
 @dataclass
 class IsotropicData:
     spec: SympModule
     u_box: tuple              # divisor exponents of U
     uperp_box: tuple          # divisor exponents of U-perp
     res_coords: tuple         # coordinates carrying the residue space
-    res_gram: tuple           # residue symplectic form over F_p
-    T: tuple                  # change of basis to a standard symplectic basis
-    Tinv: tuple
+    res_gram: np.ndarray      # residue symplectic form over F_p, (k, k)
+    T: np.ndarray             # change of basis to a standard symplectic basis
+    Tinv: np.ndarray
     l_res: int                # half the residue dimension
 
-    def _res_arrays(self):
-        """Residue coordinates, p^{uperp} on them, T and Tinv as arrays."""
-        rc = list(self.res_coords)
-        den = self.spec.p ** np.array([self.uperp_box[i] for i in rc],
-                                      dtype=np.int64)
-        T, Tinv = (np.array(m, dtype=np.int64).reshape(len(rc), len(rc))
-                   for m in (self.T, self.Tinv))
-        return rc, den, T, Tinv
+    @cached_property
+    def _den(self) -> np.ndarray:
+        """p^{uperp} on the residue coordinates."""
+        return self.spec.p ** np.array(self.uperp_box, dtype=np.int64)[
+            list(self.res_coords)]
 
     def reduce_morphisms(self, mats) -> np.ndarray:
         """Images in Sp(residue), in standard symplectic coordinates, of a
         stack of matrices (N, dim, dim): an int64 (N, k, k) array."""
-        p = self.spec.p
-        rc, den, T, Tinv = self._res_arrays()
+        p, rc, den = self.spec.p, list(self.res_coords), self._den
         mods = np.array([self.spec.moduli[i] for i in rc], dtype=np.int64)
         # column j: g applied to p^{uperp_j} e_j, read on the residue coords
         img = mats[:, rc][:, :, rc] * den % mods[:, None]
         if (img % den[:, None]).any():
             raise AssertionError("U-perp not invariant under g")
-        return Tinv @ (img // den[:, None] % p @ T % p) % p
+        return self.Tinv @ (img // den[:, None] % p @ self.T % p) % p
 
     def residues(self, u) -> np.ndarray:
         """Classes in U-perp/U, in standard residue coordinates, of points
         of U-perp given as an int64 (..., dim) array: (..., k) digits mod p."""
-        rc, den, _, Tinv = self._res_arrays()
-        ur = u[..., rc]
-        if (ur % den).any():
+        ur = u[..., list(self.res_coords)]
+        if (ur % self._den).any():
             raise AssertionError("element not in U-perp")
-        return (ur // den % self.spec.p) @ Tinv.T % self.spec.p
+        return (ur // self._den % self.spec.p) @ self.Tinv.T % self.spec.p
 
     def project(self, u):
         """Class of u in U-perp/U, in standard residue coordinates."""
@@ -161,7 +110,7 @@ def canonical_isotropic(spec: SympModule) -> IsotropicData:
     residue-field structure (m * U-perp inside U, nondegenerate reduced
     form).
     """
-    p, M = spec.p, spec.modulus
+    p = spec.p
     exps = spec.exps
     dim = spec.dim
     gens = invariance_generators(spec)
@@ -189,34 +138,22 @@ def canonical_isotropic(spec: SympModule) -> IsotropicData:
         gap = min(u_box[i], exps[i]) - uperp_box[i]
         if gap not in (0, 1):
             raise AssertionError("U-perp/U is not elementary abelian")
-    k = len(res_coords)
-    res_gram = []
-    for gi in res_coords:
-        row = []
-        for gj in res_coords:
-            val = (p ** (uperp_box[gi] + uperp_box[gj])) * spec.gram[gi][gj]
-            val %= M
-            if val % (p ** spec.n):
-                raise AssertionError("residue form not in the minimal ideal")
-            row.append((val // p ** spec.n) % p)
-        res_gram.append(tuple(row))
-    res_gram = tuple(res_gram)
-    T = symplectic_basis_field(res_gram, p) if k else tuple()
-    Tinv = mat_inv(T, p) if k else tuple()
+    val = spec.box_form(uperp_box)[np.ix_(res_coords, res_coords)]
+    if (val % p ** spec.n).any():
+        raise AssertionError("residue form not in the minimal ideal")
+    res_gram = val // p ** spec.n % p
+    T = symplectic_basis(res_gram, p)
+    Tinv = mat_inv_stack(T[None], p)[0]
     return IsotropicData(spec, u_box, uperp_box, res_coords, res_gram,
-                         T, Tinv, k // 2)
+                         T, Tinv, len(res_coords) // 2)
 
 
 def _box_invariant(spec, divs, gens):
-    p = spec.p
-    for g in gens:
-        for j in range(spec.dim):
-            cj = min(divs[j], spec.exps[j])
-            for i in range(spec.dim):
-                ci = p ** min(divs[i], spec.exps[i])
-                if (g.mat[i][j] * p ** cj) % ci:
-                    return False
-    return True
+    """Whether every generator maps the box into itself: entry (i, j)
+    times p^{c_j} is divisible by p^{c_i}, c the capped divisors."""
+    c = spec.p ** np.minimum(divs, spec.exps)
+    mats = np.asarray(gens, dtype=np.int64).reshape(-1, spec.dim, spec.dim)
+    return not (mats * c % c[:, None]).any()
 
 
 def _box_contains(spec, outer, inner):
@@ -562,7 +499,7 @@ def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
     """
     mods, d = group._mods, group.spec.dim
     S = np.array(group.gens, dtype=np.int64)
-    Sinv = np.array([g.inverse() for g in group.gens], dtype=np.int64)
+    Sinv = mat_inv_stack(S, group.spec.p, group.spec.n + 1) % mods
     new = S[:, None] @ S[None] % mods @ Sinv[:, None] % mods @ Sinv[None] % mods
     dgens = []
     while len(new := np.unique(new.reshape(-1, d, d), axis=0)):
@@ -649,11 +586,11 @@ def direct_sum_isotropic(big: SympModule, isoA: IsotropicData,
     la, lb = isoA.l_res, isoB.l_res
     cols = [*range(la), *range(ka, ka + lb), *range(la, ka),
             *range(ka + lb, k)]
-    T = tuple(tuple(row[c] for c in cols)
-              for row in _block_diag(isoA.T, isoB.T))
-    Tinv = mat_inv(T, p) if k else tuple()
+    T = np.array(_block_diag(isoA.T, isoB.T), dtype=np.int64).reshape(
+        k, k)[:, cols]
     return IsotropicData(big, u_box, uperp_box, res_coords,
-                         tuple(tuple(r) for r in gram), T, Tinv, la + lb)
+                         np.array(gram, dtype=np.int64).reshape(k, k), T,
+                         mat_inv_stack(T[None], p)[0], la + lb)
 
 
 def embed_pair(big: SympModule, gA: GroupElem, gB: GroupElem) -> GroupElem:

@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import mat_det, mat_inv
+from .linalg import mat_inv_stack, rank_normal_form_stack
 from .rings import vp
 
 
@@ -38,12 +38,10 @@ class SympModule:
         # largest s with all gram entries divisible by p^s
         self.form_content = min((vp(x, p) for row in self.gram for x in row
                                  if x), default=n + 1)
-        for i in range(self.dim):
-            if self.gram[i][i] % self.modulus:
-                raise ValueError("gram must be alternating")
-            for j in range(self.dim):
-                if (self.gram[i][j] + self.gram[j][i]) % self.modulus:
-                    raise ValueError("gram must be alternating")
+        # Python ints: a module is built before any size cap is checked
+        G = np.array(self.gram, dtype=object).reshape(self.dim, self.dim)
+        if np.diagonal(G).any() or ((G + G.T) % self.modulus).any():
+            raise ValueError("gram must be alternating")
 
     # -- construction ----------------------------------------------------------
 
@@ -135,6 +133,14 @@ class SympModule:
             out *= self.p ** max(0, a - min(c, a))
         return out
 
+    def box_form(self, divs) -> np.ndarray:
+        """The form on the generators p^{c_i} e_i of the box with divisor
+        exponents divs: p^{c_i + c_j} gram[i][j] mod M, an int64 (dim, dim)
+        array (the power capped at M, where it vanishes anyway)."""
+        c = np.minimum(divs, self.exps)
+        return self.p ** np.minimum(c[:, None] + c, self.n + 1) * np.array(
+            self.gram, dtype=np.int64) % self.modulus
+
     def quotient_reduce(self, v, divs):
         """Canonical representative of v modulo the box submodule."""
         return tuple(x % self.p ** min(c, a)
@@ -181,14 +187,15 @@ class GroupElem:
         self.mat = canon
         self._hash = hash((spec.moduli, canon))
         if check:
-            p, exps = spec.p, spec.exps
-            for i in range(spec.dim):
-                for j in range(spec.dim):
-                    d = p ** max(0, exps[i] - exps[j])
-                    if canon[i][j] % d:
-                        raise ValueError(
-                            f"entry ({i},{j})={canon[i][j]} violates "
-                            f"divisibility p^{max(0, exps[i]-exps[j])}")
+            exps = np.array(spec.exps)
+            need = np.maximum(0, exps[:, None] - exps)
+            bad = np.argwhere(np.array(canon, dtype=np.int64).reshape(
+                need.shape) % spec.p ** need)
+            if len(bad):
+                i, j = bad[0].tolist()
+                raise ValueError(
+                    f"entry ({i},{j})={canon[i][j]} violates "
+                    f"divisibility p^{need[i, j]}")
 
     @classmethod
     def identity(cls, spec):
@@ -216,27 +223,15 @@ class GroupElem:
         return GroupElem(self.spec, prod_mat, check=False)
 
     def inverse(self) -> "GroupElem":
-        inv = mat_inv(self.mat, self.spec.p, self.spec.n + 1)
-        return GroupElem(self.spec, inv, check=False)
+        inv = mat_inv_stack([self.mat], self.spec.p, self.spec.n + 1)[0]
+        return GroupElem(self.spec, inv.tolist(), check=False)
 
     def is_symplectic(self) -> bool:
-        spec = self.spec
-        M = spec.modulus
-        g = self.mat
-        dim = spec.dim
-        for i in range(dim):
-            for j in range(dim):
-                s = 0
-                for k in range(dim):
-                    if g[k][i] == 0:
-                        continue
-                    row = spec.gram[k]
-                    for t in range(dim):
-                        if row[t] and g[t][j]:
-                            s += g[k][i] * row[t] * g[t][j]
-                if (s - spec.gram[i][j]) % M:
-                    return False
-        return True
+        """g^T gram g = gram mod p^{n+1}."""
+        M = self.spec.modulus
+        g = np.array(self, dtype=np.int64)
+        G = np.array(self.spec.gram, dtype=np.int64)
+        return not ((g.T @ G % M @ g - G) % M).any()
 
     def __eq__(self, other):
         return self.mat == other.mat and self.spec.moduli == other.spec.moduli
@@ -419,27 +414,24 @@ def symplectic_group(spec: SympModule, cap: int = 2_000_000) -> FiniteGroup:
 
 
 def brute_force_symplectic_count(spec: SympModule, limit: int = 2_000_000) -> int:
-    """Count constrained matrices preserving the form, by direct scan."""
-    p = spec.p
-    dim = spec.dim
-    exps = spec.exps
-    total = 1
-    entry_ranges = []
-    for i in range(dim):
-        for j in range(dim):
-            d = p ** max(0, exps[i] - exps[j])
-            m = p ** exps[i]
-            entry_ranges.append(range(0, m, d))
-            total *= len(entry_ranges[-1])
+    """Count constrained matrices preserving the form and invertible mod p,
+    by direct scan in chunks of the stacked matrices."""
+    p, d, M = spec.p, spec.dim, spec.modulus
+    exps = np.array(spec.exps)
+    step = p ** np.maximum(0, exps[:, None] - exps)
+    sizes = (p ** exps[:, None] // step).ravel()
+    total = math.prod(sizes.tolist())
     if total > limit:
         raise ClosureCapExceeded(
             f"brute-force scan of {total} matrices exceeds limit {limit}")
+    G = np.array(spec.gram, dtype=np.int64)
     count = 0
-    for flat in product(*entry_ranges):
-        mat = [list(flat[i * dim:(i + 1) * dim]) for i in range(dim)]
-        g = GroupElem(spec, mat, check=False)
-        if g.is_symplectic() and mat_det(g.mat, p):
-            count += 1
+    for start in range(0, total, _CLOSURE_CHUNK):
+        flat = np.arange(start, min(start + _CLOSURE_CHUNK, total))
+        g = np.stack(np.unravel_index(flat, sizes), axis=1).reshape(
+            -1, d, d) * step
+        g = g[~((g.transpose(0, 2, 1) @ G % M @ g - G) % M).any(axis=(1, 2))]
+        count += int((rank_normal_form_stack(g, p)[2] == d).sum())
     return count
 
 

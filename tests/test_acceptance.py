@@ -8,7 +8,6 @@ from itertools import product
 import numpy as np
 
 from elements import sl2_elements, sp_elements
-from weilrep.linalg import mat_mul
 from weilrep.oscillator import (OscillatorRep, hasse_davenport_holds,
                                 parabolic_identity_report, weil_index)
 from weilrep.ring_rep import (RingWeilRep, build_ring_rep, character_norm,
@@ -51,29 +50,34 @@ def test_criterion_2_field_homomorphism_and_intertwining():
     worst_hom = 0.0
     for p in (3, 5):
         rep = OscillatorRep(1, p)
-        els = sl2_elements(p)
-        ops = {g: rep.op(g) for g in els}
-        for g in els:
-            A = ops[g]
-            for h in els:
-                worst_hom = max(worst_hom, float(np.abs(
-                    A @ ops[h] - ops[mat_mul(g, h, p)]).max()))
+        els = np.array(sl2_elements(p))
+        ops = rep.ops(els)
+        # the index of g_i g_j at [i, j], through a table of base-p keys
+        radix = p ** np.arange(4)
+        index = np.empty(p ** 4, int)
+        index[els.reshape(-1, 4) @ radix] = np.arange(len(els))
+        prods = index[(els[:, None] @ els % p).reshape(
+            len(els), len(els), 4) @ radix]
+        for A, at in zip(ops, prods):
+            worst_hom = max(worst_hom, float(np.abs(
+                A @ ops - ops[at]).max()))
     rep4 = OscillatorRep(2, 3)
     els4 = sp_elements(2, 3)
-    for _ in range(10_000):
-        g, h = RNG.choice(els4), RNG.choice(els4)
-        worst_hom = max(worst_hom, float(np.abs(
-            rep4.op(g) @ rep4.op(h) - rep4.op(mat_mul(g, h, 3))).max()))
+    pairs = np.array([(RNG.choice(els4), RNG.choice(els4))
+                      for _ in range(10_000)])
+    for start in range(0, len(pairs), 1000):
+        g, h = pairs[start:start + 1000].swapaxes(0, 1)
+        Sg, Sh, Sgh = np.split(rep4.ops(np.concatenate([g, h, g @ h % 3])), 3)
+        worst_hom = max(worst_hom, float(np.abs(Sg @ Sh - Sgh).max()))
     worst_int = 0.0
     for l, p, els in ((1, 3, sl2_elements(3)), (1, 5, sl2_elements(5)),
                       (2, 3, els4)):
         rep = OscillatorRep(l, p)
         W = list(product(range(p), repeat=2 * l))
-        for _ in range(1000):
-            g = RNG.choice(els)
-            w = RNG.choice(W)
-            t = RNG.randrange(p)
-            U = rep.op(g)
+        draws = [(RNG.choice(els), RNG.choice(W), RNG.randrange(p))
+                 for _ in range(1000)]
+        ops = rep.ops(np.array([g for g, _, _ in draws]))
+        for U, (g, w, t) in zip(ops, draws):
             lhs = U @ rep.rho(w, t) @ U.conj().T
             rhs = rep.rho(rep.heis_transform(g, w), t)
             worst_int = max(worst_int, float(np.abs(lhs - rhs).max()))

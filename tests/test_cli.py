@@ -1,14 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
+import jsonschema
 import pytest
 
-from weilrep.cli import main
+from weilrep.cli import COMMANDS, STATUSES, Report, main
+
+SCHEMA = json.loads(resources.files("weilrep")
+                    .joinpath("report_schema.json").read_text())
 
 
 def run(tmp_path, name, argv):
+    """Run the CLI into a file; the report must meet the schema."""
     out = tmp_path / name
     code = main(argv + ["--out", str(out)])
-    return code, json.loads(out.read_text())
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, SCHEMA)
+    return code, doc
 
 
 def test_field_command(tmp_path):
@@ -107,6 +119,18 @@ def test_torus_honours_cap_dim(tmp_path, argv, dim):
     assert "torus_order" not in doc["config"]
 
 
+@pytest.mark.parametrize("command", [
+    ["ring", "--r", "1", "--l", "0"], ["ring", "--r", "1", "--l", "1"],
+    ["torus"]], ids=["ring-l0", "ring-l1", "torus"])
+def test_deep_level_beyond_int64_skips_at_cap_dim(tmp_path, command):
+    """p^(n+1) = 3^41 does not fit an int64; the model is refused by its
+    size before any array holds the form."""
+    code, doc = run(tmp_path, "deep.json", command + ["--p", "3", "--n", "40"])
+    assert code == 0
+    [rec] = doc["checks"]
+    assert (rec["anchor"], rec["status"]) == ("caps", "skipped")
+
+
 def test_torus_eta0_records(tmp_path):
     code, doc = run(tmp_path, "tu1.json",
                     ["torus", "--p", "3", "--kind", "unramified",
@@ -148,10 +172,17 @@ def test_seed_changes_samples_not_verdicts(tmp_path):
     (["torus", "--p", "3", "--tol", "inf"], "--tol"),
     (["field", "--p", "3", "--tol", "nan"], "--tol"),
     (["selfcheck", "--tol", "inf"], "--tol"),
+    (["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1",
+      "--cap-dim", "-3000"], "--cap-dim"),
+    (["torus", "--p", "3", "--cap-dim", "-3000"], "--cap-dim"),
+    (["ring", "--p", "3", "--cap-group", "0"], "--cap-group"),
+    (["ring", "--p", "3", "--cap-group", "-1"], "--cap-group"),
+    (["torus", "--p", "3", "--cap-group", "0"], "--cap-group"),
 ], ids=["p2", "p9", "p15", "ring-l-above-r", "ring-r0", "ring-n0",
         "torus-n0", "ramified-uval1", "field-samples0", "ring-samples-neg",
         "torus-tol-neg", "torus-tol0", "torus-tol-inf", "field-tol-nan",
-        "selfcheck-tol-inf"])
+        "selfcheck-tol-inf", "ring-cap-dim-neg", "torus-cap-dim-neg",
+        "ring-cap-group0", "ring-cap-group-neg", "torus-cap-group0"])
 def test_rejects_invalid_input(argv, message, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()
@@ -160,12 +191,34 @@ def test_rejects_invalid_input(argv, message, capsys):
 
 
 def test_schema_validates_reports(tmp_path):
-    import jsonschema
-    from importlib import resources
-    schema = json.loads(resources.files("weilrep")
-                        .joinpath("report_schema.json").read_text())
-    _, doc = run(tmp_path, "v.json", ["field", "--p", "3"])
-    jsonschema.validate(doc, schema)
+    """`run` validates the report; the enums of `Report` are the schema's."""
+    run(tmp_path, "v.json", ["field", "--p", "3"])
+    props = SCHEMA["properties"]
+    assert list(COMMANDS) == props["command"]["enum"]
+    assert list(STATUSES) == \
+        props["checks"]["items"]["properties"]["status"]["enum"]
+
+
+def test_report_refuses_what_the_schema_rejects():
+    with pytest.raises(ValueError):
+        Report("bogus", {}, 0)
+    rep = Report("ring", {}, 0)
+    for record in [(3, "a", "pass"), ("a", None, "info"), ("a", "a", "ok"),
+                   ("a", "a", "skipped", None, None, 5)]:
+        with pytest.raises(ValueError):
+            rep.add(*record)
+    assert rep.doc["checks"] == []
+
+
+def test_reports_import_no_validator():
+    code = ("import os, sys; from weilrep.cli import main; "
+            "main(['torus', '--p', '3', '--n', '1', '--out', os.devnull]); "
+            "print('jsonschema' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):

@@ -26,15 +26,16 @@ import numpy as np
 import pytest
 
 from elements import sl2_elements, sp_elements
-from test_oscillator import reference_invariants, sp4_cases
-from weilrep.heisenberg import SchrodingerModel
-from weilrep.linalg import mat_inv, mat_mul, mat_vec
+from reference import mat_inv, mat_mul, mat_vec, reference_invariants
+from test_oscillator import sp4_cases
+from weilrep.heisenberg import SchrodingerModel, box_isotropic
 from weilrep.oscillator import OscillatorRep, weil_index
-from weilrep.ring_rep import (_CHUNK, MonomialOps, abelianization_character,
-                              abelianization_cosets, build_ring_rep,
-                              canonical_isotropic, character_norm, decompose,
-                              derived_subgroup, embed_pair, summand_characters,
-                              traces)
+from weilrep.ring_rep import (_CHUNK, MonomialOps, _box_invariant,
+                              abelianization_character, abelianization_cosets,
+                              build_ring_rep, canonical_isotropic,
+                              character_norm, decompose, derived_subgroup,
+                              embed_pair, invariance_generators,
+                              summand_characters, traces)
 from weilrep.rings import unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
                                 SympModule, group_closure, orbits,
@@ -272,13 +273,13 @@ def reference_reduce(iso, g):
         cols.append([(img[gi] // p ** iso.uperp_box[gi]) % p
                      for gi in iso.res_coords])
     R = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return mat_mul(iso.Tinv, mat_mul(R, iso.T, p), p)
+    return mat_mul(iso.Tinv.tolist(), mat_mul(R, iso.T.tolist(), p), p)
 
 
 def reference_project(iso, u):
     p = iso.spec.p
     vec = tuple((u[gi] // p ** iso.uperp_box[gi]) % p for gi in iso.res_coords)
-    return mat_vec(iso.Tinv, vec, p) if vec else tuple()
+    return mat_vec(iso.Tinv.tolist(), vec, p) if vec else tuple()
 
 
 def reference_rho(rep, ubar):
@@ -898,3 +899,78 @@ def test_y_box_rho_matches_row_loop():
     model = SchrodingerModel(SympModule.standard(3, 1, 0, 1), (2, 0), 2)
     assert model.selfdual
     _check_rho(model.rho, model)
+
+
+# -- Gram-form predicates: the entry-by-entry loops ---------------------------
+
+
+def reference_box_isotropic(spec, divs):
+    p, M = spec.p, spec.modulus
+    for i in range(spec.dim):
+        for j in range(spec.dim):
+            if spec.gram[i][j] % M == 0:
+                continue
+            e = min(divs[i], spec.exps[i]) + min(divs[j], spec.exps[j])
+            if (p ** e * spec.gram[i][j]) % M:
+                return False
+    return True
+
+
+def reference_box_invariant(spec, divs, gens):
+    p = spec.p
+    for g in gens:
+        for j in range(spec.dim):
+            cj = min(divs[j], spec.exps[j])
+            for i in range(spec.dim):
+                ci = p ** min(divs[i], spec.exps[i])
+                if (g.mat[i][j] * p ** cj) % ci:
+                    return False
+    return True
+
+
+def reference_is_symplectic(g):
+    spec, M, dim = g.spec, g.spec.modulus, g.spec.dim
+    for i in range(dim):
+        for j in range(dim):
+            s = sum(g.mat[k][i] * spec.gram[k][t] * g.mat[t][j]
+                    for k in range(dim) for t in range(dim))
+            if (s - spec.gram[i][j]) % M:
+                return False
+    return True
+
+
+def reference_res_gram(spec, iso):
+    p = spec.p
+    out = []
+    for gi in iso.res_coords:
+        row = []
+        for gj in iso.res_coords:
+            val = (p ** (iso.uperp_box[gi] + iso.uperp_box[gj])
+                   * spec.gram[gi][gj]) % spec.modulus
+            assert val % p ** spec.n == 0
+            row.append(val // p ** spec.n % p)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("args", [(3, 1, 0, 1), (3, 1, 1, 1), (3, 2, 1, 1),
+                                  (5, 1, 0, 2), (3, 2, 2, 1)])
+@pytest.mark.parametrize("flavor", ["B", "Bstar"])
+def test_gram_predicates_match_entry_loops(args, flavor):
+    """box_isotropic and _box_invariant on every box, the residue form,
+    and is_symplectic on the generators and on perturbed generators."""
+    spec = SympModule.standard(*args, flavor=flavor)
+    gens = invariance_generators(spec)
+    for divs in product(*[range(e + 1) for e in spec.exps]):
+        assert box_isotropic(spec, divs) == reference_box_isotropic(spec, divs)
+        assert _box_invariant(spec, divs, gens) == \
+            reference_box_invariant(spec, divs, gens)
+    iso = canonical_isotropic(spec)
+    assert iso.res_gram.tolist() == reference_res_gram(spec, iso)
+    rng = random.Random(sum(args))
+    for g in gens:
+        mat = [list(row) for row in g.mat]
+        i, j = rng.randrange(spec.dim), rng.randrange(spec.dim)
+        mat[i][j] += spec.p ** max(0, spec.exps[i] - spec.exps[j])
+        for h in (g, GroupElem(spec, mat)):
+            assert h.is_symplectic() == reference_is_symplectic(h)

@@ -1,13 +1,15 @@
-"""Property tests of the modular-matrix layer on random small matrices."""
+"""Property tests of the stacked modular-matrix layer on random small
+matrices, against the tuple-of-rows reference elimination."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weilrep.linalg import (_rank_normal_form, gauss_jordan, mat_det,
-                            mat_inv, mat_inv_stack, mat_mul, mat_rank, mat_T,
-                            rank_normal_form_stack)
+from reference import (_rank_normal_form, gauss_jordan, mat_det, mat_inv,
+                       mat_mul, mat_rank, mat_T)
+from weilrep.linalg import (mat_inv_stack, rank_normal_form_stack,
+                            symplectic_basis)
 
 
 @st.composite
@@ -37,14 +39,16 @@ def _det_cofactor(a):
 @settings(deadline=None)
 @given(square())
 def test_inverse_exists_exactly_for_units(case):
+    """mat_inv_stack gives a x = x a = 1 mod p^k exactly when det a is a
+    unit, and raises otherwise."""
     a, p, k = case
-    if mat_det(a, p):
-        inv = mat_inv(a, p, k)
+    if _det_cofactor(a) % p:
+        inv = tuple(map(tuple, mat_inv_stack([a], p, k)[0].tolist()))
         assert mat_mul(inv, a, p ** k) == _eye(len(a))
         assert mat_mul(a, inv, p ** k) == _eye(len(a))
     else:
         with pytest.raises(ZeroDivisionError):
-            mat_inv(a, p, k)
+            mat_inv_stack([a], p, k)
 
 
 @st.composite
@@ -62,10 +66,14 @@ def unit_stack(draw):
 @settings(deadline=None)
 @given(unit_stack())
 def test_batched_inverse_matches_mat_inv(case):
+    """The stacked inverse is the reference inverse mod p, lifted to an
+    inverse mod p^k."""
     stack, p, k = case
     inv = mat_inv_stack(np.array(stack), p, k)
-    assert [tuple(map(tuple, x)) for x in inv.tolist()] == \
-        [mat_inv(a, p, k) for a in stack]
+    assert [tuple(map(tuple, x)) for x in (inv % p).tolist()] == \
+        [mat_inv(a, p) for a in stack]
+    eye = np.eye(len(stack[0]), dtype=np.int64)
+    assert (np.array(stack) @ inv % p ** k == eye).all()
 
 
 def test_batched_inverse_rejects_a_singular_matrix():
@@ -77,6 +85,8 @@ def test_batched_inverse_rejects_a_singular_matrix():
 @settings(deadline=None)
 @given(square(k_max=1), st.data())
 def test_det_matches_cofactor_and_is_multiplicative(case, data):
+    """The reference determinant, and det u = det(a)^{-1} of the stacked
+    elimination, against cofactor expansion."""
     a, p, _ = case
     n = len(a)
     b = tuple(tuple(data.draw(st.integers(0, p - 1)) for _ in range(n))
@@ -84,6 +94,10 @@ def test_det_matches_cofactor_and_is_multiplicative(case, data):
     assert mat_det(a, p) == _det_cofactor(a) % p
     assert mat_det(mat_mul(a, b, p), p) == mat_det(a, p) * mat_det(b, p) % p
     assert (mat_rank(a, p) == n) == (mat_det(a, p) != 0)
+    _, _, r, det_u = rank_normal_form_stack([a], p)
+    assert (r[0] == n) == (mat_det(a, p) != 0)
+    if r[0] == n:
+        assert det_u[0] * _det_cofactor(a) % p == 1
 
 
 @settings(deadline=None)
@@ -110,21 +124,22 @@ def test_rank_normal_form(case):
 
 
 @st.composite
-def square_stack(draw):
-    """(stack, p): 1-8 square matrices of one size mod p, half the entries
-    zero, so that every rank occurs."""
+def matrix_stack(draw, square=True):
+    """(stack, p): 1-8 matrices of one shape mod p, 1-4 rows and columns
+    (equal when square), half the entries zero, so that every rank
+    occurs."""
     p = draw(st.sampled_from([3, 5, 7]))
-    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 4))
     entry = st.one_of(st.just(0), st.integers(0, p - 1))
-    mat = st.tuples(*[st.tuples(*[entry] * n)] * n)
+    mat = st.tuples(*[st.tuples(*[entry] * n)] * m)
     return draw(st.lists(mat, min_size=1, max_size=8)), p
 
 
 @settings(deadline=None)
-@given(square_stack())
+@given(matrix_stack())
 def test_stacked_rank_normal_form_matches_per_matrix(case):
     stack, p = case
-    n = len(stack[0])
     u, pivot, r, det = rank_normal_form_stack(np.array(stack), p)
     for c, ui, pi, ri, di in zip(stack, u.tolist(), pivot.tolist(),
                                  r.tolist(), det.tolist()):
@@ -133,3 +148,48 @@ def test_stacked_rank_normal_form_matches_per_matrix(case):
         # w takes the pivot columns first, in order
         assert [W[c][i] for i, c in enumerate(np.flatnonzero(pi))] == [1] * R
         assert di == mat_det(U, p)
+
+
+@settings(deadline=None)
+@given(matrix_stack(square=False))
+def test_rectangular_rank_normal_form_matches_gauss_jordan(case):
+    """u, rank and pivot columns of (N, m, n) stacks."""
+    stack, p = case
+    u, pivot, r, _ = rank_normal_form_stack(np.array(stack), p)
+    for c, ui, pi, ri in zip(stack, u.tolist(), pivot, r.tolist()):
+        _, pivots, U, _ = gauss_jordan(c, p)
+        assert tuple(map(tuple, ui)) == U
+        assert ri == len(pivots) and np.flatnonzero(pi).tolist() == pivots
+
+
+@st.composite
+def alternating_form(draw):
+    """(gram, p): a nondegenerate alternating form over F_p, dim 2-6."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    dim = 2 * draw(st.integers(1, 3))
+    gram = np.zeros((dim, dim), dtype=np.int64)
+    gram[np.triu_indices(dim, 1)] = draw(st.lists(
+        st.integers(0, p - 1), min_size=dim * (dim - 1) // 2,
+        max_size=dim * (dim - 1) // 2))
+    gram = (gram - gram.T) % p
+    assume(mat_rank(gram.tolist(), p) == dim)
+    return gram, p
+
+
+@settings(deadline=None)
+@given(alternating_form())
+def test_symplectic_basis_is_symplectic(case):
+    gram, p = case
+    T = symplectic_basis(gram, p)
+    k = len(gram) // 2
+    J = np.block([[np.zeros((k, k), int), np.eye(k, dtype=int)],
+                  [-np.eye(k, dtype=int), np.zeros((k, k), int)]])
+    assert (T.T @ gram @ T % p == J % p).all()
+
+
+def test_symplectic_basis_rejects_a_degenerate_form():
+    gram = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError):
+        symplectic_basis(gram, 3)
+    assert symplectic_basis(np.zeros((0, 0), dtype=np.int64), 3).shape \
+        == (0, 0)

@@ -5,76 +5,14 @@ import numpy as np
 import pytest
 
 from elements import parabolic_elements, sl2_elements, sp_elements
-from weilrep import linalg
-from weilrep.linalg import _rank_normal_form, mat_inv, mat_mul, mat_T
+from reference import (det_X, mat_mul, reference_bruhat, reference_invariants,
+                       tau_matrix)
+from weilrep import oscillator
 from weilrep.oscillator import (J_element, OscillatorRep, bruhat_decompose,
-                                cell_invariants, det_X, hasse_davenport_holds,
+                                cell_invariants, hasse_davenport_holds,
                                 parabolic_identity_report, theta, weil_index)
 from weilrep.rings import legendre
 from weilrep.symplectic import SympModule, symplectic_group
-
-
-# -- the Bruhat factorization that the cell invariants replace ----------------
-
-
-def _from_blocks(a, b, c, d, p):
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    rows += [list(rc) + list(rd) for rc, rd in zip(c, d)]
-    return tuple(tuple(x % p for x in row) for row in rows)
-
-
-def levi(a, p):
-    """diag(a, (a^T)^{-1}) in the Siegel parabolic."""
-    zero = tuple((0,) * len(a) for _ in a)
-    return _from_blocks(a, zero, zero, mat_T(mat_inv(a, p)), p)
-
-
-def unipotent(b, p):
-    """[[I, b],[0, I]] with b symmetric."""
-    l = len(b)
-    eye = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-    zero = tuple((0,) * l for _ in range(l))
-    return _from_blocks(eye, b, zero, eye, p)
-
-
-def tau_matrix(S, l, p):
-    """e_i -> f_i, f_i -> -e_i for i in S, identity elsewhere."""
-    g = [[0] * (2 * l) for _ in range(2 * l)]
-    for i in range(l):
-        if i in S:
-            g[l + i][i] = 1
-            g[i][l + i] = -1 % p
-        else:
-            g[i][i] = 1
-            g[l + i][l + i] = 1
-    return tuple(tuple(row) for row in g)
-
-
-def reference_bruhat(g, l, p):
-    """g = p1 tau_S p2 with p1, p2 in the Siegel parabolic: (p1, S, p2)."""
-    g = tuple(tuple(x % p for x in row) for row in g)
-    c = tuple(row[:l] for row in g[l:])
-    u, w, r = _rank_normal_form(c, p)
-    a1 = mat_T(mat_inv(u, p))
-    g2 = mat_mul(levi(a1, p), mat_mul(g, levi(w, p), p), p)
-    # symplecticity forces a12 = 0 and a11 symmetric w.r.t. the r-split
-    bprime = [[0] * l for _ in range(l)]
-    for i in range(r):
-        for j in range(r):
-            bprime[i][j] = -g2[i][j] % p
-    for i in range(r, l):
-        for j in range(r):
-            bprime[i][j] = bprime[j][i] = -g2[i][j] % p
-    bprime = tuple(map(tuple, bprime))
-    S = frozenset(range(r))
-    tau = tau_matrix(S, l, p)
-    h = mat_mul(mat_inv(tau, p), mat_mul(unipotent(bprime, p), g2, p), p)
-    assert not any(x for row in h[l:] for x in row[:l])
-    p1 = mat_mul(levi(mat_inv(a1, p), p),
-                 unipotent(tuple(tuple(-x % p for x in row)
-                                 for row in bprime), p), p)
-    p2 = mat_mul(h, levi(mat_inv(w, p), p), p)
-    return p1, S, p2
 
 
 def _check_against_reference(g, l, p):
@@ -105,12 +43,6 @@ def test_cell_invariants_match_factorization_sp4():
         _check_against_reference(g, 2, 3)
 
 
-def reference_invariants(g, l, p):
-    """(theta, j) read off the reference factorization g = p1 tau_S p2."""
-    p1, S, p2 = reference_bruhat(g, l, p)
-    return det_X(p1, l, p) * det_X(p2, l, p) % p, len(S)
-
-
 @pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
 def test_stacked_cell_invariants_match_factorization(l, p):
     """The whole set as one stack, mixing every rank of C."""
@@ -121,14 +53,19 @@ def test_stacked_cell_invariants_match_factorization(l, p):
 
 
 def test_stacked_path_runs_no_per_element_elimination(monkeypatch):
+    """ops eliminates once for C and once for K per 512-element chunk."""
     rep = OscillatorRep(2, 3)
     G = symplectic_group(SympModule.standard(3, 2, 0, 0))
     mats = G.mats[random.Random(6).sample(range(len(G)), 1000)]
+    calls = []
 
-    def refuse(*args):
-        raise AssertionError("per-element elimination on the stacked path")
-    monkeypatch.setattr(linalg, "gauss_jordan", refuse)
+    def counted(c, p):
+        calls.append(len(c))
+        return stacked(c, p)
+    stacked = oscillator.rank_normal_form_stack
+    monkeypatch.setattr(oscillator, "rank_normal_form_stack", counted)
     S = rep.ops(mats)
+    assert calls == [512, 512, 488, 488]
     assert np.abs(S @ S.conj().swapaxes(1, 2) - np.eye(rep.dim)).max() < 1e-12
     assert bruhat_decompose(mats[0], 2, 3)[1] == np.linalg.matrix_rank(
         mats[0][2:, :2])
