@@ -5,11 +5,11 @@ from .rings import (QuadElem, QuadExt, legendre, smallest_nonresidue,
 from .symplectic import (FiniteGroup, GroupElem, SympModule, group_closure,
                          orbits, symplectic_group, transvection,
                          transvection_generators)
-from .heisenberg import SchrodingerModel, heis_mul, standard_selfdual
+from .heisenberg import SchrodingerModel, standard_selfdual
 from .oscillator import (OscillatorRep, bruhat_decompose, hasse_davenport_holds,
                          theta, weil_index)
 from .ring_rep import (RingWeilRep, build_ring_rep, canonical_isotropic,
-                       character_norm, decompose, shell_dimensions, sigma_gx)
+                       character_norm, decompose, shell_dimensions)
 from .torus import (TorusContext, TorusSpec, multiplicity_report,
                     product_torus_multiplicities, residue_operator_check)
 

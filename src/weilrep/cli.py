@@ -24,7 +24,8 @@ from . import ring_rep as rr
 from . import torus as tor
 from .rings import _is_prime, legendre
 from .symplectic import (ClosureCapExceeded, SympModule, orbits,
-                         symplectic_group, transvection_generators)
+                         reduce_level, symplectic_group,
+                         transvection_generators)
 
 SCHEMA_VERSION = "2"
 
@@ -144,7 +145,8 @@ def cmd_field(args) -> int:
     worst = 0.0
     for U, (g, w, t) in zip(rep.ops(mats[[g for g, _, _ in draws]]), draws):
         lhs = U @ rep.rho(w, t) @ U.conj().T
-        rhs = rep.rho(rep.heis_transform(mats[g], w), t)
+        # g acts on the Heisenberg group by g.(w, t) = (gw, t)
+        rhs = rep.rho(mats[g] @ w % p, t)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
@@ -179,7 +181,7 @@ def cmd_ring(args) -> int:
     rep_doc.doc["config"]["model_moduli"] = list(model_spec.moduli)
     rep_doc.doc["config"]["lifted"] = lifted
     if model_spec.size() > args.cap_dim ** 2:
-        return _skip_model(rep_doc, round(model_spec.size() ** 0.5), args)
+        return _skip_model(rep_doc, math.isqrt(model_spec.size()), args)
     rep = rr.build_ring_rep(spec)
 
     shells = rr.shell_dimensions(p, r, l, n)
@@ -228,7 +230,7 @@ def cmd_ring(args) -> int:
                   irr_dev <= 1e-6, residual=irr_dev)
     # the summands decompose the model, so their characters sum to tr S(g)
     cn, dev = rr.character_norm(chars.sum(axis=0))
-    orb = len(orbits(G.gens, rep.spec.exps))
+    orb = int(orbits(G.gens, rep.spec.exps).max()) + 1
     rep_doc.check("orbit-count-identity", "orbit-count-identity",
                   cn == orb and dev <= 1e-6,
                   measured={"character_norm": cn, "orbit_count": orb},
@@ -255,10 +257,11 @@ def _skip_model(rep_doc, dim, args):
 
 
 def _draw_point(rng, moduli):
-    """A uniform point of the product of the Z/m, drawn as one index in C
-    order: the same draw as rng.choice over the list of all points."""
-    index = rng.randrange(math.prod(moduli))
-    return tuple(int(x) for x in np.unravel_index(index, moduli))
+    """A uniform point of the product of the Z/m, an int64 array drawn as
+    one index in C order: the same draw as rng.choice over the rows of
+    `points()`."""
+    return np.array(np.unravel_index(rng.randrange(math.prod(moduli)),
+                                     moduli), dtype=np.int64)
 
 
 def _check_intertwining(rep_doc, rep, elements, rng, tol):
@@ -270,7 +273,8 @@ def _check_intertwining(rep_doc, rep, elements, rng, tol):
         t = rng.randrange(rep.M)
         U = rep.op(g)
         lhs = U @ rep.heis_op(w, t) @ U.conj().T
-        worst = max(worst, float(np.abs(lhs - rep.heis_op(g.act(w), t)).max()))
+        gw = np.asarray(g, dtype=np.int64) @ w % rep.heis.mods
+        worst = max(worst, float(np.abs(lhs - rep.heis_op(gw, t)).max()))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
 
@@ -283,10 +287,9 @@ def _sigma_level_diagnostic(rep, rng):
     their characters on matched group elements.
     """
     spec = rep.spec
-    from .symplectic import reduce_level
     lower = SympModule.standard(spec.p, spec.r, spec.l, spec.n - 2,
                                 flavor=spec.flavor or "B")
-    low_rep = rr.build_ring_rep(lower, lift_degenerate=False)
+    low_rep = rr.RingWeilRep(lower)
     worst = 0.0
     for g in transvection_generators(spec):
         g_low = reduce_level(g, low_rep.spec)

@@ -18,14 +18,6 @@ from .rings import _roots
 from .symplectic import SympModule
 
 
-def heis_mul(spec: SympModule, h1, h2):
-    (w1, t1), (w2, t2) = h1, h2
-    M = spec.modulus
-    half = pow(2, -1, M)
-    t = (t1 + t2 + half * spec.form(w1, w2)) % M
-    return (spec.add(w1, w2), t)
-
-
 def box_isotropic(spec: SympModule, divs) -> bool:
     """Whether the box with divisor exponents divs is isotropic."""
     return not spec.box_form(divs).any()
@@ -42,9 +34,9 @@ class SchrodingerModel:
     """The coset split of W over a coordinate box A, and for a self-dual A
     the induced (Schrodinger) model of the Heisenberg group.
 
-    Coset representatives are `spec.quotient_reps(box)`, first coordinate
-    most significant; `split` and `translate` work on whole int64 arrays
-    of points and return coset indices in that order.
+    Coset representatives are the rows of `pts = spec.points(box)`;
+    `split` and `translate` work on whole int64 arrays of points and
+    return coset indices in that order.
     """
 
     def __init__(self, spec: SympModule, box, scale: int = 1):
@@ -53,8 +45,8 @@ class SchrodingerModel:
         self.scale = scale
         self.M = spec.modulus
         self.half = pow(2, -1, self.M)
-        self.reps = spec.quotient_reps(self.box)
-        self.dim = len(self.reps)
+        self.pts = spec.points(self.box)
+        self.dim = len(self.pts)
         self.selfdual = (spec.box_size(self.box) ** 2 == spec.size()
                          and box_isotropic(spec, self.box))
         self.mods = np.array(spec.moduli, dtype=np.int64)
@@ -63,8 +55,6 @@ class SchrodingerModel:
         self._coset_mods = np.array(cmods, dtype=np.int64)
         self._radix = np.array([prod(cmods[i + 1:]) for i in range(spec.dim)],
                                dtype=np.int64)
-        self.pts = np.array(self.reps, dtype=np.int64).reshape(self.dim,
-                                                               spec.dim)
         # beta(x, .) of every representative x, as rows
         self._pts_gram = self.pts @ self.gram % self.M
         self._roots = np.array(_roots(self.M))
@@ -78,7 +68,7 @@ class SchrodingerModel:
         """Split points y of W, an int64 (..., dim) array reduced mod the
         moduli, as y = xc + u with xc a coset representative and u in A.
 
-        Returns the index of xc in `reps`, the exponent beta(xc, u)/2 mod M
+        Returns the index of xc in `pts`, the exponent beta(xc, u)/2 mod M
         of the phase psi, and u.
         """
         xc = y % self._coset_mods

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -98,9 +97,9 @@ def hasse_davenport_holds(p: int, scale: int = 1, tol: float = 1e-9) -> bool:
 class OscillatorRep:
     """Canonical Weil representation of Sp(2l, F_p) on p^l basis functions.
 
-    Basis functions are indexed by Y = F_p^l in lexicographic order; a
-    function is determined by its values on (0, y) through
-    phi(x, y) = psi(-x.y/2) phi(0, y).
+    Basis functions are indexed by Y = F_p^l in lexicographic order, the
+    rows of `_ys`; a function is determined by its values on (0, y)
+    through phi(x, y) = psi(-x.y/2) phi(0, y).
     """
 
     def __init__(self, l: int, p: int, scale: int = 1):
@@ -110,15 +109,21 @@ class OscillatorRep:
         if self.scale % p == 0:
             raise ValueError("character scale must be a unit")
         self.dim = p ** l
-        self.ys = [y for y in product(range(p), repeat=l)]
         self.half = pow(2, -1, p)
+        # the model polarized by X: its coset representatives are the
+        # points (0, y), and their y blocks _ys are the basis, so rho acts
+        # on the same basis
+        spec = SympModule.standard(p, l, 0, 0)
+        self.heis = SchrodingerModel(spec, standard_selfdual(spec), self.scale)
+        self._ys = self.heis.pts[:, l:]
+        # g^{-1} = J^{-1} g^T J for symplectic g, and J^{-1} = J^T
+        self._gram = np.array(spec.gram, dtype=np.int64)
         # M_X sums over the points z = (x, y_j), x inner, y_j outer; row j
         # of the operator collects the points with y = y_j
-        self._ys = np.array(self.ys, dtype=np.int64).reshape(-1, l)
         self._rows = np.repeat(np.arange(self.dim), self.dim)
         self._roots = np.array(_roots(p))
-        self._radix = p ** np.arange(l - 1, -1, -1)  # index of y in self.ys
-        # index of y + y' in self.ys at [index of y, index of y']
+        self._radix = p ** np.arange(l - 1, -1, -1)  # index of y in _ys
+        # index of y + y' in _ys at [index of y, index of y']
         self._add = (self._ys[:, None] + self._ys) % p @ self._radix
         # the products z_a z_b of every point z, a row per (a, b)
         z = np.concatenate([np.tile(self._ys, (self.dim, 1)),
@@ -129,12 +134,6 @@ class OscillatorRep:
         self._scalar = np.array([[0j] * (l + 1)] + [
             [(1.0 / weil_index(p, th, self.scale)) * self._omega1 ** (1 - j)
              * (p ** (j / 2.0)) for j in range(l + 1)] for th in range(1, p)])
-        # the model polarized by X: its coset representatives (0, y) run
-        # over Y in the order of self.ys, so rho acts on the same basis
-        spec = SympModule.standard(p, l, 0, 0)
-        self.heis = SchrodingerModel(spec, standard_selfdual(spec), self.scale)
-        # g^{-1} = J^{-1} g^T J for symplectic g, and J^{-1} = J^T
-        self._gram = np.array(spec.gram, dtype=np.int64)
 
     def _terms(self, mats):
         """The term of each point z = (x, y_j) in row j of M_X(g), for a
@@ -202,10 +201,6 @@ class OscillatorRep:
         """Heisenberg operator on the same basis (central character psi):
         the Schrodinger model on the box X."""
         return self.heis.rho(w, t)
-
-    def heis_transform(self, g, w):
-        """g.(w,t) = (gw, t)."""
-        return np.asarray(g, dtype=np.int64) @ w % self.p
 
 
 def J_element(l, p):

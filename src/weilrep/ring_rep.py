@@ -10,15 +10,15 @@ through the reduction morphism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .heisenberg import SchrodingerModel, box_isotropic
-from .rings import _roots, unit_phase, vp
+from .rings import _roots
 from .linalg import mat_inv_stack, symplectic_basis
 from .oscillator import _CHUNK, OscillatorRep
 from .symplectic import (FiniteGroup, GroupElem, SympModule, _keys,
@@ -63,10 +63,6 @@ class IsotropicData:
         if (ur % self._den).any():
             raise AssertionError("element not in U-perp")
         return (ur // self._den % self.spec.p) @ self.Tinv.T % self.spec.p
-
-    def project(self, u):
-        """Class of u in U-perp/U, in standard residue coordinates."""
-        return tuple(self.residues(np.array(u, dtype=np.int64)).tolist())
 
 
 def scaled_pair_flip(spec: SympModule) -> GroupElem | None:
@@ -115,7 +111,7 @@ def canonical_isotropic(spec: SympModule) -> IsotropicData:
     dim = spec.dim
     gens = invariance_generators(spec)
     candidates = []
-    for divs in product(*[range(e + 1) for e in exps]):
+    for divs in np.ndindex(*[e + 1 for e in exps]):
         if not box_isotropic(spec, divs):
             continue
         if not _box_invariant(spec, divs, gens):
@@ -168,23 +164,18 @@ def _box_contains(spec, outer, inner):
 class RingWeilRep:
     """Genuine Weil representation of Sp(W) for W over Z/p^{n+1}."""
 
-    def __init__(self, spec: SympModule, iso: IsotropicData | None = None,
-                 scale: int = 1):
+    def __init__(self, spec: SympModule, iso: IsotropicData | None = None):
         self.spec = spec
-        self.scale = scale
         self.iso = iso if iso is not None else canonical_isotropic(spec)
         self.p = spec.p
         self.M = spec.modulus
-        self.half = pow(2, -1, self.M)
-        # the coset split y = xc + u over U-perp
-        self.heis = SchrodingerModel(spec, self.iso.uperp_box, scale)
-        self.cosets = self.heis.reps
-        self.cindex = {c: i for i, c in enumerate(self.cosets)}
+        # the coset split y = xc + u over U-perp; coset c is the point
+        # heis.pts[c]
+        self.heis = SchrodingerModel(spec, self.iso.uperp_box)
         self.l_res = self.iso.l_res
-        self.sigma = (OscillatorRep(self.l_res, self.p, scale)
-                      if self.l_res > 0 else None)
+        self.sigma = OscillatorRep(self.l_res, self.p) if self.l_res else None
         self.sdim = self.p ** self.l_res
-        self.dim = len(self.cosets) * self.sdim
+        self.dim = self.heis.dim * self.sdim
         # rho_res of every residue class, by label = base-p digits; rows are
         # filled on first use
         k = 2 * self.l_res
@@ -195,9 +186,6 @@ class RingWeilRep:
         # a group character multiplied into every S(g) by `blocks`; set it
         # before building any operator
         self.twist = None
-
-    def psi(self, c: int) -> complex:
-        return unit_phase(self.scale * c, self.M)
 
     # -- residue operators ---------------------------------------------------
 
@@ -293,7 +281,7 @@ class RingWeilRep:
             sigma_vec = self.sigma_vacuum()
         cj, e, ubar = self.split(np.array(point, dtype=np.int64)
                                  % self.heis.mods)
-        out = np.zeros((len(self.cosets), self.sdim), dtype=complex)
+        out = np.zeros((self.heis.dim, self.sdim), dtype=complex)
         # beta(point, -u) = -beta(xc, u) because beta(u, u) = 0
         out[cj] = self.heis.phase(-e) * (
             self.rho_res(-ubar % self.p) @ sigma_vec)
@@ -373,37 +361,13 @@ def faithful_model(spec: SympModule) -> tuple[SympModule, bool]:
     return spec, False
 
 
-def build_ring_rep(spec: SympModule, scale: int = 1,
-                   lift_degenerate: bool = True):
-    """Construct the canonical representation for a standard module spec."""
-    model_spec, lifted = (faithful_model(spec) if lift_degenerate
-                          else (spec, False))
-    rep = RingWeilRep(model_spec, scale=scale)
+def build_ring_rep(spec: SympModule):
+    """The canonical representation on the faithful model of a standard
+    module spec; `lifted` says whether that is a deeper module."""
+    model_spec, lifted = faithful_model(spec)
+    rep = RingWeilRep(model_spec)
     rep.lifted = lifted
     return rep
-
-
-# -- restriction to a stabilizer ----------------------------------------------
-
-
-def sigma_gx(rep: RingWeilRep, G, x):
-    """The stabilizer representation attached to the coset of x.
-
-    Returns (stabilizer elements, operator map g -> matrix on the sigma
-    space): sigma(g) rho(g^{-1}x - x, beta(x, g^{-1}x)/2).
-    """
-    spec = rep.spec
-    quot = [spec.p ** min(c, a) for c, a in zip(rep.iso.uperp_box, spec.exps)]
-    moved = (G.mats @ np.array(x) - x) % quot
-    stab = [G[i] for i in np.flatnonzero(~moved.any(axis=1))]
-
-    def op(g: GroupElem) -> np.ndarray:
-        y = g.inverse().act(x)
-        u = spec.sub(y, x)
-        t = (rep.half * spec.form(x, y)) % rep.M
-        return rep.sigma_op(g) @ (rep.psi(t) * rep.rho_res(rep.iso.project(u)))
-
-    return stab, op
 
 
 # -- decomposition -----------------------------------------------------------
@@ -414,7 +378,7 @@ class Summand(NamedTuple):
     O of U-perp cosets."""
     label: tuple
     dim: int
-    cosets: np.ndarray          # indices in rep.cosets of the cosets of O
+    cosets: np.ndarray          # the coset indices of O, ascending
     eps: int                    # the eigenvalue of S(-1) on the summand
 
 
@@ -422,25 +386,23 @@ def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
     """Orbit-support and parity decomposition of the representation.
 
     Summands are labelled ('sigma', eps) for the zero-coset block and
-    ('orbit', representative, eps) for each nonzero orbit of cosets;
-    eps is the -Id eigenvalue, None in the label when -Id acts by a scalar
-    there.  With s the sigma-block size and tr_O S(-1) the trace of S(-1)
-    over the cosets of O, the eps-summand of O has dimension
-    (|O| s + eps tr_O S(-1))/2.
+    ('orbit', representative, eps) for each nonzero orbit of cosets, the
+    representative being its first point as a tuple; eps is the -Id
+    eigenvalue, None in the label when -Id acts by a scalar there.  The
+    orbit numbers of `orbits` on the cosets number the parts.  With s the
+    sigma-block size and tr_O S(-1) the trace of S(-1) over the cosets of
+    O, the eps-summand of O has dimension (|O| s + eps tr_O S(-1))/2.
     """
-    spec = rep.spec
-    orbs = orbits(group.gens, rep.iso.uperp_box)
-    zero = spec.quotient_reduce(spec.zero(), rep.iso.uperp_box)
-    parts = [np.array([rep.cindex[c] for c in orb]) for orb in orbs]
-    owner = np.empty(len(rep.cosets), int)
-    for k, cosets in enumerate(parts):
-        owner[cosets] = k
-    minus = GroupElem(spec, (-np.eye(spec.dim, dtype=int)).tolist())
-    tr_minus = np.rint(rep.blocks([minus]).traces(owner)[:, 0].real)
+    owner = orbits(group.gens, rep.iso.uperp_box)
+    minus = -np.eye(rep.spec.dim, dtype=np.int64) % rep.heis.mods[:, None]
+    tr_minus = np.rint(rep.blocks(minus).traces(owner)[:, 0].real)
     out = []
-    for orb, cosets, tr in zip(orbs, parts, tr_minus.astype(int).tolist()):
-        size = len(orb) * rep.sdim
-        label = ("sigma",) if orb == [zero] else ("orbit", orb[0])
+    for k, tr in enumerate(tr_minus.astype(int).tolist()):
+        cosets = np.flatnonzero(owner == k)
+        size = len(cosets) * rep.sdim
+        # the zero point is coset 0, alone in its orbit
+        label = (("sigma",) if cosets[0] == 0 else
+                 ("orbit", tuple(rep.heis.pts[cosets[0]].tolist())))
         for eps in (+1, -1):
             if size + eps * tr:
                 out.append(Summand(label + (eps if abs(tr) != size else None,),
@@ -464,7 +426,7 @@ def summand_characters(rep, group: FiniteGroup, summands: list[Summand]):
     group element, in element order, as S(-1) S(g) = S(-g).  Each chunk of
     elements goes through `blocks` stacked with its negation, and the
     traces over the cosets of each orbit O are summed at once."""
-    orbit, owner = {}, np.full(len(rep.cosets), len(summands))
+    orbit, owner = {}, np.full(rep.heis.dim, len(summands))
     for sm in summands:
         owner[sm.cosets] = orbit.setdefault(int(sm.cosets[0]), len(orbit))
     rows = [orbit[int(sm.cosets[0])] for sm in summands]
@@ -602,18 +564,12 @@ def tensor_intertwiner(repAB: RingWeilRep, repA: RingWeilRep,
     """Permutation intertwiner from H_A (x) H_B onto the direct-sum model."""
     if repAB.dim != repA.dim * repB.dim:
         raise ValueError("dimension mismatch")
-    out = np.zeros((repAB.dim, repA.dim * repB.dim), dtype=complex)
-    nB = len(repB.cosets)
-    for ia, ca in enumerate(repA.cosets):
-        for ib, cb in enumerate(repB.cosets):
-            cab = repAB.cindex[tuple(ca) + tuple(cb)]
-            for sa in range(repA.sdim):
-                for sb in range(repB.sdim):
-                    sab = sa * repB.sdim + sb
-                    row = cab * repAB.sdim + sab
-                    col = (ia * repA.sdim + sa) * repB.dim \
-                        + ib * repB.sdim + sb
-                    out[row, col] = 1.0
+    # row (a, b, sa, sb) of the sum: coset (a, b) is coset a * |B| + b and
+    # the residue basis is the tensor basis; column (a, sa, b, sb)
+    nA, nB = repA.heis.dim, repB.heis.dim
+    cols = np.arange(repAB.dim).reshape(nA, repA.sdim, nB, repB.sdim)
+    out = np.zeros((repAB.dim, repAB.dim), dtype=complex)
+    out[np.arange(repAB.dim), cols.transpose(0, 2, 1, 3).ravel()] = 1.0
     return out
 
 
@@ -623,26 +579,18 @@ def tensor_intertwiner(repAB: RingWeilRep, repA: RingWeilRep,
 def shell_dimensions(p: int, r: int, l: int, n: int) -> dict:
     """Support-shell dimensions in the lattice model, truncated at level n.
 
-    Enumerates the quotient of the level-(n+1) dilate of the lattice by the
-    intermediate self-dual lattice and stratifies by the dilation chain;
-    compares counts with the closed formulas.
+    Counts the points of the quotient of the level-(n+1) dilate of the
+    lattice by the intermediate self-dual lattice in each stratum of the
+    dilation chain (`_shell_counts`); compares the counts with the closed
+    formulas.
     """
     if not (0 <= l <= r):
         raise ValueError("need 0 <= l <= r")
     q = p
-    # coordinates of the quotient; val_i relative to the self-dual lattice A
-    dens = [n] * l + [n + 1] * (r - l) + [n + 1] * r
-    b_req = [1] * l + [0] * (r - l) + [0] * r
-    bstar_req = [0] * l + [0] * (r - l) + [-1] * l + [0] * (r - l)
-    counts: dict = {}
-    ranges = [range(p ** d) for d in dens]
-    for nums in product(*ranges):
-        vals = [vp(x, p, cap=99) - d for x, d in zip(nums, dens)]
-        shell = _classify_shell(vals, b_req, bstar_req, n)
-        counts[shell] = counts.get(shell, 0) + 1
+    counts = _shell_counts(p, r, l, n)
     shells = []
     for s in range(0, n + 1):
-        cnt = counts.get(("E", s), 0)
+        cnt = counts[("E", s)]
         if s == 0:
             dplus, dminus = (1 + (cnt - 1) // 2, (cnt - 1) // 2) if cnt else (0, 0)
             fplus, fminus = 1 + (q ** l - 1) // 2, (q ** l - 1) // 2
@@ -655,7 +603,7 @@ def shell_dimensions(p: int, r: int, l: int, n: int) -> dict:
                        "visible_at": s if s else 0,
                        "match": (dplus, dminus) == (fplus, fminus)})
     for m in range(0, n + 1):
-        cnt = counts.get(("E1", m), 0)
+        cnt = counts[("E1", m)]
         f = q ** (2 * r * m + l) * (q ** (2 * (r - l)) - 1) // 2
         shells.append({"shell": f"E_{m},1", "count": cnt,
                        "dim_plus": cnt // 2, "dim_minus": cnt // 2,
@@ -673,17 +621,32 @@ def shell_dimensions(p: int, r: int, l: int, n: int) -> dict:
             and all(t["match"] for t in totals.values())}
 
 
-def _classify_shell(vals, b_req, bstar_req, n):
-    def in_set(reqs, t):
-        return all(v + t >= req for v, req in zip(vals, reqs))
-    # smallest s >= 0 with v in pi^{-s} B^*
-    s = 0
-    while not in_set(bstar_req, s):
-        s += 1
-        if s > n + 2:
-            raise AssertionError("unclassifiable vector")
-    if s == 0:
-        return ("E", 0)
-    if in_set(b_req, s):
-        return ("E1", s - 1)
-    return ("E", s)
+def _shell_counts(p: int, r: int, l: int, n: int) -> dict:
+    """The number of points of the quotient in the shells ('E', s) for s in
+    0..n and ('E1', m) for m in 0..n, as differences of boxes.
+
+    Coordinate i of a point runs over Z/p^{d_i}; its valuation relative to
+    the self-dual lattice is val_i = v_p(x_i) - d_i (large at x_i = 0).  The
+    points with val_i + t >= req_i for all i form a box with
+    p^{d_i - clip(d_i + req_i - t, 0, d_i)} choices of coordinate i, and an
+    intersection of such sets takes the per-coordinate max of the
+    exponents d_i + req_i - t.  With B*(t) and B(t) the sets of the two
+    requirement vectors, B*(t) grows with t; a point of B*(0) lies in
+    ('E', 0), and one first in B*(s), s >= 1, lies in ('E1', s - 1) when it
+    is in B(s) too, else in ('E', s).
+    """
+    dens = np.array([n] * l + [n + 1] * (2 * r - l))
+    bstar = lambda t: dens + np.array([0] * r + [-1] * l + [0] * (r - l)) - t
+    b = lambda t: dens + np.array([1] * l + [0] * (2 * r - l)) - t
+
+    def box(*needs):
+        c = np.clip(np.max(needs, axis=0), 0, dens)
+        return math.prod(p ** int(e) for e in dens - c)
+
+    counts = {("E", 0): box(bstar(0))}
+    for s in range(1, n + 2):
+        counts[("E1", s - 1)] = box(bstar(s), b(s)) - box(bstar(s - 1), b(s))
+        if s <= n:
+            counts[("E", s)] = (box(bstar(s)) - box(bstar(s - 1))
+                                - counts[("E1", s - 1)])
+    return counts

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Sequence
-from itertools import product
 
 import numpy as np
 
@@ -71,67 +70,24 @@ class SympModule:
             gram[r + i][i] = -c % p ** (n + 1)
         return cls(p, n, moduli, gram, r=r, l=l, flavor=flavor)
 
-    # -- vectors ---------------------------------------------------------------
-
-    def reduce(self, v):
-        return tuple(x % m for x, m in zip(v, self.moduli))
-
-    def zero(self):
-        return (0,) * self.dim
-
-    def add(self, v, w):
-        return tuple((a + b) % m for a, b, m in zip(v, w, self.moduli))
-
-    def neg(self, v):
-        return tuple((-a) % m for a, m in zip(v, self.moduli))
-
-    def sub(self, v, w):
-        return tuple((a - b) % m for a, b, m in zip(v, w, self.moduli))
-
-    def smul(self, c, v):
-        return tuple((c * a) % m for a, m in zip(v, self.moduli))
-
-    def vectors(self):
-        return product(*[range(m) for m in self.moduli])
-
     def size(self) -> int:
-        out = 1
-        for m in self.moduli:
-            out *= m
-        return out
+        return math.prod(self.moduli)
 
-    def basis_vector(self, i):
-        v = [0] * self.dim
-        v[i] = 1
-        return tuple(v)
-
-    def form(self, v, w) -> int:
-        """beta(v, w) in Z/p^{n+1}; well defined by the gram divisibilities."""
-        s = 0
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            row = self.gram[i]
-            for j, wj in enumerate(w):
-                if wj and row[j]:
-                    s += vi * row[j] * wj
-        return s % self.modulus
+    def points(self, divs=None) -> np.ndarray:
+        """The points of W, or with divs the representatives of W modulo
+        the box with divisor exponents divs, as an int64 (N, dim) C-order
+        array: coordinate i runs over range(p^min(divs_i, a_i)), the first
+        coordinate most significant."""
+        exps = self.exps if divs is None else np.minimum(divs, self.exps)
+        quot = [self.p ** int(c) for c in exps]
+        return np.stack(np.unravel_index(np.arange(math.prod(quot)), quot),
+                        axis=1).astype(np.int64)
 
     # -- boxes: submodules of the shape {v : p^{c_i} | v_i} ---------------------
 
-    def box_elements(self, divs):
-        """Elements of the box submodule with divisibility exponents divs."""
-        ranges = []
-        for c, m, a in zip(divs, self.moduli, self.exps):
-            step = self.p ** min(c, a)
-            ranges.append(range(0, m, step) if step < m else (0,))
-        return [tuple(v) for v in product(*ranges)]
-
     def box_size(self, divs) -> int:
-        out = 1
-        for c, a in zip(divs, self.exps):
-            out *= self.p ** max(0, a - min(c, a))
-        return out
+        return math.prod(self.p ** (a - min(c, a))
+                         for c, a in zip(divs, self.exps))
 
     def box_form(self, divs) -> np.ndarray:
         """The form on the generators p^{c_i} e_i of the box with divisor
@@ -140,16 +96,6 @@ class SympModule:
         c = np.minimum(divs, self.exps)
         return self.p ** np.minimum(c[:, None] + c, self.n + 1) * np.array(
             self.gram, dtype=np.int64) % self.modulus
-
-    def quotient_reduce(self, v, divs):
-        """Canonical representative of v modulo the box submodule."""
-        return tuple(x % self.p ** min(c, a)
-                     for x, c, a in zip(v, divs, self.exps))
-
-    def quotient_reps(self, divs):
-        ranges = [range(self.p ** min(c, a))
-                  for c, a in zip(divs, self.exps)]
-        return [tuple(v) for v in product(*ranges)]
 
     def dual_box(self, divs):
         """Box orthogonal to a box under psi(beta(.,.)), for monomial grams."""
@@ -206,13 +152,6 @@ class GroupElem:
         """The matrix as an array, so a sequence of elements is a stack."""
         return np.array(self.mat, dtype=dtype or np.int64)
 
-    def act(self, v):
-        mat = self.mat
-        return tuple(
-            sum(mat[i][j] * v[j] for j in range(self.spec.dim)) % m
-            for i, m in enumerate(self.spec.moduli)
-        )
-
     def __mul__(self, other):
         a, b = self.mat, other.mat
         dim = self.spec.dim
@@ -246,23 +185,28 @@ class GroupElem:
 # -- generators and closure ------------------------------------------------
 
 
-def transvection(spec: SympModule, a: int, v) -> GroupElem:
-    """w -> w + a*beta(v,w)*v, with beta normalized by the gram content.
+def _transvections(spec: SympModule, vs, a: int = 1) -> np.ndarray:
+    """tau_{a,v}: w -> w + a*beta(v,w)*v for every row v of an int64
+    (N, dim) array, as an (N, dim, dim) stack with row i reduced mod
+    moduli[i]; beta is normalized by the gram content.
 
     When every form value is divisible by p^s (the degenerate modules with
     scaled gram), the literal transvections all collapse to the identity;
     dividing by p^s gives the transvections of the underlying structure and
     is what makes closure match the brute-force symplectic count.
     """
-    dim = spec.dim
-    ps = spec.p ** spec.form_content
-    cols = []
-    for j in range(dim):
-        e = spec.basis_vector(j)
-        b = spec.form(v, e) // ps
-        cols.append([(int(i == j) + a * b * v[i]) for i in range(dim)])
-    mat = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    return GroupElem(spec, mat)
+    M = spec.modulus
+    b = (vs @ np.array(spec.gram, dtype=np.int64) % M
+         // spec.p ** spec.form_content * (a % M) % M)
+    mods = np.array(spec.moduli, dtype=np.int64)[:, None]
+    return (np.eye(spec.dim, dtype=np.int64) + vs[:, :, None] * b[:, None]
+            ) % mods
+
+
+def transvection(spec: SympModule, a: int, v) -> GroupElem:
+    """tau_{a,v} of one point v, as checked by `GroupElem`."""
+    v = np.asarray(v, dtype=np.int64).reshape(1, spec.dim)
+    return GroupElem(spec, _transvections(spec, v, a)[0].tolist())
 
 
 def transvection_generators(spec: SympModule) -> list:
@@ -273,8 +217,8 @@ def transvection_generators(spec: SympModule) -> list:
     holds, which is checked here, because tau_{gv} = g tau_v g^-1,
     tau_{cv} = tau_v^{c^2} and tau_{a,v} = tau_{1,v}^a.
     """
-    vecs = [spec.basis_vector(i) for i in range(spec.dim)]
-    vecs += [spec.add(vecs[i], vecs[i + 1]) for i in range(spec.dim - 1)]
+    eye = np.eye(spec.dim, dtype=np.int64)
+    vecs = np.concatenate([eye, eye[:-1] + eye[1:]])
     if not _generates_all_transvections(spec, vecs):
         raise AssertionError(f"transvections do not generate for {spec}")
     ident = GroupElem.identity(spec)
@@ -284,13 +228,18 @@ def transvection_generators(spec: SympModule) -> list:
 
 def _generates_all_transvections(spec: SympModule, vecs) -> bool:
     """Every orbit of <tau_{1,v} : v in vecs> on W meets a multiple of some
-    v in vecs, or has a trivial transvection tau_{1,orbit[0]}."""
-    gens = [transvection(spec, 1, v) for v in vecs]
-    multiples = {spec.smul(c, v) for v in vecs for c in range(spec.modulus)}
-    ident = GroupElem.identity(spec)
-    return all(not multiples.isdisjoint(orb)
-               or transvection(spec, 1, orb[0]) == ident
-               for orb in orbits(gens, spec.exps))
+    v in vecs, or has a trivial transvection tau_{1,x} at its first point
+    x."""
+    vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, spec.dim)
+    label = orbits([transvection(spec, 1, v) for v in vecs], spec.exps)
+    multiples = (np.arange(spec.modulus)[:, None, None] * vecs
+                 % np.array(spec.moduli)).reshape(-1, spec.dim)
+    met = np.zeros(label.max() + 1, dtype=bool)
+    met[label[np.ravel_multi_index(multiples.T, spec.moduli)]] = True
+    firsts = spec.points()[np.unique(label, return_index=True)[1]]
+    ident = np.eye(spec.dim, dtype=np.int64) % np.array(spec.moduli)[:, None]
+    trivial = (_transvections(spec, firsts) == ident).all(axis=(1, 2))
+    return bool((met | trivial).all())
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -438,18 +387,18 @@ def brute_force_symplectic_count(spec: SympModule, limit: int = 2_000_000) -> in
 # -- orbits ------------------------------------------------------------------
 
 
-def orbits(gens, box):
+def orbits(gens, box) -> np.ndarray:
     """Orbits of the group generated by gens on W modulo the box submodule
     (all of W for box = spec.exps), which gens must preserve.
 
-    The points are `spec.quotient_reps(box)`; each generator is one index
-    array over them, and labels fall to the smallest index in reach until
-    they are constant on each orbit.  Returns a sorted list of sorted
-    orbits, ordered by (length, first point).
+    The points are `spec.points(box)`; each generator is one index array
+    over them, and labels fall to the smallest index in reach until they
+    are constant on each orbit.  Returns the orbit number of each point,
+    the orbits numbered in order of (length, first point).
     """
     spec = gens[0].spec
+    pts = spec.points(box)
     quot = [spec.p ** min(c, a) for c, a in zip(box, spec.exps)]
-    pts = np.stack(np.unravel_index(np.arange(math.prod(quot)), quot), axis=1)
     perms = [np.ravel_multi_index(
         (pts @ np.array(g, dtype=np.int64).T % quot).T, quot) for g in gens]
     label, prev = np.arange(len(pts)), None
@@ -458,11 +407,11 @@ def orbits(gens, box):
         for perm in perms:
             label = np.minimum(label, label[perm])
         label = label[label]
-    order = np.argsort(label, kind="stable")
-    firsts, sizes = np.unique(label, return_counts=True)
-    groups = np.split(pts[order], np.cumsum(sizes)[:-1])
-    return [list(map(tuple, groups[i].tolist()))
-            for i in np.lexsort((firsts, sizes))]
+    firsts, which, sizes = np.unique(label, return_inverse=True,
+                                     return_counts=True)
+    number = np.empty(len(firsts), dtype=np.int64)
+    number[np.lexsort((firsts, sizes))] = np.arange(len(firsts))
+    return number[which]
 
 
 def reduce_level(g: GroupElem, target: SympModule) -> GroupElem:

@@ -242,7 +242,8 @@ class TorusContext:
 
         Points v of the ambient plane map to the module through w = p^{m+1} v
         with n = 2m+1; pi_exponent counts powers of the extension uniformizer
-        applied to a (so p-powers count twice for the ramified kind).
+        applied to a (so p-powers count twice for the ramified kind).  The
+        point is an int64 array reduced mod the moduli.
         """
         p = self.p
         m = (self.n - 1) // 2
@@ -252,20 +253,18 @@ class TorusContext:
             e_tot = (m + 1) + pi_exponent
             if e_tot < 0:
                 raise ValueError("point not visible at this truncation")
-            scale = p ** e_tot
-            return self.module.reduce((scale * a.xi, scale * self.d * a.eta))
-        e_tot = 2 * (m + 1) + pi_exponent
-        # the lattice basis contains the inverse uniformizer, so odd total
-        # exponent -1 is still representable
-        if e_tot % 2 == 0:
-            if e_tot < 0:
+            w = p ** e_tot * np.array([a.xi, self.d * a.eta])
+        else:
+            e_tot = 2 * (m + 1) + pi_exponent
+            # the lattice basis contains the inverse uniformizer, so odd
+            # total exponent -1 is still representable
+            if e_tot < -1:
                 raise ValueError("point not visible at this truncation")
-            s = p ** (e_tot // 2)
-            return self.module.reduce((s * a.xi, s * p * a.eta))
-        if e_tot < -1:
-            raise ValueError("point not visible at this truncation")
-        s = p ** ((e_tot + 1) // 2)
-        return self.module.reduce((s * a.eta, s * a.xi))
+            if e_tot % 2 == 0:
+                w = p ** (e_tot // 2) * np.array([a.xi, p * a.eta])
+            else:
+                w = p ** ((e_tot + 1) // 2) * np.array([a.eta, a.xi])
+        return w % np.array(self.module.moduli)
 
     def _coset_reps(self, sub) -> np.ndarray:
         """Indices in C of the first element of each coset of the subgroup
@@ -295,37 +294,26 @@ class TorusContext:
         """
         cond = self.conductor(chi)
         mu = self.tspec.mu
-        if self.tspec.kind == "unramified" and self.tspec.u_val == 0:
+        ramified = self.tspec.kind == "ramified"
+        if ramified or self.tspec.u_val == 0:
             if cond == 0:
-                return self.rep.delta_vec(self.module.zero())
+                return self.rep.delta_vec(np.zeros(2, dtype=np.int64))
             if cond % 2:
                 raise ValueError("character does not appear")
             j = cond // 2
-            a = self._match_b(chi, 2 * j, j, j)
+            a = (self._match_b(chi, j, j // 2, j) if ramified
+                 else self._match_b(chi, 2 * j, j, j))
             if a is None:
                 raise ValueError("character does not appear")
-            point = self.model_point(a, mu // 2 - j)
-            return self._weight_sum(chi, self.subgroup(j), point)
-        if self.tspec.kind == "ramified":
-            if cond == 0:
-                return self.rep.delta_vec(self.module.zero())
-            if cond % 2:
-                raise ValueError("character does not appear")
-            j = cond // 2
-            a = self._match_b(chi, j, j // 2, j)
-            if a is None:
-                raise ValueError("character does not appear")
-            point = self.model_point(a, mu - j)
+            point = self.model_point(a, (mu if ramified else mu // 2) - j)
             return self._weight_sum(chi, self.subgroup(j), point)
         # unramified, non-autodual
         if cond <= 1:
             if cond == 1 and not self.appearance_predicate(chi):
                 raise ValueError("character does not appear")
             sub = self.subgroup(1)
-            for c in self.rep.cosets:
-                for s in range(self.rep.sdim):
-                    sv = np.zeros(self.rep.sdim, dtype=complex)
-                    sv[s] = 1.0
+            for c in self.rep.heis.pts:
+                for sv in np.eye(self.rep.sdim, dtype=complex):
                     vec = self._weight_sum(chi, sub, c, sigma_vec=sv)
                     if np.linalg.norm(vec) > 1e-8:
                         return vec
@@ -509,12 +497,10 @@ def residue_operator_check(tspec: TorusSpec, tol: float = 1e-8):
     ctx = TorusContext(TorusSpec(tspec.p, "unramified", 1, 1, tspec.d))
     p, d = ctx.p, ctx.d
     q = p
-    # basis change to the phi_s labels: column s is the delta seed at s*nu
-    cols = []
-    for s in range(q):
-        point = ctx.module.reduce((0, (d * s) % p))  # s*nu in the nu' basis
-        cols.append(ctx.rep.delta_vec(point))
-    P = np.stack(cols, axis=1)
+    # basis change to the phi_s labels: column s is the delta seed at s*nu,
+    # the point (0, d s) in the nu' basis
+    P = np.stack([ctx.rep.delta_vec(np.array([0, d * s % p]))
+                  for s in range(q)], axis=1)
     Pinv = np.linalg.inv(P)
     w1 = weil_index(p, 1)
     gamma0 = 1  # the trace form over the prime field needs no correction

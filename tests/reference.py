@@ -1,6 +1,16 @@
 """Tuple-of-rows matrices over F_p and the Bruhat factorization built on
 them: the references the stacked elimination and the cell invariants are
-compared with."""
+compared with; points of W as tuples, with the transvection, orbit and
+shell loops the int64 point arrays replace; and the test-only Heisenberg
+product and stabilizer representation, on arrays."""
+
+from collections import Counter
+from itertools import product
+
+import numpy as np
+
+from weilrep.rings import unit_phase
+from weilrep.symplectic import GroupElem
 
 
 def gauss_jordan(a, p):
@@ -159,3 +169,186 @@ def reference_invariants(g, l, p):
     """(theta, j) read off the reference factorization g = p1 tau_S p2."""
     p1, S, p2 = reference_bruhat(g, l, p)
     return det_X(p1, l, p) * det_X(p2, l, p) % p, len(S)
+
+
+# -- points of W as tuples: the loops the int64 point arrays replace ---------
+
+
+def vectors(moduli):
+    """Every point of the product of the Z/m, in lexicographic order."""
+    return list(product(*[range(m) for m in moduli]))
+
+
+def quotient_reps(spec, divs):
+    """The representatives of W modulo the box with divisor exponents
+    divs: coordinate i below p^min(divs_i, a_i)."""
+    return vectors([spec.p ** min(c, a) for c, a in zip(divs, spec.exps)])
+
+
+def quotient_reduce(spec, v, divs):
+    """The representative of v modulo the box."""
+    return tuple(x % spec.p ** min(c, a)
+                 for x, c, a in zip(v, divs, spec.exps))
+
+
+def box_elements(spec, divs):
+    """The elements of the box submodule with divisor exponents divs."""
+    ranges = [range(0, m, spec.p ** min(c, a))
+              for c, m, a in zip(divs, spec.moduli, spec.exps)]
+    return list(product(*ranges))
+
+
+def add(spec, v, w):
+    return tuple((a + b) % m for a, b, m in zip(v, w, spec.moduli))
+
+
+def sub(spec, v, w):
+    return tuple((a - b) % m for a, b, m in zip(v, w, spec.moduli))
+
+
+def smul(spec, c, v):
+    return tuple(c * a % m for a, m in zip(v, spec.moduli))
+
+
+def form(spec, v, w):
+    """beta(v, w) in Z/p^{n+1}, entry by entry."""
+    return sum(vi * spec.gram[i][j] * wj for i, vi in enumerate(v)
+               for j, wj in enumerate(w)) % spec.modulus
+
+
+def act(g, v):
+    """g v for a `GroupElem` g, row by row."""
+    return tuple(sum(x * y for x, y in zip(row, v)) % m
+                 for row, m in zip(g.mat, g.spec.moduli))
+
+
+def tuple_transvection(spec, a, v):
+    """w -> w + a*beta(v,w)/p^s*v, column by column, s the gram content."""
+    dim = spec.dim
+    ps = spec.p ** spec.form_content
+    cols = []
+    for j in range(dim):
+        b = form(spec, v, tuple(int(i == j) for i in range(dim))) // ps
+        cols.append([int(i == j) + a * b * v[i] for i in range(dim)])
+    return GroupElem(spec, [[cols[j][i] for j in range(dim)]
+                            for i in range(dim)])
+
+
+def reference_orbits(gens, points, act):
+    """Orbits by BFS over points, each sorted, ordered by (length, first
+    point)."""
+    remaining = set(points)
+    out = []
+    for start in sorted(points):
+        if start not in remaining:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            new = []
+            for v in frontier:
+                for g in gens:
+                    w = act(g, v)
+                    if w not in orbit:
+                        orbit.add(w)
+                        new.append(w)
+            frontier = new
+        remaining -= orbit
+        out.append(sorted(orbit))
+    out.sort(key=lambda o: (len(o), o[0]))
+    return out
+
+
+def tuple_generates_all_transvections(spec, vecs):
+    """Every BFS orbit of <tau_{1,v} : v in vecs> on W meets a multiple of
+    some v in vecs, or has a trivial transvection at its first point."""
+    gens = [tuple_transvection(spec, 1, v) for v in vecs]
+    multiples = {smul(spec, c, v) for v in vecs for c in range(spec.modulus)}
+    ident = GroupElem.identity(spec)
+    return all(not multiples.isdisjoint(orb)
+               or tuple_transvection(spec, 1, orb[0]) == ident
+               for orb in reference_orbits(gens, vectors(spec.moduli), act))
+
+
+def orbit_lists(label, points):
+    """Orbit numbers of points as the sorted tuple lists of each orbit, in
+    orbit order."""
+    return [[tuple(v) for v in points[label == k].tolist()]
+            for k in range(label.max() + 1)]
+
+
+# -- shells: the enumeration that shell_dimensions counts in closed form -----
+
+
+def shell_counts(p, r, l, n):
+    """The number of points of the quotient in each shell, point by point.
+
+    Coordinate i runs over Z/p^{d_i}, with val_i = v_p(x_i) - d_i and
+    v_p(0) = 99; s is the least t >= 0 with val + t >= the B* requirement,
+    and the point lies in ('E', 0) at s = 0, in ('E1', s - 1) when also
+    val + s >= the B requirement, and in ('E', s) otherwise.
+    """
+    dens = np.array([n] * l + [n + 1] * (2 * r - l))
+    b_req = np.array([1] * l + [0] * (2 * r - l))
+    bstar_req = np.array([0] * r + [-1] * l + [0] * (r - l))
+    total = p ** int(dens.sum())
+    chunk = 1 << 16
+    counts = Counter()
+    for start in range(0, total, chunk):
+        x = np.stack(np.unravel_index(np.arange(start, min(start + chunk,
+                                                           total)),
+                                      p ** dens), axis=1)
+        v = np.where(x == 0, 99, 0)
+        for e in range(1, n + 2):
+            v += (x != 0) & (x % p ** e == 0)
+        vals = v - dens
+        s = np.full(len(x), -1)
+        for t in range(n + 3):
+            s[(s < 0) & (vals + t >= bstar_req).all(axis=1)] = t
+        assert (s >= 0).all(), "unclassifiable vector"
+        e1 = (s > 0) & (vals + s[:, None] >= b_req).all(axis=1)
+        counts.update(zip(np.where(e1, "E1", "E").tolist(),
+                          (s - e1).tolist()))
+    return dict(counts)
+
+
+# -- test-only group structure, on arrays ------------------------------------
+
+
+def heis_mul(spec, h1, h2):
+    """(w1, t1)(w2, t2) = (w1 + w2, t1 + t2 + beta(w1, w2)/2) for int64
+    points w (..., dim) reduced mod the moduli and integers t (...),
+    broadcasting."""
+    (w1, t1), (w2, t2) = h1, h2
+    M = spec.modulus
+    beta = (np.asarray(w1) @ np.array(spec.gram) % M * w2).sum(axis=-1) % M
+    return ((np.asarray(w1) + w2) % np.array(spec.moduli),
+            (t1 + t2 + pow(2, -1, M) * beta) % M)
+
+
+def psi(rep, c):
+    """The central character psi(c) = exp(2 pi i c / M) of a ring model."""
+    return unit_phase(c, rep.M)
+
+
+def sigma_gx(rep, G, x):
+    """The stabilizer representation attached to the coset of x.
+
+    Returns (stabilizer elements, operator map g -> matrix on the sigma
+    space): sigma(g) rho(g^{-1}x - x, beta(x, g^{-1}x)/2).
+    """
+    spec = rep.spec
+    x = np.asarray(x, dtype=np.int64)
+    mods = np.array(spec.moduli)
+    quot = spec.p ** np.minimum(rep.iso.uperp_box, spec.exps)
+    stab = [G[i] for i in np.flatnonzero(
+        ~((G.mats @ x - x) % quot).any(axis=1))]
+
+    def op(g):
+        y = np.asarray(g.inverse()) @ x % mods
+        t = pow(2, -1, rep.M) * int(x @ np.array(spec.gram) % rep.M @ y)
+        return rep.sigma_op(g) @ (psi(rep, t)
+                                  * rep.rho_res(rep.iso.residues((y - x)
+                                                                 % mods)))
+
+    return stab, op

@@ -79,7 +79,7 @@ def test_criterion_2_field_homomorphism_and_intertwining():
         ops = rep.ops(np.array([g for g, _, _ in draws]))
         for U, (g, w, t) in zip(ops, draws):
             lhs = U @ rep.rho(w, t) @ U.conj().T
-            rhs = rep.rho(rep.heis_transform(g, w), t)
+            rhs = rep.rho(np.asarray(g) @ w % p, t)
             worst_int = max(worst_int, float(np.abs(lhs - rhs).max()))
     elapsed = time.time() - t0
     report("criterion-2 genuine homomorphism + intertwining",
@@ -127,13 +127,13 @@ def test_criterion_5_orbit_count_identity():
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
     cn, dev = character_norm(traces(rep, G.mats))
-    orb = len(orbits(G.gens, spec.exps))
+    orb = int(orbits(G.gens, spec.exps).max()) + 1
     ok = (cn == orb == 3 and dev < 1e-6)
     details = [f"Sp: norm={cn} orbits={orb}"]
     for kind, uval in (("unramified", 0), ("unramified", 1), ("ramified", 0)):
         ctx = TorusContext(TorusSpec(3, kind, uval, 1))
         gens = [ctx.embed(t) for t in ctx.C]
-        n_orb = len(orbits(gens, ctx.module.exps))
+        n_orb = int(orbits(gens, ctx.module.exps).max()) + 1
         total = sum(abs(ctx.rep.trace(g)) ** 2 for g in gens)
         cn_t = total / len(ctx.C)
         ok = ok and abs(cn_t - n_orb) < 1e-6

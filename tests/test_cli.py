@@ -119,16 +119,24 @@ def test_torus_honours_cap_dim(tmp_path, argv, dim):
     assert "torus_order" not in doc["config"]
 
 
-@pytest.mark.parametrize("command", [
-    ["ring", "--r", "1", "--l", "0"], ["ring", "--r", "1", "--l", "1"],
-    ["torus"]], ids=["ring-l0", "ring-l1", "torus"])
-def test_deep_level_beyond_int64_skips_at_cap_dim(tmp_path, command):
-    """p^(n+1) = 3^41 does not fit an int64; the model is refused by its
-    size before any array holds the form."""
-    code, doc = run(tmp_path, "deep.json", command + ["--p", "3", "--n", "40"])
-    assert code == 0
-    [rec] = doc["checks"]
-    assert (rec["anchor"], rec["status"]) == ("caps", "skipped")
+@pytest.mark.parametrize("command, exponent", [
+    (["ring", "--r", "1", "--l", "0"], lambda n: n + 1),
+    # the l = r module is lifted to depth 2n + 1
+    (["ring", "--r", "1", "--l", "1"], lambda n: 2 * n + 1),
+    (["torus"], lambda n: n + 1)], ids=["ring-l0", "ring-l1", "torus"])
+def test_deep_level_beyond_int64_skips_at_cap_dim(tmp_path, command,
+                                                  exponent):
+    """p^(n+1) = 3^41 does not fit an int64, nor 3^401 a float; the model
+    is refused by its size before any array holds the form, and the note
+    gives its exact dimension."""
+    for n in (40, 400):
+        code, doc = run(tmp_path, "deep.json",
+                        command + ["--p", "3", "--n", str(n)])
+        assert code == 0
+        [rec] = doc["checks"]
+        assert (rec["anchor"], rec["status"]) == ("caps", "skipped")
+        assert rec["note"] == (f"model dimension {3 ** exponent(n)} exceeds "
+                               f"cap 2000")
 
 
 def test_torus_eta0_records(tmp_path):

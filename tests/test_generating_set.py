@@ -16,7 +16,7 @@ def all_transvections(spec):
     """Reference: every nontrivial tau_{a,v}, deduplicated by action."""
     ident = GroupElem.identity(spec)
     seen = {}
-    for v in spec.vectors():
+    for v in spec.points():
         for a in range(spec.modulus):
             g = transvection(spec, a, v)
             if g != ident:

@@ -26,7 +26,10 @@ import numpy as np
 import pytest
 
 from elements import sl2_elements, sp_elements
-from reference import mat_inv, mat_mul, mat_vec, reference_invariants
+from reference import (act, add, form, mat_inv, mat_mul, mat_vec,
+                       orbit_lists, psi, quotient_reduce, quotient_reps,
+                       reference_invariants, reference_orbits, smul, sub,
+                       vectors)
 from test_oscillator import sp4_cases
 from weilrep.heisenberg import SchrodingerModel, box_isotropic
 from weilrep.oscillator import OscillatorRep, weil_index
@@ -128,29 +131,6 @@ def reference_abelianization_cosets(group, D):
     return labels
 
 
-def reference_orbits(gens, points, act):
-    remaining = set(points)
-    out = []
-    for start in sorted(points):
-        if start not in remaining:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for v in frontier:
-                for g in gens:
-                    w = act(g, v)
-                    if w not in orbit:
-                        orbit.add(w)
-                        new.append(w)
-            frontier = new
-        remaining -= orbit
-        out.append(sorted(orbit))
-    out.sort(key=lambda o: (len(o), o[0]))
-    return out
-
-
 # SL2(Z/9), SL2(Z/27) and the scaled modules at levels 1 and 2
 AB_CASES = [(3, 1, 0, 1), (3, 1, 0, 2), (3, 1, 1, 1), (3, 1, 1, 2)]
 
@@ -191,9 +171,9 @@ def test_orbits_match_reference_bfs(args):
     spec = SympModule.standard(*args)
     gens = symplectic_group(spec).gens
     for box in (spec.exps, canonical_isotropic(spec).uperp_box, (1,) * 2):
-        act = lambda g, c: spec.quotient_reduce(g.act(c), box)
-        assert orbits(gens, box) == reference_orbits(
-            gens, spec.quotient_reps(box), act)
+        act_mod = lambda g, c: quotient_reduce(spec, act(g, c), box)
+        assert orbit_lists(orbits(gens, box), spec.points(box)) \
+            == reference_orbits(gens, quotient_reps(spec, box), act_mod)
 
 
 def reference_M_X(rep, g):
@@ -201,14 +181,15 @@ def reference_M_X(rep, g):
     p, l = rep.p, rep.l
     psi = lambda c: unit_phase(rep.scale * c, p)
     ginv = mat_inv(g, p)
+    ys = vectors((p,) * l)
     op = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for jrow, yj in enumerate(rep.ys):
+    for jrow, yj in enumerate(ys):
         for x in product(range(p), repeat=l):
             v = mat_vec(ginv, tuple(x) + yj, p)
             vx, vy = v[:l], v[l:]
             ph = psi(-rep.half * sum(a * b for a, b in zip(vx, vy)))
             dot = sum(a * b for a, b in zip(x, yj))
-            op[jrow, rep.ys.index(vy)] += psi(rep.half * dot) * ph
+            op[jrow, ys.index(vy)] += psi(rep.half * dot) * ph
     return op / (p ** l)
 
 
@@ -262,14 +243,15 @@ def test_field_ops_match_reference_on_sp4():
 
 def reference_reduce(iso, g):
     """Image of g in Sp(residue), one column at a time."""
-    p = iso.spec.p
+    p, dim = iso.spec.p, iso.spec.dim
     k = len(iso.res_coords)
     if k == 0:
         return tuple()
     cols = []
     for gj in iso.res_coords:
         scale = p ** iso.uperp_box[gj]
-        img = g.act(iso.spec.smul(scale, iso.spec.basis_vector(gj)))
+        e = tuple(int(i == gj) for i in range(dim))
+        img = act(g, smul(iso.spec, scale, e))
         cols.append([(img[gi] // p ** iso.uperp_box[gi]) % p
                      for gi in iso.res_coords])
     R = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
@@ -288,17 +270,25 @@ def reference_rho(rep, ubar):
     return rep.sigma.rho(ubar, 0)
 
 
+def reference_cosets(rep):
+    """The U-perp coset representatives as tuples, and their indices."""
+    cosets = quotient_reps(rep.spec, rep.iso.uperp_box)
+    return cosets, {c: i for i, c in enumerate(cosets)}
+
+
 def reference_blocks(rep, g):
     """(row coset, column coset, phase, residue class) of S(g)."""
     spec, iso = rep.spec, rep.iso
+    half = pow(2, -1, rep.M)
     ginv = g.inverse()
+    cosets, cindex = reference_cosets(rep)
     out = []
-    for ci, x in enumerate(rep.cosets):
-        y = ginv.act(x)
-        xc = spec.quotient_reduce(y, iso.uperp_box)
-        u = spec.sub(y, xc)
-        ph = rep.psi(rep.half * spec.form(xc, u))
-        out.append((ci, rep.cindex[xc], ph, reference_project(iso, u)))
+    for ci, x in enumerate(cosets):
+        y = act(ginv, x)
+        xc = quotient_reduce(spec, y, iso.uperp_box)
+        u = sub(spec, y, xc)
+        ph = psi(rep, half * form(spec, xc, u))
+        out.append((ci, cindex[xc], ph, reference_project(iso, u)))
     return out
 
 
@@ -319,14 +309,16 @@ def reference_trace(rep, g):
 
 def reference_heis_op(rep, w, t):
     spec, s = rep.spec, rep.sdim
+    half = pow(2, -1, rep.M)
+    cosets, cindex = reference_cosets(rep)
     out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for ci, x in enumerate(rep.cosets):
-        target = spec.add(x, w)
-        xc = spec.quotient_reduce(target, rep.iso.uperp_box)
-        u = spec.sub(target, xc)
-        ph = rep.psi(t + rep.half * spec.form(x, w)) \
-            * rep.psi(rep.half * spec.form(xc, u))
-        cj = rep.cindex[xc]
+    for ci, x in enumerate(cosets):
+        target = add(spec, x, w)
+        xc = quotient_reduce(spec, target, rep.iso.uperp_box)
+        u = sub(spec, target, xc)
+        ph = psi(rep, t + half * form(spec, x, w)) \
+            * psi(rep, half * form(spec, xc, u))
+        cj = cindex[xc]
         out[ci * s:(ci + 1) * s, cj * s:(cj + 1) * s] = \
             ph * reference_rho(rep, reference_project(rep.iso, u))
     return out
@@ -335,10 +327,10 @@ def reference_heis_op(rep, w, t):
 def reference_delta_vec(rep, point):
     spec = rep.spec
     out = np.zeros(rep.dim, dtype=complex)
-    xc = spec.quotient_reduce(point, rep.iso.uperp_box)
-    u = spec.sub(xc, point)
-    ph = rep.psi(rep.half * spec.form(point, u))
-    ci = rep.cindex[xc]
+    xc = quotient_reduce(spec, point, rep.iso.uperp_box)
+    u = sub(spec, xc, point)
+    ph = psi(rep, pow(2, -1, rep.M) * form(spec, point, u))
+    ci = reference_cosets(rep)[1][xc]
     out[ci * rep.sdim:(ci + 1) * rep.sdim] = ph * (
         reference_rho(rep, reference_project(rep.iso, u))
         @ rep.sigma_vacuum())
@@ -434,7 +426,7 @@ def test_ring_ops_match_reference_on_generator_words_3211(flavor):
     words_group = FiniteGroup(words, gens)
     _check_characters(rep, words_group, range(len(words_group)))
     for g in words[:10]:
-        w = rng.choice(list(rep.spec.vectors()))
+        w = rng.choice(vectors(rep.spec.moduli))
         t = rng.randrange(rep.M)
         assert np.abs(rep.heis_op(w, t)
                       - reference_heis_op(rep, w, t)).max() < 1e-12
@@ -477,7 +469,7 @@ def test_decompose_from_generators_alone(args, dims, monkeypatch):
     summands = decompose(rep, FiniteGroup([GroupElem.identity(rep.spec)],
                                           gens))
     assert sorted(sm.dim for sm in summands) == dims
-    assert len(summands) == len(orbits(gens, rep.spec.exps))
+    assert len(summands) == orbits(gens, rep.spec.exps).max() + 1
 
 
 @pytest.mark.parametrize("args", [(3, 1, 0, 1), (3, 1, 1, 1), (3, 2, 1, 1)],
@@ -485,7 +477,7 @@ def test_decompose_from_generators_alone(args, dims, monkeypatch):
 def test_heis_op_and_delta_vec_match_reference(args):
     rep = build_ring_rep(SympModule.standard(*args))
     rng = random.Random(6)
-    vecs = list(rep.spec.vectors())
+    vecs = vectors(rep.spec.moduli)
     for w in rng.sample(vecs, 30):
         t = rng.randrange(rep.M)
         assert np.abs(rep.heis_op(w, t)
@@ -867,18 +859,19 @@ def reference_schrodinger_rho(model, w, t):
     psi(beta(rep, a)/2) of the split r_j + w = rep + a."""
     spec = model.spec
     psi = lambda c: unit_phase(model.scale * c, model.M)
-    index = {r: i for i, r in enumerate(model.reps)}
+    reps = quotient_reps(spec, model.box)
+    index = {r: i for i, r in enumerate(reps)}
     op = np.zeros((model.dim, model.dim), dtype=complex)
-    for j, rj in enumerate(model.reps):
-        v = spec.add(rj, w)
-        rep = spec.quotient_reduce(v, model.box)
-        ph = psi(model.half * spec.form(rep, spec.sub(v, rep)))
-        op[j, index[rep]] = psi(t + model.half * spec.form(rj, w)) * ph
+    for j, rj in enumerate(reps):
+        v = add(spec, rj, w)
+        rep = quotient_reduce(spec, v, model.box)
+        ph = psi(model.half * form(spec, rep, sub(spec, v, rep)))
+        op[j, index[rep]] = psi(t + model.half * form(spec, rj, w)) * ph
     return op
 
 
 def _check_rho(rho, model):
-    for w in model.spec.vectors():
+    for w in vectors(model.spec.moduli):
         for t in range(model.M):
             assert np.abs(rho(w, t)
                           - reference_schrodinger_rho(model, w, t)).max() \
@@ -891,7 +884,9 @@ def test_oscillator_rho_matches_row_loop(l, p):
     nonsquare = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
     for scale in (1, nonsquare):
         rep = OscillatorRep(l, p, scale)
-        assert rep.heis.reps == [(0,) * l + y for y in rep.ys]
+        ys = [list(y) for y in vectors((p,) * l)]
+        assert rep._ys.tolist() == ys
+        assert rep.heis.pts.tolist() == [[0] * l + y for y in ys]
         _check_rho(rep.rho, rep.heis)
 
 

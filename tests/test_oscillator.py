@@ -163,7 +163,7 @@ def test_heisenberg_intertwining():
             t = random.randrange(p)
             U = rep.op(g)
             lhs = U @ rep.rho(w, t) @ np.linalg.inv(U)
-            rhs = rep.rho(rep.heis_transform(g, w), t)
+            rhs = rep.rho(np.asarray(g) @ w % p, t)
             assert np.abs(lhs - rhs).max() < 1e-8
 
 

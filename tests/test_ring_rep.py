@@ -3,13 +3,18 @@ import random
 import numpy as np
 import pytest
 
-from weilrep.ring_rep import (RingWeilRep, build_ring_rep,
+from reference import act, box_elements, psi, shell_counts, sigma_gx
+from weilrep.ring_rep import (RingWeilRep, _shell_counts, build_ring_rep,
                               canonical_isotropic, character_norm, decompose,
                               direct_sum, direct_sum_isotropic, embed_pair,
-                              faithful_model, shell_dimensions, sigma_gx,
+                              faithful_model, shell_dimensions,
                               summand_characters, tensor_intertwiner,
                               traces)
 from weilrep.symplectic import SympModule, orbits, symplectic_group
+
+
+def orbit_count(gens, spec):
+    return int(orbits(gens, spec.exps).max()) + 1
 
 
 def test_canonical_isotropic_l0():
@@ -81,14 +86,14 @@ def test_rep_heisenberg_intertwining():
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
     random.seed(1)
-    vecs = list(spec.vectors())
+    vecs = spec.points()
     for _ in range(1000):
         g = random.choice(G)
         w = random.choice(vecs)
         t = random.randrange(rep.M)
         U = rep.op(g)
         lhs = U @ rep.heis_op(w, t) @ U.conj().T
-        rhs = rep.heis_op(g.act(w), t)
+        rhs = rep.heis_op(act(g, w), t)
         assert np.abs(lhs - rhs).max() < 1e-8
 
 
@@ -98,14 +103,14 @@ def test_heis_op_is_schrodinger():
     spec = SympModule.standard(3, 1, 0, 1)
     rep = build_ring_rep(spec)
     for t in range(rep.M):
-        assert np.allclose(rep.heis_op(spec.zero(), t),
-                           rep.psi(t) * np.eye(rep.dim), atol=1e-9)
+        assert np.allclose(rep.heis_op((0, 0), t),
+                           psi(rep, t) * np.eye(rep.dim), atol=1e-9)
     total = 0.0
     count = 0
-    for w in spec.vectors():
+    for w in spec.points():
         tr = np.trace(rep.heis_op(w, 0))
         for t in range(rep.M):
-            total += abs(rep.psi(t) * tr) ** 2
+            total += abs(psi(rep, t) * tr) ** 2
             count += 1
     assert abs(total / count - 1) < 1e-9
 
@@ -138,11 +143,11 @@ def test_unlifted_degenerate_model_matches_residue():
     """Without the lift, the degenerate module carries the residue-level
     representation: two summands, matching its two orbits."""
     spec = SympModule.standard(3, 1, 1, 1)
-    rep = build_ring_rep(spec, lift_degenerate=False)
-    assert not rep.lifted and rep.dim == 3
+    rep = RingWeilRep(spec)
+    assert rep.spec is spec and rep.dim == 3
     G = symplectic_group(spec)
     cn, dev = character_norm(traces(rep, G.mats))
-    assert cn == len(orbits(G.gens, spec.exps)) == 2
+    assert cn == orbit_count(G.gens, spec) == 2
     summands = decompose(rep, G)
     assert len(summands) == 2
     assert sorted(s.dim for s in summands) == [1, 2]
@@ -157,7 +162,7 @@ def test_summand_characters_sum_to_the_trace(args):
     total = summand_characters(rep, G, decompose(rep, G)).sum(axis=0)
     assert np.abs(total - traces(rep, G.mats)).max() < 1e-12
     cn, dev = character_norm(total)
-    assert cn == len(orbits(G.gens, rep.spec.exps)) and dev < 1e-9
+    assert cn == orbit_count(G.gens, rep.spec) and dev < 1e-9
 
 
 def test_character_norm_identity():
@@ -166,7 +171,7 @@ def test_character_norm_identity():
     G = symplectic_group(spec)
     cn, dev = character_norm(traces(rep, G.mats))
     assert cn == 3 and dev < 1e-9
-    assert cn == len(orbits(G.gens, spec.exps))
+    assert cn == orbit_count(G.gens, spec)
     # trivial group: the norm is the squared dimension
     ident_group = [G.identity()]
     total = sum(abs(rep.trace(g)) ** 2 for g in ident_group)
@@ -177,7 +182,7 @@ def test_sigma_gx():
     spec = SympModule.standard(3, 1, 0, 1)
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
-    stab0, op0 = sigma_gx(rep, G, spec.zero())
+    stab0, op0 = sigma_gx(rep, G, (0, 0))
     assert len(stab0) == len(G)
     random.seed(2)
     for g in random.sample(G, 15):
@@ -191,7 +196,7 @@ def test_sigma_gx():
         assert abs(abs(val[0, 0]) - 1) < 1e-9
     # depends only on x mod U
     u = (3, 3)  # element of U = 3W
-    stab2, opx2 = sigma_gx(rep, G, spec.add(x, u))
+    stab2, opx2 = sigma_gx(rep, G, np.add(x, u) % spec.moduli)
     for g in random.sample(G, 20):
         assert np.abs(opx(g) - opx2(g)).max() < 1e-9
 
@@ -203,10 +208,10 @@ def test_sigma_gx_nontrivial_sigma_block():
     spec = SympModule.standard(3, 1, 1, 1)
     rep = build_ring_rep(spec)           # lifted: residue is a plane
     G = symplectic_group(rep.spec)
-    x = rep.spec.box_elements(rep.iso.uperp_box)[5]
+    x = box_elements(rep.spec, rep.iso.uperp_box)[5]
     assert any(x)
     stab, opx = sigma_gx(rep, G, x)
-    xbar = rep.iso.project(x)
+    xbar = rep.iso.residues(np.array(x))
     R = rep.rho_res(xbar)
     random.seed(3)
     for g in random.sample(stab, 10):
@@ -241,6 +246,25 @@ def test_tensor_two_copies():
         g, h = random.choice(GA), random.choice(GA)
         assert abs(repAB.trace(embed_pair(big, g, h))
                    - repA.trace(g) * repB.trace(h)) < 1e-8
+
+
+# p in {3, 5, 7}, r in {1, 2}, every l, n in {1, 2, 3}, quotient size at
+# most 3^13
+SHELL_GRID = [(p, r, l, n) for p in (3, 5, 7) for r in (1, 2)
+              for l in range(r + 1) for n in (1, 2, 3)
+              if p ** (2 * r * (n + 1) - l) <= 3 ** 13]
+
+
+def test_shell_counts_match_enumeration():
+    """The box differences count the shells of the enumerated quotient."""
+    assert len(SHELL_GRID) == 28
+    for p, r, l, n in SHELL_GRID:
+        ref = shell_counts(p, r, l, n)
+        assert sum(ref.values()) == p ** (2 * r * (n + 1) - l)
+        counts = _shell_counts(p, r, l, n)
+        assert counts == {key: ref.get(key, 0) for key in counts}, \
+            (p, r, l, n)
+        assert set(ref) <= set(counts) | {("E", n + 1)}
 
 
 def test_shell_dimensions_acceptance_configs():

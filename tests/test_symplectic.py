@@ -2,11 +2,18 @@ import random
 from functools import reduce
 from operator import mul
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilrep.ring_rep import abelianization_character, canonical_isotropic
+from reference import (act, add, form, orbit_lists, quotient_reduce,
+                       quotient_reps, reference_orbits,
+                       tuple_generates_all_transvections, tuple_transvection,
+                       vectors)
+from weilrep import symplectic
+from weilrep.ring_rep import (_box_invariant, abelianization_character,
+                              canonical_isotropic)
 from weilrep.symplectic import (ClosureCapExceeded, GroupElem, SympModule,
                                 brute_force_symplectic_count, group_closure,
                                 orbits, reduce_level, symplectic_group,
@@ -17,12 +24,12 @@ def test_standard_module_shapes():
     m = SympModule.standard(3, 1, 0, 1)
     assert m.moduli == (9, 9)
     assert m.size() == 81
-    assert m.form((1, 0), (0, 1)) == 1
+    assert form(m, (1, 0), (0, 1)) == 1
 
     m = SympModule.standard(3, 1, 1, 1)
     assert m.moduli == (3, 3)
     assert m.size() == 9
-    assert m.form((1, 0), (0, 1)) == 3
+    assert form(m, (1, 0), (0, 1)) == 3
 
     m = SympModule.standard(3, 2, 1, 1)
     assert m.moduli == (3, 9, 3, 9)
@@ -35,12 +42,13 @@ def test_form_alternating_bilinear():
     vecs = [tuple(random.randrange(mod) for mod in m.moduli)
             for _ in range(20)]
     for v in vecs:
-        assert m.form(v, v) == 0
+        assert form(m, v, v) == 0
         for w in vecs:
-            assert (m.form(v, w) + m.form(w, v)) % m.modulus == 0
-            u = m.add(v, w)
+            assert (form(m, v, w) + form(m, w, v)) % m.modulus == 0
+            u = add(m, v, w)
             for x in vecs[:5]:
-                assert m.form(u, x) == (m.form(v, x) + m.form(w, x)) % m.modulus
+                assert form(m, u, x) \
+                    == (form(m, v, x) + form(m, w, x)) % m.modulus
 
 
 def test_bstar_realization_matches_dual_side():
@@ -72,13 +80,13 @@ def test_transvection_examples():
     random.seed(2)
     m = SympModule.standard(3, 1, 0, 1)
     ident = GroupElem.identity(m)
-    vecs = list(m.vectors())
+    vecs = vectors(m.moduli)
     for _ in range(100):
         a = random.randrange(m.modulus)
         v = random.choice(vecs)
         t = transvection(m, a, v)
         assert t.is_symplectic()
-        assert t.act(v) == v
+        assert act(t, v) == v
     v = random.choice(vecs)
     assert transvection(m, 0, v) == ident
     a, b = 2, 5
@@ -124,7 +132,9 @@ def test_closure_cap():
 def test_orbits_b1():
     spec = SympModule.standard(3, 1, 0, 1)
     G = symplectic_group(spec)
-    orbs = orbits(G.gens, spec.exps)
+    label = orbits(G.gens, spec.exps)
+    assert label.dtype == np.int64 and label.shape == (spec.size(),)
+    orbs = orbit_lists(label, spec.points())
     assert [len(o) for o in orbs] == [1, 8, 72]
     assert orbs[0] == [(0, 0)]
     for o in orbs:
@@ -136,7 +146,7 @@ def test_orbits_on_quotient():
     spec = SympModule.standard(3, 1, 0, 1)
     G = symplectic_group(spec)
     box = (1, 1)   # the submodule 3W
-    orbs = orbits(G.gens, box)
+    orbs = orbit_lists(orbits(G.gens, box), spec.points(box))
     assert [len(o) for o in orbs] == [1, 8]
 
 
@@ -188,10 +198,119 @@ def test_group_words_find_character_and_orbits(args, letters1, letters2):
     # the orbits of <w1, w2> partition W and the U-perp cosets, and each is
     # closed under both words
     for box in (spec.exps, canonical_isotropic(spec).uperp_box):
-        orbs = orbits([w1, w2], box)
+        orbs = orbit_lists(orbits([w1, w2], box), spec.points(box))
         pts = [v for orb in orbs for v in orb]
-        assert sorted(pts) == spec.quotient_reps(box)
+        assert sorted(pts) == quotient_reps(spec, box)
         for orb in orbs:
             for g in (w1, w2):
-                assert {spec.quotient_reduce(g.act(v), box)
+                assert {quotient_reduce(spec, act(g, v), box)
                         for v in orb} == set(orb)
+
+
+# -- the int64 point arrays against the tuple loops, on random modules --------
+
+
+def _random_module_params():
+    """Standard modules in both flavors, with equal and mixed moduli, also
+    with the gram scaled by p (gram content one more), up to 3^8 points."""
+    out = []
+    for p in (3, 5):
+        for r in (1, 2):
+            for l in range(r + 1):
+                for n in range(3):
+                    for flavor in ("B", "Bstar"):
+                        for scaled in (False, True):
+                            spec = SympModule.standard(p, r, l, n, flavor)
+                            if spec.size() <= 3 ** 8:
+                                out.append((p, r, l, n, flavor, scaled))
+    return out
+
+
+MODULE_PARAMS = _random_module_params()
+
+
+def _module(params):
+    p, r, l, n, flavor, scaled = params
+    spec = SympModule.standard(p, r, l, n, flavor)
+    if scaled:
+        spec = SympModule(p, n, spec.moduli,
+                          [[p * x for x in row] for row in spec.gram])
+    return spec
+
+
+def _transvection_or_error(make, spec, a, v):
+    try:
+        return make(spec, a, v).mat
+    except ValueError:
+        return ValueError
+
+
+modules = st.sampled_from(MODULE_PARAMS).map(_module)
+seeds = st.integers(0, 2 ** 32)
+
+
+@settings(deadline=None, max_examples=60)
+@given(modules, seeds)
+def test_points_are_the_product_order(spec, seed):
+    assert spec.points().tolist() == [list(v) for v in vectors(spec.moduli)]
+    rng = random.Random(seed)
+    divs = tuple(rng.randrange(a + 2) for a in spec.exps)
+    pts = spec.points(divs)
+    assert pts.dtype == np.int64 and pts.flags["C_CONTIGUOUS"]
+    assert pts.tolist() == [list(v) for v in quotient_reps(spec, divs)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(modules, seeds)
+def test_transvection_matches_tuple_loop(spec, seed):
+    rng = random.Random(seed)
+    for _ in range(10):
+        a = rng.randrange(-spec.modulus, 2 * spec.modulus)
+        v = tuple(rng.randrange(m) for m in spec.moduli)
+        assert _transvection_or_error(transvection, spec, a, v) \
+            == _transvection_or_error(tuple_transvection, spec, a, v)
+
+
+def _valid_transvections(spec, rng, k):
+    """Up to k transvections tau_{1,v} at random points v that are
+    automorphisms of the module."""
+    out = []
+    for _ in range(k):
+        v = tuple(rng.randrange(m) for m in spec.moduli)
+        if _transvection_or_error(transvection, spec, 1, v) is not ValueError:
+            out.append(transvection(spec, 1, v))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(modules, seeds)
+def test_orbit_labels_match_tuple_bfs(spec, seed):
+    rng = random.Random(seed)
+    gens = _valid_transvections(spec, rng, 3) or [GroupElem.identity(spec)]
+    divs = tuple(rng.randrange(a + 1) for a in spec.exps)
+    for box in (spec.exps, divs):
+        if not _box_invariant(spec, box, gens):
+            continue
+        act_mod = lambda g, v: quotient_reduce(spec, act(g, v), box)
+        assert orbit_lists(orbits(gens, box), spec.points(box)) \
+            == reference_orbits(gens, quotient_reps(spec, box), act_mod)
+
+
+@settings(deadline=None, max_examples=60)
+@given(modules, seeds)
+def test_transvection_certificate_matches_tuple_form(spec, seed):
+    rng = random.Random(seed)
+    vecs = [tuple(rng.randrange(m) for m in spec.moduli)
+            for _ in range(rng.randrange(1, 4))]
+    if any(_transvection_or_error(transvection, spec, 1, v) is ValueError
+           for v in vecs):
+        return
+    assert symplectic._generates_all_transvections(spec, vecs) \
+        == tuple_generates_all_transvections(spec, vecs)
+    eye = np.eye(spec.dim, dtype=int)
+    basis = [tuple(row) for row in np.concatenate([eye, eye[:-1] + eye[1:]])
+             .tolist()]
+    if all(_transvection_or_error(transvection, spec, 1, v) is not ValueError
+           for v in basis):
+        assert symplectic._generates_all_transvections(spec, basis) \
+            == tuple_generates_all_transvections(spec, basis)
