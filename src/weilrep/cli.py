@@ -127,8 +127,10 @@ def cmd_field(args) -> int:
     if exhaustive:
         S = rep.ops(mats)
         prods = G.find(mats[:, None] @ mats[None] % p)
-        worst = max(float(np.abs(S[i] @ S - S[prods[i]]).max())
-                    for i in range(order))
+        rows = max(1, osc._CHUNK // order)
+        worst = max(float(np.abs(S[i:i + rows, None] @ S
+                                 - S[prods[i:i + rows]]).max())
+                    for i in range(0, order, rows))
     else:
         worst = 0.0
         for start in range(0, len(pairs), osc._CHUNK):
@@ -142,12 +144,12 @@ def cmd_field(args) -> int:
                   {"group_order": order, "pairs": args.samples},
                   residual=worst)
 
-    worst = 0.0
-    for U, (g, w, t) in zip(rep.ops(mats[[g for g, _, _ in draws]]), draws):
-        lhs = U @ rep.rho(w, t) @ U.conj().T
-        # g acts on the Heisenberg group by g.(w, t) = (gw, t)
-        rhs = rep.rho(mats[g] @ w % p, t)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    g, w, t = (np.array(col) for col in zip(*draws))
+    U = rep.ops(mats[g])
+    # g acts on the Heisenberg group by g.(w, t) = (gw, t)
+    gw = (mats[g] @ w[..., None])[..., 0] % p
+    worst = float(np.abs(U @ rep.rho(w, t) @ U.conj().transpose(0, 2, 1)
+                         - rep.rho(gw, t)).max())
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
 
@@ -201,19 +203,28 @@ def cmd_ring(args) -> int:
                              f"exceeds cap {args.cap_group}")
         # structural-only checks on sampled generator words
         gens = transvection_generators(rep.spec)
+        words = np.array([reduce(mul, rng.choices(gens, k=2 * rep.spec.dim))
+                          for _ in range(20)], dtype=np.int64)
+        covariance = _covariance_draws(rng, rep, iter(words[:10]))
+        ops = rep.blocks(words)
         worst = 0.0
-        words = [reduce(mul, rng.choices(gens, k=2 * rep.spec.dim))
-                 for _ in range(20)]
-        for g in words:
-            U = rep.op(g)
+        for part in _spans(len(words), rep.dim):
+            # U U^* as a block-monomial product, as in _check_intertwining
+            Uh = ops[part].dense().conj().transpose(0, 2, 1)
             worst = max(worst, float(np.abs(
-                U @ U.conj().T - np.eye(rep.dim)).max()))
+                ops[part].apply(Uh) - np.eye(rep.dim)).max()))
         rep_doc.check("unitarity-sampled", "unitarity", worst <= tol,
                       residual=worst)
-        _check_intertwining(rep_doc, rep, words[:10], rng, tol)
+        _check_intertwining(rep_doc, rep, *covariance, tol)
         return rep_doc.finish(args.out)
 
     rep_doc.doc["config"]["group_order"] = len(G)
+    # every element, point and level is drawn before any check runs, in
+    # the order in which the checks use them
+    pairs = np.array([(rng.randrange(len(G)), rng.randrange(len(G)))
+                      for _ in range(args.samples // 100 or 50)])
+    covariance = _covariance_draws(
+        rng, rep, (G.mats[rng.randrange(len(G))] for _ in range(50)))
     if args.twist:
         chi, k = rr.abelianization_character(G, args.twist)
         rep_doc.doc["config"]["twist_order"] = k
@@ -235,15 +246,17 @@ def cmd_ring(args) -> int:
                   cn == orb and dev <= 1e-6,
                   measured={"character_norm": cn, "orbit_count": orb},
                   residual=dev)
+    n = len(pairs)
+    g, h = G.mats[pairs.T]
+    ops = rep.blocks(np.concatenate([g, h, g @ h % G._mods]))
     worst = 0.0
-    for _ in range(args.samples // 100 or 50):
-        g, h = rng.choice(G), rng.choice(G)
-        Sg, Sh, Sgh = rep.blocks([g, h, g * h]).dense()
+    for part in _spans(n, rep.dim):
+        idx = np.arange(n)[part]
+        Sg, Sh, Sgh = (ops[idx + k * n].dense() for k in range(3))
         worst = max(worst, float(np.abs(Sg @ Sh - Sgh).max()))
     rep_doc.check("homomorphism-sampled", "genuine-splitting", worst <= tol,
                   residual=worst)
-    _check_intertwining(rep_doc, rep,
-                        (rng.choice(G) for _ in range(50)), rng, tol)
+    _check_intertwining(rep_doc, rep, *covariance, tol)
     if rep.spec.n >= 3 and not rep.lifted:
         rep_doc.add("sigma-level-compat", "level-compat-diagnostic", "info",
                     measured=_sigma_level_diagnostic(rep, rng))
@@ -264,17 +277,43 @@ def _draw_point(rng, moduli):
                                      moduli), dtype=np.int64)
 
 
-def _check_intertwining(rep_doc, rep, elements, rng, tol):
-    """S(g) rho(w, t) S(g)^* = rho(g w, t) for each g, drawing w and t from
-    rng after each g is drawn."""
+# the sampled ring checks build each stack of dense operators this many
+# bytes at a time, a few stacks at once; with 2^20 the process running
+# `ring --p 3 --r 1 --l 1 --n 1` peaked 3 MB higher than with 2^17
+_DENSE_BYTES = 2 ** 17
+
+
+def _spans(n, dim):
+    """Slices of range(n), each of at most _DENSE_BYTES of dense operators
+    of dimension dim (at least one operator)."""
+    step = max(1, _DENSE_BYTES // (16 * dim * dim))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _covariance_draws(rng, rep, elements):
+    """Each element of an iterator, drawn in turn, followed by a point w of
+    W and a level t drawn from rng: three stacks (g, w, t)."""
+    draws = [(g, _draw_point(rng, rep.spec.moduli), rng.randrange(rep.M))
+             for g in elements]
+    return [np.array(col) for col in zip(*draws)]
+
+
+def _check_intertwining(rep_doc, rep, gs, ws, ts, tol):
+    """S(g) rho(w, t) S(g)^* = rho(g w, t) for each drawn (g, w, t), from
+    one `blocks` call and stacked Heisenberg operators, multiplied as
+    block-monomial operators rather than dense ones."""
+    ops = rep.blocks(gs)
+    gw = (gs @ ws[..., None])[..., 0] % rep.heis.mods
     worst = 0.0
-    for g in elements:
-        w = _draw_point(rng, rep.spec.moduli)
-        t = rng.randrange(rep.M)
-        U = rep.op(g)
-        lhs = U @ rep.heis_op(w, t) @ U.conj().T
-        gw = np.asarray(g, dtype=np.int64) @ w % rep.heis.mods
-        worst = max(worst, float(np.abs(lhs - rep.heis_op(gw, t)).max()))
+    for part in _spans(len(gs), rep.dim):
+        # U H U^* = (U (U H)^*)^*: two block-monomial products, which cost
+        # d^2 s where dense ones cost d^3 (d = 729 on the structural path
+        # of `ring --p 3 --r 2 --l 2 --n 1`)
+        UH = ops[part].apply(rep.heis_op(ws[part], ts[part]))
+        lhs = ops[part].apply(UH.conj().transpose(0, 2, 1))
+        worst = max(worst, float(np.abs(
+            lhs.conj().transpose(0, 2, 1)
+            - rep.heis_op(gw[part], ts[part])).max()))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
 

@@ -58,7 +58,6 @@ class SchrodingerModel:
         # beta(x, .) of every representative x, as rows
         self._pts_gram = self.pts @ self.gram % self.M
         self._roots = np.array(_roots(self.M))
-        self._rows = np.arange(self.dim)
 
     def phase(self, e) -> np.ndarray:
         """psi(e) for integer exponents e."""
@@ -76,19 +75,23 @@ class SchrodingerModel:
         form = (xc @ self.gram % self.M * u).sum(axis=-1)
         return xc @ self._radix, form * self.half % self.M, u
 
-    def translate(self, w, t: int = 0):
-        """The element (w, t) on every representative x: the coset index of
-        x + w, the exponent t + beta(x, w)/2 + beta(xc, u)/2 of its phase,
-        and the part u in A of x + w = xc + u."""
-        w = np.array(w, dtype=np.int64)
+    def translate(self, w, t=0):
+        """The elements (w, t) on every representative x, for points w an
+        int64 (..., dim) array and levels t of shape (...): the coset index
+        of x + w, the exponent t + beta(x, w)/2 + beta(xc, u)/2 of its
+        phase, and the part u in A of x + w = xc + u, each with an axis
+        over x after those of w."""
+        w = np.asarray(w, dtype=np.int64)[..., None, :]
         cj, e, u = self.split((self.pts + w) % self.mods)
-        return cj, t + self._pts_gram @ w % self.M * self.half + e, u
+        beta = (w * self._pts_gram).sum(axis=-1)
+        return cj, np.asarray(t)[..., None] + beta % self.M * self.half + e, u
 
-    def rho(self, w, t: int = 0) -> np.ndarray:
-        """Operator of (w,t): rho(w,t)phi(x) = psi(t + beta(x,w)/2) phi(x+w)."""
+    def rho(self, w, t=0) -> np.ndarray:
+        """Operator of (w,t): rho(w,t)phi(x) = psi(t + beta(x,w)/2) phi(x+w);
+        a stack (..., dim, dim) for points w (..., dim) and levels t (...)."""
         if not self.selfdual:
             raise ValueError("the box is not self-dual")
         cj, e, _ = self.translate(w, t)
-        op = np.zeros((self.dim, self.dim), dtype=complex)
-        op[self._rows, cj] = self.phase(e)
+        op = np.zeros(cj.shape + (self.dim,), dtype=complex)
+        np.put_along_axis(op, cj[..., None], self.phase(e)[..., None], axis=-1)
         return op

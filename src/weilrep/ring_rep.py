@@ -22,7 +22,8 @@ from .rings import _roots
 from .linalg import mat_inv_stack, symplectic_basis
 from .oscillator import _CHUNK, OscillatorRep
 from .symplectic import (FiniteGroup, GroupElem, SympModule, _keys,
-                         group_closure, orbits, transvection_generators)
+                         _lex_order, group_closure, orbits,
+                         transvection_generators)
 
 
 # -- residue space -----------------------------------------------------------
@@ -253,15 +254,19 @@ class RingWeilRep:
 
     # -- Heisenberg action on the same space ----------------------------------
 
-    def heis_op(self, w, t: int = 0) -> np.ndarray:
+    def heis_op(self, w, t=0) -> np.ndarray:
         """The Heisenberg element (w, t): phi(x) -> psi(t + beta(x, w)/2)
         phi(x + w), on the same block-monomial form: `translate` of the
-        coset split, with the residue operator of the part in U-perp."""
+        coset split, with the residue operator of the part in U-perp.  A
+        stack (..., d, d) for points w (..., dim) and levels t (...)."""
         cj, e, u = self.heis.translate(w, t)
+        C = self.heis.dim
         labels = self._labels(self.iso.residues(u))
         sig = np.eye(self.sdim, dtype=complex)[None]
-        return MonomialOps(cj[None], self.heis.phase(e)[None], labels[None],
-                           sig, np.zeros(1, int), self._rho_table).dense()[0]
+        ops = MonomialOps(cj.reshape(-1, C), self.heis.phase(e).reshape(-1, C),
+                          labels.reshape(-1, C), sig,
+                          np.zeros(cj.size // C, int), self._rho_table)
+        return ops.dense().reshape(cj.shape[:-1] + (self.dim, self.dim))
 
     # -- distinguished vectors -------------------------------------------------
 
@@ -302,6 +307,11 @@ class MonomialOps:
     sidx: np.ndarray          # (N,) row of sig of each element
     rho: np.ndarray           # (labels, s, s) residue operators
 
+    def __getitem__(self, idx) -> "MonomialOps":
+        """The operators idx, a slice or index array, of the stack."""
+        return MonomialOps(self.cj[idx], self.ph[idx], self.labels[idx],
+                           self.sig, self.sidx[idx], self.rho)
+
     @cached_property
     def _blocks(self) -> np.ndarray:
         """The nonzero block of every row coset of every element:
@@ -320,11 +330,16 @@ class MonomialOps:
 
     def apply(self, V) -> np.ndarray:
         """S(g_n) V for every element of the stack, without dense operators:
-        (N, d) for a vector V of length d, (N, d, k) for a (d, k) matrix."""
+        (N, d) for a vector V of length d, (N, d, k) for a (d, k) matrix or
+        for a stack V (N, d, k) of one matrix per element."""
         N, C = self.cj.shape
         s = self.sig.shape[-1]
-        out = self._blocks @ V.reshape(C, s, -1)[self.cj]
-        return out.reshape((N, C * s) + V.shape[1:])
+        if V.ndim == 3:
+            rows = V.reshape(N, C, s, -1)[np.arange(N)[:, None], self.cj]
+            tail = V.shape[2:]
+        else:
+            rows, tail = V.reshape(C, s, -1)[self.cj], V.shape[1:]
+        return (self._blocks @ rows).reshape((N, C * s) + tail)
 
     def traces(self, owner=None) -> np.ndarray:
         """tr S(g_n) over the cosets g_n fixes: (N,), or (K, N) summed per
@@ -462,9 +477,10 @@ def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
     mods, d = group._mods, group.spec.dim
     S = np.array(group.gens, dtype=np.int64)
     Sinv = mat_inv_stack(S, group.spec.p, group.spec.n + 1) % mods
-    new = S[:, None] @ S[None] % mods @ Sinv[:, None] % mods @ Sinv[None] % mods
+    new = (S[:, None] @ S[None] % mods @ Sinv[:, None] % mods @ Sinv[None]
+           % mods).reshape(-1, d, d)
     dgens = []
-    while len(new := np.unique(new.reshape(-1, d, d), axis=0)):
+    while len(new := new[_lex_order(new, group.spec.moduli)]):
         dgens += [GroupElem(group.spec, m, check=False) for m in new.tolist()]
         D = group_closure(dgens)
         conj = S[:, None] @ np.array(dgens)[None] % mods @ Sinv[:, None] % mods

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .linalg import mat_inv_stack, rank_normal_form_stack
+from .linalg import mat_inv_stack
 from .rings import vp
 
 
@@ -226,11 +226,21 @@ def transvection_generators(spec: SympModule) -> list:
     return sorted(gens, key=lambda g: g.mat)
 
 
+def _cache_key(spec: SympModule) -> tuple:
+    return (spec.p, spec.n, spec.moduli, spec.gram)
+
+
+_CERTIFICATES: dict = {}
+
+
 def _generates_all_transvections(spec: SympModule, vecs) -> bool:
     """Every orbit of <tau_{1,v} : v in vecs> on W meets a multiple of some
     v in vecs, or has a trivial transvection tau_{1,x} at its first point
-    x."""
+    x.  Cached per module and vecs, as it labels the orbits of all of W."""
     vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, spec.dim)
+    key = (_cache_key(spec), vecs.tobytes())
+    if key in _CERTIFICATES:
+        return _CERTIFICATES[key]
     label = orbits([transvection(spec, 1, v) for v in vecs], spec.exps)
     multiples = (np.arange(spec.modulus)[:, None, None] * vecs
                  % np.array(spec.moduli)).reshape(-1, spec.dim)
@@ -239,7 +249,8 @@ def _generates_all_transvections(spec: SympModule, vecs) -> bool:
     firsts = spec.points()[np.unique(label, return_index=True)[1]]
     ident = np.eye(spec.dim, dtype=np.int64) % np.array(spec.moduli)[:, None]
     trivial = (_transvections(spec, firsts) == ident).all(axis=(1, 2))
-    return bool((met | trivial).all())
+    _CERTIFICATES[key] = bool((met | trivial).all())
+    return _CERTIFICATES[key]
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -259,11 +270,39 @@ def _keys(mats, entry: np.dtype) -> np.ndarray:
     return flat.view(np.dtype((np.void, flat.shape[1] * entry.itemsize))).ravel()
 
 
+def _lex_order(mats, moduli) -> np.ndarray:
+    """Indices that sort an (N, d, d) stack with row i reduced mod
+    moduli[i] into the order of `GroupElem.mat`, one per distinct matrix.
+
+    The entries, row-major, are read as mixed-radix digits of as few int64
+    words as hold them, and the words are sorted as integers."""
+    d = mats.shape[-1]
+    flat = mats.reshape(len(mats), d * d)
+    radix = [m for m in moduli for _ in range(d)]
+    cuts, size = [0], 1
+    for i, m in enumerate(radix):
+        if size * m > 2 ** 63:
+            cuts.append(i)
+            size = 1
+        size *= m
+    cuts.append(len(radix))
+    words = np.stack([flat[:, a:b] @ np.array(
+        [math.prod(radix[i + 1:b]) for i in range(a, b)], dtype=np.int64)
+        for a, b in zip(cuts, cuts[1:])], axis=1)
+    order = (np.argsort(words[:, 0]) if words.shape[1] == 1
+             else np.lexsort(words.T[::-1]))
+    words = words[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return order[first]
+
+
 class FiniteGroup(Sequence):
     """A finite matrix group as its int64 (N, d, d) stack `mats`, rows
     reduced mod moduli[i], and their `keys`, both sorted in the order of
     `GroupElem.mat`.  `G[i]` is one `GroupElem`; `G.find` searches the keys.
-    Without `keys`, the elements (matrices) are sorted and deduplicated."""
+    Without `keys`, the elements (matrices) are reduced, sorted and
+    deduplicated; with them, `elements` must be canonical and sorted."""
 
     def __init__(self, elements, gens, keys=None):
         self.gens = gens
@@ -271,11 +310,11 @@ class FiniteGroup(Sequence):
         self._mods = np.array(spec.moduli, dtype=np.int64)[:, None]
         self._entry = _entry_dtype(spec)
         mats = np.asarray(elements, dtype=np.int64).reshape(
-            -1, spec.dim, spec.dim) % self._mods
+            -1, spec.dim, spec.dim)
         if keys is None:
-            keys, first = np.unique(_keys(mats, self._entry),
-                                    return_index=True)
-            mats = mats[first]
+            mats = mats % self._mods
+            mats = mats[_lex_order(mats, spec.moduli)]
+            keys = _keys(mats, self._entry)
         self.mats, self.keys = mats, keys
 
     def __len__(self):
@@ -302,49 +341,218 @@ class FiniteGroup(Sequence):
         return GroupElem.identity(self.spec)
 
 
-# frontier rows multiplied by the generators at once; bounds the work
-# arrays of group_closure to a few MB whatever the group order
+# orbit points, or Schreier generators, handled at once by the stabilizer
+# chain; bounds its work arrays to a few MB whatever the orbit lengths
 _CLOSURE_CHUNK = 2048
 
 
-def group_closure(gens, cap: int = 2_000_000) -> FiniteGroup:
-    """BFS closure of the generated subgroup, deduplicated by action.
+class StabilizerChain:
+    """A base and strong generating set of the group generated by a stack
+    of matrices, for its action on W, by the deterministic Schreier-Sims
+    algorithm (Seress, *Permutation Group Algorithms*, 2003, ch. 4;
+    Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
+    sec. 4.4).
 
-    Elements are int64 matrices with row i reduced mod moduli[i], kept as
-    their keys (`_keys`); the sorted key array `seen` is the final element
-    order.
+    The base is e_0..e_{d-1}: a matrix is its images of the basis, its
+    columns, so an element fixing every base point is the identity.  Level
+    j has generators `gens[j]` fixing e_0..e_{j-1} and the orbit of e_j
+    under them as a Schreier vector: the points in order found, as indices
+    into `spec.points()`, and for each the generator that found it and the
+    position of the point it came from (`gen_of`, `parent`).  Level 0 has
+    the given generators.  The product of the orbit lengths is the group
+    order once every Schreier generator sifts to the identity; before
+    that it is a lower bound, because every generator lies in the group
+    and fixes its level's earlier base points.  So `ClosureCapExceeded` is
+    raised as soon as the product passes `cap`.
     """
+
+    def __init__(self, gens, cap=None):
+        S = np.asarray(gens, dtype=np.int64)
+        self.spec = spec = gens[0].spec
+        d = self.d = spec.dim
+        self.cap = cap
+        self.mods = np.array(spec.moduli, dtype=np.int64)[:, None]
+        self.radix = np.array([math.prod(spec.moduli[i + 1:])
+                               for i in range(d)], dtype=np.int64)
+        self.eye = np.eye(d, dtype=np.int64)
+        S = S.reshape(-1, d, d) % self.mods
+        Sinv = mat_inv_stack(S, spec.p, spec.n + 1) % self.mods
+        # column j of a generator is e_j for j below its first moved point
+        fixes = np.logical_and.accumulate(np.concatenate(
+            [np.ones((len(S), 1), bool), (S == self.eye).all(axis=1)],
+            axis=1), axis=1)
+        self.gens = [S[fixes[:, j]] for j in range(d)]
+        self.ginv = [Sinv[fixes[:, j]] for j in range(d)]
+        self.tested = [[0] * len(g) for g in self.gens]
+        self.orbit = [self.radix[j:j + 1].copy() for j in range(d)]
+        self.gen_of = [np.array([-1]) for _ in range(d)]
+        self.parent = [np.array([-1]) for _ in range(d)]
+        # the position of each point of W in the orbit of each level, or -1
+        self.where = np.full((d, spec.size()), -1, dtype=np.int32)
+        self.where[np.arange(d), self.radix] = 0
+        self.lengths = [1] * d
+        self.uinv = [None] * d
+        # the deep levels first: their short orbits bring the cap closer
+        # while the long orbit of level 0 grows
+        for j in reversed(range(d)):
+            self._grow(j, 0)
+        j = d - 1
+        while j >= 0:
+            k = self._test(j)
+            j = j - 1 if k is None else k
+
+    def order(self) -> int:
+        return math.prod(self.lengths)
+
+    def _images(self, S, pts):
+        """Indices of the images of the points with indices pts under each
+        matrix of a stack S: (len(pts), len(S)), point-major."""
+        x = np.stack(np.unravel_index(pts, self.spec.moduli))
+        return (self.radix @ (S @ x % self.mods)).T
+
+    def _grow(self, j, new):
+        """Close the orbit of level j under its generators, of which those
+        numbered new.. are new: their images of the orbit points first, then
+        breadth first under all of them, _CLOSURE_CHUNK points at a time.
+        Each new point keeps the first (point, generator) that reaches it."""
+        frontier = np.arange(self.lengths[j])
+        while len(frontier) and new < len(self.gens[j]):
+            found, before = [], self.lengths[j]
+            for start in range(0, len(frontier), _CLOSURE_CHUNK):
+                pos = frontier[start:start + _CLOSURE_CHUNK]
+                img = self._images(self.gens[j][new:],
+                                   self.orbit[j][pos]).ravel()
+                fresh = np.flatnonzero(self.where[j, img] < 0)
+                first = np.sort(np.unique(img[fresh], return_index=True)[1])
+                sel = fresh[first]
+                count = self.lengths[j]
+                self.where[j, img[sel]] = np.arange(count, count + len(sel))
+                self.lengths[j] += len(sel)
+                k = len(self.gens[j]) - new
+                found.append((img[sel], new + sel % k, pos[sel // k]))
+                if self.cap is not None and self.order() > self.cap:
+                    raise ClosureCapExceeded(
+                        f"group closure exceeded cap of {self.cap} elements")
+            for arrays, part in zip((self.orbit, self.gen_of, self.parent),
+                                    zip(*found)):
+                arrays[j] = np.concatenate([arrays[j], *part])
+            frontier = np.arange(before, self.lengths[j])
+            new = 0
+
+    def _transversal(self, j, pos):
+        """u_x with u_x e_j = x for the orbit points at positions pos of
+        level j: the generators along the Schreier tree from x to e_j."""
+        U = self._identities(len(pos))
+        pos = pos.copy()
+        while len(live := np.flatnonzero(pos)):
+            U[live] = U[live] @ self.gens[j][self.gen_of[j][pos[live]]] \
+                % self.mods
+            pos[live] = self.parent[j][pos[live]]
+        return U
+
+    def _sift(self, H, j):
+        """Sift a stack H in place through levels j..: at level k, column k
+        of H is a point x of the orbit, and H becomes u_x^-1 H.  Returns H
+        and the level at which each element left the chain, its column not
+        in the orbit; d when it sifted to the identity."""
+        stop = np.full(len(H), self.d)
+        live = np.arange(len(H))
+        for k in range(j, self.d):
+            pos = self.where[k, H[live, :, k] @ self.radix]
+            stop[live[pos < 0]] = k
+            live, pos = live[pos >= 0], pos[pos >= 0]
+            H[live] = self._unwind(k, H[live], pos)
+        return H, stop
+
+    def _unwind(self, k, H, pos):
+        """u_x^-1 H for the points x at positions pos of level k, from a
+        table of every u_x^-1 on a level of at most _CLOSURE_CHUNK points
+        (built on first use; such orbits can be long cycles of one
+        generator), else by `_walk`."""
+        if self.lengths[k] > _CLOSURE_CHUNK:
+            return self._walk(k, H, pos)
+        if self.uinv[k] is None or len(self.uinv[k]) < self.lengths[k]:
+            every = np.arange(self.lengths[k])
+            self.uinv[k] = self._walk(k, self._identities(len(every)), every)
+        return self.uinv[k][pos] @ H % self.mods
+
+    def _walk(self, k, H, pos):
+        """u_x^-1 H, in place, by walking the Schreier tree of level k back
+        from each x to e_k."""
+        pos = pos.copy()
+        while len(m := np.flatnonzero(pos)):
+            H[m] = self.ginv[k][self.gen_of[k][pos[m]]] @ H[m] % self.mods
+            pos[m] = self.parent[k][pos[m]]
+        return H
+
+    def _identities(self, n):
+        return np.broadcast_to(self.eye, (n, self.d, self.d)).copy()
+
+    def _test(self, j):
+        """Sift the untested Schreier generators u_{sx}^-1 s u_x of level j,
+        generator by generator in point order.  The first that leaves a
+        residue h, which fixes e_0..e_{k-1} but moves e_k out of the orbit
+        of level k, is added to levels j+1..k, and k is returned; None
+        when every one sifts to the identity."""
+        S, tested = self.gens[j], self.tested[j]
+        for s in range(len(S)):
+            while tested[s] < self.lengths[j]:
+                pos = np.arange(tested[s], min(tested[s] + _CLOSURE_CHUNK,
+                                               self.lengths[j]))
+                end = pos[-1] + 1
+                to = self.where[j, self._images(S[s:s + 1],
+                                                self.orbit[j][pos])[:, 0]]
+                # a tree edge x -> sx gives u_{sx} = s u_x
+                pos = pos[(self.gen_of[j][to] != s)
+                          | (self.parent[j][to] != pos)]
+                H, stop = self._sift(S[s] @ self._transversal(j, pos)
+                                     % self.mods, j)
+                left = np.flatnonzero(stop < self.d)
+                if len(left):
+                    tested[s] = pos[left[0]] + 1
+                    k = int(stop[left[0]])
+                    self._add(H[left[0]], j + 1, k)
+                    return k
+                tested[s] = end
+        return None
+
+    def _add(self, h, lo, hi):
+        """Add h as a generator of levels lo..hi and close their orbits."""
+        hinv = mat_inv_stack(h[None], self.spec.p, self.spec.n + 1) \
+            % self.mods
+        for k in range(lo, hi + 1):
+            self.gens[k] = np.concatenate([self.gens[k], h[None]])
+            self.ginv[k] = np.concatenate([self.ginv[k], hinv])
+            self.tested[k].append(0)
+            self._grow(k, len(self.gens[k]) - 1)
+
+    def elements(self) -> np.ndarray:
+        """Every element once, as the products u_0 u_1 .. u_{d-1} of one
+        transversal element per level: an int64 (order, d, d) stack."""
+        P = self.eye[None]
+        for j in reversed(range(self.d)):
+            if self.lengths[j] > 1:
+                P = self._transversal(j, np.arange(self.lengths[j]))[:, None] \
+                    @ P[None]
+                np.remainder(P, self.mods, out=P)
+                P = P.reshape(-1, self.d, self.d)
+        return P
+
+
+def group_closure(gens, cap: int = 2_000_000) -> FiniteGroup:
+    """The group generated by gens, enumerated from its `StabilizerChain`
+    and sorted once into the order of `GroupElem.mat`.  Raises
+    `ClosureCapExceeded` when its order is above cap, as soon as the chain
+    certifies that, before any element is listed."""
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     spec = gens[0].spec
-    d = spec.dim
-    if d * (max(spec.moduli) - 1) ** 2 >= 2 ** 63:
+    if spec.dim * (max(spec.moduli) - 1) ** 2 >= 2 ** 63:
         raise OverflowError(f"int64 matrix products overflow for {spec}")
-    mods = np.array(spec.moduli, dtype=np.int64)[:, None]
-    entry = _entry_dtype(spec)
-
-    def mats(ks):
-        return ks.view(entry).reshape(-1, d, d).astype(np.int64)
-
-    gen_mats = np.array(gens, dtype=np.int64)
-    seen = _keys(np.eye(d, dtype=np.int64)[None] % mods, entry)
-    frontier = seen
-    while len(frontier):
-        new = []
-        for start in range(0, len(frontier), _CLOSURE_CHUNK):
-            x = mats(frontier[start:start + _CLOSURE_CHUNK])
-            y = x[:, None] @ gen_mats[None] % mods
-            ks = np.unique(_keys(y.reshape(-1, d, d), entry))
-            pos = np.searchsorted(seen, ks)
-            known = seen[np.minimum(pos, len(seen) - 1)] == ks
-            seen = np.insert(seen, pos[~known], ks[~known])
-            if len(seen) > cap:
-                raise ClosureCapExceeded(
-                    f"group closure exceeded cap of {cap} elements")
-            new.append(ks[~known])
-        frontier = np.concatenate(new)
-    return FiniteGroup(mats(seen), gens, keys=seen)
+    mats = StabilizerChain(gens, cap).elements()
+    mats = mats[_lex_order(mats, spec.moduli)]
+    return FiniteGroup(mats, gens, keys=_keys(mats, _entry_dtype(spec)))
 
 
 _SP_CACHE: dict = {}
@@ -353,35 +561,13 @@ _SP_CACHE: dict = {}
 def symplectic_group(spec: SympModule, cap: int = 2_000_000) -> FiniteGroup:
     """The closure of `transvection_generators`: the group generated by all
     transvections.  Cached per module; the cap holds for cached groups too."""
-    key = (spec.p, spec.n, spec.moduli, spec.gram)
+    key = _cache_key(spec)
     if key not in _SP_CACHE:
         _SP_CACHE[key] = group_closure(transvection_generators(spec), cap=cap)
     if len(_SP_CACHE[key]) > cap:
         raise ClosureCapExceeded(
             f"group closure exceeded cap of {cap} elements")
     return _SP_CACHE[key]
-
-
-def brute_force_symplectic_count(spec: SympModule, limit: int = 2_000_000) -> int:
-    """Count constrained matrices preserving the form and invertible mod p,
-    by direct scan in chunks of the stacked matrices."""
-    p, d, M = spec.p, spec.dim, spec.modulus
-    exps = np.array(spec.exps)
-    step = p ** np.maximum(0, exps[:, None] - exps)
-    sizes = (p ** exps[:, None] // step).ravel()
-    total = math.prod(sizes.tolist())
-    if total > limit:
-        raise ClosureCapExceeded(
-            f"brute-force scan of {total} matrices exceeds limit {limit}")
-    G = np.array(spec.gram, dtype=np.int64)
-    count = 0
-    for start in range(0, total, _CLOSURE_CHUNK):
-        flat = np.arange(start, min(start + _CLOSURE_CHUNK, total))
-        g = np.stack(np.unravel_index(flat, sizes), axis=1).reshape(
-            -1, d, d) * step
-        g = g[~((g.transpose(0, 2, 1) @ G % M @ g - G) % M).any(axis=(1, 2))]
-        count += int((rank_normal_form_stack(g, p)[2] == d).sum())
-    return count
 
 
 # -- orbits ------------------------------------------------------------------

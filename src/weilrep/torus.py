@@ -270,7 +270,8 @@ class TorusContext:
         """Indices in C of the first element of each coset of the subgroup
         sub (an array of pairs), in the order of C."""
         cosets = self._indices(self.ext.mul(self.elems[:, None], sub[None]))
-        return np.unique(cosets.min(axis=1))
+        firsts = np.sort(cosets.min(axis=1))
+        return firsts[np.r_[True, firsts[1:] != firsts[:-1]]]
 
     def _match_b(self, chi, lam: int, j: int, restrict_j: int,
                  unit_xi: bool = False):
@@ -411,7 +412,7 @@ def _two_cyclic_coordinates(ctx):
         raise AssertionError("torus quotient is not two-cyclic as expected")
     i, j = np.divmod(np.arange(N), o2)
     at = ctx._indices(ext.mul(_power(ext, g1, i), _power(ext, g2, j)))
-    if len(np.unique(at)) != N:
+    if (np.sort(at) != np.arange(N)).any():
         raise AssertionError("generator decomposition failed")
     coords = np.empty((2, N), dtype=int)
     coords[:, at] = i, j

@@ -1,16 +1,21 @@
 """Tuple-of-rows matrices over F_p and the Bruhat factorization built on
 them: the references the stacked elimination and the cell invariants are
 compared with; points of W as tuples, with the transvection, orbit and
-shell loops the int64 point arrays replace; and the test-only Heisenberg
-product and stabilizer representation, on arrays."""
+shell loops the int64 point arrays replace; the breadth-first closure the
+stabilizer chain replaces and the brute-force count of symplectic
+matrices; and the test-only Heisenberg product and stabilizer
+representation, on arrays."""
 
+import math
 from collections import Counter
 from itertools import product
 
 import numpy as np
 
+from weilrep.linalg import rank_normal_form_stack
 from weilrep.rings import unit_phase
-from weilrep.symplectic import GroupElem
+from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
+                                _entry_dtype, _keys)
 
 
 def gauss_jordan(a, p):
@@ -257,6 +262,66 @@ def reference_orbits(gens, points, act):
         out.append(sorted(orbit))
     out.sort(key=lambda o: (len(o), o[0]))
     return out
+
+
+# frontier rows multiplied by the generators at once in `bfs_closure`, and
+# matrices scanned at once by `brute_force_symplectic_count`
+CHUNK = 2048
+
+
+def bfs_closure(gens, cap=2_000_000):
+    """Breadth-first closure of the generated subgroup, deduplicated by
+    action: elements are int64 matrices with row i reduced mod moduli[i],
+    kept as their sorted `_keys`, which are the final element order."""
+    gens = list(gens)
+    spec = gens[0].spec
+    d = spec.dim
+    mods = np.array(spec.moduli, dtype=np.int64)[:, None]
+    entry = _entry_dtype(spec)
+
+    def mats(ks):
+        return ks.view(entry).reshape(-1, d, d).astype(np.int64)
+
+    gen_mats = np.array(gens, dtype=np.int64)
+    seen = _keys(np.eye(d, dtype=np.int64)[None] % mods, entry)
+    frontier = seen
+    while len(frontier):
+        new = []
+        for start in range(0, len(frontier), CHUNK):
+            x = mats(frontier[start:start + CHUNK])
+            y = x[:, None] @ gen_mats[None] % mods
+            ks = np.unique(_keys(y.reshape(-1, d, d), entry))
+            pos = np.searchsorted(seen, ks)
+            known = seen[np.minimum(pos, len(seen) - 1)] == ks
+            seen = np.insert(seen, pos[~known], ks[~known])
+            if len(seen) > cap:
+                raise ClosureCapExceeded(
+                    f"group closure exceeded cap of {cap} elements")
+            new.append(ks[~known])
+        frontier = np.concatenate(new)
+    return FiniteGroup(mats(seen), gens, keys=seen)
+
+
+def brute_force_symplectic_count(spec, limit=2_000_000):
+    """Count constrained matrices preserving the form and invertible mod p,
+    by direct scan in chunks of the stacked matrices."""
+    p, d, M = spec.p, spec.dim, spec.modulus
+    exps = np.array(spec.exps)
+    step = p ** np.maximum(0, exps[:, None] - exps)
+    sizes = (p ** exps[:, None] // step).ravel()
+    total = math.prod(sizes.tolist())
+    if total > limit:
+        raise ClosureCapExceeded(
+            f"brute-force scan of {total} matrices exceeds limit {limit}")
+    G = np.array(spec.gram, dtype=np.int64)
+    count = 0
+    for start in range(0, total, CHUNK):
+        flat = np.arange(start, min(start + CHUNK, total))
+        g = np.stack(np.unravel_index(flat, sizes), axis=1).reshape(
+            -1, d, d) * step
+        g = g[~((g.transpose(0, 2, 1) @ G % M @ g - G) % M).any(axis=(1, 2))]
+        count += int((rank_normal_form_stack(g, p)[2] == d).sum())
+    return count
 
 
 def tuple_generates_all_transvections(spec, vecs):

@@ -229,6 +229,22 @@ def test_reports_import_no_validator():
     assert out.stdout.strip() == "False"
 
 
+def test_reports_import_no_masked_arrays():
+    """numpy.ma costs 30-47 ms to import; a plain np.unique imports it."""
+    code = ("import os, sys; from weilrep.cli import main\n"
+            "for argv in (['field', '--p', '3', '--rank', '1'],\n"
+            "             ['ring', '--p', '3', '--r', '1', '--l', '0',\n"
+            "              '--n', '1'],\n"
+            "             ['torus', '--p', '3', '--n', '1']):\n"
+            "    main(argv + ['--out', os.devnull])\n"
+            "print('numpy.ma' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):
     code, doc = run(tmp_path, "even.json",
                     ["torus", "--p", "3", "--kind", "unramified",

@@ -1,7 +1,8 @@
 """The numpy kernels against the pure-Python loops they replace.
 
 `group_closure` must return the same elements in the same order as a plain
-BFS over `GroupElem` products, `derived_subgroup` and
+BFS over `GroupElem` products and as the array BFS it replaced, and refuse
+groups above the cap in bounded memory, `derived_subgroup` and
 `abelianization_cosets` the same subgroup and cosets as the BFS normal
 closure, `orbits` the same partition as a BFS over points,
 `OscillatorRep.M_X` the same operator as a loop over the points (x, y_j)
@@ -16,20 +17,24 @@ dict-valued characters and loops over units they replace, and
 `SchrodingerModel.rho` the row loop over coset representatives.
 """
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from functools import reduce
 from itertools import product
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elements import sl2_elements, sp_elements
-from reference import (act, add, form, mat_inv, mat_mul, mat_vec,
-                       orbit_lists, psi, quotient_reduce, quotient_reps,
-                       reference_invariants, reference_orbits, smul, sub,
-                       vectors)
+from reference import (act, add, bfs_closure, form, mat_inv, mat_mul,
+                       mat_vec, orbit_lists, psi, quotient_reduce,
+                       quotient_reps, reference_invariants, reference_orbits,
+                       smul, sub, vectors)
 from test_oscillator import sp4_cases
 from weilrep.heisenberg import SchrodingerModel, box_isotropic
 from weilrep.oscillator import OscillatorRep, weil_index
@@ -41,8 +46,9 @@ from weilrep.ring_rep import (_CHUNK, MonomialOps, _box_invariant,
                               summand_characters, traces)
 from weilrep.rings import unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
-                                SympModule, group_closure, orbits,
-                                symplectic_group, transvection_generators)
+                                StabilizerChain, SympModule, _lex_order,
+                                group_closure, orbits, symplectic_group,
+                                transvection_generators)
 from weilrep.torus import (TorusContext, TorusSpec, _twist_candidates,
                            multiplicity_report, product_torus_multiplicities)
 
@@ -84,6 +90,96 @@ def test_closure_cap_without_overflow():
     gens = transvection_generators(SympModule.standard(5, 3, 0, 0))
     with pytest.raises(ClosureCapExceeded):
         group_closure(gens, cap=1000)
+
+
+def s4_generators():
+    """(12) and (1234) as permutation matrices on F_3^4, which generate
+    S_4 and preserve no symplectic form: the closure is generic."""
+    spec = SympModule.standard(3, 2, 0, 0)
+
+    def perm(images):
+        return GroupElem(spec, [[int(images[j] == i) for j in range(4)]
+                                for i in range(4)])
+    return [perm([1, 0, 2, 3]), perm([1, 2, 3, 0])]
+
+
+# Sp(4, F_3), 51,840 elements, and the transvection closure of the
+# mixed-moduli module (3, 2, 1, 1), 52,488 elements
+CHAIN_CASES = CLOSURE_CASES + [(3, 2, 0, 0), (3, 2, 1, 1)]
+# two words in the transvections, which fix no base point, so that every
+# level below the first is found by sifting Schreier generators
+WORD_CASES = [("words", args) for args in [(3, 1, 0, 2), (3, 2, 0, 0),
+                                           (3, 2, 1, 1)]]
+
+
+def chain_generators(case):
+    if case == "S4":
+        return s4_generators()
+    if case[0] == "words":
+        gens = transvection_generators(SympModule.standard(*case[1]))
+        rng = random.Random(1)
+        return [reduce(mul, rng.choices(gens, k=8)) for _ in range(2)]
+    return transvection_generators(SympModule.standard(*case))
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES + ["S4"] + WORD_CASES, ids=str)
+def test_chain_matches_array_bfs(case):
+    """The stabilizer chain lists the same elements in the same order, with
+    the same keys, as the breadth-first closure it replaced."""
+    gens = chain_generators(case)
+    G, ref = group_closure(gens), bfs_closure(gens)
+    assert np.array_equal(G.mats, ref.mats)
+    assert np.array_equal(G.keys, ref.keys)
+    assert StabilizerChain(gens).order() == len(ref)
+
+
+@pytest.mark.parametrize("moduli", [(3, 9, 3, 9), (27,) * 4, (5,) * 6],
+                         ids=str)
+def test_lex_order_matches_sorted_tuples(moduli):
+    """One index per distinct matrix, in the order of the sorted rows,
+    also when the entries fill more than one int64 word (27^16 and 5^36
+    exceed 2^63): the matrices share their first rows and differ in the
+    last one, which lies in the last word."""
+    rng = np.random.default_rng(0)
+    d = len(moduli)
+    high = np.array(moduli)[:, None]
+    mats = rng.integers(0, high, (4, d, d))[rng.integers(0, 4, 300)]
+    mats[:, -1] = rng.integers(0, high[-1], (300, d)) % 2
+    ref = sorted({tuple(map(tuple, m)) for m in mats.tolist()})
+    order = _lex_order(mats, moduli)
+    assert [tuple(map(tuple, m)) for m in mats[order].tolist()] == ref
+
+
+def test_chain_certifies_order_above_the_cap():
+    """|Sp(4, Z/9)| = 9^10 (1 - 3^-2)(1 - 3^-4), from the chain alone."""
+    gens = transvection_generators(SympModule.standard(3, 2, 0, 1))
+    assert StabilizerChain(gens).order() == 3_061_100_160
+
+
+def test_chain_refuses_at_the_cap_in_bounded_memory():
+    """Groups above the cap are refused before any element is listed, in a
+    process whose address space is capped at 1 GiB: Sp(4, Z/9) at cap
+    2,000,000, Sp(6, Z/9), whose first orbit has 530,712 points, at the
+    default cap, and Sp(6, F_5) at cap 1000."""
+    code = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+from weilrep.symplectic import (ClosureCapExceeded, SympModule,
+                                group_closure, transvection_generators)
+for args, cap in (((3, 2, 0, 1), 2_000_000), ((3, 3, 0, 1), None),
+                  ((5, 3, 0, 0), 1000)):
+    gens = transvection_generators(SympModule.standard(*args))
+    try:
+        group_closure(gens) if cap is None else group_closure(gens, cap=cap)
+    except ClosureCapExceeded:
+        print("refused")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["refused"] * 3
 
 
 # -- abelianization and orbits: BFS over GroupElem products and points ---------
@@ -151,12 +247,7 @@ def test_derived_subgroup_adds_conjugates():
     """S_4 as permutation matrices, generated by (12) and (1234): the
     commutators of the generators close to a group of order 3, and only
     the conjugation rounds reach A_4."""
-    spec = SympModule.standard(3, 2, 0, 0)
-
-    def perm(images):
-        return GroupElem(spec, [[int(images[j] == i) for j in range(4)]
-                                for i in range(4)])
-    G = group_closure([perm([1, 0, 2, 3]), perm([1, 2, 3, 0])])
+    G = group_closure(s4_generators())
     D = reference_derived_subgroup(G)
     assert len(G) == 24 and len(D) == 12
     assert {tuple(map(tuple, m)) for m in derived_subgroup(G).mats.tolist()} \

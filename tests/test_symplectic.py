@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import (act, add, form, orbit_lists, quotient_reduce,
-                       quotient_reps, reference_orbits,
-                       tuple_generates_all_transvections, tuple_transvection,
-                       vectors)
+from reference import (act, add, brute_force_symplectic_count, form,
+                       orbit_lists, quotient_reduce, quotient_reps,
+                       reference_orbits, tuple_generates_all_transvections,
+                       tuple_transvection, vectors)
 from weilrep import symplectic
 from weilrep.ring_rep import (_box_invariant, abelianization_character,
                               canonical_isotropic)
 from weilrep.symplectic import (ClosureCapExceeded, GroupElem, SympModule,
-                                brute_force_symplectic_count, group_closure,
-                                orbits, reduce_level, symplectic_group,
-                                transvection, transvection_generators)
+                                group_closure, orbits, reduce_level,
+                                symplectic_group, transvection,
+                                transvection_generators)
 
 
 def test_standard_module_shapes():
