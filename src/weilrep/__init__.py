@@ -2,12 +2,10 @@
 
 from .rings import (QuadElem, QuadExt, legendre, smallest_nonresidue,
                     unit_phase)
-from .symplectic import (FiniteGroup, GroupElem, SympModule, group_closure,
-                         orbits, symplectic_group, transvection,
-                         transvection_generators)
+from .symplectic import (FiniteGroup, SympModule, group_closure, orbits,
+                         symplectic_group, transvection_generators)
 from .heisenberg import SchrodingerModel, standard_selfdual
-from .oscillator import (OscillatorRep, bruhat_decompose, hasse_davenport_holds,
-                         theta, weil_index)
+from .oscillator import OscillatorRep, bruhat_decompose, weil_index
 from .ring_rep import (RingWeilRep, build_ring_rep, canonical_isotropic,
                        character_norm, decompose, shell_dimensions)
 from .torus import (TorusContext, TorusSpec, multiplicity_report,

@@ -14,8 +14,6 @@ import math
 import os
 import random
 import sys
-from functools import reduce
-from operator import mul
 
 import numpy as np
 
@@ -24,8 +22,7 @@ from . import ring_rep as rr
 from . import torus as tor
 from .rings import _is_prime, legendre
 from .symplectic import (ClosureCapExceeded, SympModule, orbits,
-                         reduce_level, symplectic_group,
-                         transvection_generators)
+                         symplectic_group, transvection_generators)
 
 SCHEMA_VERSION = "2"
 
@@ -203,8 +200,11 @@ def cmd_ring(args) -> int:
                              f"exceeds cap {args.cap_group}")
         # structural-only checks on sampled generator words
         gens = transvection_generators(rep.spec)
-        words = np.array([reduce(mul, rng.choices(gens, k=2 * rep.spec.dim))
-                          for _ in range(20)], dtype=np.int64)
+        letters = np.array([rng.choices(range(len(gens)), k=2 * rep.spec.dim)
+                            for _ in range(20)])
+        words = gens[letters[:, 0]]
+        for k in letters.T[1:]:
+            words = words @ gens[k] % rep.heis.mods[:, None]
         covariance = _covariance_draws(rng, rep, iter(words[:10]))
         ops = rep.blocks(words)
         worst = 0.0
@@ -241,14 +241,14 @@ def cmd_ring(args) -> int:
                   irr_dev <= 1e-6, residual=irr_dev)
     # the summands decompose the model, so their characters sum to tr S(g)
     cn, dev = rr.character_norm(chars.sum(axis=0))
-    orb = int(orbits(G.gens, rep.spec.exps).max()) + 1
+    orb = int(orbits(rep.spec, G.gens, rep.spec.exps).max()) + 1
     rep_doc.check("orbit-count-identity", "orbit-count-identity",
                   cn == orb and dev <= 1e-6,
                   measured={"character_norm": cn, "orbit_count": orb},
                   residual=dev)
     n = len(pairs)
     g, h = G.mats[pairs.T]
-    ops = rep.blocks(np.concatenate([g, h, g @ h % G._mods]))
+    ops = rep.blocks(np.concatenate([g, h, g @ h % rep.heis.mods[:, None]]))
     worst = 0.0
     for part in _spans(n, rep.dim):
         idx = np.arange(n)[part]
@@ -328,12 +328,13 @@ def _sigma_level_diagnostic(rep, rng):
     spec = rep.spec
     lower = SympModule.standard(spec.p, spec.r, spec.l, spec.n - 2,
                                 flavor=spec.flavor or "B")
-    low_rep = rr.RingWeilRep(lower)
-    worst = 0.0
-    for g in transvection_generators(spec):
-        g_low = reduce_level(g, low_rep.spec)
-        worst = max(worst, abs(np.trace(rep.sigma_op(g))
-                               - np.trace(low_rep.sigma_op(g_low))))
+    gens = transvection_generators(spec)
+    # sigma(g) at both levels, one table of distinct blocks each
+    table, which = rep._sigma_blocks(gens)
+    low, low_which = rr.RingWeilRep(lower)._sigma_blocks(
+        gens % np.array(lower.moduli)[:, None])
+    worst = np.abs(np.trace(table, axis1=1, axis2=2)[which]
+                   - np.trace(low, axis1=1, axis2=2)[low_which]).max()
     return {"max_sigma_char_discrepancy": _f(float(worst))}
 
 

@@ -56,11 +56,6 @@ def bruhat_decompose(g, l, p):
     return int(th[0]), int(j[0])
 
 
-def theta(g, l, p) -> int:
-    """Rao's invariant x(g) as a unit mod p; its square class enters S(g)."""
-    return bruhat_decompose(g, l, p)[0]
-
-
 # -- Weil index --------------------------------------------------------------
 
 
@@ -82,13 +77,6 @@ def weil_index_quadratic_ext(p: int, scale: int = 1, d: int | None = None) -> co
     # psi(Tr(z^2) / 2) for z = x + y nu, with Tr(z^2) = 2 (x^2 + d y^2)
     ks = scale * half * 2 * (x * x + ext.d * y * y) % p
     return sum(_roots(p)[k] for k in ks.tolist()) / p
-
-
-def hasse_davenport_holds(p: int, scale: int = 1, tol: float = 1e-9) -> bool:
-    """-omega'(1) = (-omega(1))^2 for the quadratic extension."""
-    w1 = weil_index(p, 1, scale)
-    wp = weil_index_quadratic_ext(p, scale)
-    return abs(-wp - (-w1) ** 2) <= tol
 
 
 # -- the canonical representation --------------------------------------------

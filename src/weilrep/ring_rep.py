@@ -21,8 +21,8 @@ from .heisenberg import SchrodingerModel, box_isotropic
 from .rings import _roots
 from .linalg import mat_inv_stack, symplectic_basis
 from .oscillator import _CHUNK, OscillatorRep
-from .symplectic import (FiniteGroup, GroupElem, SympModule, _keys,
-                         _lex_order, group_closure, orbits,
+from .symplectic import (FiniteGroup, SympModule, _lex_keys, _lex_order,
+                         group_closure, is_symplectic, orbits,
                          transvection_generators)
 
 
@@ -66,7 +66,7 @@ class IsotropicData:
         return (ur // self._den % self.spec.p) @ self.Tinv.T % self.spec.p
 
 
-def scaled_pair_flip(spec: SympModule) -> GroupElem | None:
+def scaled_pair_flip(spec: SympModule) -> np.ndarray | None:
     """The symplectic swap u_i -> -v_i, v_i -> u_i on the scaled pairs.
 
     Transvections of a mixed-moduli module act trivially between the two
@@ -79,24 +79,22 @@ def scaled_pair_flip(spec: SympModule) -> GroupElem | None:
     l_real = spec.l if spec.flavor == "B" else spec.r - spec.l
     if l_real == 0 or l_real == spec.r:
         return None
-    r = spec.r
-    mat = [[int(i == j) for j in range(spec.dim)] for i in range(spec.dim)]
-    for i in range(l_real):
-        mat[i][i] = 0
-        mat[r + i][r + i] = 0
-        mat[r + i][i] = -1
-        mat[i][r + i] = 1
-    return GroupElem(spec, mat)
+    i, r = np.arange(l_real), spec.r
+    mat = np.eye(spec.dim, dtype=np.int64)
+    mat[i, i] = mat[r + i, r + i] = 0
+    mat[r + i, i], mat[i, r + i] = -1, 1
+    return mat % np.array(spec.moduli)[:, None]
 
 
-def invariance_generators(spec: SympModule) -> list:
+def invariance_generators(spec: SympModule) -> np.ndarray:
+    """`transvection_generators`, and the scaled-pair flip last, if any."""
     gens = transvection_generators(spec)
     flip = scaled_pair_flip(spec)
-    if flip is not None:
-        if not flip.is_symplectic():
-            raise AssertionError("scaled-pair flip is not symplectic")
-        gens = gens + [flip]
-    return gens
+    if flip is None:
+        return gens
+    if not is_symplectic(spec, flip[None])[0]:
+        raise AssertionError("scaled-pair flip is not symplectic")
+    return np.concatenate([gens, flip[None]])
 
 
 def canonical_isotropic(spec: SympModule) -> IsotropicData:
@@ -211,12 +209,12 @@ class RingWeilRep:
         if self.sigma is None:
             return np.ones((1, 1, 1), dtype=complex), np.zeros(len(mats), int)
         R = self.iso.reduce_morphisms(mats)
-        _, first, which = np.unique(_keys(R, np.min_scalar_type(self.p - 1)),
+        _, first, which = np.unique(_lex_keys(R, (self.p,) * R.shape[1]),
                                     return_index=True, return_inverse=True)
         return self.sigma.ops(R[first]), which.reshape(-1)
 
-    def sigma_op(self, g: GroupElem) -> np.ndarray:
-        table, which = self._sigma_blocks(np.array([g.mat], dtype=np.int64))
+    def sigma_op(self, g) -> np.ndarray:
+        table, which = self._sigma_blocks(np.asarray(g, dtype=np.int64)[None])
         return table[which[0]]
 
     # -- block-monomial structure ---------------------------------------------
@@ -246,10 +244,10 @@ class RingWeilRep:
         return MonomialOps(cj, ph, self._labels(ubar),
                            *self._sigma_blocks(mats), self._rho_table)
 
-    def op(self, g: GroupElem) -> np.ndarray:
+    def op(self, g) -> np.ndarray:
         return self.blocks([g]).dense()[0]
 
-    def trace(self, g: GroupElem) -> complex:
+    def trace(self, g) -> complex:
         return self.blocks([g]).traces()[0]
 
     # -- Heisenberg action on the same space ----------------------------------
@@ -408,7 +406,7 @@ def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
     sigma-block size and tr_O S(-1) the trace of S(-1) over the cosets of
     O, the eps-summand of O has dimension (|O| s + eps tr_O S(-1))/2.
     """
-    owner = orbits(group.gens, rep.iso.uperp_box)
+    owner = orbits(rep.spec, group.gens, rep.iso.uperp_box)
     minus = -np.eye(rep.spec.dim, dtype=np.int64) % rep.heis.mods[:, None]
     tr_minus = np.rint(rep.blocks(minus).traces(owner)[:, 0].real)
     out = []
@@ -447,9 +445,10 @@ def summand_characters(rep, group: FiniteGroup, summands: list[Summand]):
     rows = [orbit[int(sm.cosets[0])] for sm in summands]
     eps = np.array([sm.eps for sm in summands])[:, None]
     out = np.empty((len(summands), len(group)), dtype=complex)
+    mods = rep.heis.mods[:, None]
     for start in range(0, len(group), _CHUNK):
         mats = group.mats[start:start + _CHUNK]
-        tr = rep.blocks(np.concatenate([mats, -mats % group._mods])).traces(
+        tr = rep.blocks(np.concatenate([mats, -mats % mods])).traces(
             owner)[rows]
         out[:, start:start + len(mats)] = (tr[:, :len(mats)]
                                            + eps * tr[:, len(mats):]) / 2
@@ -474,16 +473,16 @@ def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
     conjugates that miss D and closes again (Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 2005).
     """
-    mods, d = group._mods, group.spec.dim
-    S = np.array(group.gens, dtype=np.int64)
-    Sinv = mat_inv_stack(S, group.spec.p, group.spec.n + 1) % mods
+    spec, S = group.spec, group.gens
+    mods = np.array(spec.moduli, dtype=np.int64)[:, None]
+    Sinv = mat_inv_stack(S, spec.p, spec.n + 1) % mods
     new = (S[:, None] @ S[None] % mods @ Sinv[:, None] % mods @ Sinv[None]
-           % mods).reshape(-1, d, d)
-    dgens = []
-    while len(new := new[_lex_order(new, group.spec.moduli)]):
-        dgens += [GroupElem(group.spec, m, check=False) for m in new.tolist()]
-        D = group_closure(dgens)
-        conj = S[:, None] @ np.array(dgens)[None] % mods @ Sinv[:, None] % mods
+           % mods).reshape(-1, spec.dim, spec.dim)
+    dgens = new[:0]
+    while len(new := new[_lex_order(_lex_keys(new, spec.moduli))]):
+        dgens = np.concatenate([dgens, new])
+        D = group_closure(spec, dgens)
+        conj = S[:, None] @ dgens[None] % mods @ Sinv[:, None] % mods
         new = conj[D.find(conj) < 0]
     return D
 
@@ -499,7 +498,7 @@ def abelianization_cosets(group: FiniteGroup):
     reps = []
     while (labels < 0).any():
         i = int(np.argmax(labels < 0))
-        labels[group.find(group.mats[i] @ D.mats % group._mods)] = len(reps)
+        labels[group.find(group.mats[i] @ D.mats)] = len(reps)
         reps.append(i)
     group._ab_cache = (labels, reps)
     return labels, reps
@@ -510,16 +509,17 @@ def abelianization_character(group: FiniteGroup, a: int):
     an element or a stack of them, and the order k of the abelianization."""
     labels, reps = abelianization_cosets(group)
     k = len(reps)
-    cur = group.identity()
-    ident = labels[group.find(cur)]
-    gen = group[next((r for r in reps if labels[r] != ident), reps[0])]
-    power_of = {}
-    for e in range(k):
-        power_of[labels[group.find(cur)]] = e
-        cur = cur * gen
-    if len(power_of) != k:
+    eye = np.eye(group.spec.dim, dtype=np.int64)
+    ident = labels[group.find(eye)]
+    gen = group.mats[next((r for r in reps if labels[r] != ident), reps[0])]
+    powers = [eye]
+    for _ in range(k - 1):
+        powers.append(powers[-1] @ gen % group.spec.modulus)
+    cosets = labels[group.find(np.array(powers))]
+    if len(set(cosets.tolist())) != k:
         raise AssertionError("abelianization is not cyclic")
-    values = np.array(_roots(k))[[a * power_of[c] % k for c in range(k)]]
+    values = np.empty(k, dtype=complex)
+    values[cosets] = np.array(_roots(k))[a * np.arange(k) % k]
 
     def chi(g):
         idx = group.find(g)
@@ -569,24 +569,6 @@ def direct_sum_isotropic(big: SympModule, isoA: IsotropicData,
     return IsotropicData(big, u_box, uperp_box, res_coords,
                          np.array(gram, dtype=np.int64).reshape(k, k), T,
                          mat_inv_stack(T[None], p)[0], la + lb)
-
-
-def embed_pair(big: SympModule, gA: GroupElem, gB: GroupElem) -> GroupElem:
-    return GroupElem(big, _block_diag(gA.mat, gB.mat))
-
-
-def tensor_intertwiner(repAB: RingWeilRep, repA: RingWeilRep,
-                       repB: RingWeilRep) -> np.ndarray:
-    """Permutation intertwiner from H_A (x) H_B onto the direct-sum model."""
-    if repAB.dim != repA.dim * repB.dim:
-        raise ValueError("dimension mismatch")
-    # row (a, b, sa, sb) of the sum: coset (a, b) is coset a * |B| + b and
-    # the residue basis is the tensor basis; column (a, sa, b, sb)
-    nA, nB = repA.heis.dim, repB.heis.dim
-    cols = np.arange(repAB.dim).reshape(nA, repA.sdim, nB, repB.sdim)
-    out = np.zeros((repAB.dim, repAB.dim), dtype=complex)
-    out[np.arange(repAB.dim), cols.transpose(0, 2, 1, 3).ravel()] = 1.0
-    return out
 
 
 # -- shell dimensions ----------------------------------------------------------

@@ -5,14 +5,14 @@ form given by an integer Gram matrix mod p^{n+1}.  Automorphisms are stored
 as constrained integer matrices: entry (i,j) must be divisible by
 p^{max(0, a_i - a_j)} so that the action on mixed moduli is well defined,
 and two matrices are equal iff they act identically, i.e. row i agrees
-mod p^{a_i}.
+mod p^{a_i}.  An element is an int64 (d, d) matrix with row i reduced mod
+p^{a_i}, and a set of elements an (N, d, d) stack; `GroupElem` is the
+checked tuple form that the stacks are tested against.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -119,7 +119,8 @@ class SympModule:
 
 
 class GroupElem:
-    """Symplectic automorphism stored as a constrained integer matrix.
+    """Symplectic automorphism as a constrained integer matrix, a tuple of
+    rows whose divisibility `is_symplectic` checks on construction.
 
     Equality is equality of action: row i is reduced mod p^{a_i}.
     """
@@ -133,20 +134,12 @@ class GroupElem:
         self.mat = canon
         self._hash = hash((spec.moduli, canon))
         if check:
-            exps = np.array(spec.exps)
-            need = np.maximum(0, exps[:, None] - exps)
-            bad = np.argwhere(np.array(canon, dtype=np.int64).reshape(
-                need.shape) % spec.p ** need)
-            if len(bad):
-                i, j = bad[0].tolist()
-                raise ValueError(
-                    f"entry ({i},{j})={canon[i][j]} violates "
-                    f"divisibility p^{need[i, j]}")
+            # raises at an entry that breaks the divisibility constraint
+            is_symplectic(spec, np.array(canon, dtype=np.int64)[None])
 
     @classmethod
     def identity(cls, spec):
-        return cls(spec, [[int(i == j) for j in range(spec.dim)]
-                          for i in range(spec.dim)], check=False)
+        return cls(spec, np.eye(spec.dim, dtype=int).tolist(), check=False)
 
     def __array__(self, dtype=None, copy=None):
         """The matrix as an array, so a sequence of elements is a stack."""
@@ -166,11 +159,7 @@ class GroupElem:
         return GroupElem(self.spec, inv.tolist(), check=False)
 
     def is_symplectic(self) -> bool:
-        """g^T gram g = gram mod p^{n+1}."""
-        M = self.spec.modulus
-        g = np.array(self, dtype=np.int64)
-        G = np.array(self.spec.gram, dtype=np.int64)
-        return not ((g.T @ G % M @ g - G) % M).any()
+        return bool(is_symplectic(self.spec, np.array(self)[None])[0])
 
     def __eq__(self, other):
         return self.mat == other.mat and self.spec.moduli == other.spec.moduli
@@ -180,6 +169,23 @@ class GroupElem:
 
     def __repr__(self):
         return f"GroupElem({self.mat})"
+
+
+def is_symplectic(spec: SympModule, mats) -> np.ndarray:
+    """Whether g^T gram g = gram mod p^{n+1}, for each matrix g of an int64
+    (N, d, d) stack.  Raises ValueError at the first entry (i, j) that is
+    not divisible by p^{max(0, a_i - a_j)}, as the action on mixed moduli
+    needs."""
+    exps = np.array(spec.exps)
+    need = np.maximum(0, exps[:, None] - exps)
+    bad = np.argwhere(mats % spec.p ** need)
+    if len(bad):
+        k, i, j = bad[0].tolist()
+        raise ValueError(f"entry ({i},{j})={mats[k, i, j]} violates "
+                         f"divisibility p^{need[i, j]}")
+    M = spec.modulus
+    G = np.array(spec.gram, dtype=np.int64)
+    return ~((mats.transpose(0, 2, 1) @ G % M @ mats - G) % M).any(axis=(1, 2))
 
 
 # -- generators and closure ------------------------------------------------
@@ -203,15 +209,10 @@ def _transvections(spec: SympModule, vs, a: int = 1) -> np.ndarray:
             ) % mods
 
 
-def transvection(spec: SympModule, a: int, v) -> GroupElem:
-    """tau_{a,v} of one point v, as checked by `GroupElem`."""
-    v = np.asarray(v, dtype=np.int64).reshape(1, spec.dim)
-    return GroupElem(spec, _transvections(spec, v, a)[0].tolist())
-
-
-def transvection_generators(spec: SympModule) -> list:
+def transvection_generators(spec: SympModule) -> np.ndarray:
     """Certified generating set: tau_{1,v} for v = e_i and e_i + e_{i+1},
-    identity dropped, deduplicated, sorted by matrix (at most 2*dim - 1).
+    identity dropped, deduplicated and sorted by matrix (at most
+    2*dim - 1), as an int64 (k, d, d) stack.
 
     They generate every transvection when `_generates_all_transvections`
     holds, which is checked here, because tau_{gv} = g tau_v g^-1,
@@ -219,11 +220,14 @@ def transvection_generators(spec: SympModule) -> list:
     """
     eye = np.eye(spec.dim, dtype=np.int64)
     vecs = np.concatenate([eye, eye[:-1] + eye[1:]])
+    gens = _transvections(spec, vecs)
+    if not is_symplectic(spec, gens).all():
+        raise AssertionError(f"transvections are not symplectic for {spec}")
     if not _generates_all_transvections(spec, vecs):
         raise AssertionError(f"transvections do not generate for {spec}")
-    ident = GroupElem.identity(spec)
-    gens = {transvection(spec, 1, v) for v in vecs} - {ident}
-    return sorted(gens, key=lambda g: g.mat)
+    ident = eye % np.array(spec.moduli)[:, None]
+    gens = gens[(gens != ident).any(axis=(1, 2))]
+    return gens[_lex_order(_lex_keys(gens, spec.moduli))]
 
 
 def _cache_key(spec: SympModule) -> tuple:
@@ -241,7 +245,7 @@ def _generates_all_transvections(spec: SympModule, vecs) -> bool:
     key = (_cache_key(spec), vecs.tobytes())
     if key in _CERTIFICATES:
         return _CERTIFICATES[key]
-    label = orbits([transvection(spec, 1, v) for v in vecs], spec.exps)
+    label = orbits(spec, _transvections(spec, vecs), spec.exps)
     multiples = (np.arange(spec.modulus)[:, None, None] * vecs
                  % np.array(spec.moduli)).reshape(-1, spec.dim)
     met = np.zeros(label.max() + 1, dtype=bool)
@@ -257,88 +261,67 @@ class ClosureCapExceeded(RuntimeError):
     pass
 
 
-def _entry_dtype(spec: SympModule) -> np.dtype:
-    """Big-endian unsigned matrix entries, wide enough for every modulus, so
-    that the byte order of keys is the lexicographic order of the matrices."""
-    return np.dtype(np.min_scalar_type(max(spec.moduli) - 1)).newbyteorder(">")
-
-
-def _keys(mats, entry: np.dtype) -> np.ndarray:
-    """One void key per canonical matrix of an (N, d, d) stack: its entries
-    row-major as `entry` bytes."""
-    flat = np.ascontiguousarray(mats, dtype=entry).reshape(len(mats), -1)
-    return flat.view(np.dtype((np.void, flat.shape[1] * entry.itemsize))).ravel()
-
-
-def _lex_order(mats, moduli) -> np.ndarray:
-    """Indices that sort an (N, d, d) stack with row i reduced mod
-    moduli[i] into the order of `GroupElem.mat`, one per distinct matrix.
-
-    The entries, row-major, are read as mixed-radix digits of as few int64
-    words as hold them, and the words are sorted as integers."""
+def _lex_keys(mats, moduli) -> np.ndarray:
+    """The key of each matrix of an (N, d, d) stack, its rows reduced here
+    mod moduli[i]: the entries, row-major, as the mixed-radix digits of as
+    few int64 words as hold them.  One int64 per matrix when one word
+    does, else a record of int64 words; the keys sort, field by field, as
+    the matrices do in the order of `GroupElem.mat`."""
     d = mats.shape[-1]
     flat = mats.reshape(len(mats), d * d)
-    radix = [m for m in moduli for _ in range(d)]
-    cuts, size = [0], 1
-    for i, m in enumerate(radix):
+    words, size = [np.zeros(len(flat), dtype=np.int64)], 1
+    for i, m in enumerate([x for x in moduli for _ in range(d)]):
         if size * m > 2 ** 63:
-            cuts.append(i)
+            words.append(np.zeros(len(flat), dtype=np.int64))
             size = 1
         size *= m
-    cuts.append(len(radix))
-    words = np.stack([flat[:, a:b] @ np.array(
-        [math.prod(radix[i + 1:b]) for i in range(a, b)], dtype=np.int64)
-        for a, b in zip(cuts, cuts[1:])], axis=1)
-    order = (np.argsort(words[:, 0]) if words.shape[1] == 1
-             else np.lexsort(words.T[::-1]))
-    words = words[order]
+        # one digit at a time, so that no reduced copy of the stack is made
+        words[-1] = words[-1] * m + flat[:, i] % m
+    if len(words) == 1:
+        return words[0]
+    return np.stack(words, axis=1).view([("", np.int64)] * len(words))[:, 0]
+
+
+def _lex_order(keys) -> np.ndarray:
+    """Indices that sort `_lex_keys`, one per distinct key."""
+    order = np.argsort(keys)
+    keys = keys[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (words[1:] != words[:-1]).any(axis=1)
+    first[1:] = keys[1:] != keys[:-1]
     return order[first]
 
 
-class FiniteGroup(Sequence):
-    """A finite matrix group as its int64 (N, d, d) stack `mats`, rows
-    reduced mod moduli[i], and their `keys`, both sorted in the order of
-    `GroupElem.mat`.  `G[i]` is one `GroupElem`; `G.find` searches the keys.
-    Without `keys`, the elements (matrices) are reduced, sorted and
-    deduplicated; with them, `elements` must be canonical and sorted."""
+class FiniteGroup:
+    """A finite matrix group: its generators `gens` and its elements
+    `mats`, int64 (k, d, d) and (N, d, d) stacks with row i reduced mod
+    moduli[i], the elements once each and sorted by their `keys`, the
+    `_lex_keys` that `find` searches."""
 
-    def __init__(self, elements, gens, keys=None):
-        self.gens = gens
-        self.spec = spec = gens[0].spec
-        self._mods = np.array(spec.moduli, dtype=np.int64)[:, None]
-        self._entry = _entry_dtype(spec)
-        mats = np.asarray(elements, dtype=np.int64).reshape(
-            -1, spec.dim, spec.dim)
-        if keys is None:
-            mats = mats % self._mods
-            mats = mats[_lex_order(mats, spec.moduli)]
-            keys = _keys(mats, self._entry)
-        self.mats, self.keys = mats, keys
+    def __init__(self, spec: SympModule, elements, gens):
+        d = spec.dim
+        mods = np.array(spec.moduli, dtype=np.int64)[:, None]
+        self.spec = spec
+        self.gens = np.asarray(gens, dtype=np.int64).reshape(-1, d, d) % mods
+        mats = np.asarray(elements, dtype=np.int64).reshape(-1, d, d)
+        keys = _lex_keys(mats, spec.moduli)
+        order = _lex_order(keys)
+        self.keys = keys[order]
+        del keys    # before the sorted copy of the stack, to bound the peak
+        self.mats = mats[order]
+        self.mats %= mods
 
     def __len__(self):
         return len(self.mats)
 
-    def __getitem__(self, i) -> GroupElem:
-        return GroupElem(self.spec, self.mats[operator.index(i)].tolist(),
-                         check=False)
-
     def find(self, mats):
-        """Index of each matrix of an (..., d, d) array-like in the group,
-        -1 where it is not an element; an int for a single matrix."""
+        """Index of each matrix of an (..., d, d) integer array-like, its
+        rows reduced here, in the group, -1 where it is not an element; an
+        int for a single matrix."""
         mats = np.asarray(mats, dtype=np.int64)
-        d = self.spec.dim
-        ks = _keys(mats.reshape(-1, d, d) % self._mods, self._entry)
+        ks = _lex_keys(mats.reshape((-1,) + mats.shape[-2:]), self.spec.moduli)
         pos = np.minimum(np.searchsorted(self.keys, ks), len(self) - 1)
         out = np.where(self.keys[pos] == ks, pos, -1).reshape(mats.shape[:-2])
         return int(out) if out.ndim == 0 else out
-
-    def __contains__(self, g):
-        return self.find(g) >= 0
-
-    def identity(self):
-        return GroupElem.identity(self.spec)
 
 
 # orbit points, or Schreier generators, handled at once by the stabilizer
@@ -366,16 +349,15 @@ class StabilizerChain:
     raised as soon as the product passes `cap`.
     """
 
-    def __init__(self, gens, cap=None):
-        S = np.asarray(gens, dtype=np.int64)
-        self.spec = spec = gens[0].spec
+    def __init__(self, spec: SympModule, gens, cap=None):
+        self.spec = spec
         d = self.d = spec.dim
         self.cap = cap
         self.mods = np.array(spec.moduli, dtype=np.int64)[:, None]
         self.radix = np.array([math.prod(spec.moduli[i + 1:])
                                for i in range(d)], dtype=np.int64)
         self.eye = np.eye(d, dtype=np.int64)
-        S = S.reshape(-1, d, d) % self.mods
+        S = np.asarray(gens, dtype=np.int64).reshape(-1, d, d) % self.mods
         Sinv = mat_inv_stack(S, spec.p, spec.n + 1) % self.mods
         # column j of a generator is e_j for j below its first moved point
         fixes = np.logical_and.accumulate(np.concatenate(
@@ -539,20 +521,17 @@ class StabilizerChain:
         return P
 
 
-def group_closure(gens, cap: int = 2_000_000) -> FiniteGroup:
-    """The group generated by gens, enumerated from its `StabilizerChain`
-    and sorted once into the order of `GroupElem.mat`.  Raises
-    `ClosureCapExceeded` when its order is above cap, as soon as the chain
-    certifies that, before any element is listed."""
-    gens = list(gens)
-    if not gens:
+def group_closure(spec: SympModule, gens,
+                  cap: int = 2_000_000) -> FiniteGroup:
+    """The group generated by gens, enumerated from its `StabilizerChain`.
+    Raises `ClosureCapExceeded` when its order is above cap, as soon as the
+    chain certifies that, before any element is listed."""
+    gens = np.asarray(gens, dtype=np.int64).reshape(-1, spec.dim, spec.dim)
+    if not len(gens):
         raise ValueError("need at least one generator")
-    spec = gens[0].spec
     if spec.dim * (max(spec.moduli) - 1) ** 2 >= 2 ** 63:
         raise OverflowError(f"int64 matrix products overflow for {spec}")
-    mats = StabilizerChain(gens, cap).elements()
-    mats = mats[_lex_order(mats, spec.moduli)]
-    return FiniteGroup(mats, gens, keys=_keys(mats, _entry_dtype(spec)))
+    return FiniteGroup(spec, StabilizerChain(spec, gens, cap).elements(), gens)
 
 
 _SP_CACHE: dict = {}
@@ -563,7 +542,8 @@ def symplectic_group(spec: SympModule, cap: int = 2_000_000) -> FiniteGroup:
     transvections.  Cached per module; the cap holds for cached groups too."""
     key = _cache_key(spec)
     if key not in _SP_CACHE:
-        _SP_CACHE[key] = group_closure(transvection_generators(spec), cap=cap)
+        _SP_CACHE[key] = group_closure(spec, transvection_generators(spec),
+                                       cap=cap)
     if len(_SP_CACHE[key]) > cap:
         raise ClosureCapExceeded(
             f"group closure exceeded cap of {cap} elements")
@@ -573,7 +553,7 @@ def symplectic_group(spec: SympModule, cap: int = 2_000_000) -> FiniteGroup:
 # -- orbits ------------------------------------------------------------------
 
 
-def orbits(gens, box) -> np.ndarray:
+def orbits(spec: SympModule, gens, box) -> np.ndarray:
     """Orbits of the group generated by gens on W modulo the box submodule
     (all of W for box = spec.exps), which gens must preserve.
 
@@ -582,11 +562,10 @@ def orbits(gens, box) -> np.ndarray:
     are constant on each orbit.  Returns the orbit number of each point,
     the orbits numbered in order of (length, first point).
     """
-    spec = gens[0].spec
     pts = spec.points(box)
     quot = [spec.p ** min(c, a) for c, a in zip(box, spec.exps)]
-    perms = [np.ravel_multi_index(
-        (pts @ np.array(g, dtype=np.int64).T % quot).T, quot) for g in gens]
+    perms = [np.ravel_multi_index((pts @ g.T % quot).T, quot) for g in
+             np.asarray(gens, dtype=np.int64).reshape(-1, spec.dim, spec.dim)]
     label, prev = np.arange(len(pts)), None
     while prev is None or (label != prev).any():
         prev = label
@@ -599,11 +578,3 @@ def orbits(gens, box) -> np.ndarray:
     number[np.lexsort((firsts, sizes))] = np.arange(len(firsts))
     return number[which]
 
-
-def reduce_level(g: GroupElem, target: SympModule) -> GroupElem:
-    """Functorial reduction of an automorphism to a lower level."""
-    if target.p != g.spec.p or target.dim != g.spec.dim:
-        raise ValueError("incompatible reduction target")
-    if any(te > se for te, se in zip(target.exps, g.spec.exps)):
-        raise ValueError("target moduli must divide source moduli")
-    return GroupElem(target, [list(row) for row in g.mat])

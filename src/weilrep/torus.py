@@ -13,7 +13,6 @@ in the Weil representation are exact rounded inner products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
@@ -22,8 +21,7 @@ from .rings import (QuadElem, QuadExt, _roots, legendre,
                     smallest_nonresidue, unit_phase)
 from .ring_rep import (RingWeilRep, abelianization_character, direct_sum,
                        direct_sum_isotropic, traces)
-from .symplectic import (ClosureCapExceeded, GroupElem, SympModule,
-                         symplectic_group)
+from .symplectic import ClosureCapExceeded, SympModule, symplectic_group
 
 
 @dataclass(frozen=True)
@@ -127,9 +125,6 @@ class TorusContext:
         """The index in C of each pair of an (..., 2) array of elements."""
         return self._at[a @ (self.ext.mod_eta, 1)]
 
-    def embed(self, t) -> GroupElem:
-        return GroupElem(self.module, self.mats[self.index_of(t)].tolist())
-
     # -- congruence subgroups ----------------------------------------------------
 
     def subgroup(self, j: int) -> np.ndarray:
@@ -168,18 +163,6 @@ class TorusContext:
         if not (j < lam <= 3 * j + 1):
             raise ValueError("need j < lam <= 3j+1")
         return (((-1) ** lam) * half * b) % mod, mod
-
-    def chi_blj(self, b: int, lam: int, j: int) -> np.ndarray:
-        """The congruence-subgroup character cut out by the trace form, as
-        its values on C (meaningful on its domain).
-
-        Unramified: defined on T_j for j < lam <= 3j, conductor lam iff b is
-        a unit; value psi(-b*d*eta_t / (2 p^lam)).  Ramified: defined on
-        T_{2j+1} for j < lam <= 3j+1, conductor 2*lam; value
-        psi((-1)^lam * b * eta_t / (2 p^lam)).
-        """
-        coeff, mod = self._blj_coeff(b, lam, j)
-        return np.array(_roots(mod))[coeff * self.eta % mod]
 
     def eta0(self, t) -> int:
         """The excluded conductor-one character, by its closed form.
@@ -364,12 +347,6 @@ class TorusChar:
         ctx = self.ctx
         return ctx.chars[(self.a + other.a) % ctx.o1 * ctx.o2
                          + (self.b + other.b) % ctx.o2]
-
-    @property
-    def order(self) -> int:
-        o1 = self.ctx.o1 // gcd(self.ctx.o1, self.a) if self.a else 1
-        o2 = self.ctx.o2 // gcd(self.ctx.o2, self.b) if self.b else 1
-        return o1 * o2 // gcd(o1, o2)
 
     @property
     def label(self) -> str:

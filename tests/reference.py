@@ -1,10 +1,13 @@
 """Tuple-of-rows matrices over F_p and the Bruhat factorization built on
 them: the references the stacked elimination and the cell invariants are
 compared with; points of W as tuples, with the transvection, orbit and
-shell loops the int64 point arrays replace; the breadth-first closure the
+shell loops the int64 point arrays replace; group elements as checked
+`GroupElem`s, with the one-element transvection and level reduction, and
+`GroupElem` views of a stacked group; the breadth-first closure the
 stabilizer chain replaces and the brute-force count of symplectic
-matrices; and the test-only Heisenberg product and stabilizer
-representation, on arrays."""
+matrices; the test-only Heisenberg product and stabilizer
+representation, on arrays; and the test-only Gauss-sum, direct-sum and
+torus-character helpers."""
 
 import math
 from collections import Counter
@@ -13,9 +16,9 @@ from itertools import product
 import numpy as np
 
 from weilrep.linalg import rank_normal_form_stack
-from weilrep.rings import unit_phase
-from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
-                                _entry_dtype, _keys)
+from weilrep.oscillator import weil_index, weil_index_quadratic_ext
+from weilrep.rings import _roots, unit_phase
+from weilrep.symplectic import ClosureCapExceeded, GroupElem, _transvections
 
 
 def gauss_jordan(a, p):
@@ -269,28 +272,34 @@ def reference_orbits(gens, points, act):
 CHUNK = 2048
 
 
-def bfs_closure(gens, cap=2_000_000):
+def bfs_closure(spec, gens, cap=2_000_000):
     """Breadth-first closure of the generated subgroup, deduplicated by
     action: elements are int64 matrices with row i reduced mod moduli[i],
-    kept as their sorted `_keys`, which are the final element order."""
-    gens = list(gens)
-    spec = gens[0].spec
+    kept as sorted byte keys, their entries as big-endian unsigned bytes,
+    whose byte order is the lexicographic order of the matrices.  Returns
+    the (N, d, d) stack in that order."""
     d = spec.dim
     mods = np.array(spec.moduli, dtype=np.int64)[:, None]
-    entry = _entry_dtype(spec)
+    entry = np.dtype(np.min_scalar_type(max(spec.moduli) - 1)
+                     ).newbyteorder(">")
+    key = np.dtype((np.void, d * d * entry.itemsize))
+
+    def keys(mats):
+        return np.ascontiguousarray(mats, dtype=entry).reshape(
+            len(mats), -1).view(key).ravel()
 
     def mats(ks):
         return ks.view(entry).reshape(-1, d, d).astype(np.int64)
 
-    gen_mats = np.array(gens, dtype=np.int64)
-    seen = _keys(np.eye(d, dtype=np.int64)[None] % mods, entry)
+    gen_mats = np.asarray(gens, dtype=np.int64)
+    seen = keys(np.eye(d, dtype=np.int64)[None] % mods)
     frontier = seen
     while len(frontier):
         new = []
         for start in range(0, len(frontier), CHUNK):
             x = mats(frontier[start:start + CHUNK])
             y = x[:, None] @ gen_mats[None] % mods
-            ks = np.unique(_keys(y.reshape(-1, d, d), entry))
+            ks = np.unique(keys(y.reshape(-1, d, d)))
             pos = np.searchsorted(seen, ks)
             known = seen[np.minimum(pos, len(seen) - 1)] == ks
             seen = np.insert(seen, pos[~known], ks[~known])
@@ -299,7 +308,7 @@ def bfs_closure(gens, cap=2_000_000):
                     f"group closure exceeded cap of {cap} elements")
             new.append(ks[~known])
         frontier = np.concatenate(new)
-    return FiniteGroup(mats(seen), gens, keys=seen)
+    return mats(seen)
 
 
 def brute_force_symplectic_count(spec, limit=2_000_000):
@@ -406,8 +415,7 @@ def sigma_gx(rep, G, x):
     x = np.asarray(x, dtype=np.int64)
     mods = np.array(spec.moduli)
     quot = spec.p ** np.minimum(rep.iso.uperp_box, spec.exps)
-    stab = [G[i] for i in np.flatnonzero(
-        ~((G.mats @ x - x) % quot).any(axis=1))]
+    stab = elems(spec, G.mats[~((G.mats @ x - x) % quot).any(axis=1)])
 
     def op(g):
         y = np.asarray(g.inverse()) @ x % mods
@@ -417,3 +425,77 @@ def sigma_gx(rep, G, x):
                                                                  % mods)))
 
     return stab, op
+
+
+# -- group elements as checked tuples ----------------------------------------
+
+
+def transvection(spec, a, v):
+    """tau_{a,v} of one point v, as checked by `GroupElem`."""
+    v = np.asarray(v, dtype=np.int64).reshape(1, spec.dim)
+    return GroupElem(spec, _transvections(spec, v, a)[0].tolist())
+
+
+def reduce_level(g, target):
+    """Functorial reduction of an automorphism to a lower level."""
+    if target.p != g.spec.p or target.dim != g.spec.dim:
+        raise ValueError("incompatible reduction target")
+    if any(te > se for te, se in zip(target.exps, g.spec.exps)):
+        raise ValueError("target moduli must divide source moduli")
+    return GroupElem(target, [list(row) for row in g.mat])
+
+
+def elems(spec, mats):
+    """The `GroupElem` of each matrix of a stack, in order."""
+    return [GroupElem(spec, m, check=False) for m in np.asarray(mats).tolist()]
+
+
+# -- test-only Gauss-sum, direct-sum and torus-character helpers -------------
+
+
+def hasse_davenport_holds(p, scale=1, tol=1e-9):
+    """-omega'(1) = (-omega(1))^2 for the quadratic extension."""
+    w1 = weil_index(p, 1, scale)
+    wp = weil_index_quadratic_ext(p, scale)
+    return abs(-wp - (-w1) ** 2) <= tol
+
+
+def embed_pair(gA, gB):
+    """diag(gA, gB) of two square matrices."""
+    gA, gB = np.asarray(gA), np.asarray(gB)
+    out = np.zeros((len(gA) + len(gB),) * 2, dtype=np.int64)
+    out[:len(gA), :len(gA)], out[len(gA):, len(gA):] = gA, gB
+    return out
+
+
+def tensor_intertwiner(repAB, repA, repB):
+    """Permutation intertwiner from H_A (x) H_B onto the direct-sum model."""
+    if repAB.dim != repA.dim * repB.dim:
+        raise ValueError("dimension mismatch")
+    # row (a, b, sa, sb) of the sum: coset (a, b) is coset a * |B| + b and
+    # the residue basis is the tensor basis; column (a, sa, b, sb)
+    nA, nB = repA.heis.dim, repB.heis.dim
+    cols = np.arange(repAB.dim).reshape(nA, repA.sdim, nB, repB.sdim)
+    out = np.zeros((repAB.dim, repAB.dim), dtype=complex)
+    out[np.arange(repAB.dim), cols.transpose(0, 2, 1, 3).ravel()] = 1.0
+    return out
+
+
+def chi_blj(ctx, b, lam, j):
+    """The congruence-subgroup character cut out by the trace form, as its
+    values on C (meaningful on its domain).
+
+    Unramified: defined on T_j for j < lam <= 3j, conductor lam iff b is a
+    unit; value psi(-b*d*eta_t / (2 p^lam)).  Ramified: defined on
+    T_{2j+1} for j < lam <= 3j+1, conductor 2*lam; value
+    psi((-1)^lam * b * eta_t / (2 p^lam)).
+    """
+    coeff, mod = ctx._blj_coeff(b, lam, j)
+    return np.array(_roots(mod))[coeff * ctx.eta % mod]
+
+
+def char_order(chi):
+    """The order of a torus character in the character group."""
+    o1 = chi.ctx.o1 // math.gcd(chi.ctx.o1, chi.a) if chi.a else 1
+    o2 = chi.ctx.o2 // math.gcd(chi.ctx.o2, chi.b) if chi.b else 1
+    return o1 * o2 // math.gcd(o1, o2)

@@ -8,13 +8,13 @@ from itertools import product
 import numpy as np
 
 from elements import sl2_elements, sp_elements
-from weilrep.oscillator import (OscillatorRep, hasse_davenport_holds,
-                                parabolic_identity_report, weil_index)
+from reference import (char_order, embed_pair, hasse_davenport_holds,
+                       tensor_intertwiner)
+from weilrep.oscillator import (OscillatorRep, parabolic_identity_report,
+                                weil_index)
 from weilrep.ring_rep import (RingWeilRep, build_ring_rep, character_norm,
                               decompose, direct_sum, direct_sum_isotropic,
-                              embed_pair, shell_dimensions,
-                              summand_characters, tensor_intertwiner,
-                              traces)
+                              shell_dimensions, summand_characters, traces)
 from weilrep.rings import legendre
 from weilrep.symplectic import SympModule, orbits, symplectic_group
 from weilrep.torus import (TorusContext, TorusSpec, multiplicity_report,
@@ -127,14 +127,13 @@ def test_criterion_5_orbit_count_identity():
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
     cn, dev = character_norm(traces(rep, G.mats))
-    orb = int(orbits(G.gens, spec.exps).max()) + 1
+    orb = int(orbits(spec, G.gens, spec.exps).max()) + 1
     ok = (cn == orb == 3 and dev < 1e-6)
     details = [f"Sp: norm={cn} orbits={orb}"]
     for kind, uval in (("unramified", 0), ("unramified", 1), ("ramified", 0)):
         ctx = TorusContext(TorusSpec(3, kind, uval, 1))
-        gens = [ctx.embed(t) for t in ctx.C]
-        n_orb = int(orbits(gens, ctx.module.exps).max()) + 1
-        total = sum(abs(ctx.rep.trace(g)) ** 2 for g in gens)
+        n_orb = int(orbits(ctx.module, ctx.mats, ctx.module.exps).max()) + 1
+        total = sum(abs(ctx.rep.trace(g)) ** 2 for g in ctx.mats)
         cn_t = total / len(ctx.C)
         ok = ok and abs(cn_t - n_orb) < 1e-6
         details.append(f"{kind}{uval}: norm={cn_t:.6f} orbits={n_orb}")
@@ -201,7 +200,8 @@ def test_criterion_8_appearance_criteria_and_eigenvectors():
     # sign character
     ctx = TorusContext(TorusSpec(3, "unramified", 1, 1))
     table = ctx.multiplicities()
-    appearing = sorted(rec["char"].order for rec in table if rec["mult"] == 1)
+    appearing = sorted(char_order(rec["char"]) for rec in table
+                       if rec["mult"] == 1)
     excluded = [rec["char"] for rec in table if rec["mult"] == 0]
     eta0_ok = (appearing == [1, 4, 4] and len(excluded) == 1
                and all(abs(excluded[0](t) - ctx.eta0(t)) < 1e-9
@@ -234,12 +234,12 @@ def test_criterion_10_tensor_factorization():
     repA, repB = RingWeilRep(sA), RingWeilRep(sB)
     repAB = RingWeilRep(big, direct_sum_isotropic(big, repA.iso, repB.iso))
     J = tensor_intertwiner(repAB, repA, repB)
-    G = symplectic_group(sA)
+    G = list(symplectic_group(sA).mats)
     worst = 0.0
     for _ in range(50):
         g, h = RNG.choice(G), RNG.choice(G)
         lhs = J @ np.kron(repA.op(g), repB.op(h))
-        rhs = repAB.op(embed_pair(big, g, h)) @ J
+        rhs = repAB.op(embed_pair(g, h)) @ J
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     specs = [TorusSpec(3, "unramified", 0, 1)] * 2
     ctxs, big2, rep2, table = product_torus_multiplicities(specs)

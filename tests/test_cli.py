@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from weilrep import symplectic
 from weilrep.cli import COMMANDS, STATUSES, Report, main
 
 SCHEMA = json.loads(resources.files("weilrep")
@@ -243,6 +244,25 @@ def test_reports_import_no_masked_arrays():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_no_command_builds_a_group_elem(monkeypatch):
+    """Commands compute on int64 stacks only: with `GroupElem` refusing to
+    be built and the group and certificate caches emptied, these runs
+    still exit 0."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command built a GroupElem")
+
+    monkeypatch.setattr(symplectic.GroupElem, "__init__", refuse)
+    monkeypatch.setattr(symplectic, "_SP_CACHE", {})
+    monkeypatch.setattr(symplectic, "_CERTIFICATES", {})
+    for argv in (["selfcheck"], ["field", "--p", "7", "--rank", "1"],
+                 ["ring", "--p", "3", "--r", "1", "--l", "1", "--n", "1",
+                  "--twist", "1"],
+                 ["ring", "--p", "3", "--r", "2", "--l", "1", "--n", "1",
+                  "--cap-group", "2000"],
+                 ["torus", "--p", "3", "--n", "1"]):
+        assert main(argv + ["--out", os.devnull]) == 0, argv
 
 
 def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):

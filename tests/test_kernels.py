@@ -31,10 +31,10 @@ import numpy as np
 import pytest
 
 from elements import sl2_elements, sp_elements
-from reference import (act, add, bfs_closure, form, mat_inv, mat_mul,
-                       mat_vec, orbit_lists, psi, quotient_reduce,
-                       quotient_reps, reference_invariants, reference_orbits,
-                       smul, sub, vectors)
+from reference import (act, add, bfs_closure, elems, embed_pair, form,
+                       mat_inv, mat_mul, mat_vec, orbit_lists, psi,
+                       quotient_reduce, quotient_reps, reference_invariants,
+                       reference_orbits, smul, sub, vectors)
 from test_oscillator import sp4_cases
 from weilrep.heisenberg import SchrodingerModel, box_isotropic
 from weilrep.oscillator import OscillatorRep, weil_index
@@ -42,20 +42,22 @@ from weilrep.ring_rep import (_CHUNK, MonomialOps, _box_invariant,
                               abelianization_character, abelianization_cosets,
                               build_ring_rep, canonical_isotropic,
                               character_norm, decompose, derived_subgroup,
-                              embed_pair, invariance_generators,
-                              summand_characters, traces)
+                              invariance_generators, summand_characters,
+                              traces)
 from weilrep.rings import unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
-                                StabilizerChain, SympModule, _lex_order,
-                                group_closure, orbits, symplectic_group,
+                                StabilizerChain, SympModule, _lex_keys,
+                                _lex_order, group_closure, is_symplectic,
+                                orbits, symplectic_group,
                                 transvection_generators)
 from weilrep.torus import (TorusContext, TorusSpec, _twist_candidates,
                            multiplicity_report, product_torus_multiplicities)
 
 
-def reference_closure(gens):
+def reference_closure(spec, gens):
     """Sorted matrices of the closure, by BFS over GroupElem products."""
-    ident = GroupElem.identity(gens[0].spec)
+    gens = elems(spec, gens)
+    ident = GroupElem.identity(spec)
     seen = {ident.mat}
     frontier = [ident]
     while frontier:
@@ -78,29 +80,28 @@ CLOSURE_CASES = [(3, 1, 0, 0), (5, 1, 0, 0), (7, 1, 0, 0), (3, 1, 1, 1),
 
 @pytest.mark.parametrize("args", CLOSURE_CASES, ids=str)
 def test_closure_matches_reference_bfs(args):
-    gens = transvection_generators(SympModule.standard(*args))
-    G = group_closure(gens)
-    assert [g.mat for g in G] == reference_closure(gens)
+    spec = SympModule.standard(*args)
+    gens = transvection_generators(spec)
+    G = group_closure(spec, gens)
+    assert [g.mat for g in elems(spec, G.mats)] \
+        == reference_closure(spec, gens)
     assert (G.find(G.mats) == np.arange(len(G))).all()
-    assert G.gens == gens
+    assert np.array_equal(G.gens, gens)
 
 
 def test_closure_cap_without_overflow():
     # Sp(6, F_5): a mixed-radix int64 key of 36 base-5 digits would overflow
-    gens = transvection_generators(SympModule.standard(5, 3, 0, 0))
+    spec = SympModule.standard(5, 3, 0, 0)
     with pytest.raises(ClosureCapExceeded):
-        group_closure(gens, cap=1000)
+        group_closure(spec, transvection_generators(spec), cap=1000)
 
 
 def s4_generators():
     """(12) and (1234) as permutation matrices on F_3^4, which generate
     S_4 and preserve no symplectic form: the closure is generic."""
-    spec = SympModule.standard(3, 2, 0, 0)
-
-    def perm(images):
-        return GroupElem(spec, [[int(images[j] == i) for j in range(4)]
-                                for i in range(4)])
-    return [perm([1, 0, 2, 3]), perm([1, 2, 3, 0])]
+    eye = np.eye(4, dtype=np.int64)
+    return np.stack([eye[:, images] for images in ([1, 0, 2, 3],
+                                                   [1, 2, 3, 0])])
 
 
 # Sp(4, F_3), 51,840 elements, and the transvection closure of the
@@ -112,25 +113,51 @@ WORD_CASES = [("words", args) for args in [(3, 1, 0, 2), (3, 2, 0, 0),
                                            (3, 2, 1, 1)]]
 
 
+def words(spec, gens, count, length, rng):
+    """count products of length generators drawn by rng.choices, as
+    `GroupElem` products (each step reduced), in an int64 stack."""
+    gens = elems(spec, gens)
+    return np.array([reduce(mul, rng.choices(gens, k=length))
+                     for _ in range(count)], dtype=np.int64)
+
+
 def chain_generators(case):
     if case == "S4":
-        return s4_generators()
+        return S4_SPEC, s4_generators()
     if case[0] == "words":
-        gens = transvection_generators(SympModule.standard(*case[1]))
-        rng = random.Random(1)
-        return [reduce(mul, rng.choices(gens, k=8)) for _ in range(2)]
-    return transvection_generators(SympModule.standard(*case))
+        spec = SympModule.standard(*case[1])
+        return spec, words(spec, transvection_generators(spec), 2, 8,
+                           random.Random(1))
+    spec = SympModule.standard(*case)
+    return spec, transvection_generators(spec)
+
+
+S4_SPEC = SympModule.standard(3, 2, 0, 0)
 
 
 @pytest.mark.parametrize("case", CHAIN_CASES + ["S4"] + WORD_CASES, ids=str)
 def test_chain_matches_array_bfs(case):
-    """The stabilizer chain lists the same elements in the same order, with
-    the same keys, as the breadth-first closure it replaced."""
-    gens = chain_generators(case)
-    G, ref = group_closure(gens), bfs_closure(gens)
-    assert np.array_equal(G.mats, ref.mats)
-    assert np.array_equal(G.keys, ref.keys)
-    assert StabilizerChain(gens).order() == len(ref)
+    """The stabilizer chain lists the same elements in the same order as
+    the breadth-first closure it replaced, and `find` gives the index of
+    each element, of unreduced copies too, and -1 for non-elements."""
+    spec, gens = chain_generators(case)
+    G, ref = group_closure(spec, gens), bfs_closure(spec, gens)
+    assert np.array_equal(G.mats, ref) and G.keys.dtype == np.int64
+    assert StabilizerChain(spec, gens).order() == len(ref)
+    rng = np.random.default_rng(len(G))
+    idx = rng.integers(0, len(G), 200)
+    mods = np.array(spec.moduli)[:, None]
+    shifted = G.mats[idx] + mods * rng.integers(-2, 3, (200,) + mods.shape)
+    assert np.array_equal(G.find(shifted), idx)
+    assert G.find(G.mats[idx[0]]) == idx[0]
+    assert isinstance(G.find(shifted[0]), int)
+    # random reduced matrices: -1 exactly where they are not elements
+    others = rng.integers(0, mods, (500, spec.dim, spec.dim))
+    members = {m.tobytes() for m in G.mats}
+    found = G.find(others)
+    assert [i >= 0 for i in found] == [m.tobytes() in members for m in others]
+    assert (found < 0).any() and (G.mats[found[found >= 0]]
+                                  == others[found >= 0]).all()
 
 
 @pytest.mark.parametrize("moduli", [(3, 9, 3, 9), (27,) * 4, (5,) * 6],
@@ -146,14 +173,31 @@ def test_lex_order_matches_sorted_tuples(moduli):
     mats = rng.integers(0, high, (4, d, d))[rng.integers(0, 4, 300)]
     mats[:, -1] = rng.integers(0, high[-1], (300, d)) % 2
     ref = sorted({tuple(map(tuple, m)) for m in mats.tolist()})
-    order = _lex_order(mats, moduli)
+    order = _lex_order(_lex_keys(mats, moduli))
     assert [tuple(map(tuple, m)) for m in mats[order].tolist()] == ref
+    # a set of these matrices as a FiniteGroup: the same order, and `find`
+    # on the int64 keys or the records of two int64 words
+    spec = SympModule(5 if 5 in moduli else 3, 0, moduli,
+                      np.zeros((d, d), dtype=int))
+    G = FiniteGroup(spec, mats + high * rng.integers(0, 3, mats.shape), mats)
+    assert [tuple(map(tuple, m)) for m in G.mats.tolist()] == ref
+    assert G.keys.dtype == np.int64 if moduli[0] == 3 \
+        else G.keys.dtype.names == ("f0", "f1")
+    idx = rng.integers(0, len(G), 50)
+    assert np.array_equal(G.find(G.mats[idx] - high), idx)
+    assert G.find(G.mats[idx[0]]) == idx[0]
+    others = G.mats[idx].copy()
+    others[:, 0, 0] = (others[:, 0, 0] + 1) % moduli[0]
+    members = {m.tobytes() for m in G.mats}
+    assert [i >= 0 for i in G.find(others)] == [m.tobytes() in members
+                                                for m in others]
 
 
 def test_chain_certifies_order_above_the_cap():
     """|Sp(4, Z/9)| = 9^10 (1 - 3^-2)(1 - 3^-4), from the chain alone."""
-    gens = transvection_generators(SympModule.standard(3, 2, 0, 1))
-    assert StabilizerChain(gens).order() == 3_061_100_160
+    spec = SympModule.standard(3, 2, 0, 1)
+    assert StabilizerChain(spec, transvection_generators(spec)).order() \
+        == 3_061_100_160
 
 
 def test_chain_refuses_at_the_cap_in_bounded_memory():
@@ -168,9 +212,10 @@ from weilrep.symplectic import (ClosureCapExceeded, SympModule,
                                 group_closure, transvection_generators)
 for args, cap in (((3, 2, 0, 1), 2_000_000), ((3, 3, 0, 1), None),
                   ((5, 3, 0, 0), 1000)):
-    gens = transvection_generators(SympModule.standard(*args))
+    spec = SympModule.standard(*args)
+    gens = transvection_generators(spec)
     try:
-        group_closure(gens) if cap is None else group_closure(gens, cap=cap)
+        group_closure(spec, gens, **({} if cap is None else {"cap": cap}))
     except ClosureCapExceeded:
         print("refused")
 """
@@ -187,17 +232,18 @@ for args, cap in (((3, 2, 0, 1), 2_000_000), ((3, 3, 0, 1), None),
 
 def reference_derived_subgroup(group):
     """Normal closure of the generator commutators, by BFS over products."""
-    comms = {}
-    for a in group.gens:
+    comms, gens = {}, elems(group.spec, group.gens)
+    ident = GroupElem.identity(group.spec)
+    for a in gens:
         ainv = a.inverse()
-        for b in group.gens:
+        for b in gens:
             c = a * b * ainv * b.inverse()
             comms[c.mat] = c
     dgens = list(comms.values())
     seen = dict(comms)
-    seen[group.identity().mat] = group.identity()
+    seen[ident.mat] = ident
     frontier = list(seen.values())
-    gen_pairs = [(g, g.inverse()) for g in group.gens]
+    gen_pairs = [(g, g.inverse()) for g in gens]
     while frontier:
         new = []
         for x in frontier:
@@ -218,7 +264,7 @@ def reference_derived_subgroup(group):
 def reference_abelianization_cosets(group, D):
     """matrix -> coset number, numbered in order of first element."""
     labels, nreps = {}, 0
-    for g in group:
+    for g in elems(group.spec, group.mats):
         if g.mat in labels:
             continue
         for d in D:
@@ -239,7 +285,7 @@ def test_abelianization_matches_reference_bfs(args):
         == D
     ref = reference_abelianization_cosets(G, D)
     labels, reps = abelianization_cosets(G)
-    assert [ref[g.mat] for g in G] == labels.tolist()
+    assert [ref[g.mat] for g in elems(G.spec, G.mats)] == labels.tolist()
     assert reps == [labels.tolist().index(c) for c in range(len(reps))]
 
 
@@ -247,23 +293,24 @@ def test_derived_subgroup_adds_conjugates():
     """S_4 as permutation matrices, generated by (12) and (1234): the
     commutators of the generators close to a group of order 3, and only
     the conjugation rounds reach A_4."""
-    G = group_closure(s4_generators())
+    G = group_closure(S4_SPEC, s4_generators())
     D = reference_derived_subgroup(G)
     assert len(G) == 24 and len(D) == 12
     assert {tuple(map(tuple, m)) for m in derived_subgroup(G).mats.tolist()} \
         == D
     labels, reps = abelianization_cosets(G)
-    assert [reference_abelianization_cosets(G, D)[g.mat] for g in G] \
-        == labels.tolist() and len(reps) == 2
+    ref = reference_abelianization_cosets(G, D)
+    assert [ref[g.mat] for g in elems(G.spec, G.mats)] == labels.tolist() \
+        and len(reps) == 2
 
 
 @pytest.mark.parametrize("args", AB_CASES, ids=str)
 def test_orbits_match_reference_bfs(args):
     spec = SympModule.standard(*args)
-    gens = symplectic_group(spec).gens
+    gens = elems(spec, symplectic_group(spec).gens)
     for box in (spec.exps, canonical_isotropic(spec).uperp_box, (1,) * 2):
         act_mod = lambda g, c: quotient_reduce(spec, act(g, c), box)
-        assert orbit_lists(orbits(gens, box), spec.points(box)) \
+        assert orbit_lists(orbits(spec, gens, box), spec.points(box)) \
             == reference_orbits(gens, quotient_reps(spec, box), act_mod)
 
 
@@ -455,7 +502,8 @@ def _check_characters(rep, group, idx, twist=lambda g: 1.0):
     s = rep.sdim
     minus = GroupElem(rep.spec, (-np.eye(rep.spec.dim, dtype=int)).tolist())
     S_minus = twist(minus) * reference_op(rep, minus)
-    gen_ops = [twist(g) * reference_op(rep, g) for g in group.gens]
+    gen_ops = [twist(g) * reference_op(rep, g)
+               for g in elems(rep.spec, group.gens)]
     projs = []
     for sm in summands:
         sel = np.zeros(rep.dim)
@@ -469,7 +517,8 @@ def _check_characters(rep, group, idx, twist=lambda g: 1.0):
         projs.append(P)
     assert np.abs(sum(projs) - np.eye(rep.dim)).max() < 1e-12
     for i in idx:
-        op = twist(group[i]) * reference_op(rep, group[i])
+        g = GroupElem(rep.spec, group.mats[i].tolist())
+        op = twist(g) * reference_op(rep, g)
         for si, P in enumerate(projs):
             assert abs(chars[si, i] - np.einsum("ij,ji->", P, op)) < 1e-12
 
@@ -484,7 +533,7 @@ def _sample_idx(n, k, seed):
 def test_ring_ops_match_reference_on_every_element_3101():
     rep = build_ring_rep(SympModule.standard(3, 1, 0, 1))
     G = symplectic_group(rep.spec)
-    _check_ops(rep, list(G))
+    _check_ops(rep, elems(rep.spec, G.mats))
     _check_characters(rep, G, range(len(G)))
 
 
@@ -494,11 +543,12 @@ def test_ring_ops_match_reference_on_large_groups(args):
     G = symplectic_group(rep.spec)
     assert len(G) > 2 * _CHUNK
     idx = _sample_idx(len(G), 150, seed=5)
-    _check_ops(rep, [G[i] for i in idx])
+    els = elems(rep.spec, G.mats[idx])
+    _check_ops(rep, els)
     _check_characters(rep, G, idx)
     whole = traces(rep, G.mats)
-    for i in idx:
-        assert abs(whole[i] - reference_trace(rep, G[i])) < 1e-12
+    for i, g in zip(idx, els):
+        assert abs(whole[i] - reference_trace(rep, g)) < 1e-12
     cn, dev = character_norm(traces(rep, G.mats))
     assert cn == {(3, 1, 1, 1): 4, (5, 1, 0, 1): 3}[args] and dev < 1e-9
 
@@ -509,14 +559,13 @@ def test_ring_ops_match_reference_on_generator_words_3211(flavor):
     assert rep.sigma is not None
     gens = transvection_generators(rep.spec)
     rng = random.Random(11)
-    words = [reduce(mul, rng.choices(gens, k=2 * rep.spec.dim))
-             for _ in range(40)]
-    _check_ops(rep, words)
+    stack = words(rep.spec, gens, 40, 2 * rep.spec.dim, rng)
+    _check_ops(rep, elems(rep.spec, stack))
     # decompose needs only the generators; the characters are taken on
     # the words
-    words_group = FiniteGroup(words, gens)
+    words_group = FiniteGroup(rep.spec, stack, gens)
     _check_characters(rep, words_group, range(len(words_group)))
-    for g in words[:10]:
+    for _ in range(10):
         w = rng.choice(vectors(rep.spec.moduli))
         t = rng.randrange(rep.M)
         assert np.abs(rep.heis_op(w, t)
@@ -528,7 +577,8 @@ def test_ring_ops_match_reference_on_product_torus(kinds):
     specs = [TorusSpec(3, "unramified", u, 1) for u in kinds]
     (cA, cB), big, rep, _ = product_torus_multiplicities(specs)
     pairs = [(tA, tB) for tA in cA.C for tB in cB.C]
-    elements = [embed_pair(big, cA.embed(tA), cB.embed(tB))
+    elements = [GroupElem(big, embed_pair(cA.mats[cA.index_of(tA)],
+                                          cB.mats[cB.index_of(tB)]).tolist())
                 for tA, tB in random.Random(2).sample(pairs, 40)]
     _check_ops(rep, elements)
 
@@ -539,7 +589,7 @@ def test_twisted_rep_matches_reference():
     chi, k = abelianization_character(G, 1)
     assert k == 3
     rep.twist = chi
-    _check_ops(rep, list(G), twist=chi)
+    _check_ops(rep, elems(rep.spec, G.mats), twist=chi)
     _check_characters(rep, G, range(len(G)), twist=chi)
     # the Heisenberg operators stay untwisted
     w, t = (1, 2), 4
@@ -557,10 +607,10 @@ def test_decompose_from_generators_alone(args, dims, monkeypatch):
     rep = build_ring_rep(SympModule.standard(*args))
     gens = transvection_generators(rep.spec)
     monkeypatch.setattr(MonomialOps, "dense", _no_dense)
-    summands = decompose(rep, FiniteGroup([GroupElem.identity(rep.spec)],
+    summands = decompose(rep, FiniteGroup(rep.spec, np.eye(rep.spec.dim),
                                           gens))
     assert sorted(sm.dim for sm in summands) == dims
-    assert len(summands) == orbits(gens, rep.spec.exps).max() + 1
+    assert len(summands) == orbits(rep.spec, gens, rep.spec.exps).max() + 1
 
 
 @pytest.mark.parametrize("args", [(3, 1, 0, 1), (3, 1, 1, 1), (3, 2, 1, 1)],
@@ -641,10 +691,8 @@ def test_apply_matches_dense_on_generator_words_3211(flavor):
     rep = build_ring_rep(SympModule.standard(3, 2, 1, 1, flavor=flavor))
     assert rep.sdim > 1
     gens = transvection_generators(rep.spec)
-    rng = random.Random(12)
-    words = [reduce(mul, rng.choices(gens, k=2 * rep.spec.dim))
-             for _ in range(20)]
-    _check_apply(rep.blocks(words))
+    _check_apply(rep.blocks(words(rep.spec, gens, 20, 2 * rep.spec.dim,
+                                  random.Random(12))))
 
 
 TORUS_CASES = [(p, kind, u, 1) for p in (3, 5)
@@ -715,7 +763,7 @@ def reference_weight_sum(ctx, chi, sub, point, sigma_vec=None):
             continue
         covered.update(ref_mul(ctx, g, s) for s in sub)
         g_inv = ref_pow(ctx, g, ref_order(ctx, g) - 1)
-        out += chi(g_inv) * (ctx.rep.op(ctx.embed(g)) @ seed)
+        out += chi(g_inv) * (ctx.rep.op(ctx.mats[ctx.index_of(g)]) @ seed)
     return out
 
 
@@ -723,7 +771,8 @@ def reference_eigen_residual(ctx, chi, vec):
     nrm = np.linalg.norm(vec)
     worst = 0.0
     for t in ctx.C:
-        dev = np.linalg.norm(ctx.rep.op(ctx.embed(t)) @ vec - chi(t) * vec)
+        dev = np.linalg.norm(ctx.rep.op(ctx.mats[ctx.index_of(t)]) @ vec
+                             - chi(t) * vec)
         worst = max(worst, dev / nrm)
     return worst
 
@@ -926,9 +975,9 @@ def test_product_torus_table_matches_double_loop(kinds):
     (cA, cB), big, rep, table = product_torus_multiplicities(
         [TorusSpec(*k) for k in kinds])
     pairs = [(tA, tB) for tA in cA.C for tB in cB.C]
-    trs = dict(zip(pairs, traces(rep, [embed_pair(big, cA.embed(tA),
-                                                  cB.embed(tB))
-                                       for tA, tB in pairs])))
+    trs = dict(zip(pairs, traces(rep, np.array([embed_pair(a, b)
+                                                for a in cA.mats
+                                                for b in cB.mats]))))
     expected = {}
     for labA, chA in reference_characters(cA):
         for labB, chB in reference_characters(cB):
@@ -1047,14 +1096,16 @@ def test_gram_predicates_match_entry_loops(args, flavor):
     and is_symplectic on the generators and on perturbed generators."""
     spec = SympModule.standard(*args, flavor=flavor)
     gens = invariance_generators(spec)
+    els = elems(spec, gens)
     for divs in product(*[range(e + 1) for e in spec.exps]):
         assert box_isotropic(spec, divs) == reference_box_isotropic(spec, divs)
         assert _box_invariant(spec, divs, gens) == \
-            reference_box_invariant(spec, divs, gens)
+            reference_box_invariant(spec, divs, els)
     iso = canonical_isotropic(spec)
     assert iso.res_gram.tolist() == reference_res_gram(spec, iso)
     rng = random.Random(sum(args))
-    for g in gens:
+    assert is_symplectic(spec, gens).all()
+    for g in els:
         mat = [list(row) for row in g.mat]
         i, j = rng.randrange(spec.dim), rng.randrange(spec.dim)
         mat[i][j] += spec.p ** max(0, spec.exps[i] - spec.exps[j])

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import (act, add, brute_force_symplectic_count, form,
+from reference import (act, add, brute_force_symplectic_count, elems, form,
                        orbit_lists, quotient_reduce, quotient_reps,
-                       reference_orbits, tuple_generates_all_transvections,
-                       tuple_transvection, vectors)
+                       reduce_level, reference_orbits, transvection,
+                       tuple_generates_all_transvections, tuple_transvection,
+                       vectors)
 from weilrep import symplectic
 from weilrep.ring_rep import (_box_invariant, abelianization_character,
                               canonical_isotropic)
 from weilrep.symplectic import (ClosureCapExceeded, GroupElem, SympModule,
-                                group_closure, orbits, reduce_level,
-                                symplectic_group, transvection,
+                                group_closure, orbits, symplectic_group,
                                 transvection_generators)
 
 
@@ -114,25 +114,25 @@ def test_closure_order_independent_of_generators():
     random.seed(3)
     spec = SympModule.standard(3, 1, 0, 1)
     gens = transvection_generators(spec)
-    shuffled = gens[:]
+    shuffled = list(gens)
     random.shuffle(shuffled)
-    A = group_closure(gens[:8] + gens[-8:])
-    B = group_closure(shuffled)
-    assert {g.mat for g in A} <= {g.mat for g in B} or len(A) < len(B)
-    full = group_closure(gens)
-    assert {g.mat for g in full} == {g.mat for g in B}
+    A = group_closure(spec, np.concatenate([gens[:8], gens[-8:]]))
+    B = group_closure(spec, shuffled)
+    assert np.isin(A.keys, B.keys).all()
+    full = group_closure(spec, gens)
+    assert (full.mats == B.mats).all() and (full.keys == B.keys).all()
 
 
 def test_closure_cap():
     spec = SympModule.standard(3, 1, 0, 1)
     with pytest.raises(ClosureCapExceeded):
-        group_closure(transvection_generators(spec), cap=100)
+        group_closure(spec, transvection_generators(spec), cap=100)
 
 
 def test_orbits_b1():
     spec = SympModule.standard(3, 1, 0, 1)
     G = symplectic_group(spec)
-    label = orbits(G.gens, spec.exps)
+    label = orbits(spec, G.gens, spec.exps)
     assert label.dtype == np.int64 and label.shape == (spec.size(),)
     orbs = orbit_lists(label, spec.points())
     assert [len(o) for o in orbs] == [1, 8, 72]
@@ -146,14 +146,14 @@ def test_orbits_on_quotient():
     spec = SympModule.standard(3, 1, 0, 1)
     G = symplectic_group(spec)
     box = (1, 1)   # the submodule 3W
-    orbs = orbit_lists(orbits(G.gens, box), spec.points(box))
+    orbs = orbit_lists(orbits(spec, G.gens, box), spec.points(box))
     assert [len(o) for o in orbs] == [1, 8]
 
 
 def test_reduction_map():
     spec1 = SympModule.standard(3, 1, 0, 1)
     spec0 = SympModule.standard(3, 1, 0, 0)
-    G = symplectic_group(spec1)
+    G = elems(spec1, symplectic_group(spec1).mats)
     ident = GroupElem.identity(spec1)
     assert reduce_level(ident, spec0) == GroupElem.identity(spec0)
     random.seed(4)
@@ -168,7 +168,7 @@ def test_reduction_map():
 
 def test_inverse_and_symplectic_everywhere():
     spec = SympModule.standard(3, 1, 0, 1)
-    G = symplectic_group(spec)
+    G = elems(spec, symplectic_group(spec).mats)
     ident = GroupElem.identity(spec)
     random.seed(5)
     for g in random.sample(G, 40):
@@ -190,15 +190,16 @@ def _word(gens, letters):
 def test_group_words_find_character_and_orbits(args, letters1, letters2):
     spec = SympModule.standard(*args)
     G = symplectic_group(spec)
-    w1, w2 = _word(G.gens, letters1), _word(G.gens, letters2)
+    gens = elems(spec, G.gens)
+    w1, w2 = _word(gens, letters1), _word(gens, letters2)
     for w in (w1, w2, w1 * w2):
-        assert G[G.find(w)] == w and w in G
+        assert elems(spec, G.mats[[G.find(w)]]) == [w]
     chi, _ = abelianization_character(G, 1)
     assert abs(chi(w1 * w2) - chi(w1) * chi(w2)) < 1e-12
     # the orbits of <w1, w2> partition W and the U-perp cosets, and each is
     # closed under both words
     for box in (spec.exps, canonical_isotropic(spec).uperp_box):
-        orbs = orbit_lists(orbits([w1, w2], box), spec.points(box))
+        orbs = orbit_lists(orbits(spec, [w1, w2], box), spec.points(box))
         pts = [v for orb in orbs for v in orb]
         assert sorted(pts) == quotient_reps(spec, box)
         for orb in orbs:
@@ -292,7 +293,7 @@ def test_orbit_labels_match_tuple_bfs(spec, seed):
         if not _box_invariant(spec, box, gens):
             continue
         act_mod = lambda g, v: quotient_reduce(spec, act(g, v), box)
-        assert orbit_lists(orbits(gens, box), spec.points(box)) \
+        assert orbit_lists(orbits(spec, gens, box), spec.points(box)) \
             == reference_orbits(gens, quotient_reps(spec, box), act_mod)
 
 
