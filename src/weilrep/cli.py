@@ -21,8 +21,8 @@ from . import oscillator as osc
 from . import ring_rep as rr
 from . import torus as tor
 from .rings import _is_prime, legendre
-from .symplectic import (ClosureCapExceeded, SympModule, orbits,
-                         symplectic_group, transvection_generators)
+from .symplectic import (ClosureCapExceeded, SympModule, group_closure,
+                         orbits, symplectic_group)
 
 SCHEMA_VERSION = "2"
 
@@ -150,7 +150,7 @@ def cmd_field(args) -> int:
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
 
-    rpt = osc.parabolic_identity_report(rep, tol=tol)
+    rpt = osc.parabolic_identity_report(rep, mats, tol=tol)
     rep_doc.check("parabolic-scalar", "parabolic-scalar",
                   not rpt["parabolic_failures"],
                   measured={"failures": len(rpt["parabolic_failures"])})
@@ -181,7 +181,7 @@ def cmd_ring(args) -> int:
     rep_doc.doc["config"]["lifted"] = lifted
     if model_spec.size() > args.cap_dim ** 2:
         return _skip_model(rep_doc, math.isqrt(model_spec.size()), args)
-    rep = rr.build_ring_rep(spec)
+    rep = rr.RingWeilRep(model_spec)
 
     shells = rr.shell_dimensions(p, r, l, n)
     rep_doc.check("shell-dimensions", "shell-dimensions", shells["all_match"],
@@ -189,7 +189,7 @@ def cmd_ring(args) -> int:
                             for sh in shells["shells"]})
 
     try:
-        G = symplectic_group(rep.spec, cap=args.cap_group)
+        G = group_closure(rep.spec, rep.gens, cap=args.cap_group)
     except ClosureCapExceeded as exc:
         rep_doc.add("group-closure", "caps", "skipped", note=str(exc))
         G = None
@@ -199,7 +199,7 @@ def cmd_ring(args) -> int:
                         note=f"--twist needs the group closure, which "
                              f"exceeds cap {args.cap_group}")
         # structural-only checks on sampled generator words
-        gens = transvection_generators(rep.spec)
+        gens = rep.gens
         letters = np.array([rng.choices(range(len(gens)), k=2 * rep.spec.dim)
                             for _ in range(20)])
         words = gens[letters[:, 0]]
@@ -222,13 +222,13 @@ def cmd_ring(args) -> int:
     # every element, point and level is drawn before any check runs, in
     # the order in which the checks use them
     pairs = np.array([(rng.randrange(len(G)), rng.randrange(len(G)))
-                      for _ in range(args.samples // 100 or 50)])
+                      for _ in range(max(50, args.samples // 100))])
     covariance = _covariance_draws(
         rng, rep, (G.mats[rng.randrange(len(G))] for _ in range(50)))
     if args.twist:
-        chi, k = rr.abelianization_character(G, args.twist)
+        chi, k = rr.abelianization_character(G)
         rep_doc.doc["config"]["twist_order"] = k
-        rep.twist = chi
+        rep.twist = lambda g: chi(g, args.twist)
     summands = rr.decompose(rep, G)
     dims = sorted(s.dim for s in summands)
     rep_doc.check("summand-count", "summand-count", True,
@@ -257,9 +257,9 @@ def cmd_ring(args) -> int:
     rep_doc.check("homomorphism-sampled", "genuine-splitting", worst <= tol,
                   residual=worst)
     _check_intertwining(rep_doc, rep, *covariance, tol)
-    if rep.spec.n >= 3 and not rep.lifted:
+    if rep.spec.n >= 3 and not lifted:
         rep_doc.add("sigma-level-compat", "level-compat-diagnostic", "info",
-                    measured=_sigma_level_diagnostic(rep, rng))
+                    measured=_sigma_level_diagnostic(rep))
     return rep_doc.finish(args.out)
 
 
@@ -318,17 +318,15 @@ def _check_intertwining(rep_doc, rep, gs, ws, ts, tol):
                   residual=worst)
 
 
-def _sigma_level_diagnostic(rep, rng):
+def _sigma_level_diagnostic(rep):
     """Report-only: residue-block characters at levels n and n-2.
 
     The two canonical residue choices are pulled back through different
     reduction morphisms; this reports (never asserts) any discrepancy of
     their characters on matched group elements.
     """
-    spec = rep.spec
-    lower = SympModule.standard(spec.p, spec.r, spec.l, spec.n - 2,
-                                flavor=spec.flavor or "B")
-    gens = transvection_generators(spec)
+    spec, gens = rep.spec, rep.gens
+    lower = SympModule.standard(spec.p, spec.r, spec.l, spec.n - 2)
     # sigma(g) at both levels, one table of distinct blocks each
     table, which = rep._sigma_blocks(gens)
     low, low_which = rr.RingWeilRep(lower)._sigma_blocks(
@@ -392,7 +390,7 @@ def cmd_torus(args) -> int:
         h90 = all(ctx.eta0(t) == ctx.eta0_via_hilbert90(t) for t in ctx.C)
         rep_doc.check("eta0-hilbert90", "eta0-hilbert90", h90)
         if tspec.n == 1:
-            _, results = tor.residue_operator_check(tspec, tol=tol)
+            results = tor.residue_operator_check(ctx, tol=tol)
             rep_doc.check("residue-operator-formulas",
                           "residue-operator-formulas",
                           all(rec["ok"] for rec in results),
@@ -405,15 +403,18 @@ def cmd_torus(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     rep_doc = Report("selfcheck", {}, args.seed)
-    ns = argparse.Namespace(**vars(args))
-    commands = {"field": cmd_field, "ring": cmd_ring, "torus": cmd_torus}
     failures = 0
     failed_runs = []
 
     def run(command, **over):
+        """Run the command line `command --k v ...` of the overrides, with
+        the battery's seed and tol, through the same parser."""
         nonlocal failures
-        sub = argparse.Namespace(**{**vars(ns), **over, "out": os.devnull})
-        failed = commands[command](sub)
+        argv = [command, *(f"--{k}={v}" for k, v in over.items()),
+                f"--seed={args.seed}", f"--tol={args.tol}",
+                f"--out={os.devnull}"]
+        sub = _parser().parse_args(argv)
+        failed = sub.fn(sub)
         failures += failed
         if failed:
             failed_runs.append({"command": command, "overrides": over})
@@ -439,51 +440,52 @@ def _parser():
         prog="weilrep",
         description="Weil representations over Z/p^n: verification reports")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    field, ring, torus, selfcheck = (
+        sub.add_parser(name) for name in COMMANDS)
+    # each flag on the subcommands that read it, and on no other
+    for sp in (field, ring, torus):
         sp.add_argument("--p", type=int, default=3)
+    for sp in (field, ring):
         sp.add_argument("--r", "--rank", dest="r", type=int, default=1)
-        sp.add_argument("--l", type=int, default=0)
+        sp.add_argument("--samples", type=int, default=10_000)
+    ring.add_argument("--l", type=int, default=0)
+    ring.add_argument("--twist", type=int, default=0,
+                      help="tensor the ring representation by the given "
+                           "power of the abelianization character")
+    torus.add_argument("--kind", choices=["unramified", "ramified"],
+                       default="unramified")
+    torus.add_argument("--uval", type=int, choices=[0, 1], default=0)
+    for sp in (ring, torus):
         sp.add_argument("--n", type=int, default=1)
-        sp.add_argument("--kind", choices=["unramified", "ramified"],
-                        default="unramified")
-        sp.add_argument("--uval", type=int, choices=[0, 1], default=0)
         sp.add_argument("--cap-group", dest="cap_group", type=int,
                         default=2_000_000)
         sp.add_argument("--cap-dim", dest="cap_dim", type=int, default=2000)
+    for sp, fn in ((field, cmd_field), (ring, cmd_ring), (torus, cmd_torus),
+                   (selfcheck, cmd_selfcheck)):
         sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--twist", type=int, default=0,
-                        help="tensor the ring representation by the given "
-                             "power of the abelianization character")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=10_000)
         sp.add_argument("--out", type=str, default=None)
-
-    for name, fn in (("field", cmd_field), ("ring", cmd_ring),
-                     ("torus", cmd_torus), ("selfcheck", cmd_selfcheck)):
-        sp = sub.add_parser(name)
-        common(sp)
         sp.set_defaults(fn=fn)
     return ap
 
 
 def _argument_error(args):
-    """Why the arguments name no valid configuration, or None."""
-    if args.p < 3 or not _is_prime(args.p):
+    """Why the arguments name no valid configuration, or None; each test
+    runs when the command has the flag."""
+    flags = vars(args)
+    if "p" in flags and (args.p < 3 or not _is_prime(args.p)):
         return "--p must be an odd prime"
-    if args.command in ("field", "ring") and args.r < 1:
+    if "r" in flags and args.r < 1:
         return "--r must be at least 1"
-    if args.command == "ring" and not 0 <= args.l <= args.r:
+    if "l" in flags and not 0 <= args.l <= args.r:
         return "--l must satisfy 0 <= l <= r"
-    if args.command in ("ring", "torus") and args.n < 1:
+    if "n" in flags and args.n < 1:
         return "--n must be at least 1"
-    if args.command == "torus" and args.kind == "ramified" and args.uval:
+    if flags.get("kind") == "ramified" and args.uval:
         return "--uval 1 needs --kind unramified"
-    for flag, value in (("--samples", args.samples),
-                        ("--cap-group", args.cap_group),
-                        ("--cap-dim", args.cap_dim)):
-        if value < 1:
-            return f"{flag} must be at least 1"
+    for flag in ("samples", "cap_group", "cap_dim"):
+        if flags.get(flag, 1) < 1:
+            return f"--{flag.replace('_', '-')} must be at least 1"
     if not (math.isfinite(args.tol) and args.tol > 0):
         return "--tol must be a finite positive number"
     return None

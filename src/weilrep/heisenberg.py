@@ -39,10 +39,9 @@ class SchrodingerModel:
     return coset indices in that order.
     """
 
-    def __init__(self, spec: SympModule, box, scale: int = 1):
+    def __init__(self, spec: SympModule, box):
         self.spec = spec
         self.box = tuple(box)
-        self.scale = scale
         self.M = spec.modulus
         self.half = pow(2, -1, self.M)
         self.pts = spec.points(self.box)
@@ -60,8 +59,8 @@ class SchrodingerModel:
         self._roots = np.array(_roots(self.M))
 
     def phase(self, e) -> np.ndarray:
-        """psi(e) for integer exponents e."""
-        return self._roots[self.scale * e % self.M]
+        """psi(e) = exp(2 pi i e / M) for integer exponents e."""
+        return self._roots[e % self.M]
 
     def split(self, y):
         """Split points y of W, an int64 (..., dim) array reduced mod the

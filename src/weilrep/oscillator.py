@@ -18,7 +18,7 @@ import numpy as np
 from .heisenberg import SchrodingerModel, standard_selfdual
 from .linalg import rank_normal_form_stack
 from .rings import QuadExt, _roots, legendre, unit_phase
-from .symplectic import SympModule, symplectic_group
+from .symplectic import SympModule
 
 # stacked operators and traces take the elements this many at a time, which
 # bounds their work arrays whatever the group order; with 1024 the process
@@ -60,22 +60,23 @@ def bruhat_decompose(g, l, p):
 
 
 @lru_cache(maxsize=None)
-def weil_index(p: int, a: int, scale: int = 1) -> complex:
-    """Normalized Gauss sum: q^{-1/2} sum_t eta(a t^2), eta = (1/2)psi-bar."""
+def weil_index(p: int, a: int) -> complex:
+    """Normalized Gauss sum: q^{-1/2} sum_t eta(a t^2), eta = (1/2)psi-bar,
+    psi(x) = exp(2 pi i x / p)."""
     if a % p == 0:
         raise ValueError("Weil index needs a unit argument")
     half = pow(2, -1, p)
-    s = sum(unit_phase(scale * half * a * t * t, p) for t in range(p))
+    s = sum(unit_phase(half * a * t * t, p) for t in range(p))
     return s / cmath.sqrt(p)
 
 
-def weil_index_quadratic_ext(p: int, scale: int = 1, d: int | None = None) -> complex:
+def weil_index_quadratic_ext(p: int) -> complex:
     """omega'(1) for the residue quadratic extension F_{p^2}."""
-    ext = QuadExt(p, "unramified", 1, d=d)
+    ext = QuadExt(p, "unramified", 1)
     half = pow(2, -1, p)
     x, y = np.divmod(np.arange(p * p), p)
     # psi(Tr(z^2) / 2) for z = x + y nu, with Tr(z^2) = 2 (x^2 + d y^2)
-    ks = scale * half * 2 * (x * x + ext.d * y * y) % p
+    ks = half * 2 * (x * x + ext.d * y * y) % p
     return sum(_roots(p)[k] for k in ks.tolist()) / p
 
 
@@ -90,19 +91,16 @@ class OscillatorRep:
     through phi(x, y) = psi(-x.y/2) phi(0, y).
     """
 
-    def __init__(self, l: int, p: int, scale: int = 1):
+    def __init__(self, l: int, p: int):
         self.l = l
         self.p = p
-        self.scale = scale % p
-        if self.scale % p == 0:
-            raise ValueError("character scale must be a unit")
         self.dim = p ** l
         self.half = pow(2, -1, p)
         # the model polarized by X: its coset representatives are the
         # points (0, y), and their y blocks _ys are the basis, so rho acts
         # on the same basis
         spec = SympModule.standard(p, l, 0, 0)
-        self.heis = SchrodingerModel(spec, standard_selfdual(spec), self.scale)
+        self.heis = SchrodingerModel(spec, standard_selfdual(spec))
         self._ys = self.heis.pts[:, l:]
         # g^{-1} = J^{-1} g^T J for symplectic g, and J^{-1} = J^T
         self._gram = np.array(spec.gram, dtype=np.int64)
@@ -117,10 +115,10 @@ class OscillatorRep:
         z = np.concatenate([np.tile(self._ys, (self.dim, 1)),
                             np.repeat(self._ys, self.dim, axis=0)], axis=1)
         self._zz = (z[:, :, None] * z[:, None]).reshape(len(z), -1).T * 1.0
-        self._omega1 = weil_index(p, 1, self.scale)
+        self._omega1 = weil_index(p, 1)
         # m(theta, j) p^{j/2} at [theta, j], theta a unit
         self._scalar = np.array([[0j] * (l + 1)] + [
-            [(1.0 / weil_index(p, th, self.scale)) * self._omega1 ** (1 - j)
+            [(1.0 / weil_index(p, th)) * self._omega1 ** (1 - j)
              * (p ** (j / 2.0)) for j in range(l + 1)] for th in range(1, p)])
 
     def _terms(self, mats):
@@ -134,7 +132,7 @@ class OscillatorRep:
         cols = self._add[index(self._ys @ gt[:, l:, l:])[:, :, None],
                          index(self._ys @ gt[:, :l, l:])[:, None]]
         xy = np.eye(2 * l, k=l, dtype=np.int64)  # the form x.y
-        form = self.scale * self.half * (
+        form = self.half * (
             xy - gt[..., :l] @ gt[..., l:].swapaxes(1, 2)) % p
         return (cols.reshape(N, -1),
                 (form.reshape(N, -1) @ self._zz).astype(np.int64) % p)
@@ -197,11 +195,10 @@ def J_element(l, p):
                        for j in range(2 * l)) for i in range(2 * l))
 
 
-def parabolic_identity_report(rep: OscillatorRep, tol: float = 1e-8):
-    """Check S(p) = (det A / q) M_X(p) on the parabolic, the elements of
-    Sp(2l, F_p) with C = 0, and the J scalar."""
+def parabolic_identity_report(rep: OscillatorRep, mats, tol: float = 1e-8):
+    """Check S(p) = (det A / q) M_X(p) on the parabolic, the elements with
+    C = 0 of a stack mats of Sp(2l, F_p), and the J scalar."""
     l, p = rep.l, rep.p
-    mats = symplectic_group(SympModule.standard(p, l, 0, 0)).mats
     par = mats[~mats[:, l:, :l].any(axis=(1, 2))]
     signs = np.array([legendre(x, p) for x in range(p)])
     failures = []

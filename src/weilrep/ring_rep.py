@@ -74,21 +74,18 @@ def scaled_pair_flip(spec: SympModule) -> np.ndarray | None:
     group there; this flip (the reduction of a lattice-stabilizer element)
     is what rules out the spurious invariant boxes.
     """
-    if spec.r is None or spec.l is None:
+    if spec.l in (None, 0, spec.r):
         return None
-    l_real = spec.l if spec.flavor == "B" else spec.r - spec.l
-    if l_real == 0 or l_real == spec.r:
-        return None
-    i, r = np.arange(l_real), spec.r
+    i, r = np.arange(spec.l), spec.r
     mat = np.eye(spec.dim, dtype=np.int64)
     mat[i, i] = mat[r + i, r + i] = 0
     mat[r + i, i], mat[i, r + i] = -1, 1
     return mat % np.array(spec.moduli)[:, None]
 
 
-def invariance_generators(spec: SympModule) -> np.ndarray:
-    """`transvection_generators`, and the scaled-pair flip last, if any."""
-    gens = transvection_generators(spec)
+def invariance_generators(spec: SympModule, gens) -> np.ndarray:
+    """The generating set gens of the transvections, and the scaled-pair
+    flip last, if any."""
     flip = scaled_pair_flip(spec)
     if flip is None:
         return gens
@@ -97,18 +94,18 @@ def invariance_generators(spec: SympModule) -> np.ndarray:
     return np.concatenate([gens, flip[None]])
 
 
-def canonical_isotropic(spec: SympModule) -> IsotropicData:
+def canonical_isotropic(spec: SympModule, gens) -> IsotropicData:
     """The unique maximal Sp-invariant isotropic box submodule.
 
     Searched over all coordinate boxes and certified: isotropy, invariance
-    under the transvections plus the scaled-pair flip, maximality, and the
-    residue-field structure (m * U-perp inside U, nondegenerate reduced
-    form).
+    under gens (the `transvection_generators` of spec) plus the scaled-pair
+    flip, maximality, and the residue-field structure (m * U-perp inside U,
+    nondegenerate reduced form).
     """
     p = spec.p
     exps = spec.exps
     dim = spec.dim
-    gens = invariance_generators(spec)
+    gens = invariance_generators(spec, gens)
     candidates = []
     for divs in np.ndindex(*[e + 1 for e in exps]):
         if not box_isotropic(spec, divs):
@@ -116,7 +113,7 @@ def canonical_isotropic(spec: SympModule) -> IsotropicData:
         if not _box_invariant(spec, divs, gens):
             continue
         candidates.append(divs)
-    best = max(candidates, key=lambda d: spec.box_size(d))
+    best = max(candidates, key=spec.box_size)
     for other in candidates:
         if not _box_contains(spec, best, other):
             raise AssertionError(
@@ -165,7 +162,8 @@ class RingWeilRep:
 
     def __init__(self, spec: SympModule, iso: IsotropicData | None = None):
         self.spec = spec
-        self.iso = iso if iso is not None else canonical_isotropic(spec)
+        self.iso = (iso if iso is not None
+                    else canonical_isotropic(spec, self.gens))
         self.p = spec.p
         self.M = spec.modulus
         # the coset split y = xc + u over U-perp; coset c is the point
@@ -185,6 +183,13 @@ class RingWeilRep:
         # a group character multiplied into every S(g) by `blocks`; set it
         # before building any operator
         self.twist = None
+
+    @cached_property
+    def gens(self) -> np.ndarray:
+        """The certified `transvection_generators` of the module, built once
+        per model: the invariant box search, the group closure and the
+        generator words of every command read this one set."""
+        return transvection_generators(self.spec)
 
     # -- residue operators ---------------------------------------------------
 
@@ -364,23 +369,10 @@ def faithful_model(spec: SympModule) -> tuple[SympModule, bool]:
     2n+1, which the truncation identification matches with functions
     supported on the level-n shell.
     """
-    if spec.r is None or spec.l is None:
-        return spec, False
-    l_real = spec.l if spec.flavor == "B" else spec.r - spec.l
-    if l_real == spec.r and spec.r >= 1 and spec.n >= 1:
-        lifted = SympModule.standard(spec.p, spec.r, spec.r, 2 * spec.n + 1,
-                                     flavor="B")
-        return lifted, True
+    if spec.l is not None and spec.l == spec.r >= 1 and spec.n >= 1:
+        return SympModule.standard(spec.p, spec.r, spec.r, 2 * spec.n + 1), \
+            True
     return spec, False
-
-
-def build_ring_rep(spec: SympModule):
-    """The canonical representation on the faithful model of a standard
-    module spec; `lifted` says whether that is a deeper module."""
-    model_spec, lifted = faithful_model(spec)
-    rep = RingWeilRep(model_spec)
-    rep.lifted = lifted
-    return rep
 
 
 # -- decomposition -----------------------------------------------------------
@@ -490,9 +482,6 @@ def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
 def abelianization_cosets(group: FiniteGroup):
     """The coset of the derived subgroup D of each element index, numbered
     in order of first element, and the index of that first element."""
-    cached = getattr(group, "_ab_cache", None)
-    if cached is not None:
-        return cached
     D = derived_subgroup(group)
     labels = np.full(len(group), -1)
     reps = []
@@ -500,13 +489,14 @@ def abelianization_cosets(group: FiniteGroup):
         i = int(np.argmax(labels < 0))
         labels[group.find(group.mats[i] @ D.mats)] = len(reps)
         reps.append(i)
-    group._ab_cache = (labels, reps)
     return labels, reps
 
 
-def abelianization_character(group: FiniteGroup, a: int):
-    """The a-th character of the (cyclic) abelianization, as a function of
-    an element or a stack of them, and the order k of the abelianization."""
+def abelianization_character(group: FiniteGroup):
+    """The characters of the (cyclic) abelianization, from one pass over
+    the cosets of the derived subgroup: a function chi(g, a), the values of
+    the a-th character on an element or a stack of them, and the order k
+    of the abelianization."""
     labels, reps = abelianization_cosets(group)
     k = len(reps)
     eye = np.eye(group.spec.dim, dtype=np.int64)
@@ -518,14 +508,15 @@ def abelianization_character(group: FiniteGroup, a: int):
     cosets = labels[group.find(np.array(powers))]
     if len(set(cosets.tolist())) != k:
         raise AssertionError("abelianization is not cyclic")
-    values = np.empty(k, dtype=complex)
-    values[cosets] = np.array(_roots(k))[a * np.arange(k) % k]
+    # the power of gen in each coset
+    exponent = np.empty(k, dtype=np.int64)
+    exponent[cosets] = np.arange(k)
 
-    def chi(g):
+    def chi(g, a):
         idx = group.find(g)
         if np.any(idx < 0):
             raise KeyError("not an element of the group")
-        return values[labels[idx]]
+        return np.array(_roots(k))[a * exponent[labels[idx]] % k]
     return chi, k
 
 

@@ -74,14 +74,14 @@ class QuadExt:
     """Truncated quadratic extension of Z_p, on (..., 2) int arrays of
     (xi, eta) for xi + eta * nu.
 
-    unramified: adjoin nu with nu^2 = d (d a nonresidue unit); truncation at
-    level m keeps both coordinates mod p^m.
+    unramified: adjoin nu with nu^2 = d, d the smallest quadratic nonresidue
+    mod p; truncation at level m keeps both coordinates mod p^m.
 
     ramified: adjoin pi with pi^2 = p; truncation at pi-level s keeps
     xi mod p^ceil(s/2) and eta mod p^floor(s/2), mirroring O''/pi^s.
     """
 
-    def __init__(self, p: int, kind: str, level: int, d: int | None = None):
+    def __init__(self, p: int, kind: str, level: int):
         if kind not in ("unramified", "ramified"):
             raise ValueError(f"unknown kind {kind!r}")
         if level < 1:
@@ -90,9 +90,7 @@ class QuadExt:
         self.kind = kind
         self.level = level
         if kind == "unramified":
-            self.d = smallest_nonresidue(p) if d is None else d % p ** level
-            if legendre(self.d % p, p) != -1:
-                raise ValueError(f"d={d} is not a nonresidue unit mod {p}")
+            self.d = smallest_nonresidue(p)
             self.nu2 = self.d
             self.mod_xi = p ** level
             self.mod_eta = p ** level

@@ -23,7 +23,7 @@ from .rings import vp
 class SympModule:
     """Coordinate module prod_i Z/p^{moduli[i]} with alternating Gram form."""
 
-    def __init__(self, p, n, moduli, gram, r=None, l=None, flavor=None):
+    def __init__(self, p, n, moduli, gram, r=None, l=None):
         self.p = p
         self.n = n
         self.modulus = p ** (n + 1)          # values of the form live here
@@ -33,7 +33,6 @@ class SympModule:
         self.dim = len(self.moduli)
         self.r = r
         self.l = l
-        self.flavor = flavor
         # largest s with all gram entries divisible by p^s
         self.form_content = min((vp(x, p) for row in self.gram for x in row
                                  if x), default=n + 1)
@@ -45,30 +44,27 @@ class SympModule:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def standard(cls, p, r, l, n, flavor="B"):
+    def standard(cls, p, r, l, n):
         """The level-n module of a good lattice with invariant l.
 
         Coordinates are ordered (u_1..u_l, x_{l+1}..x_r, v_1..v_l,
         y_{l+1}..y_r); u,v have modulus p^n and x,y have p^{n+1}; the form is
-        p*(u.v' - v.u') + (x.y' - y.x').  The dual-side module ("Bstar") is
-        the same construction with l replaced by r - l.
+        p*(u.v' - v.u') + (x.y' - y.x').  The module of the dual lattice is,
+        up to relabeling the blocks, the one with l replaced by r - l.
         """
         if not (0 <= l <= r):
             raise ValueError(f"need 0 <= l <= r, got l={l}, r={r}")
         if n < 0:
             raise ValueError("level n must be >= 0")
-        l_real = l if flavor == "B" else r - l
-        if flavor not in ("B", "Bstar"):
-            raise ValueError(f"unknown flavor {flavor!r}")
-        moduli = [p ** n] * l_real + [p ** (n + 1)] * (r - l_real)
+        moduli = [p ** n] * l + [p ** (n + 1)] * (r - l)
         moduli = moduli + moduli
         dim = 2 * r
         gram = [[0] * dim for _ in range(dim)]
         for i in range(r):
-            c = p if i < l_real else 1
+            c = p if i < l else 1
             gram[i][r + i] = c
             gram[r + i][i] = -c % p ** (n + 1)
-        return cls(p, n, moduli, gram, r=r, l=l, flavor=flavor)
+        return cls(p, n, moduli, gram, r=r, l=l)
 
     def size(self) -> int:
         return math.prod(self.moduli)
@@ -114,7 +110,7 @@ class SympModule:
     def __repr__(self):
         tag = ""
         if self.r is not None:
-            tag = f", r={self.r}, l={self.l}, flavor={self.flavor}"
+            tag = f", r={self.r}, l={self.l}"
         return f"SympModule(p={self.p}, n={self.n}, moduli={self.moduli}{tag})"
 
 
@@ -230,21 +226,12 @@ def transvection_generators(spec: SympModule) -> np.ndarray:
     return gens[_lex_order(_lex_keys(gens, spec.moduli))]
 
 
-def _cache_key(spec: SympModule) -> tuple:
-    return (spec.p, spec.n, spec.moduli, spec.gram)
-
-
-_CERTIFICATES: dict = {}
-
-
 def _generates_all_transvections(spec: SympModule, vecs) -> bool:
     """Every orbit of <tau_{1,v} : v in vecs> on W meets a multiple of some
     v in vecs, or has a trivial transvection tau_{1,x} at its first point
-    x.  Cached per module and vecs, as it labels the orbits of all of W."""
+    x.  It labels the orbits of all of W, so a command makes it once per
+    module, through the one `transvection_generators` call of its model."""
     vecs = np.asarray(vecs, dtype=np.int64).reshape(-1, spec.dim)
-    key = (_cache_key(spec), vecs.tobytes())
-    if key in _CERTIFICATES:
-        return _CERTIFICATES[key]
     label = orbits(spec, _transvections(spec, vecs), spec.exps)
     multiples = (np.arange(spec.modulus)[:, None, None] * vecs
                  % np.array(spec.moduli)).reshape(-1, spec.dim)
@@ -253,8 +240,7 @@ def _generates_all_transvections(spec: SympModule, vecs) -> bool:
     firsts = spec.points()[np.unique(label, return_index=True)[1]]
     ident = np.eye(spec.dim, dtype=np.int64) % np.array(spec.moduli)[:, None]
     trivial = (_transvections(spec, firsts) == ident).all(axis=(1, 2))
-    _CERTIFICATES[key] = bool((met | trivial).all())
-    return _CERTIFICATES[key]
+    return bool((met | trivial).all())
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -534,20 +520,10 @@ def group_closure(spec: SympModule, gens,
     return FiniteGroup(spec, StabilizerChain(spec, gens, cap).elements(), gens)
 
 
-_SP_CACHE: dict = {}
-
-
 def symplectic_group(spec: SympModule, cap: int = 2_000_000) -> FiniteGroup:
     """The closure of `transvection_generators`: the group generated by all
-    transvections.  Cached per module; the cap holds for cached groups too."""
-    key = _cache_key(spec)
-    if key not in _SP_CACHE:
-        _SP_CACHE[key] = group_closure(spec, transvection_generators(spec),
-                                       cap=cap)
-    if len(_SP_CACHE[key]) > cap:
-        raise ClosureCapExceeded(
-            f"group closure exceeded cap of {cap} elements")
-    return _SP_CACHE[key]
+    transvections."""
+    return group_closure(spec, transvection_generators(spec), cap=cap)
 
 
 # -- orbits ------------------------------------------------------------------

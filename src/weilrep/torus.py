@@ -21,7 +21,7 @@ from .rings import (QuadElem, QuadExt, _roots, legendre,
                     smallest_nonresidue, unit_phase)
 from .ring_rep import (RingWeilRep, abelianization_character, direct_sum,
                        direct_sum_isotropic, traces)
-from .symplectic import ClosureCapExceeded, SympModule, symplectic_group
+from .symplectic import ClosureCapExceeded, SympModule, group_closure
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class TorusSpec:
     kind: str                 # "unramified" | "ramified"
     u_val: int = 0            # valuation of the twist element (unramified)
     n: int = 1                # truncation level of the symplectic module
-    d: int | None = None      # nonresidue for the unramified extension
 
     def __post_init__(self):
         if self.kind not in ("unramified", "ramified"):
@@ -64,7 +63,7 @@ class TorusContext:
         p, n = tspec.p, tspec.n
         self.p = p
         self.n = n
-        self.d = (smallest_nonresidue(p) if tspec.d is None else tspec.d)
+        self.d = smallest_nonresidue(p)
         if tspec.kind == "unramified":
             if tspec.u_val == 0:
                 self.level = n + 1
@@ -72,7 +71,7 @@ class TorusContext:
             else:
                 self.level = n
                 self.module = SympModule.standard(p, 1, 1, n)
-            self.ext = QuadExt(p, "unramified", self.level, d=self.d)
+            self.ext = QuadExt(p, "unramified", self.level)
         else:
             self.level = 2 * (n + 1)
             self.module = SympModule.standard(p, 1, 0, n)
@@ -181,7 +180,7 @@ class TorusContext:
         if self.tspec.kind != "unramified":
             raise ValueError("eta0 lives on unramified tori")
         p = self.p
-        ext1 = QuadExt(p, "unramified", 1, d=self.d % p)
+        ext1 = QuadExt(p, "unramified", 1)
         z = np.stack(np.divmod(np.arange(p * p), p), axis=1)
         norms = ext1.norm_of(z[:, 0], z[:, 1])
         hits = (norms != 0) & (ext1.mul(z, z) == norms[:, None]
@@ -428,13 +427,12 @@ def _twist_candidates(ctx: TorusContext, cap: int):
     if ctx.p != 3:
         return out, None
     try:
-        G = symplectic_group(ctx.module, cap=cap)
+        G = group_closure(ctx.module, ctx.rep.gens, cap=cap)
     except ClosureCapExceeded as exc:
         return out, str(exc)
-    _, k = abelianization_character(G, 0)
+    chi, k = abelianization_character(G)
     for a in range(1, k):
-        chi, _ = abelianization_character(G, a)
-        out.append((f"ab^{a}", chi(ctx.mats)))
+        out.append((f"ab^{a}", chi(ctx.mats, a)))
     return out, None
 
 
@@ -462,17 +460,17 @@ def product_torus_multiplicities(tspecs: list):
     return ctxs, big, rep, table
 
 
-def residue_operator_check(tspec: TorusSpec, tol: float = 1e-8):
+def residue_operator_check(ctx: TorusContext, tol: float = 1e-8):
     """Entrywise check of the closed operator formulas at the residue level.
 
-    Valid for the non-autodual unramified kind: the model is the residue
-    oscillator representation; the distinguished basis phi_s is indexed by
-    points s on the nu-line, and the operators of torus elements have an
-    explicit Gauss-coefficient form.
+    Valid for the context of the non-autodual unramified kind at n = 1: the
+    model is the residue oscillator representation; the distinguished basis
+    phi_s is indexed by points s on the nu-line, and the operators of torus
+    elements have an explicit Gauss-coefficient form.
     """
-    if tspec.kind != "unramified" or tspec.u_val != 1:
-        raise ValueError("residue check needs the non-autodual unramified kind")
-    ctx = TorusContext(TorusSpec(tspec.p, "unramified", 1, 1, tspec.d))
+    if (ctx.tspec.kind, ctx.tspec.u_val, ctx.n) != ("unramified", 1, 1):
+        raise ValueError("residue check needs the non-autodual unramified "
+                         "kind at n = 1")
     p, d = ctx.p, ctx.d
     q = p
     # basis change to the phi_s labels: column s is the delta seed at s*nu,
@@ -511,4 +509,4 @@ def residue_operator_check(tspec: TorusSpec, tol: float = 1e-8):
             rec["trace_consistent"] = abs(tr + eta0) < 1e-6
             rec["ok"] = rec["ok"] and rec["trace_consistent"]
         results.append(rec)
-    return ctx, results
+    return results

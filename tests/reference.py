@@ -6,8 +6,9 @@ shell loops the int64 point arrays replace; group elements as checked
 `GroupElem` views of a stacked group; the breadth-first closure the
 stabilizer chain replaces and the brute-force count of symplectic
 matrices; the test-only Heisenberg product and stabilizer
-representation, on arrays; and the test-only Gauss-sum, direct-sum and
-torus-character helpers."""
+representation, on arrays; the representation `ring` builds on the
+faithful model of a standard module; and the test-only Gauss-sum,
+direct-sum and torus-character helpers."""
 
 import math
 from collections import Counter
@@ -17,6 +18,7 @@ import numpy as np
 
 from weilrep.linalg import rank_normal_form_stack
 from weilrep.oscillator import weil_index, weil_index_quadratic_ext
+from weilrep.ring_rep import RingWeilRep, faithful_model
 from weilrep.rings import _roots, unit_phase
 from weilrep.symplectic import ClosureCapExceeded, GroupElem, _transvections
 
@@ -453,10 +455,16 @@ def elems(spec, mats):
 # -- test-only Gauss-sum, direct-sum and torus-character helpers -------------
 
 
-def hasse_davenport_holds(p, scale=1, tol=1e-9):
+def build_ring_rep(spec):
+    """The representation that `ring` builds for a standard module: the
+    canonical one on its faithful model."""
+    return RingWeilRep(faithful_model(spec)[0])
+
+
+def hasse_davenport_holds(p, tol=1e-9):
     """-omega'(1) = (-omega(1))^2 for the quadratic extension."""
-    w1 = weil_index(p, 1, scale)
-    wp = weil_index_quadratic_ext(p, scale)
+    w1 = weil_index(p, 1)
+    wp = weil_index_quadratic_ext(p)
     return abs(-wp - (-w1) ** 2) <= tol
 
 

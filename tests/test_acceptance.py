@@ -8,12 +8,11 @@ from itertools import product
 import numpy as np
 
 from elements import sl2_elements, sp_elements
-from reference import (char_order, embed_pair, hasse_davenport_holds,
-                       tensor_intertwiner)
+from reference import (build_ring_rep, char_order, embed_pair,
+                       hasse_davenport_holds, tensor_intertwiner)
 from weilrep.oscillator import (OscillatorRep, parabolic_identity_report,
                                 weil_index)
-from weilrep.ring_rep import (RingWeilRep, build_ring_rep, character_norm,
-                              decompose, direct_sum, direct_sum_isotropic,
+from weilrep.ring_rep import (RingWeilRep, character_norm, decompose, direct_sum, direct_sum_isotropic,
                               shell_dimensions, summand_characters, traces)
 from weilrep.rings import legendre
 from weilrep.symplectic import SympModule, orbits, symplectic_group
@@ -93,7 +92,8 @@ def test_criterion_3_parabolic_identities():
     detail = []
     for l, p in ((1, 3), (1, 5), (2, 3)):
         rep = OscillatorRep(l, p)
-        rpt = parabolic_identity_report(rep, tol=1e-8)
+        mats = symplectic_group(SympModule.standard(p, l, 0, 0)).mats
+        rpt = parabolic_identity_report(rep, mats, tol=1e-8)
         ok = ok and rpt["ok"]
         detail.append(f"l={l},p={p}:J_dev={rpt['J_deviation']:.1e}")
     report("criterion-3 parabolic and flip scalars", ok, " ".join(detail))
@@ -217,8 +217,8 @@ def test_criterion_9_residue_operator_formulas():
     ok = True
     details = []
     for p in (3, 5):
-        ctx, results = residue_operator_check(
-            TorusSpec(p, "unramified", 1), tol=1e-8)
+        results = residue_operator_check(
+            TorusContext(TorusSpec(p, "unramified", 1)), tol=1e-8)
         dev = max(rec["deviation"] for rec in results)
         traces_ok = all(rec.get("trace_consistent", True) for rec in results)
         ok = ok and dev < 1e-8 and traces_ok

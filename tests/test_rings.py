@@ -64,7 +64,8 @@ def test_val_total():
 
 
 def test_quad_norm_examples():
-    ext = QuadExt(3, "unramified", 1, d=2)
+    ext = QuadExt(3, "unramified", 1)
+    assert ext.d == 2
     assert ext.norm_of(1, 1) == (1 - 2) % 3 == 2
     ram = QuadExt(3, "ramified", 3)
     assert ram.norm_of(1, 1) == (1 - 3) % 9

@@ -52,9 +52,10 @@ def test_form_alternating_bilinear():
 
 
 def test_bstar_realization_matches_dual_side():
-    """The Bstar flavor is the dual-basis module up to block relabeling."""
+    """The module of the dual lattice B* of invariant l is, up to block
+    relabeling, the standard module at r - l."""
     p, r, l, n = 3, 2, 1, 1
-    star = SympModule.standard(p, r, l, n, flavor="Bstar")
+    star = SympModule.standard(p, r, r - l, n)
     # literal dual-side module on the basis (e_1..e_l, e_{l+1}..e_r,
     # w^{-1}f_1..w^{-1}f_l, f_{l+1}..f_r): unit pairing on the first block,
     # p-scaled pairing on the second
@@ -194,11 +195,12 @@ def test_group_words_find_character_and_orbits(args, letters1, letters2):
     w1, w2 = _word(gens, letters1), _word(gens, letters2)
     for w in (w1, w2, w1 * w2):
         assert elems(spec, G.mats[[G.find(w)]]) == [w]
-    chi, _ = abelianization_character(G, 1)
+    ab, _ = abelianization_character(G)
+    chi = lambda g: ab(g, 1)
     assert abs(chi(w1 * w2) - chi(w1) * chi(w2)) < 1e-12
     # the orbits of <w1, w2> partition W and the U-perp cosets, and each is
     # closed under both words
-    for box in (spec.exps, canonical_isotropic(spec).uperp_box):
+    for box in (spec.exps, canonical_isotropic(spec, G.gens).uperp_box):
         orbs = orbit_lists(orbits(spec, [w1, w2], box), spec.points(box))
         pts = [v for orb in orbs for v in orb]
         assert sorted(pts) == quotient_reps(spec, box)
@@ -212,18 +214,17 @@ def test_group_words_find_character_and_orbits(args, letters1, letters2):
 
 
 def _random_module_params():
-    """Standard modules in both flavors, with equal and mixed moduli, also
-    with the gram scaled by p (gram content one more), up to 3^8 points."""
+    """Standard modules, with equal and mixed moduli, also with the gram
+    scaled by p (gram content one more), up to 3^8 points."""
     out = []
     for p in (3, 5):
         for r in (1, 2):
             for l in range(r + 1):
                 for n in range(3):
-                    for flavor in ("B", "Bstar"):
-                        for scaled in (False, True):
-                            spec = SympModule.standard(p, r, l, n, flavor)
-                            if spec.size() <= 3 ** 8:
-                                out.append((p, r, l, n, flavor, scaled))
+                    for scaled in (False, True):
+                        spec = SympModule.standard(p, r, l, n)
+                        if spec.size() <= 3 ** 8:
+                            out.append((p, r, l, n, scaled))
     return out
 
 
@@ -231,8 +232,8 @@ MODULE_PARAMS = _random_module_params()
 
 
 def _module(params):
-    p, r, l, n, flavor, scaled = params
-    spec = SympModule.standard(p, r, l, n, flavor)
+    p, r, l, n, scaled = params
+    spec = SympModule.standard(p, r, l, n)
     if scaled:
         spec = SympModule(p, n, spec.moduli,
                           [[p * x for x in row] for row in spec.gram])

@@ -223,7 +223,7 @@ def test_deep_odd_conductor_eigenvector():
 
 def test_residue_operator_formulas():
     for p in (3, 5):
-        ctx, results = residue_operator_check(TorusSpec(p, "unramified", 1))
+        results = residue_operator_check(ctx_of(p, "unramified", 1))
         assert all(rec["ok"] for rec in results)
         assert max(rec["deviation"] for rec in results) < 1e-8
         # the flip at -1 and the trace consistency are part of the records
@@ -231,8 +231,10 @@ def test_residue_operator_formulas():
 
 
 def test_residue_check_rejects_wrong_kind():
-    with pytest.raises(ValueError):
-        residue_operator_check(TorusSpec(3, "unramified", 0))
+    for kind, uval, n in (("unramified", 0, 1), ("ramified", 0, 1),
+                          ("unramified", 1, 2)):
+        with pytest.raises(ValueError):
+            residue_operator_check(ctx_of(3, kind, uval, n))
 
 
 def test_product_torus_same_kind():
