@@ -153,14 +153,17 @@ def cmd_field(args) -> int:
     rpt = osc.parabolic_identity_report(rep, mats, tol=tol)
     rep_doc.check("parabolic-scalar", "parabolic-scalar",
                   not rpt["parabolic_failures"],
-                  measured={"failures": len(rpt["parabolic_failures"])})
+                  measured={"failures": len(rpt["parabolic_failures"])},
+                  residual=rpt["parabolic_deviation"])
     rep_doc.check("siegel-flip-scalar", "siegel-flip-scalar",
                   rpt["J_deviation"] <= tol, residual=rpt["J_deviation"])
 
     cn = float(np.sum(np.abs(rep.traces(mats)) ** 2)) / order
+    orb = int(orbits(G.spec, G.gens, G.spec.exps).max()) + 1
     rep_doc.check("orbit-count-identity", "orbit-count-identity",
-                  abs(cn - 2) <= 1e-6, measured={"character_norm": cn,
-                                                 "orbit_count": 2})
+                  abs(cn - orb) <= 1e-6,
+                  measured={"character_norm": cn, "orbit_count": orb},
+                  residual=abs(cn - orb))
     return rep_doc.finish(args.out)
 
 

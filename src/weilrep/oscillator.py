@@ -18,12 +18,12 @@ import numpy as np
 from .heisenberg import SchrodingerModel, standard_selfdual
 from .linalg import rank_normal_form_stack
 from .rings import QuadExt, _roots, legendre, unit_phase
-from .symplectic import SympModule
+from .symplectic import SympModule, _lex_keys
 
-# stacked operators and traces take the elements this many at a time, which
-# bounds their work arrays whatever the group order; with 1024 the process
-# running the 17,496-element sums of `ring --p 3 --r 1 --l 1 --n 1` peaked
-# 1.1 MB higher than with 512
+# stacked operators and traces build their point terms this many elements
+# at a time (their scalars once per distinct (C, D), see `_chunks`), which
+# bounds their work arrays whatever the group order; with 1024 the 17,496-
+# element sums of `ring --p 3 --r 1 --l 1 --n 1` peaked 1.1 MB higher
 _CHUNK = 512
 
 
@@ -54,6 +54,13 @@ def bruhat_decompose(g, l, p):
     """`cell_invariants` of one matrix: (theta, j) as ints."""
     th, j = cell_invariants(np.asarray(g, dtype=np.int64)[None], l, p)
     return int(th[0]), int(j[0])
+
+
+def inverse_transpose(mats, l):
+    """J^T g J = [[D, -C], [-B, A]] of each g = [[A, B], [C, D]] of a stack,
+    J the standard Gram matrix: g^{-T} for symplectic g."""
+    return np.block([[mats[:, l:, l:], -mats[:, l:, :l]],
+                     [-mats[:, :l, l:], mats[:, :l, :l]]])
 
 
 # -- Weil index --------------------------------------------------------------
@@ -102,15 +109,14 @@ class OscillatorRep:
         spec = SympModule.standard(p, l, 0, 0)
         self.heis = SchrodingerModel(spec, standard_selfdual(spec))
         self._ys = self.heis.pts[:, l:]
-        # g^{-1} = J^{-1} g^T J for symplectic g, and J^{-1} = J^T
-        self._gram = np.array(spec.gram, dtype=np.int64)
         # M_X sums over the points z = (x, y_j), x inner, y_j outer; row j
         # of the operator collects the points with y = y_j
         self._rows = np.repeat(np.arange(self.dim), self.dim)
-        self._roots = np.array(_roots(p))
+        # psi at each phase exponent of `_terms`, unreduced: (2l)^2 terms < p^3
+        self._roots = np.array(_roots(p))[np.arange(4 * l * l * p ** 3) % p]
         self._radix = p ** np.arange(l - 1, -1, -1)  # index of y in _ys
-        # index of y + y' in _ys at [index of y, index of y']
-        self._add = (self._ys[:, None] + self._ys) % p @ self._radix
+        # index of y + y' in _ys at p^l (index of y) + index of y'
+        self._add = ((self._ys[:, None] + self._ys) % p @ self._radix).ravel()
         # the products z_a z_b of every point z, a row per (a, b)
         z = np.concatenate([np.tile(self._ys, (self.dim, 1)),
                             np.repeat(self._ys, self.dim, axis=0)], axis=1)
@@ -125,17 +131,18 @@ class OscillatorRep:
         """The term of each point z = (x, y_j) in row j of M_X(g), for a
         stack reduced mod p: its column, the index of v_Y for v = z g^{-T},
         from the addition table of Y; and its phase exponent, the form
-        (x.y - v_X.v_Y)/2 at z, from one float product (exact here)."""
+        (x.y - v_X.v_Y)/2 at z, from one float product (exact here) and
+        not reduced mod p, which `_roots` absorbs."""
         p, l, N = self.p, self.l, len(mats)
-        gt = self._gram.T @ mats @ self._gram % p  # g^{-T}
+        gt = inverse_transpose(mats, l)  # g^{-T}
         index = lambda v: v % p @ self._radix
-        cols = self._add[index(self._ys @ gt[:, l:, l:])[:, :, None],
-                         index(self._ys @ gt[:, :l, l:])[:, None]]
+        cols = self._add[index(self._ys @ gt[:, l:, l:])[:, :, None] * self.dim
+                         + index(self._ys @ gt[:, :l, l:])[:, None]]
         xy = np.eye(2 * l, k=l, dtype=np.int64)  # the form x.y
         form = self.half * (
             xy - gt[..., :l] @ gt[..., l:].swapaxes(1, 2)) % p
         return (cols.reshape(N, -1),
-                (form.reshape(N, -1) @ self._zz).astype(np.int64) % p)
+                (form.reshape(N, -1) @ self._zz).astype(np.int64))
 
     def _M_X(self, mats) -> np.ndarray:
         """M_X of a stack: the phases of the terms summed into their rows
@@ -149,24 +156,27 @@ class OscillatorRep:
         return op.reshape(N, d, d) / d
 
     def _chunks(self, mats):
-        """The chunks of a stack, reduced mod p, each with its scalars
-        m(g) p^{j/2}, m(g) = omega(theta)^{-1} omega(1)^{1-j}."""
-        mats = np.asarray(mats, dtype=np.int64)
+        """The _CHUNK-element chunks of a stack, reduced mod p, with their
+        scalars m(g) p^{j/2}, m(g) = omega(theta)^{-1} omega(1)^{1-j}, once
+        per distinct (C, D) of the stack, keyed with no reduced copy of it."""
+        mats, l, p = np.asarray(mats, dtype=np.int64), self.l, self.p
+        _, first, which = np.unique(_lex_keys(mats[:, l:], (p,) * l),
+                                    return_index=True, return_inverse=True)
+        m = self._scalar[cell_invariants(mats[first], l, p)]
         for start in range(0, len(mats), _CHUNK):
-            chunk = mats[start:start + _CHUNK] % self.p
-            yield start, chunk, self._scalar[cell_invariants(chunk, self.l,
-                                                             self.p)]
+            yield (start, mats[start:start + _CHUNK] % p,
+                   m[which[start:start + _CHUNK]])
 
     def ops(self, mats) -> np.ndarray:
         """S(g) = m(g) p^{j/2} M_X(g) for every matrix of an int64
-        (N, 2l, 2l) stack, _CHUNK at a time: (N, p^l, p^l)."""
+        (N, 2l, 2l) stack, over `_chunks`: (N, p^l, p^l)."""
         out = np.empty((len(mats), self.dim, self.dim), dtype=complex)
         for start, chunk, m in self._chunks(mats):
             out[start:start + _CHUNK] = m[:, None, None] * self._M_X(chunk)
         return out
 
     def traces(self, mats) -> np.ndarray:
-        """tr S(g) for every matrix of a stack, _CHUNK at a time, from the
+        """tr S(g) for every matrix of a stack, over `_chunks`, from the
         terms on the diagonal of M_X alone: (N,)."""
         out = np.empty(len(mats), dtype=complex)
         for start, chunk, m in self._chunks(mats):
@@ -196,21 +206,23 @@ def J_element(l, p):
 
 
 def parabolic_identity_report(rep: OscillatorRep, mats, tol: float = 1e-8):
-    """Check S(p) = (det A / q) M_X(p) on the parabolic, the elements with
-    C = 0 of a stack mats of Sp(2l, F_p), and the J scalar."""
+    """Check S(p) = m(p) M_X(p) = (det A / q) M_X(p), one M_X per element,
+    on the elements with C = 0 of a stack of Sp(2l, F_p); and J's scalar."""
     l, p = rep.l, rep.p
     par = mats[~mats[:, l:, :l].any(axis=(1, 2))]
     signs = np.array([legendre(x, p) for x in range(p)])
-    failures = []
-    for start in range(0, len(par), _CHUNK):
-        chunk = par[start:start + _CHUNK]
+    failures, worst = [], 0.0
+    for _, chunk, m in rep._chunks(par):
         # det u of the X-block A is 1 / det A: one square class
         zeta = signs[rank_normal_form_stack(chunk[:, :l, :l], p)[3]]
-        dev = np.abs(rep.ops(chunk) - zeta[:, None, None] * rep._M_X(chunk))
+        M = rep._M_X(chunk)
+        dev = np.abs(m[:, None, None] * M - zeta[:, None, None] * M)
         failures += [(g.tolist(), d) for g, d in
                      zip(chunk, dev.max(axis=(1, 2)).tolist()) if d > tol]
+        worst = max(worst, float(dev.max()))
     J = J_element(l, p)
     scal = (legendre(-1, p) ** l) * rep._omega1 ** (-l) * p ** (l / 2.0)
     devJ = np.abs(rep.op(J) - scal * rep.M_X(J)).max()
     ok = not failures and devJ <= tol
-    return {"parabolic_failures": failures, "J_deviation": devJ, "ok": ok}
+    return {"parabolic_failures": failures, "parabolic_deviation": worst,
+            "J_deviation": devJ, "ok": ok}

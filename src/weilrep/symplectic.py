@@ -248,13 +248,13 @@ class ClosureCapExceeded(RuntimeError):
 
 
 def _lex_keys(mats, moduli) -> np.ndarray:
-    """The key of each matrix of an (N, d, d) stack, its rows reduced here
+    """The key of each matrix of an (N, k, d) stack, its rows reduced here
     mod moduli[i]: the entries, row-major, as the mixed-radix digits of as
     few int64 words as hold them.  One int64 per matrix when one word
     does, else a record of int64 words; the keys sort, field by field, as
     the matrices do in the order of `GroupElem.mat`."""
     d = mats.shape[-1]
-    flat = mats.reshape(len(mats), d * d)
+    flat = mats.reshape(len(mats), mats.shape[-2] * d)
     words, size = [np.zeros(len(flat), dtype=np.int64)], 1
     for i, m in enumerate([x for x in moduli for _ in range(d)]):
         if size * m > 2 ** 63:

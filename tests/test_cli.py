@@ -7,10 +7,11 @@ from itertools import chain
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import weilrep.ring_rep as rr
-from weilrep import symplectic
+from weilrep import cli, symplectic
 from weilrep.cli import COMMANDS, STATUSES, Report, _parser, main
 
 SCHEMA = json.loads(resources.files("weilrep")
@@ -33,6 +34,26 @@ def test_field_command(tmp_path):
     assert all(c["status"] in ("pass", "info", "skipped")
                for c in doc["checks"])
     assert all("anchor" in c for c in doc["checks"])
+
+
+def test_field_reports_parabolic_and_orbit_count_residuals(tmp_path,
+                                                            monkeypatch):
+    """parabolic-scalar carries the worst deviation, and the orbit count is
+    that of `orbits` on F_p^{2l}, with |norm - count| as the residual."""
+    code, doc = run(tmp_path, "f.json", ["field", "--p", "5", "--rank", "1"])
+    recs = {c["name"]: c for c in doc["checks"]}
+    assert code == 0 and 0 <= recs["parabolic-scalar"]["residual"] <= 1e-8
+    orbit = recs["orbit-count-identity"]
+    assert orbit["measured"]["orbit_count"] == 2
+    assert orbit["residual"] == pytest.approx(
+        abs(orbit["measured"]["character_norm"] - 2), abs=1e-12)
+    three = lambda spec, gens, box: np.arange(len(spec.points(box))) % 3
+    monkeypatch.setattr(cli, "orbits", three)
+    code, doc = run(tmp_path, "g.json", ["field", "--p", "5", "--rank", "1"])
+    orbit = {c["name"]: c for c in doc["checks"]}["orbit-count-identity"]
+    assert code == 1 and orbit["status"] == "fail"
+    assert orbit["measured"]["orbit_count"] == 3
+    assert orbit["residual"] == pytest.approx(1.0)
 
 
 def test_field_p5(tmp_path):

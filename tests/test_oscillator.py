@@ -1,16 +1,18 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
 from elements import parabolic_elements, sl2_elements, sp_elements
-from reference import (det_X, hasse_davenport_holds, mat_mul,
-                       reference_bruhat, reference_invariants, tau_matrix)
+from reference import (det_X, hasse_davenport_holds, mat_det, mat_mul,
+                       reference_bruhat, reference_invariants,
+                       reference_traces, tau_matrix)
 from weilrep import oscillator
 from weilrep.oscillator import (J_element, OscillatorRep, bruhat_decompose,
-                                cell_invariants, parabolic_identity_report,
-                                weil_index)
+                                cell_invariants, inverse_transpose,
+                                parabolic_identity_report, weil_index)
 from weilrep.rings import legendre
 from weilrep.symplectic import SympModule, symplectic_group
 
@@ -52,11 +54,15 @@ def test_stacked_cell_invariants_match_factorization(l, p):
         [reference_invariants(g, l, p) for g in els]
 
 
-def test_stacked_path_runs_no_per_element_elimination(monkeypatch):
-    """ops eliminates once for C and once for K per 512-element chunk."""
-    rep = OscillatorRep(2, 3)
-    G = symplectic_group(SympModule.standard(3, 2, 0, 0))
-    mats = G.mats[random.Random(6).sample(range(len(G)), 1000)]
+@pytest.fixture(scope="module")
+def sp4():
+    """The representation of Sp(4, F_3) and its 51,840 elements."""
+    return (OscillatorRep(2, 3),
+            symplectic_group(SympModule.standard(3, 2, 0, 0)))
+
+
+def count_eliminations(monkeypatch):
+    """The stack sizes of the eliminations `oscillator` runs from now on."""
     calls = []
 
     def counted(c, p):
@@ -64,11 +70,64 @@ def test_stacked_path_runs_no_per_element_elimination(monkeypatch):
         return stacked(c, p)
     stacked = oscillator.rank_normal_form_stack
     monkeypatch.setattr(oscillator, "rank_normal_form_stack", counted)
+    return calls
+
+
+def test_stacked_path_runs_no_per_element_elimination(monkeypatch, sp4):
+    """ops eliminates once for C and once for K, each on the distinct
+    bottom block rows (C, D) of the whole stack."""
+    rep, G = sp4
+    mats = G.mats[random.Random(6).sample(range(len(G)), 1000)]
+    calls = count_eliminations(monkeypatch)
     S = rep.ops(mats)
-    assert calls == [512, 512, 488, 488]
+    rows = len(np.unique(mats[:, 2:], axis=0))
+    assert rows < 1000 and calls == [rows, rows]
     assert np.abs(S @ S.conj().swapaxes(1, 2) - np.eye(rep.dim)).max() < 1e-12
     assert bruhat_decompose(mats[0], 2, 3)[1] == np.linalg.matrix_rank(
         mats[0][2:, :2])
+
+
+def test_whole_group_traces_eliminate_each_bottom_row_once(monkeypatch, sp4):
+    """tr S(g) on all of Sp(4, F_3) equals the per-chunk path bit for bit,
+    from two eliminations of the 1,920 distinct (C, D), each shared by the
+    27 elements of a coset of the Siegel unipotent radical."""
+    rep, G = sp4
+    calls = count_eliminations(monkeypatch)
+    tr = rep.traces(G.mats)
+    assert calls == [1920, 1920]
+    assert len(np.unique(G.mats[:, 2:], axis=0)) == 1920
+    monkeypatch.undo()
+    assert (tr == reference_traces(rep, G.mats)).all()
+
+
+def test_inverse_transpose_reads_the_blocks(sp4):
+    """J^T g J off the blocks, for the group and for integer matrices that
+    are not symplectic; it is g^{-T} on the group."""
+    _, G = sp4
+    rng = np.random.default_rng(2)
+    for l, p in ((1, 5), (2, 3), (3, 7)):
+        gram = np.array(SympModule.standard(p, l, 0, 0).gram, dtype=np.int64)
+        g = rng.integers(-50, 50, (200, 2 * l, 2 * l))
+        assert (inverse_transpose(g, l) % p == gram.T @ g @ gram % p).all()
+    gram = np.array(SympModule.standard(3, 2, 0, 0).gram, dtype=np.int64)
+    gt = inverse_transpose(G.mats, 2)
+    assert (gt % 3 == gram.T @ G.mats @ gram % 3).all()
+    assert (G.mats.swapaxes(1, 2) @ gt % 3 == np.eye(4, dtype=int)).all()
+
+
+def test_traces_allocate_well_under_a_reduced_copy_of_the_stack(sp4):
+    """The keys of the bottom rows are built without reducing the stack:
+    the peak of `traces` on Sp(4, F_3) stays under 60% of the 6.6 MB that
+    one reduced copy of its 51,840 elements takes."""
+    rep, G = sp4
+    rep.traces(G.mats[:1])
+    tracemalloc.start()
+    try:
+        rep.traces(G.mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * G.mats.nbytes
 
 
 def test_weil_index_identities():
@@ -181,6 +240,21 @@ def test_parabolic_identities():
         mats = symplectic_group(SympModule.standard(p, l, 0, 0)).mats
         rpt = parabolic_identity_report(rep, mats)
         assert rpt["ok"], rpt
+        assert 0 <= rpt["parabolic_deviation"] <= 1e-8
+
+
+def test_parabolic_deviation_is_the_two_build_deviation():
+    """S(p) = m(p) M_X(p) from one M_X build deviates from (det A / p)
+    M_X(p) by the same bits as `ops` against a second build of M_X."""
+    for l, p in ((1, 5), (2, 3)):
+        rep = OscillatorRep(l, p)
+        mats = symplectic_group(SympModule.standard(p, l, 0, 0)).mats
+        par = mats[~mats[:, l:, :l].any(axis=(1, 2))]
+        zeta = np.array([legendre(mat_det(g[:l, :l].tolist(), p), p)
+                         for g in par])
+        dev = np.abs(rep.ops(par) - zeta[:, None, None] * rep._M_X(par))
+        assert parabolic_identity_report(rep, mats)["parabolic_deviation"] \
+            == float(dev.max())
 
 
 def test_J_scalar_value():
