@@ -2,8 +2,9 @@
 
 from .rings import (QuadElem, QuadExt, legendre, smallest_nonresidue,
                     unit_phase)
-from .symplectic import (FiniteGroup, SympModule, group_closure, orbits,
-                         symplectic_group, transvection_generators)
+from .symplectic import (FiniteGroup, SympModule, conjugacy_classes,
+                         group_closure, orbits, symplectic_group,
+                         transvection_generators)
 from .heisenberg import SchrodingerModel, standard_selfdual
 from .oscillator import OscillatorRep, bruhat_decompose, weil_index
 from .ring_rep import (RingWeilRep, canonical_isotropic, character_norm,

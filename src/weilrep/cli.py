@@ -21,8 +21,9 @@ from . import oscillator as osc
 from . import ring_rep as rr
 from . import torus as tor
 from .rings import _is_prime, legendre
-from .symplectic import (ClosureCapExceeded, SympModule, group_closure,
-                         orbits, symplectic_group)
+from .symplectic import (ClosureCapExceeded, SympModule,
+                         conjugacy_classes, group_closure, orbits,
+                         symplectic_group)
 
 SCHEMA_VERSION = "2"
 
@@ -237,13 +238,16 @@ def cmd_ring(args) -> int:
     rep_doc.check("summand-count", "summand-count", True,
                   measured={"count": len(summands), "dims": dims,
                             "sum": sum(dims), "model_dim": rep.dim})
-    chars = rr.summand_characters(rep, G, summands)
-    gram = (chars @ chars.conj().T / len(G))
+    # the summand characters (twisted or not) are class functions, so each
+    # sum over G is one term per conjugacy class, weighted by its size
+    reps, sizes = conjugacy_classes(G)
+    chars = rr.summand_characters(rep, G.mats[reps], summands)
+    gram = (chars * sizes) @ chars.conj().T / len(G)
     irr_dev = float(np.abs(gram - np.eye(len(summands))).max())
     rep_doc.check("summand-irreducibility", "summand-irreducibility",
                   irr_dev <= 1e-6, residual=irr_dev)
     # the summands decompose the model, so their characters sum to tr S(g)
-    cn, dev = rr.character_norm(chars.sum(axis=0))
+    cn, dev = rr.character_norm(chars.sum(axis=0), sizes)
     orb = int(orbits(rep.spec, G.gens, rep.spec.exps).max()) + 1
     rep_doc.check("orbit-count-identity", "orbit-count-identity",
                   cn == orb and dev <= 1e-6,

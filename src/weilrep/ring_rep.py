@@ -426,31 +426,34 @@ def traces(rep, elements) -> np.ndarray:
     return out
 
 
-def summand_characters(rep, group: FiniteGroup, summands: list[Summand]):
+def summand_characters(rep, mats, summands: list[Summand]):
     """chi(g) = (tr_O S(g) + eps tr_O S(-g))/2 per summand (O, eps) per
-    group element, in element order, as S(-1) S(g) = S(-g).  Each chunk of
-    elements goes through `blocks` stacked with its negation, and the
-    traces over the cosets of each orbit O are summed at once."""
+    element of an (N, d, d) stack, in order, as S(-1) S(g) = S(-g).  The
+    characters are class functions, so `cmd_ring` passes one element per
+    conjugacy class.  Each chunk of elements goes through `blocks` stacked
+    with its negation, and the traces over the cosets of each orbit O are
+    summed at once."""
     orbit, owner = {}, np.full(rep.heis.dim, len(summands))
     for sm in summands:
         owner[sm.cosets] = orbit.setdefault(int(sm.cosets[0]), len(orbit))
     rows = [orbit[int(sm.cosets[0])] for sm in summands]
     eps = np.array([sm.eps for sm in summands])[:, None]
-    out = np.empty((len(summands), len(group)), dtype=complex)
+    out = np.empty((len(summands), len(mats)), dtype=complex)
     mods = rep.heis.mods[:, None]
-    for start in range(0, len(group), _CHUNK):
-        mats = group.mats[start:start + _CHUNK]
-        tr = rep.blocks(np.concatenate([mats, -mats % mods])).traces(
+    for start in range(0, len(mats), _CHUNK):
+        part = mats[start:start + _CHUNK]
+        tr = rep.blocks(np.concatenate([part, -part % mods])).traces(
             owner)[rows]
-        out[:, start:start + len(mats)] = (tr[:, :len(mats)]
-                                           + eps * tr[:, len(mats):]) / 2
+        out[:, start:start + len(part)] = (tr[:, :len(part)]
+                                           + eps * tr[:, len(part):]) / 2
     return out
 
 
-def character_norm(chi):
-    """(1/|G|) sum |chi(g)|^2 of a character given as its row of values
-    over the whole group, with its deviation from the nearest integer."""
-    val = float(np.sum(np.abs(chi) ** 2)) / len(chi)
+def character_norm(chi, weights):
+    """(1/|G|) sum |chi(g)|^2 of a class function given by its values chi
+    on one element per class and the class sizes weights (|G| their sum),
+    with its deviation from the nearest integer."""
+    val = float(np.sum(weights * np.abs(chi) ** 2)) / int(np.sum(weights))
     return int(round(val)), abs(val - round(val))
 
 

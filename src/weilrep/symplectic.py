@@ -302,10 +302,15 @@ class FiniteGroup:
     def find(self, mats):
         """Index of each matrix of an (..., d, d) integer array-like, its
         rows reduced here, in the group, -1 where it is not an element; an
-        int for a single matrix."""
+        int for a single matrix.  The keys are searched in sorted order,
+        so that successive binary searches share their path through a
+        large group's keys and stay in cache."""
         mats = np.asarray(mats, dtype=np.int64)
         ks = _lex_keys(mats.reshape((-1,) + mats.shape[-2:]), self.spec.moduli)
-        pos = np.minimum(np.searchsorted(self.keys, ks), len(self) - 1)
+        order = np.argsort(ks)
+        pos = np.empty(len(ks), dtype=np.int64)
+        pos[order] = np.minimum(np.searchsorted(self.keys, ks[order]),
+                                len(self) - 1)
         out = np.where(self.keys[pos] == ks, pos, -1).reshape(mats.shape[:-2])
         return int(out) if out.ndim == 0 else out
 
@@ -542,15 +547,52 @@ def orbits(spec: SympModule, gens, box) -> np.ndarray:
     quot = [spec.p ** min(c, a) for c, a in zip(box, spec.exps)]
     perms = [np.ravel_multi_index((pts @ g.T % quot).T, quot) for g in
              np.asarray(gens, dtype=np.int64).reshape(-1, spec.dim, spec.dim)]
-    label, prev = np.arange(len(pts)), None
+    firsts, which, sizes = np.unique(_least_reachable(perms, len(pts)),
+                                     return_inverse=True, return_counts=True)
+    number = np.empty(len(firsts), dtype=np.int64)
+    number[np.lexsort((firsts, sizes))] = np.arange(len(firsts))
+    return number[which]
+
+
+def _least_reachable(perms, n) -> np.ndarray:
+    """The smallest index that each of range(n) reaches along the index
+    arrays perms, permutations of range(n): each round pulls every label
+    down along each array, then halves the chains by pointer jumping,
+    until no label moves."""
+    label, prev = np.arange(n), None
     while prev is None or (label != prev).any():
         prev = label
         for perm in perms:
             label = np.minimum(label, label[perm])
         label = label[label]
-    firsts, which, sizes = np.unique(label, return_inverse=True,
-                                     return_counts=True)
-    number = np.empty(len(firsts), dtype=np.int64)
-    number[np.lexsort((firsts, sizes))] = np.arange(len(firsts))
-    return number[which]
+    return label
+
+
+# elements conjugated and looked up at once by `conjugacy_classes`
+_CLASS_CHUNK = 65_536
+
+
+def conjugacy_classes(group: FiniteGroup):
+    """The conjugacy classes of a group: the index of its first element in
+    each class, ascending, and the class sizes, two int64 arrays.
+
+    Conjugation by a generator s is one index array, find(s g s^-1) over
+    the elements, and the classes are the orbits of these permutations
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    2005), labelled as in `orbits`.
+    """
+    spec = group.spec
+    mods = np.array(spec.moduli, dtype=np.int64)[:, None]
+    Sinv = mat_inv_stack(group.gens, spec.p, spec.n + 1) % mods
+    perms = []
+    for s, sinv in zip(group.gens, Sinv):
+        perm = np.concatenate([
+            group.find(s @ group.mats[start:start + _CLASS_CHUNK] % mods
+                       @ sinv)
+            for start in range(0, len(group), _CLASS_CHUNK)])
+        if (perm < 0).any():
+            raise ValueError("a generator conjugates an element out of "
+                             "the group")
+        perms.append(perm)
+    return np.unique(_least_reachable(perms, len(group)), return_counts=True)
 

@@ -8,8 +8,9 @@ shell loops the int64 point arrays replace; group elements as checked
 stabilizer chain replaces and the brute-force count of symplectic
 matrices; the test-only Heisenberg product and stabilizer
 representation, on arrays; the representation `ring` builds on the
-faithful model of a standard module; and the test-only Gauss-sum,
-direct-sum and torus-character helpers."""
+faithful model of a standard module, and the character sums over every
+group element that its sums over conjugacy classes replace; and the
+test-only Gauss-sum, direct-sum and torus-character helpers."""
 
 import math
 from collections import Counter
@@ -20,7 +21,7 @@ import numpy as np
 from weilrep.linalg import rank_normal_form_stack
 from weilrep.oscillator import (cell_invariants, weil_index,
                                 weil_index_quadratic_ext)
-from weilrep.ring_rep import RingWeilRep, faithful_model
+from weilrep.ring_rep import RingWeilRep, faithful_model, summand_characters
 from weilrep.rings import _roots, unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, GroupElem, SympModule,
                                 _transvections)
@@ -486,6 +487,22 @@ def build_ring_rep(spec):
     """The representation that `ring` builds for a standard module: the
     canonical one on its faithful model."""
     return RingWeilRep(faithful_model(spec)[0])
+
+
+def per_element_norm(chi):
+    """(1/|G|) sum |chi(g)|^2 of a character given by its values on every
+    element of G, with its deviation from the nearest integer."""
+    val = float(np.sum(np.abs(chi) ** 2)) / len(chi)
+    return int(round(val)), abs(val - round(val))
+
+
+def per_element_sums(rep, group, summands):
+    """The Gram matrix (1/|G|) sum_g chi_i(g) chi_j(g)* of the summand
+    characters and the `per_element_norm` of their sum, tr S(g), each
+    summed over every element of the group."""
+    chars = summand_characters(rep, group.mats, summands)
+    return (chars @ chars.conj().T / len(group),
+            per_element_norm(chars.sum(axis=0)))
 
 
 def hasse_davenport_holds(p, tol=1e-9):

@@ -15,7 +15,8 @@ from weilrep.oscillator import (OscillatorRep, parabolic_identity_report,
 from weilrep.ring_rep import (RingWeilRep, character_norm, decompose, direct_sum, direct_sum_isotropic,
                               shell_dimensions, summand_characters, traces)
 from weilrep.rings import legendre
-from weilrep.symplectic import SympModule, orbits, symplectic_group
+from weilrep.symplectic import (SympModule, conjugacy_classes, orbits,
+                                symplectic_group)
 from weilrep.torus import (TorusContext, TorusSpec, multiplicity_report,
                            product_torus_multiplicities,
                            residue_operator_check)
@@ -107,8 +108,9 @@ def test_criterion_4_decomposition_counts():
         rep = build_ring_rep(spec)
         G = symplectic_group(rep.spec)
         summands = decompose(rep, G)
-        chars = summand_characters(rep, G, summands)
-        gram = chars @ chars.conj().T / len(G)
+        reps, sizes = conjugacy_classes(G)
+        chars = summand_characters(rep, G.mats[reps], summands)
+        gram = (chars * sizes) @ chars.conj().T / len(G)
         dev = float(np.abs(gram - np.eye(len(summands))).max())
         dims_ok = sum(s.dim for s in summands) == rep.dim
         results.append((len(summands) == expect, dev <= 1e-6, dims_ok,
@@ -126,7 +128,8 @@ def test_criterion_5_orbit_count_identity():
     spec = SympModule.standard(3, 1, 0, 1)
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
-    cn, dev = character_norm(traces(rep, G.mats))
+    reps, sizes = conjugacy_classes(G)
+    cn, dev = character_norm(traces(rep, G.mats[reps]), sizes)
     orb = int(orbits(spec, G.gens, spec.exps).max()) + 1
     ok = (cn == orb == 3 and dev < 1e-6)
     details = [f"Sp: norm={cn} orbits={orb}"]

@@ -119,6 +119,22 @@ def test_ring_twist_parameter(tmp_path):
     assert counts["measured"]["count"] == 3
 
 
+def test_ring_irreducibility_fails_on_merged_classes(tmp_path, monkeypatch):
+    """The class weights carry the verdict: with two conjugacy classes
+    merged into one, weighted by their joint size, the Gram matrix of the
+    summand characters is no longer the identity and `ring` exits 1."""
+    def merged(group):
+        reps, sizes = symplectic.conjugacy_classes(group)
+        sizes[0] += sizes[1]
+        return np.delete(reps, 1), np.delete(sizes, 1)
+    monkeypatch.setattr(cli, "conjugacy_classes", merged)
+    code, doc = run(tmp_path, "merged.json",
+                    ["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1"])
+    irr = next(c for c in doc["checks"]
+               if c["name"] == "summand-irreducibility")
+    assert code == 1 and irr["status"] == "fail" and irr["residual"] > 1e-6
+
+
 def test_torus_commands(tmp_path):
     for kind, uval in (("unramified", "0"), ("unramified", "1"),
                        ("ramified", "0")):

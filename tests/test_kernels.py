@@ -33,15 +33,15 @@ import pytest
 from elements import sl2_elements, sp_elements
 from reference import (act, add, bfs_closure, build_ring_rep, elems,
                        embed_pair, form, mat_inv, mat_mul, mat_vec,
-                       orbit_lists, psi, quotient_reduce, quotient_reps,
-                       reference_invariants, reference_orbits, smul, sub,
-                       vectors)
+                       orbit_lists, per_element_norm, psi, quotient_reduce,
+                       quotient_reps, reference_invariants, reference_orbits,
+                       smul, sub, vectors)
 from test_oscillator import sp4_cases
 from weilrep.heisenberg import SchrodingerModel, box_isotropic
 from weilrep.oscillator import OscillatorRep, weil_index
 from weilrep.ring_rep import (_CHUNK, MonomialOps, _box_invariant,
                               abelianization_character, abelianization_cosets,
-                              canonical_isotropic, character_norm, decompose,
+                              canonical_isotropic, decompose,
                               derived_subgroup, invariance_generators,
                               summand_characters, traces)
 from weilrep.rings import unit_phase
@@ -494,7 +494,7 @@ def _check_characters(rep, group, idx, twist=lambda g: 1.0):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MonomialOps, "dense", _no_dense)
         summands = decompose(rep, group)
-        chars = summand_characters(rep, group, summands)
+        chars = summand_characters(rep, group.mats, summands)
     assert chars.shape == (len(summands), len(group))
     s = rep.sdim
     minus = GroupElem(rep.spec, (-np.eye(rep.spec.dim, dtype=int)).tolist())
@@ -546,7 +546,7 @@ def test_ring_ops_match_reference_on_large_groups(args):
     whole = traces(rep, G.mats)
     for i, g in zip(idx, els):
         assert abs(whole[i] - reference_trace(rep, g)) < 1e-12
-    cn, dev = character_norm(traces(rep, G.mats))
+    cn, dev = per_element_norm(whole)
     assert cn == {(3, 1, 1, 1): 4, (5, 1, 0, 1): 3}[args] and dev < 1e-9
 
 

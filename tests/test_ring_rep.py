@@ -1,16 +1,20 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
 from reference import (act, box_elements, build_ring_rep, elems, embed_pair,
-                       psi, shell_counts, sigma_gx, tensor_intertwiner)
-from weilrep.ring_rep import (RingWeilRep, _shell_counts, canonical_isotropic,
+                       per_element_sums, psi, shell_counts, sigma_gx,
+                       tensor_intertwiner)
+from weilrep import cli
+from weilrep.ring_rep import (RingWeilRep, _shell_counts,
+                              abelianization_character, canonical_isotropic,
                               character_norm, decompose, direct_sum,
                               direct_sum_isotropic, faithful_model,
                               shell_dimensions, summand_characters, traces)
-from weilrep.symplectic import (SympModule, orbits, symplectic_group,
-                                transvection_generators)
+from weilrep.symplectic import (SympModule, conjugacy_classes, orbits,
+                                symplectic_group, transvection_generators)
 
 
 def orbit_count(gens, spec):
@@ -120,8 +124,9 @@ def test_decompose_l0():
     summands = decompose(rep, G)
     assert sorted(s.dim for s in summands) == [1, 4, 4]
     assert sum(s.dim for s in summands) == rep.dim
-    chars = summand_characters(rep, G, summands)
-    gram = chars @ chars.conj().T / len(G)
+    reps, sizes = conjugacy_classes(G)
+    chars = summand_characters(rep, G.mats[reps], summands)
+    gram = (chars * sizes) @ chars.conj().T / len(G)
     assert np.abs(gram - np.eye(len(summands))).max() < 1e-6
 
 
@@ -133,7 +138,8 @@ def test_decompose_lifted_l_equals_r():
     summands = decompose(rep, G)
     assert len(summands) == 4
     assert sorted(s.dim for s in summands) == [1, 2, 12, 12]
-    cn, dev = character_norm(traces(rep, G.mats))
+    reps, sizes = conjugacy_classes(G)
+    cn, dev = character_norm(traces(rep, G.mats[reps]), sizes)
     assert cn == 4 and dev < 1e-6
 
 
@@ -144,7 +150,8 @@ def test_unlifted_degenerate_model_matches_residue():
     rep = RingWeilRep(spec)
     assert rep.spec is spec and rep.dim == 3
     G = symplectic_group(spec)
-    cn, dev = character_norm(traces(rep, G.mats))
+    reps, sizes = conjugacy_classes(G)
+    cn, dev = character_norm(traces(rep, G.mats[reps]), sizes)
     assert cn == orbit_count(G.gens, spec) == 2
     summands = decompose(rep, G)
     assert len(summands) == 2
@@ -154,20 +161,56 @@ def test_unlifted_degenerate_model_matches_residue():
 @pytest.mark.parametrize("args", [(3, 1, 0, 1), (3, 1, 1, 1)], ids=str)
 def test_summand_characters_sum_to_the_trace(args):
     """The row `cmd_ring` hands to `character_norm`: the summands decompose
-    the model, so their characters add up to tr S(g)."""
+    the model, so their characters add up to tr S(g), here on one element
+    per conjugacy class."""
     rep = build_ring_rep(SympModule.standard(*args))
     G = symplectic_group(rep.spec)
-    total = summand_characters(rep, G, decompose(rep, G)).sum(axis=0)
-    assert np.abs(total - traces(rep, G.mats)).max() < 1e-12
-    cn, dev = character_norm(total)
+    reps, sizes = conjugacy_classes(G)
+    total = summand_characters(rep, G.mats[reps], decompose(rep, G)).sum(
+        axis=0)
+    assert np.abs(total - traces(rep, G.mats[reps])).max() < 1e-12
+    cn, dev = character_norm(total, sizes)
     assert cn == orbit_count(G.gens, rep.spec) and dev < 1e-9
+
+
+@pytest.mark.parametrize("args,twist", [((3, 1, 0, 1), 0), ((3, 1, 0, 1), 1),
+                                        ((3, 1, 1, 1), 0), ((5, 1, 0, 1), 0)],
+                         ids=str)
+def test_class_sums_equal_the_per_element_sums(args, twist, tmp_path):
+    """The Gram matrix and the character norm summed over conjugacy classes,
+    weighted by their sizes, equal the sums over every element to 1e-12,
+    both as computed here and as `ring` reports them."""
+    rep = build_ring_rep(SympModule.standard(*args))
+    G = symplectic_group(rep.spec)
+    if twist:
+        chi, _ = abelianization_character(G)
+        rep.twist = lambda g: chi(g, twist)
+    summands = decompose(rep, G)
+    gram_ref, (cn_ref, dev_ref) = per_element_sums(rep, G, summands)
+    reps, sizes = conjugacy_classes(G)
+    chars = summand_characters(rep, G.mats[reps], summands)
+    gram = (chars * sizes) @ chars.conj().T / len(G)
+    assert np.abs(gram - gram_ref).max() < 1e-12
+    cn, dev = character_norm(chars.sum(axis=0), sizes)
+    assert cn == cn_ref and abs(dev - dev_ref) < 1e-12
+    p, r, l, n = args
+    out = tmp_path / "ring.json"
+    assert cli.main(["ring", f"--p={p}", f"--r={r}", f"--l={l}", f"--n={n}",
+                     f"--twist={twist}", f"--out={out}"]) == 0
+    recs = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    irr_ref = float(np.abs(gram_ref - np.eye(len(summands))).max())
+    assert abs(recs["summand-irreducibility"]["residual"] - irr_ref) < 1e-12
+    orbit = recs["orbit-count-identity"]
+    assert orbit["measured"]["character_norm"] == cn_ref
+    assert abs(orbit["residual"] - dev_ref) < 1e-12
 
 
 def test_character_norm_identity():
     spec = SympModule.standard(3, 1, 0, 1)
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
-    cn, dev = character_norm(traces(rep, G.mats))
+    reps, sizes = conjugacy_classes(G)
+    cn, dev = character_norm(traces(rep, G.mats[reps]), sizes)
     assert cn == 3 and dev < 1e-9
     assert cn == orbit_count(G.gens, spec)
     # trivial group: the norm is the squared dimension

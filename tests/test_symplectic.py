@@ -13,11 +13,12 @@ from reference import (act, add, brute_force_symplectic_count, elems, form,
                        tuple_generates_all_transvections, tuple_transvection,
                        vectors)
 from weilrep import symplectic
+from weilrep.linalg import mat_inv_stack
 from weilrep.ring_rep import (_box_invariant, abelianization_character,
-                              canonical_isotropic)
+                              canonical_isotropic, faithful_model)
 from weilrep.symplectic import (ClosureCapExceeded, GroupElem, SympModule,
-                                group_closure, orbits, symplectic_group,
-                                transvection_generators)
+                                conjugacy_classes, group_closure, orbits,
+                                symplectic_group, transvection_generators)
 
 
 def test_standard_module_shapes():
@@ -316,3 +317,60 @@ def test_transvection_certificate_matches_tuple_form(spec, seed):
            for v in basis):
         assert symplectic._generates_all_transvections(spec, basis) \
             == tuple_generates_all_transvections(spec, basis)
+
+
+def _ring_module(p, r, l, n):
+    """The faithful model on which `ring` closes the group."""
+    return faithful_model(SympModule.standard(p, r, l, n))[0]
+
+
+# SL2(F_q) has q + 4 classes; the others are the class counts of the groups
+# of Sp(4, F_3) and of `ring` 3101, 5101, 3111 and 3103
+@pytest.mark.parametrize("spec,count", [
+    *[(SympModule.standard(q, 1, 0, 0), q + 4) for q in (3, 5, 7)],
+    (SympModule.standard(3, 2, 0, 0), 34),
+    (_ring_module(3, 1, 0, 1), 25),
+    (_ring_module(5, 1, 0, 1), 49),
+    (_ring_module(3, 1, 1, 1), 79),
+    (_ring_module(3, 1, 0, 3), 241),
+], ids=repr)
+def test_conjugacy_class_counts(spec, count):
+    G = symplectic_group(spec)
+    reps, sizes = conjugacy_classes(G)
+    assert len(reps) == len(sizes) == count
+    assert sizes.sum() == len(G) and (sizes > 0).all()
+    assert (np.diff(reps) > 0).all()
+
+
+@pytest.mark.parametrize("args", [(3, 1, 0, 1), (5, 1, 0, 1), (3, 1, 1, 1)],
+                         ids=str)
+def test_conjugacy_classes_are_the_conjugation_orbits(args):
+    """Each class is {h g h^-1 : h in G} for its representative g, which is
+    its first element; the classes cover G once; and the conjugate of each
+    representative by every generator lies in its own class."""
+    spec = _ring_module(*args)
+    G = symplectic_group(spec)
+    reps, sizes = conjugacy_classes(G)
+    mods = np.array(spec.moduli)[:, None]
+    inv = lambda m: mat_inv_stack(m, spec.p, spec.n + 1) % mods
+    Ginv = inv(G.mats)
+    label = np.full(len(G), -1)
+    for k, (i, size) in enumerate(zip(reps, sizes)):
+        members = np.unique(G.find(G.mats @ G.mats[i] % mods @ Ginv))
+        assert len(members) == size and members[0] == i
+        assert (label[members] < 0).all()
+        label[members] = k
+    assert (label >= 0).all()
+    conj = G.find(G.gens[:, None] @ G.mats[reps] % mods
+                  @ inv(G.gens)[:, None])
+    assert (label[conj] == np.arange(len(reps))).all()
+
+
+def test_conjugacy_classes_refuse_a_generator_outside_the_group():
+    """The upper unipotent group of SL2(F_3) with a lower unipotent
+    generator, which does not normalize it."""
+    spec = SympModule.standard(3, 1, 0, 0)
+    U = group_closure(spec, [[[1, 1], [0, 1]]])
+    with pytest.raises(ValueError, match="out of the group"):
+        conjugacy_classes(symplectic.FiniteGroup(spec, U.mats,
+                                                 [[[1, 0], [1, 1]]]))
