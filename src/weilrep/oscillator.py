@@ -4,8 +4,13 @@ The model lives on functions indexed by Y-cosets for the standard polar
 decomposition W = X + Y; operators are S(g) = m(g) p^{j(g)/2} M_X(g) with
 m built from the Weil index (normalized quadratic Gauss sum) of Rao's
 invariant theta and from j = rank C, both read off eliminations of the
-lower-left block C of g and of one matrix built from C and D.  The scalar normalization makes g -> S(g) a genuine
-homomorphism splitting the metaplectic extension.
+lower-left block C of g and of one matrix built from C and D.  The scalar
+normalization makes g -> S(g) a genuine homomorphism splitting the
+metaplectic extension.  The scalar depends on the bottom block row (C, D)
+alone, and the elements with one (C, D) form a coset of the Siegel
+unipotent radical whose M_X differ by one phase per row; so stacked
+operators take the scalar, and traces the diagonal of M_X as well, once
+per distinct (C, D).
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ from .linalg import rank_normal_form_stack
 from .rings import QuadExt, _roots, legendre, unit_phase
 from .symplectic import SympModule, _lex_keys
 
-# stacked operators and traces build their point terms this many elements
-# at a time (their scalars once per distinct (C, D), see `_chunks`), which
-# bounds their work arrays whatever the group order; with 1024 the 17,496-
-# element sums of `ring --p 3 --r 1 --l 1 --n 1` peaked 1.1 MB higher
+# stacked operators build their point terms, and traces their per-coset
+# diagonals and per-element row phases, this many elements at a time
+# (scalars once per distinct (C, D), see `_cosets`), which bounds their
+# work arrays whatever the group order; with 1024 the 17,496-element sums
+# of `ring --p 3 --r 1 --l 1 --n 1` peaked 1.1 MB higher, and `traces` on
+# Sp(4, F_3) at 5.7 MB against 3.5 MB, over 60% of one copy of its stack
 _CHUNK = 512
 
 
@@ -121,6 +128,9 @@ class OscillatorRep:
         z = np.concatenate([np.tile(self._ys, (self.dim, 1)),
                             np.repeat(self._ys, self.dim, axis=0)], axis=1)
         self._zz = (z[:, :, None] * z[:, None]).reshape(len(z), -1).T * 1.0
+        # the products y_a y_b of every y, a row per (a, b)
+        self._yy = (self._ys[:, :, None] * self._ys[:, None]).reshape(
+            self.dim, -1).T
         self._omega1 = weil_index(p, 1)
         # m(theta, j) p^{j/2} at [theta, j], theta a unit
         self._scalar = np.array([[0j] * (l + 1)] + [
@@ -155,16 +165,23 @@ class OscillatorRep:
             + 1j * np.bincount(flat, vals.imag, N * d * d)
         return op.reshape(N, d, d) / d
 
-    def _chunks(self, mats):
-        """The _CHUNK-element chunks of a stack, reduced mod p, with their
-        scalars m(g) p^{j/2}, m(g) = omega(theta)^{-1} omega(1)^{1-j}, once
-        per distinct (C, D) of the stack, keyed with no reduced copy of it."""
-        mats, l, p = np.asarray(mats, dtype=np.int64), self.l, self.p
+    def _cosets(self, mats):
+        """The distinct bottom rows (C, D) of an int64 stack, keyed with no
+        reduced copy of it: the index of the first element with each, the
+        row of each element, and the scalar m(g) p^{j/2} of each row,
+        m(g) = omega(theta)^{-1} omega(1)^{1-j}."""
+        l, p = self.l, self.p
         _, first, which = np.unique(_lex_keys(mats[:, l:], (p,) * l),
                                     return_index=True, return_inverse=True)
-        m = self._scalar[cell_invariants(mats[first], l, p)]
+        return first, which, self._scalar[cell_invariants(mats[first], l, p)]
+
+    def _chunks(self, mats):
+        """The _CHUNK-element chunks of a stack, reduced mod p, with their
+        scalars from `_cosets`."""
+        mats = np.asarray(mats, dtype=np.int64)
+        _, which, m = self._cosets(mats)
         for start in range(0, len(mats), _CHUNK):
-            yield (start, mats[start:start + _CHUNK] % p,
+            yield (start, mats[start:start + _CHUNK] % self.p,
                    m[which[start:start + _CHUNK]])
 
     def ops(self, mats) -> np.ndarray:
@@ -176,13 +193,39 @@ class OscillatorRep:
         return out
 
     def traces(self, mats) -> np.ndarray:
-        """tr S(g) for every matrix of a stack, over `_chunks`, from the
-        terms on the diagonal of M_X alone: (N,)."""
+        """tr S(g) for every matrix of an int64 (N, 2l, 2l) stack, which
+        must be symplectic: (N,).
+
+        The elements with one bottom row (C, D) form a coset N g_c of the
+        Siegel unipotent radical N, g_c the first of them in the stack, and
+        g g_c^{-1} = [[1, B], [0, 1]] with B symmetric; g_c^{-1} is read as
+        (J^T g_c J)^T, which is the inverse only for symplectic g_c.  As
+        g^{-T} = n^{-T} g_c^{-T} for n = g g_c^{-1}, the point z = (x, y)
+        goes to the same v = z g^{-T} as z' = (x - yB, y) under g_c^{-T},
+        and x.y = (x - yB).y + yBy.  So substituting x -> x - yB in the
+        sum over x of row y of M_X(g) gives row y of M_X(g) = psi(yBy/2)
+        times row y of M_X(g_c), with no use of S being a homomorphism;
+        and m(g) = m(g_c) reads (C, D) alone.  The diagonal diag_c of
+        m M_X(g_c) is built once per coset, and tr S(g) =
+        sum_y psi(yBy/2) diag_c[y]: p^l terms per element, not p^{2l}.
+        Both passes go `_CHUNK` elements at a time."""
+        mats, l, p, d = np.asarray(mats, np.int64), self.l, self.p, self.dim
+        first, which, m = self._cosets(mats)
+        diag = np.empty((len(first), d), dtype=complex)
+        for start in range(0, len(first), _CHUNK):
+            reps = mats[first[start:start + _CHUNK]] % p
+            cols, e = self._terms(reps)
+            on = np.where(cols == self._rows, self._roots[e], 0)
+            diag[start:start + _CHUNK] = on.reshape(len(reps), d, d).sum(
+                axis=2) * (m[start:start + _CHUNK, None] / d)
+        # the last l columns [[-B_c^T], [A_c^T]] of each g_c^{-1}
+        right = inverse_transpose(mats[first], l).swapaxes(1, 2)[..., l:]
         out = np.empty(len(mats), dtype=complex)
-        for start, chunk, m in self._chunks(mats):
-            cols, e = self._terms(chunk)
-            out[start:start + _CHUNK] = m * np.where(
-                cols == self._rows, self._roots[e], 0).sum(axis=1) / self.dim
+        for start in range(0, len(mats), _CHUNK):
+            c = which[start:start + _CHUNK]
+            B = mats[start:start + _CHUNK, :l] @ right[c] % p
+            e = self.half * B.reshape(len(c), -1) @ self._yy % p
+            out[start:start + _CHUNK] = (self._roots[e] * diag[c]).sum(axis=1)
         return out
 
     def M_X(self, g) -> np.ndarray:

@@ -188,8 +188,9 @@ def reference_invariants(g, l, p):
 def reference_traces(rep, mats, chunk=512):
     """tr S(g) of an `OscillatorRep` for a stack, chunk elements at a time,
     each chunk reduced mod p with its own two eliminations of every
-    element, and g^{-T} = J^T g J by two products with the Gram matrix J:
-    the per-chunk path that the whole-stack scalars replace."""
+    element, g^{-T} = J^T g J by two products with the Gram matrix J, and
+    the p^{2l} terms of every element's own M_X: the per-chunk path that
+    the whole-stack scalars and the per-coset diagonals replace."""
     l, p = rep.l, rep.p
     gram = np.array(SympModule.standard(p, l, 0, 0).gram, dtype=np.int64)
     add = (rep._ys[:, None] + rep._ys) % p @ rep._radix

@@ -88,16 +88,52 @@ def test_stacked_path_runs_no_per_element_elimination(monkeypatch, sp4):
 
 
 def test_whole_group_traces_eliminate_each_bottom_row_once(monkeypatch, sp4):
-    """tr S(g) on all of Sp(4, F_3) equals the per-chunk path bit for bit,
-    from two eliminations of the 1,920 distinct (C, D), each shared by the
-    27 elements of a coset of the Siegel unipotent radical."""
+    """tr S(g) on all of Sp(4, F_3) agrees with the per-chunk path to
+    1e-12, from two eliminations of the 1,920 distinct (C, D), each shared
+    by the 27 elements of a coset of the Siegel unipotent radical, and
+    from the terms of M_X on one element per coset."""
     rep, G = sp4
     calls = count_eliminations(monkeypatch)
+    terms = []
+
+    def counted(mats):
+        terms.append(len(mats))
+        return point_terms(mats)
+    point_terms = rep._terms
+    monkeypatch.setattr(rep, "_terms", counted)
     tr = rep.traces(G.mats)
-    assert calls == [1920, 1920]
+    assert calls == [1920, 1920] and sum(terms) == 1920
     assert len(np.unique(G.mats[:, 2:], axis=0)) == 1920
     monkeypatch.undo()
-    assert (tr == reference_traces(rep, G.mats)).all()
+    assert np.abs(tr - reference_traces(rep, G.mats)).max() < 1e-12
+
+
+@pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_M_X_rows_are_the_coset_rows_times_a_phase(l, p):
+    """For every g, g_c the first element of the group with g's bottom
+    row (C, D): g J^T g_c^T J = [[1, B], [0, 1]] in integers mod p with B
+    symmetric, and M_X(g) = diag(psi(yBy/2)) M_X(g_c), y over the basis."""
+    rep = OscillatorRep(l, p)
+    spec = SympModule.standard(p, l, 0, 0)
+    mats = symplectic_group(spec).mats
+    gram = np.array(spec.gram, dtype=np.int64)
+    _, first, which = np.unique(mats[:, l:].reshape(len(mats), -1), axis=0,
+                                return_index=True, return_inverse=True)
+    reps = mats[first[which.ravel()]]
+    n = mats @ gram.T @ reps.swapaxes(1, 2) @ gram % p
+    one = np.eye(l, dtype=np.int64)
+    assert (n[:, :l, :l] == one).all() and (n[:, l:, l:] == one).all()
+    assert not n[:, l:, :l].any()
+    B = n[:, :l, l:]
+    assert (B == B.swapaxes(1, 2)).all()
+    ys = rep._ys
+    yBy = np.einsum("ya,nab,yb->ny", ys, B, ys)
+    phase = np.exp(2j * np.pi * (pow(2, -1, p) * yBy % p) / p)
+    for start in range(0, len(mats), 4096):
+        part = slice(start, start + 4096)
+        lhs = rep._M_X(mats[part] % p)
+        rhs = phase[part, :, None] * rep._M_X(reps[part] % p)
+        assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_inverse_transpose_reads_the_blocks(sp4):
