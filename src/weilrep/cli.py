@@ -210,13 +210,10 @@ def cmd_ring(args) -> int:
         for k in letters.T[1:]:
             words = words @ gens[k] % rep.heis.mods[:, None]
         covariance = _covariance_draws(rng, rep, iter(words[:10]))
-        ops = rep.blocks(words)
-        worst = 0.0
-        for part in _spans(len(words), rep.dim):
-            # U U^* as a block-monomial product, as in _check_intertwining
-            Uh = ops[part].dense().conj().transpose(0, 2, 1)
-            worst = max(worst, float(np.abs(
-                ops[part].apply(Uh) - np.eye(rep.dim)).max()))
+        U = rep.blocks(words)
+        # the Heisenberg element (0, 0) acts as the identity
+        one = rep.heis_op(np.zeros(rep.spec.dim, dtype=np.int64))
+        worst = (U @ U.adjoint()).deviation(one)
         rep_doc.check("unitarity-sampled", "unitarity", worst <= tol,
                       residual=worst)
         _check_intertwining(rep_doc, rep, *covariance, tol)
@@ -256,17 +253,10 @@ def cmd_ring(args) -> int:
     n = len(pairs)
     g, h = G.mats[pairs.T]
     ops = rep.blocks(np.concatenate([g, h, g @ h % rep.heis.mods[:, None]]))
-    worst = 0.0
-    for part in _spans(n, rep.dim):
-        idx = np.arange(n)[part]
-        Sg, Sh, Sgh = (ops[idx + k * n].dense() for k in range(3))
-        worst = max(worst, float(np.abs(Sg @ Sh - Sgh).max()))
+    worst = (ops[:n] @ ops[n:2 * n]).deviation(ops[2 * n:])
     rep_doc.check("homomorphism-sampled", "genuine-splitting", worst <= tol,
                   residual=worst)
     _check_intertwining(rep_doc, rep, *covariance, tol)
-    if rep.spec.n >= 3 and not lifted:
-        rep_doc.add("sigma-level-compat", "level-compat-diagnostic", "info",
-                    measured=_sigma_level_diagnostic(rep))
     return rep_doc.finish(args.out)
 
 
@@ -284,19 +274,6 @@ def _draw_point(rng, moduli):
                                      moduli), dtype=np.int64)
 
 
-# the sampled ring checks build each stack of dense operators this many
-# bytes at a time, a few stacks at once; with 2^20 the process running
-# `ring --p 3 --r 1 --l 1 --n 1` peaked 3 MB higher than with 2^17
-_DENSE_BYTES = 2 ** 17
-
-
-def _spans(n, dim):
-    """Slices of range(n), each of at most _DENSE_BYTES of dense operators
-    of dimension dim (at least one operator)."""
-    step = max(1, _DENSE_BYTES // (16 * dim * dim))
-    return [slice(start, start + step) for start in range(0, n, step)]
-
-
 def _covariance_draws(rng, rep, elements):
     """Each element of an iterator, drawn in turn, followed by a point w of
     W and a level t drawn from rng: three stacks (g, w, t)."""
@@ -307,40 +284,14 @@ def _covariance_draws(rng, rep, elements):
 
 def _check_intertwining(rep_doc, rep, gs, ws, ts, tol):
     """S(g) rho(w, t) S(g)^* = rho(g w, t) for each drawn (g, w, t), from
-    one `blocks` call and stacked Heisenberg operators, multiplied as
-    block-monomial operators rather than dense ones."""
-    ops = rep.blocks(gs)
+    one `blocks` call and stacked Heisenberg operators, composed and
+    compared as block-monomial operators."""
+    U = rep.blocks(gs)
     gw = (gs @ ws[..., None])[..., 0] % rep.heis.mods
-    worst = 0.0
-    for part in _spans(len(gs), rep.dim):
-        # U H U^* = (U (U H)^*)^*: two block-monomial products, which cost
-        # d^2 s where dense ones cost d^3 (d = 729 on the structural path
-        # of `ring --p 3 --r 2 --l 2 --n 1`)
-        UH = ops[part].apply(rep.heis_op(ws[part], ts[part]))
-        lhs = ops[part].apply(UH.conj().transpose(0, 2, 1))
-        worst = max(worst, float(np.abs(
-            lhs.conj().transpose(0, 2, 1)
-            - rep.heis_op(gw[part], ts[part])).max()))
+    worst = (U @ rep.heis_op(ws, ts) @ U.adjoint()).deviation(
+        rep.heis_op(gw, ts))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
-
-
-def _sigma_level_diagnostic(rep):
-    """Report-only: residue-block characters at levels n and n-2.
-
-    The two canonical residue choices are pulled back through different
-    reduction morphisms; this reports (never asserts) any discrepancy of
-    their characters on matched group elements.
-    """
-    spec, gens = rep.spec, rep.gens
-    lower = SympModule.standard(spec.p, spec.r, spec.l, spec.n - 2)
-    # sigma(g) at both levels, one table of distinct blocks each
-    table, which = rep._sigma_blocks(gens)
-    low, low_which = rr.RingWeilRep(lower)._sigma_blocks(
-        gens % np.array(lower.moduli)[:, None])
-    worst = np.abs(np.trace(table, axis1=1, axis2=2)[which]
-                   - np.trace(low, axis1=1, axis2=2)[low_which]).max()
-    return {"max_sigma_char_discrepancy": _f(float(worst))}
 
 
 # -- torus command ----------------------------------------------------------------

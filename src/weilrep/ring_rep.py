@@ -3,9 +3,11 @@
 The model is induced from the canonical maximal invariant isotropic
 submodule U: functions phi on W valued in the residue oscillator space,
 obeying phi(x+u) = psi(beta(x,u)/2) rho(u) phi(x) for u in the orthogonal
-of U.  Operators act block-monomially on U-perp cosets; the sigma-block is
-the canonical finite-field representation of the residue space pulled back
-through the reduction morphism.
+of U.  Operators act block-monomially on U-perp cosets: S(g) and the
+Heisenberg operators are `MonomialOps`, a coset permutation with one s x s
+block per coset, which compose, take adjoints and compare in that form.
+The sigma-block is the canonical finite-field representation of the
+residue space pulled back through the reduction morphism.
 """
 
 from __future__ import annotations
@@ -207,20 +209,11 @@ class RingWeilRep:
     def rho_res(self, ubar) -> np.ndarray:
         return self._rho_table[self._labels(np.array(ubar, dtype=np.int64))]
 
-    def _sigma_blocks(self, mats):
-        """sigma(g) for a stack of matrices (N, dim, dim), as a table of the
-        distinct blocks (K, s, s) and the row of each matrix (N,): one
-        `sigma.ops` pass over the distinct reductions."""
-        if self.sigma is None:
-            return np.ones((1, 1, 1), dtype=complex), np.zeros(len(mats), int)
-        R = self.iso.reduce_morphisms(mats)
-        _, first, which = np.unique(_lex_keys(R, (self.p,) * R.shape[1]),
-                                    return_index=True, return_inverse=True)
-        return self.sigma.ops(R[first]), which.reshape(-1)
-
     def sigma_op(self, g) -> np.ndarray:
-        table, which = self._sigma_blocks(np.asarray(g, dtype=np.int64)[None])
-        return table[which[0]]
+        if self.sigma is None:
+            return np.ones((1, 1), dtype=complex)
+        return self.sigma.op(self.iso.reduce_morphisms(
+            np.asarray(g, dtype=np.int64)[None])[0])
 
     # -- block-monomial structure ---------------------------------------------
 
@@ -236,7 +229,8 @@ class RingWeilRep:
 
         Row coset x of S(g) has one nonzero block, in the column of the
         coset of y = g^{-1} x: psi(beta(xc, u)/2) sigma(g) rho_res(u),
-        times twist(g) when a twist is set.
+        times twist(g) when a twist is set.  sigma(g) comes from one
+        `sigma.ops` pass, which forms each scalar once per bottom row.
         """
         d = self.spec.dim
         mats = np.asarray(gs, dtype=np.int64).reshape(-1, d, d)
@@ -246,8 +240,11 @@ class RingWeilRep:
         ph = self.heis.phase(e)
         if self.twist is not None:
             ph = ph * self.twist(mats)[:, None]
-        return MonomialOps(cj, ph, self._labels(ubar),
-                           *self._sigma_blocks(mats), self._rho_table)
+        rho = self._rho_table[self._labels(ubar)]
+        if self.sigma is not None:
+            sig = self.sigma.ops(self.iso.reduce_morphisms(mats))
+            rho = sig[:, None] @ rho
+        return MonomialOps(cj, ph[..., None, None] * rho)
 
     def op(self, g) -> np.ndarray:
         return self.blocks([g]).dense()[0]
@@ -257,19 +254,17 @@ class RingWeilRep:
 
     # -- Heisenberg action on the same space ----------------------------------
 
-    def heis_op(self, w, t=0) -> np.ndarray:
-        """The Heisenberg element (w, t): phi(x) -> psi(t + beta(x, w)/2)
-        phi(x + w), on the same block-monomial form: `translate` of the
-        coset split, with the residue operator of the part in U-perp.  A
-        stack (..., d, d) for points w (..., dim) and levels t (...)."""
+    def heis_op(self, w, t=0) -> "MonomialOps":
+        """The Heisenberg elements (w, t): phi(x) -> psi(t + beta(x, w)/2)
+        phi(x + w), in the block-monomial form of `blocks`: `translate` of
+        the coset split, with the residue operator of the part in U-perp.
+        One operator per point of w (N, dim) and level of t (N,), or one
+        for a point w (dim,)."""
         cj, e, u = self.heis.translate(w, t)
-        C = self.heis.dim
-        labels = self._labels(self.iso.residues(u))
-        sig = np.eye(self.sdim, dtype=complex)[None]
-        ops = MonomialOps(cj.reshape(-1, C), self.heis.phase(e).reshape(-1, C),
-                          labels.reshape(-1, C), sig,
-                          np.zeros(cj.size // C, int), self._rho_table)
-        return ops.dense().reshape(cj.shape[:-1] + (self.dim, self.dim))
+        C, s = self.heis.dim, self.sdim
+        rho = self._rho_table[self._labels(self.iso.residues(u))]
+        blocks = self.heis.phase(e)[..., None, None] * rho
+        return MonomialOps(cj.reshape(-1, C), blocks.reshape(-1, C, s, s))
 
     # -- distinguished vectors -------------------------------------------------
 
@@ -298,65 +293,67 @@ class RingWeilRep:
 
 @dataclass
 class MonomialOps:
-    """S(g) for a stack of N elements in block-monomial form.
+    """A stack of N block-monomial operators on C cosets of s x s blocks.
 
-    Row coset c of S(g_n) has its one nonzero s x s block in column coset
-    cj[n, c], equal to ph[n, c] * sig[sidx[n]] @ rho[labels[n, c]].
+    Row coset c of operator n has its one nonzero block blocks[n, c] in
+    column coset cj[n, c].  Products, adjoints and the deviation of two
+    stacks are read off this form; `dense` builds the matrices only for a
+    caller that asks for them.  A stack of one operator broadcasts against
+    a stack of N in `deviation`.
     """
     cj: np.ndarray            # (N, C) column coset of each row coset
-    ph: np.ndarray            # (N, C) phases
-    labels: np.ndarray        # (N, C) residue labels, rows of rho
-    sig: np.ndarray           # (K, s, s) distinct sigma blocks
-    sidx: np.ndarray          # (N,) row of sig of each element
-    rho: np.ndarray           # (labels, s, s) residue operators
+    blocks: np.ndarray        # (N, C, s, s) the block of each row coset
 
     def __getitem__(self, idx) -> "MonomialOps":
         """The operators idx, a slice or index array, of the stack."""
-        return MonomialOps(self.cj[idx], self.ph[idx], self.labels[idx],
-                           self.sig, self.sidx[idx], self.rho)
+        return MonomialOps(self.cj[idx], self.blocks[idx])
 
-    @cached_property
-    def _blocks(self) -> np.ndarray:
-        """The nonzero block of every row coset of every element:
-        (N, C, s, s), built on first use."""
-        return self.ph[..., None, None] * (self.sig[self.sidx][:, None]
-                                           @ self.rho[self.labels])
+    def __matmul__(self, other) -> "MonomialOps":
+        """The products A_n B_n: row c of A_n meets row cj[n, c] of B_n."""
+        n = np.arange(len(self.cj))[:, None]
+        return MonomialOps(np.take_along_axis(other.cj, self.cj, axis=1),
+                           self.blocks @ other.blocks[n, self.cj])
+
+    def adjoint(self) -> "MonomialOps":
+        """The conjugate transposes: the inverse coset permutations, with
+        each block conjugate-transposed into the row of its column."""
+        inv = np.argsort(self.cj, axis=1)
+        n = np.arange(len(self.cj))[:, None]
+        return MonomialOps(inv, self.blocks[n, inv].conj().swapaxes(-1, -2))
+
+    def deviation(self, other) -> float:
+        """max |A_n - B_n| over the entries of the dense operators: the
+        block difference where a row coset goes to one column coset in
+        both, else the larger of the two blocks' entries."""
+        same = (self.cj == other.cj)[..., None, None]
+        dev = np.where(same, np.abs(self.blocks - other.blocks),
+                       np.maximum(np.abs(self.blocks), np.abs(other.blocks)))
+        return float(dev.max(initial=0.0))
 
     def dense(self) -> np.ndarray:
         """The operators as dense (N, d, d) matrices."""
-        N, C = self.cj.shape
-        s = self.sig.shape[-1]
+        N, C, s, _ = self.blocks.shape
         out = np.zeros((N, C, s, C, s), dtype=complex)
-        out[np.arange(N)[:, None], np.arange(C), :, self.cj, :] = \
-            self._blocks
+        out[np.arange(N)[:, None], np.arange(C), :, self.cj, :] = self.blocks
         return out.reshape(N, C * s, C * s)
 
     def apply(self, V) -> np.ndarray:
-        """S(g_n) V for every element of the stack, without dense operators:
-        (N, d) for a vector V of length d, (N, d, k) for a (d, k) matrix or
-        for a stack V (N, d, k) of one matrix per element."""
-        N, C = self.cj.shape
-        s = self.sig.shape[-1]
-        if V.ndim == 3:
-            rows = V.reshape(N, C, s, -1)[np.arange(N)[:, None], self.cj]
-            tail = V.shape[2:]
-        else:
-            rows, tail = V.reshape(C, s, -1)[self.cj], V.shape[1:]
-        return (self._blocks @ rows).reshape((N, C * s) + tail)
+        """S(g_n) V for every operator of the stack, without dense
+        operators: (N, d) for a vector V of length d, (N, d, k) for a
+        (d, k) matrix."""
+        N, C, s, _ = self.blocks.shape
+        rows = V.reshape(C, s, -1)[self.cj]
+        return (self.blocks @ rows).reshape((N, C * s) + V.shape[1:])
 
     def traces(self, owner=None) -> np.ndarray:
-        """tr S(g_n) over the cosets g_n fixes: (N,), or (K, N) summed per
-        part when owner (C,) numbers the part 0..K-1 of each coset.
-        tr(sig rho) is computed once per distinct (sigma, residue) pair."""
+        """tr S(g_n), the traces of the blocks on the cosets g_n fixes:
+        (N,), or (K, N) summed per part when owner (C,) numbers the part
+        0..K-1 of each coset."""
         n, c = np.nonzero(self.cj == np.arange(self.cj.shape[1]))
-        U = len(self.rho)
-        pairs, which = np.unique(self.sidx[n] * U + self.labels[n, c],
-                                 return_inverse=True)
-        table = np.einsum("mab,mba->m", self.sig[pairs // U],
-                          self.rho[pairs % U])
         parts = np.zeros(self.cj.shape[1], int) if owner is None else owner
         out = np.zeros((parts.max() + 1, len(self.cj)), dtype=complex)
-        np.add.at(out, (parts[c], n), self.ph[n, c] * table[which])
+        np.add.at(out, (parts[c], n),
+                  np.trace(self.blocks[n, c], axis1=1, axis2=2))
         return out[0] if owner is None else out
 
 

@@ -9,14 +9,16 @@ closure, `orbits` the same partition as a BFS over points,
 of W, `OscillatorRep.ops` and `traces` that loop times the scalar of the
 reference Bruhat factorization, and the block-monomial form of
 `RingWeilRep` the same operators, traces and summand characters as a loop
-over the cosets of U-perp for one element at a time.  `MonomialOps.apply`
-must equal the dense product, the torus weight sums and residuals the loops
-over dense operators, the torus character table, conductors, appearance
-predicate, matched units, twist diagnostic and product table the
-dict-valued characters and loops over units they replace, and
+over the cosets of U-perp for one element at a time.  `MonomialOps.apply`,
+`@`, `adjoint` and `deviation` must equal the dense products, conjugate
+transposes and max-abs differences, the torus weight sums and residuals
+the loops over dense operators, the torus character table, conductors,
+appearance predicate, matched units, twist diagnostic and product table
+the dict-valued characters and loops over units they replace, and
 `SchrodingerModel.rho` the row loop over coset representatives.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -37,10 +39,12 @@ from reference import (act, add, bfs_closure, build_ring_rep, elems,
                        quotient_reps, reference_invariants, reference_orbits,
                        smul, sub, vectors)
 from test_oscillator import sp4_cases
+from weilrep.cli import main
 from weilrep.heisenberg import SchrodingerModel, box_isotropic
 from weilrep.oscillator import OscillatorRep, weil_index
-from weilrep.ring_rep import (_CHUNK, MonomialOps, _box_invariant,
-                              abelianization_character, abelianization_cosets,
+from weilrep.ring_rep import (_CHUNK, MonomialOps, RingWeilRep,
+                              _box_invariant, abelianization_character,
+                              abelianization_cosets,
                               canonical_isotropic, decompose,
                               derived_subgroup, invariance_generators,
                               summand_characters, traces)
@@ -567,7 +571,7 @@ def test_ring_ops_match_reference_on_generator_words_3211(side):
     for _ in range(10):
         w = rng.choice(vectors(rep.spec.moduli))
         t = rng.randrange(rep.M)
-        assert np.abs(rep.heis_op(w, t)
+        assert np.abs(rep.heis_op(w, t).dense()[0]
                       - reference_heis_op(rep, w, t)).max() < 1e-12
 
 
@@ -592,7 +596,7 @@ def test_twisted_rep_matches_reference():
     _check_characters(rep, G, range(len(G)), twist=chi)
     # the Heisenberg operators stay untwisted
     w, t = (1, 2), 4
-    assert np.abs(rep.heis_op(w, t)
+    assert np.abs(rep.heis_op(w, t).dense()[0]
                   - reference_heis_op(rep, w, t)).max() < 1e-12
 
 
@@ -620,7 +624,7 @@ def test_heis_op_and_delta_vec_match_reference(args):
     vecs = vectors(rep.spec.moduli)
     for w in rng.sample(vecs, 30):
         t = rng.randrange(rep.M)
-        assert np.abs(rep.heis_op(w, t)
+        assert np.abs(rep.heis_op(w, t).dense()[0]
                       - reference_heis_op(rep, w, t)).max() < 1e-12
         assert np.abs(rep.delta_vec(w)
                       - reference_delta_vec(rep, w)).max() < 1e-12
@@ -663,20 +667,16 @@ class _CountingIndex(np.ndarray):
         return np.asarray(self)[key]
 
 
-def test_blocks_are_built_once_per_instance():
+def test_blocks_gather_the_residue_table_once_per_call():
     rep = build_ring_rep(SympModule.standard(3, 1, 1, 1))
+    assert rep.sdim > 1
     G = symplectic_group(rep.spec)
-    ops = rep.blocks(G.mats[:40])
-    dense = ops.dense()
-    # the residue table is gathered once per build of the block product
-    counted = replace(ops, rho=ops.rho.view(_CountingIndex))
+    dense = rep.blocks(G.mats[:40]).dense()
+    rep._rho_table = rep._rho_table.view(_CountingIndex)
     _CountingIndex.count = 0
-    rng = np.random.default_rng(7)
-    for shape in ((rep.dim,), (rep.dim, 2)):
-        V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.abs(counted.apply(V) - dense @ V).max() < 1e-12
-    assert np.abs(counted.dense() - dense).max() == 0
+    ops = rep.blocks(G.mats[:40])
     assert _CountingIndex.count == 1
+    assert np.abs(ops.dense() - dense).max() == 0
 
 
 def test_apply_matches_dense_across_a_chunk_boundary_3111():
@@ -704,6 +704,92 @@ def test_apply_matches_dense_on_torus_stacks(args):
     ctx = TorusContext(TorusSpec(*args))
     assert len(ctx.ops.cj) == len(ctx.C)
     _check_apply(ctx.ops)
+
+
+# -- MonomialOps products, adjoints and deviations against dense ones ----------
+
+
+def _check_algebra(A, B):
+    """A @ B, the adjoints of A and A.deviation(B) against the products,
+    conjugate transposes and max-abs differences of the dense stacks."""
+    a, b = A.dense(), B.dense()
+    assert np.abs((A @ B).dense() - a @ b).max() < 1e-12
+    assert np.array_equal(A.adjoint().dense(), a.conj().transpose(0, 2, 1))
+    assert A.deviation(B) == np.abs(a - b).max() > 0
+    assert A.deviation(A) == 0
+
+
+def _heis_stack(rep, count, rng):
+    """count Heisenberg operators at points and levels drawn by rng."""
+    ws = np.array([rng.choice(vectors(rep.spec.moduli))
+                   for _ in range(count)], dtype=np.int64)
+    return rep.heis_op(ws, np.array([rng.randrange(rep.M)
+                                     for _ in range(count)]))
+
+
+def test_algebra_matches_dense_on_generator_words_3211():
+    rep = build_ring_rep(SympModule.standard(3, 2, 1, 1))
+    assert rep.sdim > 1
+    rng = random.Random(13)
+    ops = rep.blocks(words(rep.spec, transvection_generators(rep.spec), 20,
+                           2 * rep.spec.dim, rng))
+    H = _heis_stack(rep, 10, rng)
+    _check_algebra(ops[:10], ops[10:])
+    _check_algebra(H, ops[:10])
+    _check_algebra(ops[10:], H)
+    _check_algebra(H, H[::-1])
+
+
+@pytest.mark.parametrize("args", TORUS_CASES, ids=str)
+def test_algebra_matches_dense_on_torus_stacks(args):
+    ctx = TorusContext(TorusSpec(*args))
+    _check_algebra(ctx.ops, ctx.ops[::-1])
+    H = _heis_stack(ctx.rep, len(ctx.C), random.Random(14))
+    _check_algebra(ctx.ops, H)
+    _check_algebra(H, ctx.ops)
+
+
+def test_deviation_of_swapped_columns_is_the_largest_block_entry():
+    rep = build_ring_rep(SympModule.standard(3, 2, 1, 1))
+    ops = rep.blocks(words(rep.spec, transvection_generators(rep.spec), 5,
+                           2 * rep.spec.dim, random.Random(15)))
+    cj = ops.cj.copy()
+    cj[:, [2, 5]] = cj[:, [5, 2]]
+    swapped = MonomialOps(cj, ops.blocks)
+    largest = np.abs(ops.blocks[:, [2, 5]]).max()
+    assert ops.deviation(swapped) == largest > 0
+    assert np.abs(ops.dense() - swapped.dense()).max() == largest
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "3", "--r", "1", "--l", "1", "--n", "1"],
+    ["--p", "3", "--r", "1", "--l", "0", "--n", "1", "--twist", "1"],
+    ["--p", "3", "--r", "2", "--l", "1", "--n", "1", "--cap-group", "2000"],
+], ids=" ".join)
+def test_ring_builds_no_dense_operator(argv, monkeypatch):
+    monkeypatch.setattr(MonomialOps, "dense", _no_dense)
+    assert main(["ring", *argv, "--out", os.devnull]) == 0
+
+
+def test_ring_homomorphism_check_sees_a_wrong_phase(tmp_path, monkeypatch):
+    """A constant phase e^{0.1 i} on every S(g) leaves the characters'
+    absolute values, unitarity and the Heisenberg covariance intact, and
+    breaks only S(g) S(h) = S(gh)."""
+    blocks = RingWeilRep.blocks
+
+    def rotated(self, gs):
+        ops = blocks(self, gs)
+        return replace(ops, blocks=np.exp(0.1j) * ops.blocks)
+
+    monkeypatch.setattr(RingWeilRep, "blocks", rotated)
+    out = tmp_path / "ring.json"
+    assert main(["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1",
+                 "--out", str(out)]) == 1
+    status = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    hom = status.pop("homomorphism-sampled")
+    assert hom["status"] == "fail"
+    assert abs(hom["residual"] - abs(np.exp(0.1j) - 1)) < 1e-9
+    assert all(c["status"] == "pass" for c in status.values())
 
 
 # -- a tuple arithmetic of the torus extension, apart from QuadExt's arrays ---

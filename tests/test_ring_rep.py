@@ -94,8 +94,8 @@ def test_rep_heisenberg_intertwining():
         w = random.choice(vecs)
         t = random.randrange(rep.M)
         U = rep.op(g)
-        lhs = U @ rep.heis_op(w, t) @ U.conj().T
-        rhs = rep.heis_op(act(g, w), t)
+        lhs = U @ rep.heis_op(w, t).dense()[0] @ U.conj().T
+        rhs = rep.heis_op(act(g, w), t).dense()[0]
         assert np.abs(lhs - rhs).max() < 1e-8
 
 
@@ -105,12 +105,12 @@ def test_heis_op_is_schrodinger():
     spec = SympModule.standard(3, 1, 0, 1)
     rep = build_ring_rep(spec)
     for t in range(rep.M):
-        assert np.allclose(rep.heis_op((0, 0), t),
+        assert np.allclose(rep.heis_op((0, 0), t).dense()[0],
                            psi(rep, t) * np.eye(rep.dim), atol=1e-9)
     total = 0.0
     count = 0
     for w in spec.points():
-        tr = np.trace(rep.heis_op(w, 0))
+        tr = np.trace(rep.heis_op(w, 0).dense()[0])
         for t in range(rep.M):
             total += abs(psi(rep, t) * tr) ** 2
             count += 1
