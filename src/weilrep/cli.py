@@ -21,9 +21,9 @@ from . import oscillator as osc
 from . import ring_rep as rr
 from . import torus as tor
 from .rings import _is_prime, legendre
-from .symplectic import (ClosureCapExceeded, SympModule,
-                         conjugacy_classes, group_closure, orbits,
-                         symplectic_group)
+from .symplectic import (ClosureCapExceeded, FiniteGroup, StabilizerChain,
+                         SympModule, conjugacy_classes, group_closure, orbits,
+                         transvection_generators)
 
 SCHEMA_VERSION = "2"
 
@@ -112,19 +112,25 @@ def cmd_field(args) -> int:
     rep_doc.check("hasse-davenport", "hasse-davenport", hd <= tol, residual=hd)
 
     rep = osc.OscillatorRep(l, p)
-    G = symplectic_group(SympModule.standard(p, l, 0, 0))
-    mats, order = G.mats, len(G)
+    spec = SympModule.standard(p, l, 0, 0)
+    gens = transvection_generators(spec)
+    # G = R N: the first l levels of the chain give one element of each
+    # left coset of the Siegel unipotent radical N, the last l give N, and
+    # a drawn index names one element through its transversals
+    chain = StabilizerChain(spec, gens)
+    order = chain.order()
     exhaustive = order <= 150
     # every element, point and level is drawn before any check runs, in
     # the order in which the checks use them
     pairs = None if exhaustive else np.array(
         [(rng.randrange(order), rng.randrange(order))
          for _ in range(args.samples)])
-    draws = [(rng.randrange(order), _draw_point(rng, (p,) * (2 * l)),
+    draws = [(rng.randrange(order), rng.randrange(spec.size()),
               rng.randrange(p)) for _ in range(1000)]
     if exhaustive:
-        S = rep.ops(mats)
-        prods = G.find(mats[:, None] @ mats[None] % p)
+        G = FiniteGroup(spec, chain.elements(), gens)
+        S = rep.ops(G.mats)
+        prods = G.find(G.mats[:, None] @ G.mats[None] % p)
         rows = max(1, osc._CHUNK // order)
         worst = max(float(np.abs(S[i:i + rows, None] @ S
                                  - S[prods[i:i + rows]]).max())
@@ -132,7 +138,8 @@ def cmd_field(args) -> int:
     else:
         worst = 0.0
         for start in range(0, len(pairs), osc._CHUNK):
-            g, h = mats[pairs[start:start + osc._CHUNK].T]
+            g, h = (chain.element(c)
+                    for c in pairs[start:start + osc._CHUNK].T)
             S = rep.ops(np.concatenate([g, h, g @ h % p]))
             Sg, Sh, Sgh = np.split(S, 3)
             worst = max(worst, float(np.abs(Sg @ Sh - Sgh).max()))
@@ -143,15 +150,18 @@ def cmd_field(args) -> int:
                   residual=worst)
 
     g, w, t = (np.array(col) for col in zip(*draws))
-    U = rep.ops(mats[g])
+    g, w = chain.element(g), _points(w, spec.moduli)
+    U = rep.ops(g)
     # g acts on the Heisenberg group by g.(w, t) = (gw, t)
-    gw = (mats[g] @ w[..., None])[..., 0] % p
+    gw = (g @ w[..., None])[..., 0] % p
     worst = float(np.abs(U @ rep.rho(w, t) @ U.conj().transpose(0, 2, 1)
                          - rep.rho(gw, t)).max())
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
 
-    rpt = osc.parabolic_identity_report(rep, mats, tol=tol)
+    R, N = chain.elements(0, l), chain.elements(l, 2 * l)
+    rpt = osc.parabolic_identity_report(rep, osc.siegel_parabolic(R, N, p),
+                                        tol=tol)
     rep_doc.check("parabolic-scalar", "parabolic-scalar",
                   not rpt["parabolic_failures"],
                   measured={"failures": len(rpt["parabolic_failures"])},
@@ -159,8 +169,8 @@ def cmd_field(args) -> int:
     rep_doc.check("siegel-flip-scalar", "siegel-flip-scalar",
                   rpt["J_deviation"] <= tol, residual=rpt["J_deviation"])
 
-    cn = float(np.sum(np.abs(rep.traces(mats)) ** 2)) / order
-    orb = int(orbits(G.spec, G.gens, G.spec.exps).max()) + 1
+    cn = rep.character_norm(R, N)
+    orb = int(orbits(spec, gens, spec.exps).max()) + 1
     rep_doc.check("orbit-count-identity", "orbit-count-identity",
                   abs(cn - orb) <= 1e-6,
                   measured={"character_norm": cn, "orbit_count": orb},
@@ -266,20 +276,22 @@ def _skip_model(rep_doc, dim, args):
     return rep_doc.finish(args.out)
 
 
-def _draw_point(rng, moduli):
-    """A uniform point of the product of the Z/m, an int64 array drawn as
-    one index in C order: the same draw as rng.choice over the rows of
+def _points(idx, moduli):
+    """The points of the product of the Z/m at the C-order indices idx, an
+    int64 (len(idx), len(moduli)) array: a point drawn as rng.randrange of
+    the product is the same draw as rng.choice over the rows of
     `points()`."""
-    return np.array(np.unravel_index(rng.randrange(math.prod(moduli)),
-                                     moduli), dtype=np.int64)
+    return np.stack(np.unravel_index(idx, moduli), axis=1).astype(np.int64)
 
 
 def _covariance_draws(rng, rep, elements):
     """Each element of an iterator, drawn in turn, followed by a point w of
     W and a level t drawn from rng: three stacks (g, w, t)."""
-    draws = [(g, _draw_point(rng, rep.spec.moduli), rng.randrange(rep.M))
+    size = rep.spec.size()
+    draws = [(g, rng.randrange(size), rng.randrange(rep.M))
              for g in elements]
-    return [np.array(col) for col in zip(*draws)]
+    gs, ws, ts = (np.array(col) for col in zip(*draws))
+    return [gs, _points(ws, rep.spec.moduli), ts]
 
 
 def _check_intertwining(rep_doc, rep, gs, ws, ts, tol):

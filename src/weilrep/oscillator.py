@@ -192,6 +192,27 @@ class OscillatorRep:
             out[start:start + _CHUNK] = m[:, None, None] * self._M_X(chunk)
         return out
 
+    def _diagonals(self, reps, m) -> np.ndarray:
+        """The diagonal of m M_X(g) for each matrix g of an int64 stack
+        with scalars m, from the terms of `_CHUNK` elements at a time:
+        (N, p^l)."""
+        d = self.dim
+        diag = np.empty((len(reps), d), dtype=complex)
+        for start in range(0, len(reps), _CHUNK):
+            chunk = reps[start:start + _CHUNK] % self.p
+            cols, e = self._terms(chunk)
+            on = np.where(cols == self._rows, self._roots[e], 0)
+            diag[start:start + _CHUNK] = on.reshape(len(chunk), d, d).sum(
+                axis=2) * (m[start:start + _CHUNK, None] / d)
+        return diag
+
+    def _phases(self, B) -> np.ndarray:
+        """psi(yBy/2) at each y of the basis for each B of an int64
+        (N, l, l) stack of symmetric matrices: (N, p^l), the row phases
+        of M_X([[1, B], [0, 1]] g) over those of M_X(g)."""
+        e = self.half * B.reshape(len(B), -1) @ self._yy % self.p
+        return self._roots[e]
+
     def traces(self, mats) -> np.ndarray:
         """tr S(g) for every matrix of an int64 (N, 2l, 2l) stack, which
         must be symplectic: (N,).
@@ -206,27 +227,39 @@ class OscillatorRep:
         sum over x of row y of M_X(g) gives row y of M_X(g) = psi(yBy/2)
         times row y of M_X(g_c), with no use of S being a homomorphism;
         and m(g) = m(g_c) reads (C, D) alone.  The diagonal diag_c of
-        m M_X(g_c) is built once per coset, and tr S(g) =
-        sum_y psi(yBy/2) diag_c[y]: p^l terms per element, not p^{2l}.
-        Both passes go `_CHUNK` elements at a time."""
-        mats, l, p, d = np.asarray(mats, np.int64), self.l, self.p, self.dim
+        m M_X(g_c) is built once per coset (`_diagonals`), and tr S(g) =
+        sum_y psi(yBy/2) diag_c[y] (`_phases`): p^l terms per element, not
+        p^{2l}.  Both passes go `_CHUNK` elements at a time."""
+        mats, l, p = np.asarray(mats, np.int64), self.l, self.p
         first, which, m = self._cosets(mats)
-        diag = np.empty((len(first), d), dtype=complex)
-        for start in range(0, len(first), _CHUNK):
-            reps = mats[first[start:start + _CHUNK]] % p
-            cols, e = self._terms(reps)
-            on = np.where(cols == self._rows, self._roots[e], 0)
-            diag[start:start + _CHUNK] = on.reshape(len(reps), d, d).sum(
-                axis=2) * (m[start:start + _CHUNK, None] / d)
+        diag = self._diagonals(mats[first], m)
         # the last l columns [[-B_c^T], [A_c^T]] of each g_c^{-1}
         right = inverse_transpose(mats[first], l).swapaxes(1, 2)[..., l:]
         out = np.empty(len(mats), dtype=complex)
         for start in range(0, len(mats), _CHUNK):
             c = which[start:start + _CHUNK]
             B = mats[start:start + _CHUNK, :l] @ right[c] % p
-            e = self.half * B.reshape(len(c), -1) @ self._yy % p
-            out[start:start + _CHUNK] = (self._roots[e] * diag[c]).sum(axis=1)
+            out[start:start + _CHUNK] = (self._phases(B) * diag[c]).sum(
+                axis=1)
         return out
+
+    def character_norm(self, R, N) -> float:
+        """(1/|G|) sum_g |tr S(g)|^2 over G = R N, for int64 stacks of the
+        whole Siegel unipotent radical N and of one element of each left
+        coset r N.
+
+        As g -> g^{-1} permutes G, the sum is over the n r^{-1}, and n
+        r^{-1} runs over the right coset N r^{-1}: with D the diagonals of
+        m M_X at the r^{-1} and F the phases psi(yBy/2) of the n (as in
+        `traces`), the traces are the entries of the (|R|, |N|) product
+        D F^T.  The r^{-1} have distinct bottom rows, since their cosets
+        N r^{-1} are distinct; so each scalar is one elimination."""
+        l = self.l
+        rinv = inverse_transpose(R, l).swapaxes(1, 2)
+        D = self._diagonals(rinv,
+                            self._scalar[cell_invariants(rinv, l, self.p)])
+        F = self._phases(N[:, :l, l:])
+        return float(np.sum(np.abs(D @ F.T) ** 2)) / (len(R) * len(N))
 
     def M_X(self, g) -> np.ndarray:
         """S(g) up to the scalar m(g) p^{j/2}."""
@@ -246,6 +279,15 @@ def J_element(l, p):
     """[[0, I],[-I, 0]]: inverse of tau_{1..l}."""
     return tuple(tuple(int(j == i + l) if i < l else -(j == i - l) % p
                        for j in range(2 * l)) for i in range(2 * l))
+
+
+def siegel_parabolic(R, N, p):
+    """The Siegel parabolic {g : C = 0} of G = R N, N the Siegel unipotent
+    radical and R one element of each left coset r N (int64 stacks): as
+    C(r n) = C(r), it is the r n with C(r) = 0, an int64 stack."""
+    l = R.shape[-1] // 2
+    par = R[~R[:, l:, :l].any(axis=(1, 2))][:, None] @ N[None] % p
+    return par.reshape(-1, 2 * l, 2 * l)
 
 
 def parabolic_identity_report(rep: OscillatorRep, mats, tol: float = 1e-8):

@@ -499,16 +499,37 @@ class StabilizerChain:
             self.tested[k].append(0)
             self._grow(k, len(self.gens[k]) - 1)
 
-    def elements(self) -> np.ndarray:
-        """Every element once, as the products u_0 u_1 .. u_{d-1} of one
-        transversal element per level: an int64 (order, d, d) stack."""
+    def elements(self, lo=0, hi=None) -> np.ndarray:
+        """The products u_lo .. u_{hi-1} of one transversal element per
+        level lo..hi-1, each once, the level lo element most significant:
+        an int64 stack.  Over every level that is every element of the
+        group.  From level l on, with l = d / 2 on a standard module over
+        F_p, the levels fix e_0..e_{l-1}: their products are the Siegel
+        unipotent radical N = {[[1, B], [0, 1]]}, and those of the first l
+        levels are a set R with G = R N, one element per left coset of N."""
         P = self.eye[None]
-        for j in reversed(range(self.d)):
+        for j in reversed(range(lo, self.d if hi is None else hi)):
             if self.lengths[j] > 1:
                 P = self._transversal(j, np.arange(self.lengths[j]))[:, None] \
                     @ P[None]
                 np.remainder(P, self.mods, out=P)
                 P = P.reshape(-1, self.d, self.d)
+        return P
+
+    def element(self, idx) -> np.ndarray:
+        """The elements at the indices idx < `order()` of `elements()`: the
+        digits of each index over the orbit lengths, level 0 most
+        significant, name one transversal element per level, and the
+        element is their product.  An int64 (len(idx), d, d) stack that
+        lists no other element."""
+        digits = np.unravel_index(np.asarray(idx, dtype=np.int64),
+                                  self.lengths)
+        P = self._identities(len(digits[0]))
+        for j in range(self.d):
+            if self.lengths[j] > 1:
+                # one walk of the Schreier tree per distinct point
+                pos, which = np.unique(digits[j], return_inverse=True)
+                P = P @ self._transversal(j, pos)[which] % self.mods
         return P
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -299,6 +301,41 @@ def test_no_command_builds_a_group_elem(monkeypatch):
                   "--cap-group", "2000"],
                  ["torus", "--p", "3", "--n", "1"]):
         assert main(argv + ["--out", os.devnull]) == 0, argv
+
+
+@pytest.mark.parametrize("argv", [["--p", "3", "--rank", "2"],
+                                  ["--p", "7", "--rank", "1"]], ids=" ".join)
+def test_field_builds_no_group(argv, tmp_path, monkeypatch):
+    """Above 150 elements `field` reads the group off its stabilizer
+    chain: with `FiniteGroup` refusing to be built and the chain refusing
+    to list all of its levels (its halves R and N stay allowed), every
+    check still passes."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("field built a FiniteGroup")
+
+    listed = symplectic.StabilizerChain.elements
+
+    def halves(self, lo=0, hi=None):
+        if math.prod(self.lengths[lo:hi]) == self.order():
+            raise AssertionError("field listed the whole group")
+        return listed(self, lo, hi)
+
+    monkeypatch.setattr(symplectic.FiniteGroup, "__init__", refuse)
+    monkeypatch.setattr(symplectic.StabilizerChain, "elements", halves)
+    code, doc = run(tmp_path, "f.json", ["field", *argv])
+    assert code == 0
+    assert [c["status"] for c in doc["checks"]] == ["pass"] * 8
+
+
+def test_points_are_the_draws_of_rng_choice():
+    """A point drawn as one randrange of |W| and unravelled is the draw of
+    rng.choice over the rows of `points()`."""
+    spec = symplectic.SympModule.standard(3, 2, 1, 1)
+    a, b = random.Random(4), random.Random(4)
+    drawn = cli._points([a.randrange(spec.size()) for _ in range(200)],
+                        spec.moduli)
+    assert drawn.dtype == np.int64
+    assert (drawn == [b.choice(spec.points()) for _ in range(200)]).all()
 
 
 def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):

@@ -12,9 +12,11 @@ from reference import (det_X, hasse_davenport_holds, mat_det, mat_mul,
 from weilrep import oscillator
 from weilrep.oscillator import (J_element, OscillatorRep, bruhat_decompose,
                                 cell_invariants, inverse_transpose,
-                                parabolic_identity_report, weil_index)
+                                parabolic_identity_report, siegel_parabolic,
+                                weil_index)
 from weilrep.rings import legendre
-from weilrep.symplectic import SympModule, symplectic_group
+from weilrep.symplectic import (StabilizerChain, SympModule, _lex_keys,
+                                symplectic_group, transvection_generators)
 
 
 def _check_against_reference(g, l, p):
@@ -134,6 +136,35 @@ def test_M_X_rows_are_the_coset_rows_times_a_phase(l, p):
         lhs = rep._M_X(mats[part] % p)
         rhs = phase[part, :, None] * rep._M_X(reps[part] % p)
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def siegel_factors(l, p):
+    """The group of the standard module and its factors G = R N, read off
+    the stabilizer chain."""
+    spec = SympModule.standard(p, l, 0, 0)
+    chain = StabilizerChain(spec, transvection_generators(spec))
+    return (symplectic_group(spec).mats, chain.elements(0, l),
+            chain.elements(l, 2 * l))
+
+
+@pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_character_norm_over_cosets_is_the_per_element_sum(l, p):
+    """(1/|G|) sum_g |tr S(g)|^2 from the (|R|, |N|) product of coset
+    diagonals and phases equals the sum of the per-element `traces`."""
+    rep = OscillatorRep(l, p)
+    mats, R, N = siegel_factors(l, p)
+    whole = float(np.sum(np.abs(rep.traces(mats)) ** 2)) / len(mats)
+    assert abs(rep.character_norm(R, N) - whole) < 1e-12
+
+
+@pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_siegel_parabolic_is_the_C_zero_elements(l, p):
+    mats, R, N = siegel_factors(l, p)
+    par = siegel_parabolic(R, N, p)
+    keys = _lex_keys(par, (p,) * (2 * l))
+    assert len(np.unique(keys)) == len(par)
+    C0 = mats[~mats[:, l:, :l].any(axis=(1, 2))]
+    assert (np.sort(keys) == np.sort(_lex_keys(C0, (p,) * (2 * l)))).all()
 
 
 def test_inverse_transpose_reads_the_blocks(sp4):

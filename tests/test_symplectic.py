@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import reduce
 from operator import mul
@@ -16,7 +17,8 @@ from weilrep import symplectic
 from weilrep.linalg import mat_inv_stack
 from weilrep.ring_rep import (_box_invariant, abelianization_character,
                               canonical_isotropic, faithful_model)
-from weilrep.symplectic import (ClosureCapExceeded, GroupElem, SympModule,
+from weilrep.symplectic import (ClosureCapExceeded, GroupElem,
+                                StabilizerChain, SympModule, _lex_keys,
                                 conjugacy_classes, group_closure, orbits,
                                 symplectic_group, transvection_generators)
 
@@ -374,3 +376,41 @@ def test_conjugacy_classes_refuse_a_generator_outside_the_group():
     with pytest.raises(ValueError, match="out of the group"):
         conjugacy_classes(symplectic.FiniteGroup(spec, U.mats,
                                                  [[[1, 0], [1, 1]]]))
+
+
+# -- Sp(2l, F_p) off the stabilizer chain: G = R N ---------------------------
+
+
+@pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_element_by_index_lists_the_group(l, p):
+    """element(i) over every index is `elements()`, in its order, and
+    sorted it is the enumerated group; the two level ranges are its
+    factors, elements()[i |N| + k] = R[i] N[k]."""
+    spec = SympModule.standard(p, l, 0, 0)
+    chain = StabilizerChain(spec, transvection_generators(spec))
+    every = chain.element(np.arange(chain.order()))
+    assert (every == chain.elements()).all()
+    assert (np.sort(_lex_keys(every, spec.moduli))
+            == symplectic_group(spec).keys).all()
+    R, N = chain.elements(0, l), chain.elements(l, 2 * l)
+    assert len(R) * len(N) == chain.order()
+    assert (every == (R[:, None] @ N[None] % p).reshape(every.shape)).all()
+
+
+@pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_levels_from_l_on_are_the_siegel_unipotent_radical(l, p):
+    """The levels that fix e_0..e_{l-1} list N = {[[1, B], [0, 1]] : B
+    symmetric}, each element once."""
+    spec = SympModule.standard(p, l, 0, 0)
+    chain = StabilizerChain(spec, transvection_generators(spec))
+    upper = [(i, j) for i in range(l) for j in range(i, l)]
+    expected = []
+    for entries in itertools.product(range(p), repeat=len(upper)):
+        n = np.eye(2 * l, dtype=np.int64)
+        for (i, j), b in zip(upper, entries):
+            n[i, l + j] = n[j, l + i] = b
+        expected.append(n)
+    N = chain.elements(l, 2 * l)
+    assert len(N) == p ** (l * (l + 1) // 2)
+    assert (np.sort(_lex_keys(N, spec.moduli))
+            == np.sort(_lex_keys(np.array(expected), spec.moduli))).all()
