@@ -321,10 +321,7 @@ def cmd_torus(args) -> int:
     rep_doc.doc["config"]["torus_order"] = len(ctx.C)
     rep_doc.doc["config"]["model_dim"] = ctx.dim
     rep_doc.doc["config"]["visibility_depth"] = ctx.visibility_depth()
-    report = tor.multiplicity_report(ctx, cap=args.cap_group)
-    if report["twist_skipped"]:
-        rep_doc.add("twist-diagnostic", "caps", "skipped",
-                    note=report["twist_skipped"])
+    report = tor.multiplicity_report(ctx)
     table = report["table"]
     rep_doc.check("mult-one", "mult-one",
                   all(rec["mult"] in (0, 1) for rec in table),
@@ -333,10 +330,11 @@ def cmd_torus(args) -> int:
     rep_doc.check("mult-sum-dim", "mult-sum-dim",
                   report["sum_mult"] == ctx.dim,
                   measured={"sum": report["sum_mult"], "dim": ctx.dim})
+    mismatched = [label for label, mult in report["computed"].items()
+                  if mult != report["predicted"][label]]
     rep_doc.check("appearance-criteria", "appearance-criteria",
-                  bool(report["matching_twists"]),
-                  measured={"raw_match": report["raw_match"],
-                            "matching_twists": report["matching_twists"]})
+                  report["raw_match"],
+                  measured={"mismatched": mismatched} if mismatched else None)
     worst, missing = 0.0, []
     for rec in table:
         if rec["mult"] == 1:
@@ -422,13 +420,13 @@ def _parser():
     ring.add_argument("--twist", type=int, default=0,
                       help="tensor the ring representation by the given "
                            "power of the abelianization character")
+    ring.add_argument("--cap-group", dest="cap_group", type=int,
+                      default=2_000_000)
     torus.add_argument("--kind", choices=["unramified", "ramified"],
                        default="unramified")
     torus.add_argument("--uval", type=int, choices=[0, 1], default=0)
     for sp in (ring, torus):
         sp.add_argument("--n", type=int, default=1)
-        sp.add_argument("--cap-group", dest="cap_group", type=int,
-                        default=2_000_000)
         sp.add_argument("--cap-dim", dest="cap_dim", type=int, default=2000)
     for sp, fn in ((field, cmd_field), (ring, cmd_ring), (torus, cmd_torus),
                    (selfcheck, cmd_selfcheck)):

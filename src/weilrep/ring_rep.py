@@ -454,7 +454,7 @@ def character_norm(chi, weights):
     return int(round(val)), abs(val - round(val))
 
 
-# -- abelianization / twist diagnostics ---------------------------------------
+# -- abelianization: the characters of `ring --twist` -------------------------
 
 
 def derived_subgroup(group: FiniteGroup) -> FiniteGroup:

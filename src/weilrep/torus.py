@@ -19,9 +19,8 @@ import numpy as np
 from .oscillator import weil_index
 from .rings import (QuadElem, QuadExt, _roots, legendre,
                     smallest_nonresidue, unit_phase)
-from .ring_rep import (RingWeilRep, abelianization_character, direct_sum,
-                       direct_sum_isotropic, traces)
-from .symplectic import ClosureCapExceeded, SympModule, group_closure
+from .ring_rep import RingWeilRep, direct_sum, direct_sum_isotropic, traces
+from .symplectic import SympModule
 
 
 @dataclass(frozen=True)
@@ -342,11 +341,6 @@ class TorusChar:
     def __call__(self, t) -> complex:
         return complex(self.ctx.table[self.row, self.ctx.index_of(t)])
 
-    def __mul__(self, other: "TorusChar") -> "TorusChar":
-        ctx = self.ctx
-        return ctx.chars[(self.a + other.a) % ctx.o1 * ctx.o2
-                         + (self.b + other.b) % ctx.o2]
-
     @property
     def label(self) -> str:
         return f"chi[{self.a},{self.b}]"
@@ -398,42 +392,15 @@ def _two_cyclic_coordinates(ctx):
 # -- top-level operations -----------------------------------------------------
 
 
-def multiplicity_report(ctx: TorusContext, cap: int = 2_000_000):
-    """Computed table, predicate table, and the global-twist diagnostic."""
+def multiplicity_report(ctx: TorusContext):
+    """Computed and predicted multiplicity tables, and whether they agree."""
     table = ctx.multiplicities()
     computed = {rec["char"].label: rec["mult"] for rec in table}
     predicted = {rec["char"].label: int(ctx.appearance_predicate(rec["char"]))
                  for rec in table}
-    twists, skipped = _twist_candidates(ctx, cap)
-    matching = []
-    for name, values in twists:
-        twist = ctx.character_of(values)
-        if {chi.label: computed[(chi * twist).label]
-                for chi in ctx.chars} == predicted:
-            matching.append(name)
     return {"table": table, "computed": computed, "predicted": predicted,
-            "raw_match": computed == predicted, "matching_twists": matching,
-            "twist_skipped": skipped, "sum_mult": sum(computed.values())}
-
-
-def _twist_candidates(ctx: TorusContext, cap: int):
-    """Characters of the ambient group's abelianization, as values on C,
-    and why only the trivial one is returned when its closure exceeds cap.
-
-    Only the identity twist exists for p >= 5 (the group is perfect); for
-    p = 3 the diagnostic also tries the nontrivial pullbacks.
-    """
-    out = [("trivial", np.ones(len(ctx.C)))]
-    if ctx.p != 3:
-        return out, None
-    try:
-        G = group_closure(ctx.module, ctx.rep.gens, cap=cap)
-    except ClosureCapExceeded as exc:
-        return out, str(exc)
-    chi, k = abelianization_character(G)
-    for a in range(1, k):
-        out.append((f"ab^{a}", chi(ctx.mats, a)))
-    return out, None
+            "raw_match": computed == predicted,
+            "sum_mult": sum(computed.values())}
 
 
 def product_torus_multiplicities(tspecs: list):

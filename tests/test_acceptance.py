@@ -187,8 +187,7 @@ def test_criterion_8_appearance_criteria_and_eigenvectors():
                            ("ramified", 0)):
             ctx = TorusContext(TorusSpec(p, kind, uval, 1))
             rep = multiplicity_report(ctx)
-            crit_ok = (rep["raw_match"] if p >= 5
-                       else bool(rep["matching_twists"]))
+            crit_ok = rep["raw_match"]
             ok = ok and crit_ok
             worst = 0.0
             for rec in rep["table"]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import weilrep.ring_rep as rr
+import weilrep.torus as tor
 from weilrep import cli, symplectic
 from weilrep.cli import COMMANDS, STATUSES, Report, _parser, main
 
@@ -227,12 +228,11 @@ def test_seed_changes_samples_not_verdicts(tmp_path):
     (["torus", "--p", "3", "--cap-dim", "-3000"], "--cap-dim"),
     (["ring", "--p", "3", "--cap-group", "0"], "--cap-group"),
     (["ring", "--p", "3", "--cap-group", "-1"], "--cap-group"),
-    (["torus", "--p", "3", "--cap-group", "0"], "--cap-group"),
 ], ids=["p2", "p9", "p15", "ring-l-above-r", "ring-r0", "ring-n0",
         "torus-n0", "ramified-uval1", "field-samples0", "ring-samples-neg",
         "torus-tol-neg", "torus-tol0", "torus-tol-inf", "field-tol-nan",
         "selfcheck-tol-inf", "ring-cap-dim-neg", "torus-cap-dim-neg",
-        "ring-cap-group0", "ring-cap-group-neg", "torus-cap-group0"])
+        "ring-cap-group0", "ring-cap-group-neg"])
 def test_rejects_invalid_input(argv, message, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()
@@ -327,6 +327,42 @@ def test_field_builds_no_group(argv, tmp_path, monkeypatch):
     assert [c["status"] for c in doc["checks"]] == ["pass"] * 8
 
 
+@pytest.mark.parametrize("argv", [
+    ["--uval", "0", "--n", "1"], ["--uval", "1", "--n", "1"],
+    ["--kind", "ramified", "--n", "1"], ["--uval", "0", "--n", "3"]],
+    ids=" ".join)
+def test_torus_builds_no_group(argv, tmp_path, monkeypatch):
+    """`torus` reads nothing of the ambient group: with the stabilizer
+    chain, which every group closure builds, refusing to be built, the
+    p = 3 reports still pass, appearance-criteria included."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("torus built a stabilizer chain")
+
+    monkeypatch.setattr(symplectic.StabilizerChain, "__init__", refuse)
+    code, doc = run(tmp_path, "t.json", ["torus", "--p", "3", *argv])
+    crit = next(c for c in doc["checks"]
+                if c["anchor"] == "appearance-criteria")
+    assert code == 0 and crit["status"] == "pass"
+    assert "measured" not in crit
+
+
+def test_torus_names_mismatched_characters(tmp_path, monkeypatch):
+    """A predicted table that differs from the computed one in one
+    character fails appearance-criteria, which names that character."""
+    predicate = tor.TorusContext.appearance_predicate
+    flipped = "chi[1,0]"
+
+    def flip(self, chi):
+        return predicate(self, chi) != (chi.label == flipped)
+
+    monkeypatch.setattr(tor.TorusContext, "appearance_predicate", flip)
+    code, doc = run(tmp_path, "t.json", ["torus", "--p", "5", "--n", "1"])
+    crit = next(c for c in doc["checks"]
+                if c["anchor"] == "appearance-criteria")
+    assert code == 1 and crit["status"] == "fail"
+    assert crit["measured"] == {"mismatched": [flipped]}
+
+
 def test_points_are_the_draws_of_rng_choice():
     """A point drawn as one randrange of |W| and unravelled is the draw of
     rng.choice over the rows of `points()`."""
@@ -353,19 +389,6 @@ def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_torus_twist_diagnostic_honours_cap(tmp_path):
-    code, doc = run(tmp_path, "cap.json",
-                    ["torus", "--p", "3", "--uval", "0", "--n", "1",
-                     "--cap-group", "100"])
-    assert code == 0 and doc["failures"] == 0
-    skipped = next(c for c in doc["checks"] if c["anchor"] == "caps")
-    assert skipped["status"] == "skipped" and "100" in skipped["note"]
-    crit = next(c for c in doc["checks"]
-                if c["anchor"] == "appearance-criteria")
-    assert crit["status"] == "pass"
-    assert crit["measured"]["matching_twists"] == ["trivial"]
-
-
 def test_selfcheck_names_failing_sub_run(tmp_path, monkeypatch):
     import weilrep.cli as cli
     monkeypatch.setattr(cli, "cmd_field", lambda args: 0)
@@ -384,8 +407,8 @@ READS = {
     "field": ["--p", "--r", "--rank", "--samples", "--tol", "--seed", "--out"],
     "ring": ["--p", "--r", "--rank", "--samples", "--tol", "--seed", "--out",
              "--l", "--n", "--twist", "--cap-group", "--cap-dim"],
-    "torus": ["--p", "--kind", "--uval", "--n", "--cap-group", "--cap-dim",
-              "--tol", "--seed", "--out"],
+    "torus": ["--p", "--kind", "--uval", "--n", "--cap-dim", "--tol",
+              "--seed", "--out"],
     "selfcheck": ["--seed", "--out", "--tol"],
 }
 FLAGS = sorted(set(chain(*READS.values())))
@@ -459,8 +482,8 @@ def test_reports_do_not_depend_on_earlier_runs(tmp_path):
      "--cap-group", "2000"],
     ["torus", "--p", "3", "--n", "1"]], ids=" ".join)
 def test_one_generating_set_per_command(argv, monkeypatch):
-    """The invariant box search, the closure or the generator words and
-    the twist closure all read the one set of the model."""
+    """The invariant box search and the closure or the generator words
+    all read the one set of the model."""
     calls = []
     certified = symplectic.transvection_generators
 
