@@ -120,42 +120,41 @@ def cmd_field(args) -> int:
     chain = StabilizerChain(spec, gens)
     order = chain.order()
     exhaustive = order <= 150
-    # every element, point and level is drawn before any check runs, in
-    # the order in which the checks use them
-    pairs = None if exhaustive else np.array(
-        [(rng.randrange(order), rng.randrange(order))
-         for _ in range(args.samples)])
-    draws = [(rng.randrange(order), rng.randrange(spec.size()),
-              rng.randrange(p)) for _ in range(1000)]
+    # the rng draws in the order of the checks: each chunk of sampled pairs
+    # just before it is checked, then the 1,000 intertwining draws
     if exhaustive:
         G = FiniteGroup(spec, chain.elements(), gens)
         S = rep.ops(G.mats)
         prods = G.find(G.mats[:, None] @ G.mats[None] % p)
-        rows = max(1, osc._CHUNK // order)
+        rows = max(1, rep.chunk // order)
         worst = max(float(np.abs(S[i:i + rows, None] @ S
                                  - S[prods[i:i + rows]]).max())
                     for i in range(0, order, rows))
     else:
-        worst = 0.0
-        for start in range(0, len(pairs), osc._CHUNK):
-            g, h = (chain.element(c)
-                    for c in pairs[start:start + osc._CHUNK].T)
-            S = rep.ops(np.concatenate([g, h, g @ h % p]))
-            Sg, Sh, Sgh = np.split(S, 3)
-            worst = max(worst, float(np.abs(Sg @ Sh - Sgh).max()))
+        # stacks g, h and gh of _BUDGET integer entries each
+        pairs = _pair_chunks(rng, chain, args.samples,
+                             osc._BUDGET // (2 * l) ** 2)
+        worst = max((float(np.abs(Sg @ Sh - Sgh).max()) for g, h in pairs
+                     for Sg, Sh, Sgh in zip(rep.iter_ops(g), rep.iter_ops(h),
+                                            rep.iter_ops(g @ h % p))),
+                    default=0.0)
     name = "exhaustive" if exhaustive else "sampled"
     rep_doc.check(f"homomorphism-{name}", "genuine-splitting", worst <= tol,
                   measured={"group_order": order} if exhaustive else
                   {"group_order": order, "pairs": args.samples},
                   residual=worst)
 
-    g, w, t = (np.array(col) for col in zip(*draws))
+    g, w, t = (np.array(col) for col in zip(*[
+        (rng.randrange(order), rng.randrange(spec.size()), rng.randrange(p))
+        for _ in range(1000)]))
     g, w = chain.element(g), _points(w, spec.moduli)
-    U = rep.ops(g)
     # g acts on the Heisenberg group by g.(w, t) = (gw, t)
     gw = (g @ w[..., None])[..., 0] % p
-    worst = float(np.abs(U @ rep.rho(w, t) @ U.conj().transpose(0, 2, 1)
-                         - rep.rho(gw, t)).max())
+    n = rep.chunk
+    worst = max(float(np.abs(U @ rep.rho(w[i:i + n], t[i:i + n])
+                             @ U.conj().transpose(0, 2, 1)
+                             - rep.rho(gw[i:i + n], t[i:i + n])).max())
+                for i, U in zip(range(0, len(g), n), rep.iter_ops(g)))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
 
@@ -282,6 +281,16 @@ def _points(idx, moduli):
     the product is the same draw as rng.choice over the rows of
     `points()`."""
     return np.stack(np.unravel_index(idx, moduli), axis=1).astype(np.int64)
+
+
+def _pair_chunks(rng, chain, samples, n):
+    """`samples` pairs of elements of the chain's group as stacks (g, h) of
+    at most n pairs, each drawn from rng when asked for, g before h."""
+    order = chain.order()
+    for start in range(0, samples, n):
+        idx = [rng.randrange(order)
+               for _ in range(2 * min(n, samples - start))]
+        yield chain.element(idx[0::2]), chain.element(idx[1::2])
 
 
 def _covariance_draws(rng, rep, elements):

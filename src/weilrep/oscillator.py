@@ -25,13 +25,11 @@ from .linalg import rank_normal_form_stack
 from .rings import QuadExt, _roots, legendre, unit_phase
 from .symplectic import SympModule, _lex_keys
 
-# stacked operators build their point terms, and traces their per-coset
-# diagonals and per-element row phases, this many elements at a time
-# (scalars once per distinct (C, D), see `_cosets`), which bounds their
-# work arrays whatever the group order; with 1024 the 17,496-element sums
-# of `ring --p 3 --r 1 --l 1 --n 1` peaked 1.1 MB higher, and `traces` on
-# Sp(4, F_3) at 5.7 MB against 3.5 MB, over 60% of one copy of its stack
-_CHUNK = 512
+# stacked operators, their diagonals and traces build their work arrays this
+# many entries at a time: p^{2l} per element for the point terms of M_X and
+# for S(g), p^l for the row phases of a trace; the scalars come once per
+# distinct (C, D) of the whole stack (`_cosets`)
+_BUDGET = 1 << 14
 
 
 # -- the Bruhat cell of g -----------------------------------------------------
@@ -109,6 +107,7 @@ class OscillatorRep:
         self.l = l
         self.p = p
         self.dim = p ** l
+        self.chunk = max(1, _BUDGET // self.dim ** 2)  # elements of S(g)
         self.half = pow(2, -1, p)
         # the model polarized by X: its coset representatives are the
         # points (0, y), and their y blocks _ys are the basis, so rho acts
@@ -156,14 +155,15 @@ class OscillatorRep:
 
     def _M_X(self, mats) -> np.ndarray:
         """M_X of a stack: the phases of the terms summed into their rows
-        and columns in point order, by bincount on a flat index."""
+        and columns in point order, by bincount on a flat index, into one
+        complex array scaled in place (no other chunk-sized complex array)."""
         cols, e = self._terms(mats)
         N, d = len(mats), self.dim
         flat = ((np.arange(N)[:, None] * d + self._rows) * d + cols).ravel()
-        vals = self._roots[e].ravel()
-        op = np.bincount(flat, vals.real, N * d * d) \
-            + 1j * np.bincount(flat, vals.imag, N * d * d)
-        return op.reshape(N, d, d) / d
+        op = 1j * np.bincount(flat, self._roots.imag[e].ravel(), N * d * d)
+        op += np.bincount(flat, self._roots.real[e].ravel(), N * d * d)
+        op /= d
+        return op.reshape(N, d, d)
 
     def _cosets(self, mats):
         """The distinct bottom rows (C, D) of an int64 stack, keyed with no
@@ -176,34 +176,38 @@ class OscillatorRep:
         return first, which, self._scalar[cell_invariants(mats[first], l, p)]
 
     def _chunks(self, mats):
-        """The _CHUNK-element chunks of a stack, reduced mod p, with their
-        scalars from `_cosets`."""
+        """The `chunk`-element chunks of a stack, reduced mod p, with their
+        scalars from `_cosets` of the whole stack."""
         mats = np.asarray(mats, dtype=np.int64)
         _, which, m = self._cosets(mats)
-        for start in range(0, len(mats), _CHUNK):
-            yield (start, mats[start:start + _CHUNK] % self.p,
-                   m[which[start:start + _CHUNK]])
+        for start in range(0, len(mats), self.chunk):
+            yield (mats[start:start + self.chunk] % self.p,
+                   m[which[start:start + self.chunk]])
+
+    def iter_ops(self, mats):
+        """S(g) = m(g) p^{j/2} M_X(g) for every matrix of an int64
+        (N, 2l, 2l) stack, in order, one (<= `chunk`, p^l, p^l) array per
+        chunk of `_chunks`."""
+        for chunk, m in self._chunks(mats):
+            yield m[:, None, None] * self._M_X(chunk)
 
     def ops(self, mats) -> np.ndarray:
-        """S(g) = m(g) p^{j/2} M_X(g) for every matrix of an int64
-        (N, 2l, 2l) stack, over `_chunks`: (N, p^l, p^l)."""
-        out = np.empty((len(mats), self.dim, self.dim), dtype=complex)
-        for start, chunk, m in self._chunks(mats):
-            out[start:start + _CHUNK] = m[:, None, None] * self._M_X(chunk)
-        return out
+        """The concatenation of `iter_ops`: (N, p^l, p^l)."""
+        return np.concatenate([np.empty((0, self.dim, self.dim), complex),
+                               *self.iter_ops(mats)])
 
     def _diagonals(self, reps, m) -> np.ndarray:
         """The diagonal of m M_X(g) for each matrix g of an int64 stack
-        with scalars m, from the terms of `_CHUNK` elements at a time:
+        with scalars m, from the terms of `chunk` elements at a time:
         (N, p^l)."""
-        d = self.dim
+        d, n = self.dim, self.chunk
         diag = np.empty((len(reps), d), dtype=complex)
-        for start in range(0, len(reps), _CHUNK):
-            chunk = reps[start:start + _CHUNK] % self.p
+        for start in range(0, len(reps), n):
+            chunk = reps[start:start + n] % self.p
             cols, e = self._terms(chunk)
             on = np.where(cols == self._rows, self._roots[e], 0)
-            diag[start:start + _CHUNK] = on.reshape(len(chunk), d, d).sum(
-                axis=2) * (m[start:start + _CHUNK, None] / d)
+            diag[start:start + n] = on.reshape(len(chunk), d, d).sum(
+                axis=2) * (m[start:start + n, None] / d)
         return diag
 
     def _phases(self, B) -> np.ndarray:
@@ -229,18 +233,17 @@ class OscillatorRep:
         and m(g) = m(g_c) reads (C, D) alone.  The diagonal diag_c of
         m M_X(g_c) is built once per coset (`_diagonals`), and tr S(g) =
         sum_y psi(yBy/2) diag_c[y] (`_phases`): p^l terms per element, not
-        p^{2l}.  Both passes go `_CHUNK` elements at a time."""
+        p^{2l}.  Both passes keep their work arrays within `_BUDGET`."""
         mats, l, p = np.asarray(mats, np.int64), self.l, self.p
         first, which, m = self._cosets(mats)
         diag = self._diagonals(mats[first], m)
         # the last l columns [[-B_c^T], [A_c^T]] of each g_c^{-1}
         right = inverse_transpose(mats[first], l).swapaxes(1, 2)[..., l:]
-        out = np.empty(len(mats), dtype=complex)
-        for start in range(0, len(mats), _CHUNK):
-            c = which[start:start + _CHUNK]
-            B = mats[start:start + _CHUNK, :l] @ right[c] % p
-            out[start:start + _CHUNK] = (self._phases(B) * diag[c]).sum(
-                axis=1)
+        out, n = np.empty(len(mats), dtype=complex), _BUDGET // self.dim
+        for start in range(0, len(mats), n):
+            c = which[start:start + n]
+            B = mats[start:start + n, :l] @ right[c] % p
+            out[start:start + n] = (self._phases(B) * diag[c]).sum(axis=1)
         return out
 
     def character_norm(self, R, N) -> float:
@@ -297,7 +300,7 @@ def parabolic_identity_report(rep: OscillatorRep, mats, tol: float = 1e-8):
     par = mats[~mats[:, l:, :l].any(axis=(1, 2))]
     signs = np.array([legendre(x, p) for x in range(p)])
     failures, worst = [], 0.0
-    for _, chunk, m in rep._chunks(par):
+    for chunk, m in rep._chunks(par):
         # det u of the X-block A is 1 / det A: one square class
         zeta = signs[rank_normal_form_stack(chunk[:, :l, :l], p)[3]]
         M = rep._M_X(chunk)

@@ -22,10 +22,13 @@ import numpy as np
 from .heisenberg import SchrodingerModel, box_isotropic
 from .rings import _roots
 from .linalg import mat_inv_stack, symplectic_basis
-from .oscillator import _CHUNK, OscillatorRep
+from .oscillator import OscillatorRep
 from .symplectic import (FiniteGroup, SympModule, _lex_keys, _lex_order,
                          group_closure, is_symplectic, orbits,
                          transvection_generators)
+
+# `traces` and `summand_characters` pass this many elements to `blocks`
+_CHUNK = 512
 
 
 # -- residue space -----------------------------------------------------------

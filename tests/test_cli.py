@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -287,6 +288,23 @@ def test_reports_import_no_masked_arrays():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv, limit_mb", [
+    (["--p", "3", "--rank", "2"], 5), (["--p", "7", "--rank", "1"], 4)])
+def test_field_holds_no_operator_stack_past_its_check(argv, limit_mb):
+    """With 1,000 sampled pairs, the traced peak of the whole `field` run
+    stays under limit_mb.  Stacks of S(g) built whole per check and kept
+    bound until the command returned peaked at 8.1 and 4.3 MB (of 2^20
+    bytes)."""
+    tracemalloc.start()
+    try:
+        assert main(["field", *argv, "--samples", "1000",
+                     "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 2 ** 20
+
+
 def test_no_command_builds_a_group_elem(monkeypatch):
     """Commands compute on int64 stacks only: with `GroupElem` refusing to
     be built, these runs still exit 0."""
@@ -372,6 +390,24 @@ def test_points_are_the_draws_of_rng_choice():
                         spec.moduli)
     assert drawn.dtype == np.int64
     assert (drawn == [b.choice(spec.points()) for _ in range(200)]).all()
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 64])
+def test_pair_chunks_draw_the_pairs_in_order_at_any_chunk_length(n):
+    """Chunks of n pairs concatenate to the pairs (g, h) of one list drawn
+    g before h, and leave rng where that list leaves it."""
+    spec = symplectic.SympModule.standard(7, 1, 0, 0)
+    chain = symplectic.StabilizerChain(
+        spec, symplectic.transvection_generators(spec))
+    a, b = random.Random(4), random.Random(4)
+    chunks = list(cli._pair_chunks(a, chain, 50, n))
+    assert [len(g) for g, _ in chunks] == [min(n, 50 - s)
+                                          for s in range(0, 50, n)]
+    pairs = [(b.randrange(chain.order()), b.randrange(chain.order()))
+             for _ in range(50)]
+    for stack, column in zip(zip(*chunks), zip(*pairs)):
+        assert (np.concatenate(stack) == chain.element(column)).all()
+    assert a.random() == b.random()
 
 
 def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):

@@ -34,7 +34,8 @@ def test_cell_invariants_match_factorization_sl2(p):
 
 def sp4_cases():
     """The parabolic elements of Sp(4, F_3), the four tau_S, J and a
-    600-element sample; as one stack they cross a 512-element chunk."""
+    600-element sample; as one stack they fill more than two chunks of
+    `ops`."""
     l, p = 2, 3
     taus = [tau_matrix(S, l, p)
             for S in (frozenset(), {0}, {1}, {0, 1})]
@@ -108,6 +109,43 @@ def test_whole_group_traces_eliminate_each_bottom_row_once(monkeypatch, sp4):
     assert len(np.unique(G.mats[:, 2:], axis=0)) == 1920
     monkeypatch.undo()
     assert np.abs(tr - reference_traces(rep, G.mats)).max() < 1e-12
+
+
+@pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_iter_ops_streams_ops_within_the_budget(l, p, monkeypatch):
+    """On a drawn stack that crosses two chunk boundaries, `iter_ops`
+    yields chunks of at most `_BUDGET` dense entries, one `_cosets` for
+    the whole stack, whose concatenation is `ops` bit for bit; each S(g)
+    at a boundary is its one-element `op`, and `traces` are the traces of
+    `ops`."""
+    rep = OscillatorRep(l, p)
+    spec = SympModule.standard(p, l, 0, 0)
+    chain = StabilizerChain(spec, transvection_generators(spec))
+    n = rep.chunk
+    assert n * rep.dim ** 2 <= oscillator._BUDGET \
+        < (n + 1) * rep.dim ** 2
+    idx = np.random.default_rng(l * p).integers(0, chain.order(), 2 * n + 7)
+    mats = chain.element(idx)
+    cosets = []
+
+    def counted(stack):
+        cosets.append(len(stack))
+        return whole(stack)
+    whole = rep._cosets
+    monkeypatch.setattr(rep, "_cosets", counted)
+    chunks = list(rep.iter_ops(mats))
+    assert cosets == [len(mats)]
+    assert [len(S) for S in chunks] == [n, n, 7]
+    S = rep.ops(mats)
+    assert S.shape == (len(mats), rep.dim, rep.dim)
+    assert np.array_equal(np.concatenate(chunks), S)
+    for i in (n - 1, n, 2 * n - 1, 2 * n):
+        assert np.array_equal(rep.op(mats[i]), S[i])
+    assert np.abs(rep.traces(mats) - np.trace(S, axis1=1, axis2=2)).max() \
+        < 1e-12
+    empty = np.empty((0, 2 * l, 2 * l), dtype=np.int64)
+    assert list(rep.iter_ops(empty)) == []
+    assert rep.ops(empty).shape == (0, rep.dim, rep.dim)
 
 
 @pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
