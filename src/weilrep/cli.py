@@ -20,6 +20,7 @@ import numpy as np
 from . import oscillator as osc
 from . import ring_rep as rr
 from . import torus as tor
+from .linalg import chunks
 from .rings import _is_prime, legendre
 from .symplectic import (ClosureCapExceeded, FiniteGroup, StabilizerChain,
                          SympModule, conjugacy_classes, group_closure, orbits,
@@ -126,14 +127,12 @@ def cmd_field(args) -> int:
         G = FiniteGroup(spec, chain.elements(), gens)
         S = rep.ops(G.mats)
         prods = G.find(G.mats[:, None] @ G.mats[None] % p)
-        rows = max(1, rep.chunk // order)
-        worst = max(float(np.abs(S[i:i + rows, None] @ S
-                                 - S[prods[i:i + rows]]).max())
-                    for i in range(0, order, rows))
+        # the multiplication table in `chunks` of rows of order d x d products
+        worst = max(float(np.abs(S[part, None] @ S - S[prods[part]]).max())
+                    for part in chunks(order, order * rep.dim ** 2))
     else:
-        # stacks g, h and gh of _BUDGET integer entries each
-        pairs = _pair_chunks(rng, chain, args.samples,
-                             osc._BUDGET // (2 * l) ** 2)
+        # stacks g, h and gh of (2l)^2 integer entries per pair
+        pairs = _pair_chunks(rng, chain, args.samples, (2 * l) ** 2)
         worst = max((float(np.abs(Sg @ Sh - Sgh).max()) for g, h in pairs
                      for Sg, Sh, Sgh in zip(rep.iter_ops(g), rep.iter_ops(h),
                                             rep.iter_ops(g @ h % p))),
@@ -150,11 +149,11 @@ def cmd_field(args) -> int:
     g, w = chain.element(g), _points(w, spec.moduli)
     # g acts on the Heisenberg group by g.(w, t) = (gw, t)
     gw = (g @ w[..., None])[..., 0] % p
-    n = rep.chunk
-    worst = max(float(np.abs(U @ rep.rho(w[i:i + n], t[i:i + n])
+    worst = max(float(np.abs(U @ rep.rho(w[part], t[part])
                              @ U.conj().transpose(0, 2, 1)
-                             - rep.rho(gw[i:i + n], t[i:i + n])).max())
-                for i, U in zip(range(0, len(g), n), rep.iter_ops(g)))
+                             - rep.rho(gw[part], t[part])).max())
+                for part, U in zip(chunks(len(g), rep.dim ** 2),
+                                   rep.iter_ops(g)))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   residual=worst)
 
@@ -283,13 +282,13 @@ def _points(idx, moduli):
     return np.stack(np.unravel_index(idx, moduli), axis=1).astype(np.int64)
 
 
-def _pair_chunks(rng, chain, samples, n):
-    """`samples` pairs of elements of the chain's group as stacks (g, h) of
-    at most n pairs, each drawn from rng when asked for, g before h."""
+def _pair_chunks(rng, chain, samples, width):
+    """`samples` pairs of the chain's group as stacks (g, h), one per chunk
+    at width entries a pair, each drawn from rng when asked for, g first."""
     order = chain.order()
-    for start in range(0, samples, n):
-        idx = [rng.randrange(order)
-               for _ in range(2 * min(n, samples - start))]
+    for part in chunks(samples, width):
+        idx = [rng.randrange(order) for _ in range(samples)[part]
+               for _ in "gh"]
         yield chain.element(idx[0::2]), chain.element(idx[1::2])
 
 

@@ -8,12 +8,22 @@ inverse, which is unique, or det u = det(c)^{-1} of an invertible c, or
 the rank and pivot columns, which depend on c alone; none depends on the
 pivot rule.  `symplectic_basis` needs no elimination: projecting a basis
 off a hyperbolic plane that two of its vectors span leaves the others a
-basis of the complement.
+basis of the complement.  Every loop over a stack runs in `chunks`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# the entries of any one work array of a chunked loop
+BUDGET = 1 << 14
+
+
+def chunks(n, width):
+    """Slices that cover range(n) in order, BUDGET // width items each (at
+    least one), for a loop that builds width entries per item."""
+    step = max(1, BUDGET // width)
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 def mat_inv_stack(a, p, k=1):

@@ -21,15 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from .heisenberg import SchrodingerModel, standard_selfdual
-from .linalg import rank_normal_form_stack
+from .linalg import chunks, rank_normal_form_stack
 from .rings import QuadExt, _roots, legendre, unit_phase
 from .symplectic import SympModule, _lex_keys
-
-# stacked operators, their diagonals and traces build their work arrays this
-# many entries at a time: p^{2l} per element for the point terms of M_X and
-# for S(g), p^l for the row phases of a trace; the scalars come once per
-# distinct (C, D) of the whole stack (`_cosets`)
-_BUDGET = 1 << 14
 
 
 # -- the Bruhat cell of g -----------------------------------------------------
@@ -107,7 +101,6 @@ class OscillatorRep:
         self.l = l
         self.p = p
         self.dim = p ** l
-        self.chunk = max(1, _BUDGET // self.dim ** 2)  # elements of S(g)
         self.half = pow(2, -1, p)
         # the model polarized by X: its coset representatives are the
         # points (0, y), and their y blocks _ys are the basis, so rho acts
@@ -176,18 +169,17 @@ class OscillatorRep:
         return first, which, self._scalar[cell_invariants(mats[first], l, p)]
 
     def _chunks(self, mats):
-        """The `chunk`-element chunks of a stack, reduced mod p, with their
-        scalars from `_cosets` of the whole stack."""
+        """The `chunks` of a stack, p^{2l} terms of M_X per element, reduced
+        mod p, with their scalars from `_cosets` of the whole stack."""
         mats = np.asarray(mats, dtype=np.int64)
         _, which, m = self._cosets(mats)
-        for start in range(0, len(mats), self.chunk):
-            yield (mats[start:start + self.chunk] % self.p,
-                   m[which[start:start + self.chunk]])
+        for part in chunks(len(mats), self.dim ** 2):
+            yield mats[part] % self.p, m[which[part]]
 
     def iter_ops(self, mats):
         """S(g) = m(g) p^{j/2} M_X(g) for every matrix of an int64
-        (N, 2l, 2l) stack, in order, one (<= `chunk`, p^l, p^l) array per
-        chunk of `_chunks`."""
+        (N, 2l, 2l) stack, in order, one (n, p^l, p^l) array per chunk of
+        `_chunks`."""
         for chunk, m in self._chunks(mats):
             yield m[:, None, None] * self._M_X(chunk)
 
@@ -198,16 +190,16 @@ class OscillatorRep:
 
     def _diagonals(self, reps, m) -> np.ndarray:
         """The diagonal of m M_X(g) for each matrix g of an int64 stack
-        with scalars m, from the terms of `chunk` elements at a time:
-        (N, p^l)."""
-        d, n = self.dim, self.chunk
+        with scalars m, from the p^{2l} terms per element of each of their
+        `chunks`: (N, p^l)."""
+        d = self.dim
         diag = np.empty((len(reps), d), dtype=complex)
-        for start in range(0, len(reps), n):
-            chunk = reps[start:start + n] % self.p
+        for part in chunks(len(reps), d * d):
+            chunk = reps[part] % self.p
             cols, e = self._terms(chunk)
             on = np.where(cols == self._rows, self._roots[e], 0)
-            diag[start:start + n] = on.reshape(len(chunk), d, d).sum(
-                axis=2) * (m[start:start + n, None] / d)
+            diag[part] = on.reshape(len(chunk), d, d).sum(
+                axis=2) * (m[part, None] / d)
         return diag
 
     def _phases(self, B) -> np.ndarray:
@@ -233,17 +225,17 @@ class OscillatorRep:
         and m(g) = m(g_c) reads (C, D) alone.  The diagonal diag_c of
         m M_X(g_c) is built once per coset (`_diagonals`), and tr S(g) =
         sum_y psi(yBy/2) diag_c[y] (`_phases`): p^l terms per element, not
-        p^{2l}.  Both passes keep their work arrays within `_BUDGET`."""
+        p^{2l}.  Both passes run in `chunks`."""
         mats, l, p = np.asarray(mats, np.int64), self.l, self.p
         first, which, m = self._cosets(mats)
         diag = self._diagonals(mats[first], m)
         # the last l columns [[-B_c^T], [A_c^T]] of each g_c^{-1}
         right = inverse_transpose(mats[first], l).swapaxes(1, 2)[..., l:]
-        out, n = np.empty(len(mats), dtype=complex), _BUDGET // self.dim
-        for start in range(0, len(mats), n):
-            c = which[start:start + n]
-            B = mats[start:start + n, :l] @ right[c] % p
-            out[start:start + n] = (self._phases(B) * diag[c]).sum(axis=1)
+        out = np.empty(len(mats), dtype=complex)
+        for part in chunks(len(mats), self.dim):
+            c = which[part]
+            B = mats[part, :l] @ right[c] % p
+            out[part] = (self._phases(B) * diag[c]).sum(axis=1)
         return out
 
     def character_norm(self, R, N) -> float:
@@ -255,14 +247,18 @@ class OscillatorRep:
         r^{-1} runs over the right coset N r^{-1}: with D the diagonals of
         m M_X at the r^{-1} and F the phases psi(yBy/2) of the n (as in
         `traces`), the traces are the entries of the (|R|, |N|) product
-        D F^T.  The r^{-1} have distinct bottom rows, since their cosets
-        N r^{-1} are distinct; so each scalar is one elimination."""
-        l = self.l
-        rinv = inverse_transpose(R, l).swapaxes(1, 2)
-        D = self._diagonals(rinv,
-                            self._scalar[cell_invariants(rinv, l, self.p)])
-        F = self._phases(N[:, :l, l:])
-        return float(np.sum(np.abs(D @ F.T) ** 2)) / (len(R) * len(N))
+        D F^T, summed over the `chunks` of R, each r building the p^{2l}
+        terms of its diagonal and |N| traces.  The r^{-1} have distinct
+        bottom rows, since their cosets N r^{-1} are distinct; so each
+        scalar is one elimination."""
+        l, total = self.l, 0.0
+        F = self._phases(N[:, :l, l:]).T
+        for part in chunks(len(R), max(self.dim ** 2, len(N))):
+            rinv = inverse_transpose(R[part], l).swapaxes(1, 2)
+            D = self._diagonals(
+                rinv, self._scalar[cell_invariants(rinv, l, self.p)])
+            total += float(np.sum(np.abs(D @ F) ** 2))
+        return total / (len(R) * len(N))
 
     def M_X(self, g) -> np.ndarray:
         """S(g) up to the scalar m(g) p^{j/2}."""

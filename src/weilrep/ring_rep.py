@@ -21,14 +21,11 @@ import numpy as np
 
 from .heisenberg import SchrodingerModel, box_isotropic
 from .rings import _roots
-from .linalg import mat_inv_stack, symplectic_basis
+from .linalg import chunks, mat_inv_stack, symplectic_basis
 from .oscillator import OscillatorRep
 from .symplectic import (FiniteGroup, SympModule, _lex_keys, _lex_order,
                          group_closure, is_symplectic, orbits,
                          transvection_generators)
-
-# `traces` and `summand_characters` pass this many elements to `blocks`
-_CHUNK = 512
 
 
 # -- residue space -----------------------------------------------------------
@@ -417,12 +414,18 @@ def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
     return out
 
 
+def _width(rep):
+    """The entries per element of the largest work array of `blocks`: the
+    points y (C, d) or the blocks (C, s, s)."""
+    return rep.heis.dim * max(rep.spec.dim, rep.sdim ** 2)
+
+
 def traces(rep, elements) -> np.ndarray:
-    """tr S(g) for each element of a sequence or stack, in order."""
+    """tr S(g) for each element of a sequence or stack, in order, from
+    `blocks` of each of their `chunks`."""
     out = np.empty(len(elements), dtype=complex)
-    for start in range(0, len(elements), _CHUNK):
-        out[start:start + _CHUNK] = rep.blocks(
-            elements[start:start + _CHUNK]).traces()
+    for part in chunks(len(elements), _width(rep)):
+        out[part] = rep.blocks(elements[part]).traces()
     return out
 
 
@@ -430,7 +433,7 @@ def summand_characters(rep, mats, summands: list[Summand]):
     """chi(g) = (tr_O S(g) + eps tr_O S(-g))/2 per summand (O, eps) per
     element of an (N, d, d) stack, in order, as S(-1) S(g) = S(-g).  The
     characters are class functions, so `cmd_ring` passes one element per
-    conjugacy class.  Each chunk of elements goes through `blocks` stacked
+    conjugacy class.  Each of their `chunks` goes through `blocks` stacked
     with its negation, and the traces over the cosets of each orbit O are
     summed at once."""
     orbit, owner = {}, np.full(rep.heis.dim, len(summands))
@@ -440,12 +443,10 @@ def summand_characters(rep, mats, summands: list[Summand]):
     eps = np.array([sm.eps for sm in summands])[:, None]
     out = np.empty((len(summands), len(mats)), dtype=complex)
     mods = rep.heis.mods[:, None]
-    for start in range(0, len(mats), _CHUNK):
-        part = mats[start:start + _CHUNK]
-        tr = rep.blocks(np.concatenate([part, -part % mods])).traces(
-            owner)[rows]
-        out[:, start:start + len(part)] = (tr[:, :len(part)]
-                                           + eps * tr[:, len(part):]) / 2
+    for part in chunks(len(mats), 2 * _width(rep)):
+        g = mats[part]
+        tr = rep.blocks(np.concatenate([g, -g % mods])).traces(owner)[rows]
+        out[:, part] = (tr[:, :len(g)] + eps * tr[:, len(g):]) / 2
     return out
 
 

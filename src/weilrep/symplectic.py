@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .linalg import mat_inv_stack
+from . import linalg
+from .linalg import chunks, mat_inv_stack
 from .rings import vp
 
 
@@ -315,11 +316,6 @@ class FiniteGroup:
         return int(out) if out.ndim == 0 else out
 
 
-# orbit points, or Schreier generators, handled at once by the stabilizer
-# chain; bounds its work arrays to a few MB whatever the orbit lengths
-_CLOSURE_CHUNK = 2048
-
-
 class StabilizerChain:
     """A base and strong generating set of the group generated by a stack
     of matrices, for its action on W, by the deterministic Schreier-Sims
@@ -386,13 +382,14 @@ class StabilizerChain:
     def _grow(self, j, new):
         """Close the orbit of level j under its generators, of which those
         numbered new.. are new: their images of the orbit points first, then
-        breadth first under all of them, _CLOSURE_CHUNK points at a time.
+        breadth first under all of them, in `chunks` of d entries per image.
         Each new point keeps the first (point, generator) that reaches it."""
         frontier = np.arange(self.lengths[j])
         while len(frontier) and new < len(self.gens[j]):
             found, before = [], self.lengths[j]
-            for start in range(0, len(frontier), _CLOSURE_CHUNK):
-                pos = frontier[start:start + _CLOSURE_CHUNK]
+            k = len(self.gens[j]) - new
+            for part in chunks(len(frontier), k * self.d):
+                pos = frontier[part]
                 img = self._images(self.gens[j][new:],
                                    self.orbit[j][pos]).ravel()
                 fresh = np.flatnonzero(self.where[j, img] < 0)
@@ -401,7 +398,6 @@ class StabilizerChain:
                 count = self.lengths[j]
                 self.where[j, img[sel]] = np.arange(count, count + len(sel))
                 self.lengths[j] += len(sel)
-                k = len(self.gens[j]) - new
                 found.append((img[sel], new + sel % k, pos[sel // k]))
                 if self.cap is not None and self.order() > self.cap:
                     raise ClosureCapExceeded(
@@ -439,10 +435,10 @@ class StabilizerChain:
 
     def _unwind(self, k, H, pos):
         """u_x^-1 H for the points x at positions pos of level k, from a
-        table of every u_x^-1 on a level of at most _CLOSURE_CHUNK points
-        (built on first use; such orbits can be long cycles of one
-        generator), else by `_walk`."""
-        if self.lengths[k] > _CLOSURE_CHUNK:
+        table of every u_x^-1 on a level whose table fits one work array of
+        `linalg.BUDGET` entries (built on first use; such orbits can be
+        long cycles of one generator), else by `_walk`."""
+        if self.lengths[k] * self.d ** 2 > linalg.BUDGET:
             return self._walk(k, H, pos)
         if self.uinv[k] is None or len(self.uinv[k]) < self.lengths[k]:
             every = np.arange(self.lengths[k])
@@ -465,13 +461,13 @@ class StabilizerChain:
         """Sift the untested Schreier generators u_{sx}^-1 s u_x of level j,
         generator by generator in point order.  The first that leaves a
         residue h, which fixes e_0..e_{k-1} but moves e_k out of the orbit
-        of level k, is added to levels j+1..k, and k is returned; None
-        when every one sifts to the identity."""
+        of level k, is added to levels j+1..k, and k is returned; None when
+        every one sifts to the identity.  Points go in `chunks` of d x d."""
         S, tested = self.gens[j], self.tested[j]
         for s in range(len(S)):
-            while tested[s] < self.lengths[j]:
-                pos = np.arange(tested[s], min(tested[s] + _CLOSURE_CHUNK,
-                                               self.lengths[j]))
+            todo = np.arange(tested[s], self.lengths[j])
+            for part in chunks(len(todo), self.d ** 2):
+                pos = todo[part]
                 end = pos[-1] + 1
                 to = self.where[j, self._images(S[s:s + 1],
                                                 self.orbit[j][pos])[:, 0]]
@@ -589,10 +585,6 @@ def _least_reachable(perms, n) -> np.ndarray:
     return label
 
 
-# elements conjugated and looked up at once by `conjugacy_classes`
-_CLASS_CHUNK = 65_536
-
-
 def conjugacy_classes(group: FiniteGroup):
     """The conjugacy classes of a group: the index of its first element in
     each class, ascending, and the class sizes, two int64 arrays.
@@ -600,7 +592,8 @@ def conjugacy_classes(group: FiniteGroup):
     Conjugation by a generator s is one index array, find(s g s^-1) over
     the elements, and the classes are the orbits of these permutations
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-    2005), labelled as in `orbits`.
+    2005), labelled as in `orbits`.  The conjugates are formed and looked
+    up in `chunks` of elements.
     """
     spec = group.spec
     mods = np.array(spec.moduli, dtype=np.int64)[:, None]
@@ -608,9 +601,8 @@ def conjugacy_classes(group: FiniteGroup):
     perms = []
     for s, sinv in zip(group.gens, Sinv):
         perm = np.concatenate([
-            group.find(s @ group.mats[start:start + _CLASS_CHUNK] % mods
-                       @ sinv)
-            for start in range(0, len(group), _CLASS_CHUNK)])
+            group.find(s @ group.mats[part] % mods @ sinv)
+            for part in chunks(len(group), spec.dim ** 2)])
         if (perm < 0).any():
             raise ValueError("a generator conjugates an element out of "
                              "the group")

@@ -15,7 +15,7 @@ import pytest
 
 import weilrep.ring_rep as rr
 import weilrep.torus as tor
-from weilrep import cli, symplectic
+from weilrep import cli, linalg, symplectic
 from weilrep.cli import COMMANDS, STATUSES, Report, _parser, main
 
 SCHEMA = json.loads(resources.files("weilrep")
@@ -393,14 +393,17 @@ def test_points_are_the_draws_of_rng_choice():
 
 
 @pytest.mark.parametrize("n", [1, 7, 50, 64])
-def test_pair_chunks_draw_the_pairs_in_order_at_any_chunk_length(n):
-    """Chunks of n pairs concatenate to the pairs (g, h) of one list drawn
-    g before h, and leave rng where that list leaves it."""
+def test_pair_chunks_draw_the_pairs_in_order_at_any_chunk_length(
+        n, monkeypatch):
+    """Chunks of n pairs, at a budget of n pairs of 2 x 2 matrices,
+    concatenate to the pairs (g, h) of one list drawn g before h, and
+    leave rng where that list leaves it."""
+    monkeypatch.setattr(linalg, "BUDGET", 4 * n)
     spec = symplectic.SympModule.standard(7, 1, 0, 0)
     chain = symplectic.StabilizerChain(
         spec, symplectic.transvection_generators(spec))
     a, b = random.Random(4), random.Random(4)
-    chunks = list(cli._pair_chunks(a, chain, 50, n))
+    chunks = list(cli._pair_chunks(a, chain, 50, 4))
     assert [len(g) for g, _ in chunks] == [min(n, 50 - s)
                                           for s in range(0, 50, n)]
     pairs = [(b.randrange(chain.order()), b.randrange(chain.order()))

@@ -41,9 +41,10 @@ from reference import (act, add, bfs_closure, build_ring_rep, elems,
 from test_oscillator import sp4_cases
 from weilrep.cli import main
 from weilrep.heisenberg import SchrodingerModel, box_isotropic
+from weilrep.linalg import chunks
 from weilrep.oscillator import OscillatorRep, weil_index
-from weilrep.ring_rep import (_CHUNK, MonomialOps, RingWeilRep,
-                              _box_invariant, abelianization_character,
+from weilrep.ring_rep import (MonomialOps, RingWeilRep, _box_invariant,
+                              _width, abelianization_character,
                               abelianization_cosets,
                               canonical_isotropic, decompose,
                               derived_subgroup, invariance_generators,
@@ -524,9 +525,15 @@ def _check_characters(rep, group, idx, twist=lambda g: 1.0):
             assert abs(chars[si, i] - np.einsum("ij,ji->", P, op)) < 1e-12
 
 
-def _sample_idx(n, k, seed):
-    """k seeded indices plus both sides of every chunk boundary."""
-    edges = {i for b in range(_CHUNK, n, _CHUNK) for i in (b - 1, b)}
+def _boundaries(n, width):
+    """The first index of every chunk of `chunks` but the first."""
+    return [part.start for part in chunks(n, width)][1:]
+
+
+def _sample_idx(n, k, seed, *widths):
+    """k seeded indices plus both sides of every chunk boundary of
+    `chunks` at each width."""
+    edges = {i for w in widths for b in _boundaries(n, w) for i in (b - 1, b)}
     return sorted(set(random.Random(seed).sample(range(n), k)) | edges
                   | {0, n - 1})
 
@@ -542,8 +549,11 @@ def test_ring_ops_match_reference_on_every_element_3101():
 def test_ring_ops_match_reference_on_large_groups(args):
     rep = build_ring_rep(SympModule.standard(*args))
     G = symplectic_group(rep.spec)
-    assert len(G) > 2 * _CHUNK
-    idx = _sample_idx(len(G), 150, seed=5)
+    # the chunks of `traces` and of `summand_characters`, which stacks
+    # each element with its negation
+    widths = _width(rep), 2 * _width(rep)
+    assert len(_boundaries(len(G), widths[0])) >= 2
+    idx = _sample_idx(len(G), 150, 5, *widths)
     els = elems(rep.spec, G.mats[idx])
     _check_ops(rep, els)
     _check_characters(rep, G, idx)
@@ -682,7 +692,8 @@ def test_blocks_gather_the_residue_table_once_per_call():
 def test_apply_matches_dense_across_a_chunk_boundary_3111():
     rep = build_ring_rep(SympModule.standard(3, 1, 1, 1))
     G = symplectic_group(rep.spec)
-    _check_apply(rep.blocks(G.mats[_CHUNK - 20:_CHUNK + 20]))
+    b = _boundaries(len(G), _width(rep))[0]
+    _check_apply(rep.blocks(G.mats[b - 20:b + 20]))
 
 
 @pytest.mark.parametrize("side", ["B", "Bstar"])

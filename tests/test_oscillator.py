@@ -9,7 +9,7 @@ from elements import parabolic_elements, sl2_elements, sp_elements
 from reference import (det_X, hasse_davenport_holds, mat_det, mat_mul,
                        reference_bruhat, reference_invariants,
                        reference_traces, tau_matrix)
-from weilrep import oscillator
+from weilrep import linalg, oscillator
 from weilrep.oscillator import (J_element, OscillatorRep, bruhat_decompose,
                                 cell_invariants, inverse_transpose,
                                 parabolic_identity_report, siegel_parabolic,
@@ -114,16 +114,15 @@ def test_whole_group_traces_eliminate_each_bottom_row_once(monkeypatch, sp4):
 @pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
 def test_iter_ops_streams_ops_within_the_budget(l, p, monkeypatch):
     """On a drawn stack that crosses two chunk boundaries, `iter_ops`
-    yields chunks of at most `_BUDGET` dense entries, one `_cosets` for
+    yields chunks of at most `linalg.BUDGET` dense entries, one `_cosets` for
     the whole stack, whose concatenation is `ops` bit for bit; each S(g)
     at a boundary is its one-element `op`, and `traces` are the traces of
     `ops`."""
     rep = OscillatorRep(l, p)
     spec = SympModule.standard(p, l, 0, 0)
     chain = StabilizerChain(spec, transvection_generators(spec))
-    n = rep.chunk
-    assert n * rep.dim ** 2 <= oscillator._BUDGET \
-        < (n + 1) * rep.dim ** 2
+    n = next(linalg.chunks(1 << 20, rep.dim ** 2)).stop
+    assert n * rep.dim ** 2 <= linalg.BUDGET < (n + 1) * rep.dim ** 2
     idx = np.random.default_rng(l * p).integers(0, chain.order(), 2 * n + 7)
     mats = chain.element(idx)
     cosets = []
@@ -233,6 +232,27 @@ def test_traces_allocate_well_under_a_reduced_copy_of_the_stack(sp4):
     finally:
         tracemalloc.stop()
     assert peak < 0.6 * G.mats.nbytes
+
+
+def test_character_norm_streams_its_trace_products():
+    """On Sp(4, F_3) = R N, `character_norm` builds the 1,920 x 27 traces
+    of D F^T a chunk of R at a time: its peak stays under 1.5 MiB (one
+    unchunked pass peaks at 1.69 MiB), and it is the mean of |tr S(g)|^2
+    over every element to 1e-12."""
+    rep = OscillatorRep(2, 3)
+    spec = SympModule.standard(3, 2, 0, 0)
+    chain = StabilizerChain(spec, transvection_generators(spec))
+    R, N = chain.elements(0, 2), chain.elements(2, 4)
+    rep.character_norm(R[:1], N)
+    tracemalloc.start()
+    try:
+        cn = rep.character_norm(R, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
+    tr = rep.traces(chain.elements())
+    assert abs(cn - np.mean(np.abs(tr) ** 2)) < 1e-12
 
 
 def test_weil_index_identities():
