@@ -77,19 +77,20 @@ class Report:
         self.add(name, anchor, "pass" if ok else "fail", measured, residual, note)
 
     def finish(self, out=None):
+        """Write the report; return the anchors of its failed checks."""
         text = json.dumps(self.doc, indent=2, sort_keys=True)
         if out:
             with open(out, "w") as fh:
                 fh.write(text + "\n")
         else:
             print(text)
-        return self.doc["failures"]
+        return [c["anchor"] for c in self.doc["checks"] if c["status"] == "fail"]
 
 
 # -- field command -------------------------------------------------------------
 
 
-def cmd_field(args) -> int:
+def cmd_field(args) -> list:
     p, l = args.p, args.r
     rng = random.Random(args.seed)
     rep_doc = Report("field", {"p": p, "rank": l, "tol": args.tol},
@@ -179,7 +180,7 @@ def cmd_field(args) -> int:
 # -- ring command ---------------------------------------------------------------
 
 
-def cmd_ring(args) -> int:
+def cmd_ring(args) -> list:
     p, r, l, n = args.p, args.r, args.l, args.n
     rng = random.Random(args.seed)
     rep_doc = Report("ring", {"p": p, "r": r, "l": l, "n": n,
@@ -317,7 +318,7 @@ def _check_intertwining(rep_doc, rep, gs, ws, ts, tol):
 # -- torus command ----------------------------------------------------------------
 
 
-def cmd_torus(args) -> int:
+def cmd_torus(args) -> list:
     tspec = tor.TorusSpec(args.p, args.kind, args.uval, args.n)
     rep_doc = Report("torus", {"p": args.p, "kind": args.kind,
                                "uval": args.uval, "n": args.n}, args.seed)
@@ -377,7 +378,7 @@ def cmd_torus(args) -> int:
 # -- selfcheck ---------------------------------------------------------------------
 
 
-def cmd_selfcheck(args) -> int:
+def cmd_selfcheck(args) -> list:
     rep_doc = Report("selfcheck", {}, args.seed)
     failures = 0
     failed_runs = []
@@ -391,9 +392,10 @@ def cmd_selfcheck(args) -> int:
                 f"--out={os.devnull}"]
         sub = _parser().parse_args(argv)
         failed = sub.fn(sub)
-        failures += failed
+        failures += len(failed)
         if failed:
-            failed_runs.append({"command": command, "overrides": over})
+            failed_runs.append({"command": command, "overrides": over,
+                                "anchors": failed})
 
     run("field", p=3, r=1)
     run("field", p=5, r=1)

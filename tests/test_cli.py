@@ -430,15 +430,25 @@ def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):
 
 def test_selfcheck_names_failing_sub_run(tmp_path, monkeypatch):
     import weilrep.cli as cli
-    monkeypatch.setattr(cli, "cmd_field", lambda args: 0)
-    monkeypatch.setattr(cli, "cmd_torus", lambda args: 0)
-    monkeypatch.setattr(cli, "cmd_ring", lambda args: int(args.l == 1))
+
+    def ring(args):
+        """A report whose checks fail at two anchors when l = 1."""
+        doc = cli.Report("ring", {}, args.seed)
+        doc.check("unitarity", "unitarity", args.l != 1)
+        doc.check("summand-count", "summand-count", True)
+        doc.check("homomorphism", "genuine-splitting", args.l != 1)
+        return doc.finish(args.out)
+    monkeypatch.setattr(cli, "cmd_field", lambda args: [])
+    monkeypatch.setattr(cli, "cmd_torus", lambda args: [])
+    monkeypatch.setattr(cli, "cmd_ring", ring)
     code, doc = run(tmp_path, "s.json", ["selfcheck"])
     assert code == 1
     battery = next(c for c in doc["checks"] if c["name"] == "battery")
     assert battery["status"] == "fail"
+    assert battery["measured"]["sub_failures"] == 2
     assert battery["measured"]["failed_runs"] == [
-        {"command": "ring", "overrides": {"p": 3, "r": 1, "l": 1, "n": 1}}]
+        {"command": "ring", "overrides": {"p": 3, "r": 1, "l": 1, "n": 1},
+         "anchors": ["unitarity", "genuine-splitting"]}]
 
 
 # the flags each subcommand reads

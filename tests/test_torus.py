@@ -274,6 +274,38 @@ def test_product_torus_tensor_eigenvector():
             assert np.linalg.norm(rep.op(g) @ w - w) < 1e-8
 
 
+@pytest.mark.parametrize("factors", [
+    [(3, "unramified", 0, 1)] * 2, [(3, "unramified", 1, 1)] * 2,
+    [(3, "ramified", 0, 1), (3, "unramified", 0, 1)],
+    [(3, "unramified", 0, 1), (3, "unramified", 1, 1)]], ids=str)
+def test_product_model_isotropic_data_is_blockwise(factors):
+    """`canonical_isotropic` on W_A + W_B yields the factors' data side by
+    side, with the residue basis interleaved as (e_A, e_B, f_A, f_B)."""
+    (cA, cB), big, rep, _ = product_torus_multiplicities(
+        [TorusSpec(*f) for f in factors])
+    isoA, isoB, iso = cA.rep.iso, cB.rep.iso, rep.iso
+    dA = cA.module.dim
+    assert iso.u_box == isoA.u_box + isoB.u_box
+    assert iso.uperp_box == isoA.uperp_box + isoB.uperp_box
+    assert iso.res_coords == isoA.res_coords + tuple(
+        dA + i for i in isoB.res_coords)
+    kA, kB = len(isoA.res_coords), len(isoB.res_coords)
+    lA, lB = isoA.l_res, isoB.l_res
+    assert iso.l_res == lA + lB
+    gram = np.zeros((kA + kB,) * 2, dtype=np.int64)
+    gram[:kA, :kA], gram[kA:, kA:] = isoA.res_gram, isoB.res_gram
+    assert (iso.res_gram == gram).all()
+    T = np.zeros((kA + kB,) * 2, dtype=np.int64)
+    T[:kA, :kA], T[kA:, kA:] = isoA.T, isoB.T
+    cols = [*range(lA), *range(kA, kA + lB), *range(lA, kA),
+            *range(kA + lB, kA + kB)]
+    assert (iso.T == T[:, cols]).all()
+    # coset (a, b) of the sum is coset a * |B| + b
+    pts = rep.heis.pts.reshape(cA.rep.heis.dim, cB.rep.heis.dim, -1)
+    assert (pts[..., :dA] == cA.rep.heis.pts[:, None]).all()
+    assert (pts[..., dA:] == cB.rep.heis.pts[None]).all()
+
+
 def test_visibility_depth_reported():
     assert ctx_of(3, "unramified", 0, 1).visibility_depth() == 2
     assert ctx_of(3, "unramified", 1, 1).visibility_depth() == 1
