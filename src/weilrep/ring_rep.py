@@ -69,20 +69,20 @@ class IsotropicData:
 
 
 def scaled_pair_flip(spec: SympModule) -> np.ndarray | None:
-    """The symplectic swap e_i -> -e_j, e_j -> e_i on the scaled pairs
-    i < j, whose form value has more factors p than the form content.
+    """The symplectic swap u_i -> -v_i, v_i -> u_i on the scaled pairs.
 
     Transvections of a mixed-moduli module act trivially between the two
     scaled coordinate blocks, so they alone do not generate the symplectic
     group there; this flip (the reduction of a lattice-stabilizer element)
     is what rules out the spurious invariant boxes.
     """
-    gram = np.triu(spec.gram)
-    i, j = np.nonzero(gram * (gram % spec.p ** (spec.form_content + 1) == 0))
+    if spec.l in (None, 0, spec.r):
+        return None
+    i, r = np.arange(spec.l), spec.r
     mat = np.eye(spec.dim, dtype=np.int64)
-    mat[i, i] = mat[j, j] = 0
-    mat[j, i], mat[i, j] = -1, 1
-    return mat % np.array(spec.moduli)[:, None] if len(i) else None
+    mat[i, i] = mat[r + i, r + i] = 0
+    mat[r + i, i], mat[i, r + i] = -1, 1
+    return mat % np.array(spec.moduli)[:, None]
 
 
 def invariance_generators(spec: SympModule, gens) -> np.ndarray:
@@ -160,12 +160,13 @@ def _box_contains(spec, outer, inner):
 
 
 class RingWeilRep:
-    """Genuine Weil representation of Sp(W) for W over Z/p^{n+1}, direct
-    sums included, induced from the certified `canonical_isotropic` data."""
+    """Genuine Weil representation of Sp(W) for W over Z/p^{n+1}; given
+    the `direct_sum_isotropic` iso of W = W_A + W_B, of Sp(W_A) x Sp(W_B)."""
 
-    def __init__(self, spec: SympModule):
+    def __init__(self, spec: SympModule, iso: IsotropicData | None = None):
         self.spec = spec
-        self.iso = canonical_isotropic(spec, self.gens)
+        self.iso = (iso if iso is not None
+                    else canonical_isotropic(spec, self.gens))
         self.p = spec.p
         self.M = spec.modulus
         # the coset split y = xc + u over U-perp; coset c is the point
@@ -524,7 +525,7 @@ def abelianization_character(group: FiniteGroup):
     return chi, k
 
 
-# -- direct sums: certified by canonical_isotropic like any module ---------
+# -- tensor / direct-sum structure ---------------------------------------------
 
 
 def direct_sum(specA: SympModule, specB: SympModule) -> SympModule:
@@ -538,6 +539,34 @@ def _block_diag(a, b) -> list:
     """Rows of diag(a, b) for two square nested sequences."""
     return ([list(row) + [0] * len(b) for row in a]
             + [[0] * len(a) + list(row) for row in b])
+
+
+def direct_sum_isotropic(big: SympModule, isoA: IsotropicData,
+                         isoB: IsotropicData) -> IsotropicData:
+    """Blockwise isotropic data for an orthogonal direct sum.
+
+    The standard symplectic residue basis is interleaved globally:
+    (e-vectors of A, e-vectors of B, f-vectors of A, f-vectors of B), so the
+    oscillator basis of the sum is the tensor basis of the factors.  Where
+    the moduli of A and B agree, `canonical_isotropic` returns this data;
+    where they differ, `transvection_generators` refuses the sum.
+    """
+    p = big.p
+    da = isoA.spec.dim
+    u_box = isoA.u_box + isoB.u_box
+    uperp_box = isoA.uperp_box + isoB.uperp_box
+    res_coords = isoA.res_coords + tuple(da + i for i in isoB.res_coords)
+    ka, kb = len(isoA.res_coords), len(isoB.res_coords)
+    k = ka + kb
+    gram = _block_diag(isoA.res_gram, isoB.res_gram)
+    la, lb = isoA.l_res, isoB.l_res
+    cols = [*range(la), *range(ka, ka + lb), *range(la, ka),
+            *range(ka + lb, k)]
+    T = np.array(_block_diag(isoA.T, isoB.T), dtype=np.int64).reshape(
+        k, k)[:, cols]
+    return IsotropicData(big, u_box, uperp_box, res_coords,
+                         np.array(gram, dtype=np.int64).reshape(k, k), T,
+                         mat_inv_stack(T[None], p)[0], la + lb)
 
 
 # -- shell dimensions ----------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from .oscillator import weil_index
 from .rings import (QuadElem, QuadExt, _roots, legendre,
                     smallest_nonresidue, unit_phase)
-from .ring_rep import RingWeilRep, direct_sum, traces
+from .ring_rep import RingWeilRep, direct_sum, direct_sum_isotropic, traces
 from .symplectic import SympModule
 
 
@@ -410,7 +410,8 @@ def product_torus_multiplicities(tspecs: list):
         raise NotImplementedError("products of two factors are supported")
     cA, cB = ctxs
     big = direct_sum(cA.module, cB.module)
-    rep = RingWeilRep(big)
+    iso = direct_sum_isotropic(big, cA.rep.iso, cB.rep.iso)
+    rep = RingWeilRep(big, iso)
     dA, dB = cA.module.dim, cB.module.dim
     stack = np.zeros((len(cA.C), len(cB.C), dA + dB, dA + dB), dtype=np.int64)
     stack[:, :, :dA, :dA] = cA.mats[:, None]

@@ -12,7 +12,7 @@ from reference import (build_ring_rep, char_order, embed_pair,
                        hasse_davenport_holds, tensor_intertwiner)
 from weilrep.oscillator import (OscillatorRep, parabolic_identity_report,
                                 weil_index)
-from weilrep.ring_rep import (RingWeilRep, character_norm, decompose, direct_sum,
+from weilrep.ring_rep import (RingWeilRep, character_norm, decompose, direct_sum, direct_sum_isotropic,
                               shell_dimensions, summand_characters, traces)
 from weilrep.rings import legendre
 from weilrep.symplectic import (SympModule, conjugacy_classes, orbits,
@@ -234,7 +234,7 @@ def test_criterion_10_tensor_factorization():
     sB = SympModule.standard(3, 1, 0, 1)
     big = direct_sum(sA, sB)
     repA, repB = RingWeilRep(sA), RingWeilRep(sB)
-    repAB = RingWeilRep(big)
+    repAB = RingWeilRep(big, direct_sum_isotropic(big, repA.iso, repB.iso))
     J = tensor_intertwiner(repAB, repA, repB)
     G = list(symplectic_group(sA).mats)
     worst = 0.0

@@ -8,8 +8,8 @@ import pytest
 
 from reference import transvection
 from weilrep import symplectic
-from weilrep.ring_rep import _box_invariant, direct_sum, \
-    invariance_generators, scaled_pair_flip
+from weilrep.ring_rep import _box_invariant, invariance_generators, \
+    scaled_pair_flip
 from weilrep.symplectic import (GroupElem, SympModule, symplectic_group,
                                 transvection_generators)
 
@@ -79,32 +79,6 @@ def test_same_invariant_boxes_as_all_transvections(params):
     for divs in product(*[range(e + 1) for e in spec.exps]):
         assert _box_invariant(spec, divs, reference) \
             == _box_invariant(spec, divs, small), divs
-
-
-def test_direct_sum_across_moduli_is_a_permuted_standard_module():
-    """W_A + W_B for A = standard(3, 1, 0, 1) and B = standard(3, 1, 1, 1) is
-    standard(3, 2, 1, 1) with its coordinates (u, x, v, y) at (2, 0, 3, 1).
-    The sums e_i + e_{i+1} do not generate there, so the generating set
-    takes every e_i + e_j; the flip is the permuted standard one, and with
-    it the generators fix the boxes that all transvections and the flip
-    fix."""
-    big = direct_sum(SympModule.standard(3, 1, 0, 1),
-                     SympModule.standard(3, 1, 1, 1))
-    std, perm = SympModule.standard(3, 2, 1, 1), [2, 0, 3, 1]
-    assert [big.moduli[i] for i in perm] == list(std.moduli)
-    assert (np.array(big.gram)[np.ix_(perm, perm)] == std.gram).all()
-    eye = np.eye(big.dim, dtype=np.int64)
-    assert not symplectic._generates_all_transvections(
-        big, np.concatenate([eye, eye[:-1] + eye[1:]]))
-    gens = transvection_generators(big)
-    assert len(gens) <= big.dim * (big.dim + 1) // 2
-    flip = scaled_pair_flip(big)
-    assert (flip[np.ix_(perm, perm)] == scaled_pair_flip(std)).all()
-    reference = all_transvections(big) + [flip]
-    small = invariance_generators(big, gens)
-    for divs in product(*[range(e + 1) for e in big.exps]):
-        assert _box_invariant(big, divs, reference) \
-            == _box_invariant(big, divs, small), divs
 
 
 def test_certificate_rejects_non_generating_set(monkeypatch):

@@ -11,8 +11,8 @@ from weilrep import cli
 from weilrep.ring_rep import (RingWeilRep, _shell_counts,
                               abelianization_character, canonical_isotropic,
                               character_norm, decompose, direct_sum,
-                              faithful_model, shell_dimensions,
-                              summand_characters, traces)
+                              direct_sum_isotropic, faithful_model,
+                              shell_dimensions, summand_characters, traces)
 from weilrep.symplectic import (SympModule, conjugacy_classes, orbits,
                                 symplectic_group, transvection_generators)
 
@@ -267,7 +267,7 @@ def test_tensor_two_copies():
     sB = SympModule.standard(3, 1, 0, 1)
     big = direct_sum(sA, sB)
     repA, repB = RingWeilRep(sA), RingWeilRep(sB)
-    repAB = RingWeilRep(big)
+    repAB = RingWeilRep(big, direct_sum_isotropic(big, repA.iso, repB.iso))
     assert repAB.dim == repA.dim * repB.dim == 81
     J = tensor_intertwiner(repAB, repA, repB)
     # identity (x) identity

@@ -3,7 +3,8 @@ import pytest
 
 from reference import char_order, chi_blj, embed_pair, tensor_intertwiner
 from weilrep.rings import QuadElem, legendre
-from weilrep.symplectic import is_symplectic, orbits
+from weilrep.ring_rep import canonical_isotropic
+from weilrep.symplectic import is_symplectic, orbits, transvection_generators
 from weilrep.torus import (TorusContext, TorusSpec, multiplicity_report,
                            product_torus_multiplicities,
                            residue_operator_check)
@@ -276,11 +277,12 @@ def test_product_torus_tensor_eigenvector():
 
 @pytest.mark.parametrize("factors", [
     [(3, "unramified", 0, 1)] * 2, [(3, "unramified", 1, 1)] * 2,
-    [(3, "ramified", 0, 1), (3, "unramified", 0, 1)],
-    [(3, "unramified", 0, 1), (3, "unramified", 1, 1)]], ids=str)
+    [(3, "ramified", 0, 1), (3, "unramified", 0, 1)]], ids=str)
 def test_product_model_isotropic_data_is_blockwise(factors):
-    """`canonical_isotropic` on W_A + W_B yields the factors' data side by
-    side, with the residue basis interleaved as (e_A, e_B, f_A, f_B)."""
+    """The product model's isotropic data is the factors' side by side,
+    with the residue basis interleaved as (e_A, e_B, f_A, f_B); on these
+    sums, whose moduli all agree, `canonical_isotropic` certifies the same
+    data."""
     (cA, cB), big, rep, _ = product_torus_multiplicities(
         [TorusSpec(*f) for f in factors])
     isoA, isoB, iso = cA.rep.iso, cB.rep.iso, rep.iso
@@ -304,6 +306,34 @@ def test_product_model_isotropic_data_is_blockwise(factors):
     pts = rep.heis.pts.reshape(cA.rep.heis.dim, cB.rep.heis.dim, -1)
     assert (pts[..., :dA] == cA.rep.heis.pts[:, None]).all()
     assert (pts[..., dA:] == cB.rep.heis.pts[None]).all()
+    cert = canonical_isotropic(big, transvection_generators(big))
+    for field in ("u_box", "uperp_box", "res_coords", "res_gram", "T",
+                  "Tinv", "l_res"):
+        assert np.array_equal(getattr(cert, field), getattr(iso, field))
+
+
+@pytest.mark.parametrize("factors", [
+    [(3, "unramified", 0, 2), (3, "unramified", 1, 2)],
+    [(3, "unramified", 1, 2), (3, "ramified", 0, 2)]], ids=str)
+def test_product_torus_mixed_moduli_at_level_2(factors):
+    """Sums of a p-scaled factor and a unimodular one at n = 2, moduli
+    (27, 27, 9, 9) and (9, 9, 27, 27): the product table is the tensor
+    product of the factors' tables, as a model of Sp(W_A) x Sp(W_B)
+    built from the factors' certified data gives it."""
+    (cA, cB), big, rep, table = product_torus_multiplicities(
+        [TorusSpec(*f) for f in factors])
+    assert sorted(big.moduli) == [9, 9, 27, 27]
+    tA = {r["char"].label: r["mult"] for r in cA.multiplicities()}
+    tB = {r["char"].label: r["mult"] for r in cB.multiplicities()}
+    assert len(table) == len(tA) * len(tB)
+    assert all(m == tA[a] * tB[b] and dev < 1e-6
+               for (a, b), (m, dev) in table.items())
+    assert sum(m for m, _ in table.values()) == rep.dim == 243
+    # the excluded character of the u = 1 factor never appears
+    i = 0 if factors[0][2] else 1
+    eta0 = eta0_char((cA, cB)[i])
+    assert all(m == 0 for key, (m, _) in table.items()
+               if key[i] == eta0.label)
 
 
 def test_visibility_depth_reported():
