@@ -466,6 +466,8 @@ def _argument_error(args):
             return f"--{flag.replace('_', '-')} must be at least 1"
     if not (math.isfinite(args.tol) and args.tol > 0):
         return "--tol must be a finite positive number"
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out or "."))):
+        return f"--out directory {os.path.dirname(args.out)} does not exist"
     return None
 
 

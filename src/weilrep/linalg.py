@@ -1,14 +1,14 @@
-"""Integer matrices over F_p and Z/p^k, as int64 stacks.
+"""Integer matrices over F_p, as int64 stacks.
 
 One elimination runs on a numpy stack of matrices at once, with a
 pivot-row counter per matrix: `rank_normal_form_stack` (first nonzero entry
 at or below the current row, normalize the pivot row, clear every other
-row).  `mat_inv_stack` lifts its u.  Every output of the package reads an
-inverse, which is unique, or det u = det(c)^{-1} of an invertible c, or
-the rank and pivot columns, which depend on c alone; none depends on the
-pivot rule.  `symplectic_basis` needs no elimination: projecting a basis
-off a hyperbolic plane that two of its vectors span leaves the others a
-basis of the complement.  Every loop over a stack runs in `chunks`.
+row).  The package reads its rank and pivot columns, which depend on c
+alone, and det u = det(c)^{-1}; neither depends on the pivot rule.  No
+matrix is inverted here: `symplectic.inverse` reads g^{-1} off the form.
+`symplectic_basis` needs no elimination: projecting a basis off a
+hyperbolic plane that two of its vectors span leaves the others a basis
+of the complement.  Every loop over a stack runs in `chunks`.
 """
 
 from __future__ import annotations
@@ -24,25 +24,6 @@ def chunks(n, width):
     least one), for a loop that builds width entries per item."""
     step = max(1, BUDGET // width)
     return (slice(start, start + step) for start in range(0, n, step))
-
-
-def mat_inv_stack(a, p, k=1):
-    """Inverses mod p^k of a stack of square matrices, an int64 (N, n, n)
-    array: u of `rank_normal_form_stack`, the inverse mod p, Newton-lifted."""
-    a = np.asarray(a, dtype=np.int64)
-    n = a.shape[-1]
-    target = p ** k
-    if n * target ** 2 >= 2 ** 63:
-        raise OverflowError(f"int64 products overflow mod {p}^{k}")
-    x, _, r, _ = rank_normal_form_stack(a, p)
-    if (r < n).any():
-        raise ZeroDivisionError("singular matrix mod p")
-    q = p
-    while q < target:
-        q = min(q * q, target)
-        # x <- x (2I - a x) mod q doubles the precision of x
-        x = x @ (2 * np.eye(n, dtype=np.int64) - a @ x % q) % q
-    return x
 
 
 def rank_normal_form_stack(c, p):

@@ -23,7 +23,7 @@ import numpy as np
 from .heisenberg import SchrodingerModel, standard_selfdual
 from .linalg import chunks, rank_normal_form_stack
 from .rings import QuadExt, _roots, legendre, unit_phase
-from .symplectic import SympModule, _lex_keys
+from .symplectic import SympModule, _lex_keys, inverse
 
 
 # -- the Bruhat cell of g -----------------------------------------------------
@@ -53,13 +53,6 @@ def bruhat_decompose(g, l, p):
     """`cell_invariants` of one matrix: (theta, j) as ints."""
     th, j = cell_invariants(np.asarray(g, dtype=np.int64)[None], l, p)
     return int(th[0]), int(j[0])
-
-
-def inverse_transpose(mats, l):
-    """J^T g J = [[D, -C], [-B, A]] of each g = [[A, B], [C, D]] of a stack,
-    J the standard Gram matrix: g^{-T} for symplectic g."""
-    return np.block([[mats[:, l:, l:], -mats[:, l:, :l]],
-                     [-mats[:, :l, l:], mats[:, :l, :l]]])
 
 
 # -- Weil index --------------------------------------------------------------
@@ -105,7 +98,7 @@ class OscillatorRep:
         # the model polarized by X: its coset representatives are the
         # points (0, y), and their y blocks _ys are the basis, so rho acts
         # on the same basis
-        spec = SympModule.standard(p, l, 0, 0)
+        self.spec = spec = SympModule.standard(p, l, 0, 0)
         self.heis = SchrodingerModel(spec, standard_selfdual(spec))
         self._ys = self.heis.pts[:, l:]
         # M_X sums over the points z = (x, y_j), x inner, y_j outer; row j
@@ -136,7 +129,7 @@ class OscillatorRep:
         (x.y - v_X.v_Y)/2 at z, from one float product (exact here) and
         not reduced mod p, which `_roots` absorbs."""
         p, l, N = self.p, self.l, len(mats)
-        gt = inverse_transpose(mats, l)  # g^{-T}
+        gt = inverse(self.spec, mats).swapaxes(1, 2)  # g^{-T}
         index = lambda v: v % p @ self._radix
         cols = self._add[index(self._ys @ gt[:, l:, l:])[:, :, None] * self.dim
                          + index(self._ys @ gt[:, :l, l:])[:, None]]
@@ -215,22 +208,22 @@ class OscillatorRep:
 
         The elements with one bottom row (C, D) form a coset N g_c of the
         Siegel unipotent radical N, g_c the first of them in the stack, and
-        g g_c^{-1} = [[1, B], [0, 1]] with B symmetric; g_c^{-1} is read as
-        (J^T g_c J)^T, which is the inverse only for symplectic g_c.  As
-        g^{-T} = n^{-T} g_c^{-T} for n = g g_c^{-1}, the point z = (x, y)
-        goes to the same v = z g^{-T} as z' = (x - yB, y) under g_c^{-T},
-        and x.y = (x - yB).y + yBy.  So substituting x -> x - yB in the
-        sum over x of row y of M_X(g) gives row y of M_X(g) = psi(yBy/2)
-        times row y of M_X(g_c), with no use of S being a homomorphism;
-        and m(g) = m(g_c) reads (C, D) alone.  The diagonal diag_c of
-        m M_X(g_c) is built once per coset (`_diagonals`), and tr S(g) =
-        sum_y psi(yBy/2) diag_c[y] (`_phases`): p^l terms per element, not
-        p^{2l}.  Both passes run in `chunks`."""
+        g g_c^{-1} = [[1, B], [0, 1]] with B symmetric; `inverse` reads
+        g_c^{-1} off the form, which gives the inverse only for symplectic
+        g_c.  As g^{-T} = n^{-T} g_c^{-T} for n = g g_c^{-1}, the point z =
+        (x, y) goes to the same v = z g^{-T} as z' = (x - yB, y) under
+        g_c^{-T}, and x.y = (x - yB).y + yBy.  So substituting x -> x - yB
+        in the sum over x of row y of M_X(g) gives row y of M_X(g) =
+        psi(yBy/2) times row y of M_X(g_c), with no use of S being a
+        homomorphism; and m(g) = m(g_c) reads (C, D) alone.  The diagonal
+        diag_c of m M_X(g_c) is built once per coset (`_diagonals`), and tr
+        S(g) = sum_y psi(yBy/2) diag_c[y] (`_phases`): p^l terms per
+        element, not p^{2l}.  Both passes run in `chunks`."""
         mats, l, p = np.asarray(mats, np.int64), self.l, self.p
         first, which, m = self._cosets(mats)
         diag = self._diagonals(mats[first], m)
         # the last l columns [[-B_c^T], [A_c^T]] of each g_c^{-1}
-        right = inverse_transpose(mats[first], l).swapaxes(1, 2)[..., l:]
+        right = inverse(self.spec, mats[first])[..., l:]
         out = np.empty(len(mats), dtype=complex)
         for part in chunks(len(mats), self.dim):
             c = which[part]
@@ -254,7 +247,7 @@ class OscillatorRep:
         l, total = self.l, 0.0
         F = self._phases(N[:, :l, l:]).T
         for part in chunks(len(R), max(self.dim ** 2, len(N))):
-            rinv = inverse_transpose(R[part], l).swapaxes(1, 2)
+            rinv = inverse(self.spec, R[part])
             D = self._diagonals(
                 rinv, self._scalar[cell_invariants(rinv, l, self.p)])
             total += float(np.sum(np.abs(D @ F) ** 2))

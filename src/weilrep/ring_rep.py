@@ -21,10 +21,10 @@ import numpy as np
 
 from .heisenberg import SchrodingerModel, box_isotropic
 from .rings import _roots
-from .linalg import chunks, mat_inv_stack, symplectic_basis
+from .linalg import chunks, symplectic_basis
 from .oscillator import OscillatorRep
 from .symplectic import (FiniteGroup, SympModule, _lex_keys, _lex_order,
-                         group_closure, is_symplectic, orbits,
+                         group_closure, inverse, is_symplectic, orbits,
                          transvection_generators)
 
 
@@ -39,8 +39,15 @@ class IsotropicData:
     res_coords: tuple         # coordinates carrying the residue space
     res_gram: np.ndarray      # residue symplectic form over F_p, (k, k)
     T: np.ndarray             # change of basis to a standard symplectic basis
-    Tinv: np.ndarray
     l_res: int                # half the residue dimension
+
+    @cached_property
+    def Tinv(self) -> np.ndarray:
+        """T^{-1} = J^T T^T res_gram mod p, as T^T res_gram T = J =
+        [[0, 1], [-1, 0]]: J^T X is X with its row halves swapped, the
+        new top half negated."""
+        X, l = self.T.T @ self.res_gram, self.l_res
+        return np.concatenate([-X[l:], X[:l]]) % self.spec.p
 
     @cached_property
     def _den(self) -> np.ndarray:
@@ -136,10 +143,8 @@ def canonical_isotropic(spec: SympModule, gens) -> IsotropicData:
     if (val % p ** spec.n).any():
         raise AssertionError("residue form not in the minimal ideal")
     res_gram = val // p ** spec.n % p
-    T = symplectic_basis(res_gram, p)
-    Tinv = mat_inv_stack(T[None], p)[0]
     return IsotropicData(spec, u_box, uperp_box, res_coords, res_gram,
-                         T, Tinv, len(res_coords) // 2)
+                         symplectic_basis(res_gram, p), len(res_coords) // 2)
 
 
 def _box_invariant(spec, divs, gens):
@@ -176,13 +181,12 @@ class RingWeilRep:
         self.sigma = OscillatorRep(self.l_res, self.p) if self.l_res else None
         self.sdim = self.p ** self.l_res
         self.dim = self.heis.dim * self.sdim
-        # rho_res of every residue class, by label = base-p digits; rows are
-        # filled on first use
+        # rho_res of every residue class, by label = base-p digits: the
+        # residue points in lexicographic order
         k = 2 * self.l_res
         self._res_radix = self.p ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        self._rho_table = np.zeros((self.p ** k, self.sdim, self.sdim),
-                                   dtype=complex)
-        self._rho_known = np.zeros(self.p ** k, dtype=bool)
+        self._rho_table = (self.sigma.rho(self.sigma.spec.points())
+                           if self.l_res else np.ones((1, 1, 1), complex))
         # a group character multiplied into every S(g) by `blocks`; set it
         # before building any operator
         self.twist = None
@@ -196,19 +200,10 @@ class RingWeilRep:
 
     # -- residue operators ---------------------------------------------------
 
-    def _labels(self, ubar) -> np.ndarray:
-        """Rows of the residue table for residue digits (..., k), filling
-        the rows not yet built."""
-        labels = np.asarray(ubar @ self._res_radix)
-        for lab in set(labels[~self._rho_known[labels]].tolist()):
-            digits = tuple((lab // self._res_radix % self.p).tolist())
-            self._rho_table[lab] = (self.sigma.rho(digits, 0)
-                                    if self.sigma is not None else 1.0)
-            self._rho_known[lab] = True
-        return labels
-
     def rho_res(self, ubar) -> np.ndarray:
-        return self._rho_table[self._labels(np.array(ubar, dtype=np.int64))]
+        """rho_res of residue digits (..., k): rows of the residue table."""
+        return self._rho_table[np.asarray(ubar, dtype=np.int64)
+                               @ self._res_radix]
 
     def sigma_op(self, g) -> np.ndarray:
         if self.sigma is None:
@@ -235,13 +230,13 @@ class RingWeilRep:
         """
         d = self.spec.dim
         mats = np.asarray(gs, dtype=np.int64).reshape(-1, d, d)
-        ginv = mat_inv_stack(mats, self.p, self.spec.n + 1)
+        ginv = inverse(self.spec, mats)
         y = self.heis.pts @ ginv.transpose(0, 2, 1) % self.heis.mods
         cj, e, ubar = self.split(y)
         ph = self.heis.phase(e)
         if self.twist is not None:
             ph = ph * self.twist(mats)[:, None]
-        rho = self._rho_table[self._labels(ubar)]
+        rho = self.rho_res(ubar)
         if self.sigma is not None:
             sig = self.sigma.ops(self.iso.reduce_morphisms(mats))
             rho = sig[:, None] @ rho
@@ -263,7 +258,7 @@ class RingWeilRep:
         for a point w (dim,)."""
         cj, e, u = self.heis.translate(w, t)
         C, s = self.heis.dim, self.sdim
-        rho = self._rho_table[self._labels(self.iso.residues(u))]
+        rho = self.rho_res(self.iso.residues(u))
         blocks = self.heis.phase(e)[..., None, None] * rho
         return MonomialOps(cj.reshape(-1, C), blocks.reshape(-1, C, s, s))
 
@@ -472,7 +467,7 @@ def derived_subgroup(group: FiniteGroup) -> FiniteGroup:
     """
     spec, S = group.spec, group.gens
     mods = np.array(spec.moduli, dtype=np.int64)[:, None]
-    Sinv = mat_inv_stack(S, spec.p, spec.n + 1) % mods
+    Sinv = inverse(spec, S)
     new = (S[:, None] @ S[None] % mods @ Sinv[:, None] % mods @ Sinv[None]
            % mods).reshape(-1, spec.dim, spec.dim)
     dgens = new[:0]
@@ -551,7 +546,6 @@ def direct_sum_isotropic(big: SympModule, isoA: IsotropicData,
     the moduli of A and B agree, `canonical_isotropic` returns this data;
     where they differ, `transvection_generators` refuses the sum.
     """
-    p = big.p
     da = isoA.spec.dim
     u_box = isoA.u_box + isoB.u_box
     uperp_box = isoA.uperp_box + isoB.uperp_box
@@ -566,7 +560,7 @@ def direct_sum_isotropic(big: SympModule, isoA: IsotropicData,
         k, k)[:, cols]
     return IsotropicData(big, u_box, uperp_box, res_coords,
                          np.array(gram, dtype=np.int64).reshape(k, k), T,
-                         mat_inv_stack(T[None], p)[0], la + lb)
+                         la + lb)
 
 
 # -- shell dimensions ----------------------------------------------------------

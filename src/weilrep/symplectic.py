@@ -13,11 +13,12 @@ checked tuple form that the stacks are tested against.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
-from .linalg import chunks, mat_inv_stack
+from .linalg import chunks
 from .rings import vp
 
 
@@ -94,19 +95,26 @@ class SympModule:
         return self.p ** np.minimum(c[:, None] + c, self.n + 1) * np.array(
             self.gram, dtype=np.int64) % self.modulus
 
+    @cached_property
+    def pairing(self):
+        """The partner pi_i of each coordinate in a monomial gram, the one
+        column with gram[i][pi_i] nonzero, and that entry as p^{w_i} u_i,
+        p not dividing u_i: three int64 (dim,) arrays pi, w, u."""
+        G = np.array(self.gram, dtype=np.int64)
+        if ((G != 0).sum(axis=1) != 1).any():
+            raise NotImplementedError("needs a monomial gram")
+        partner = np.argmax(G != 0, axis=1)
+        c = G[np.arange(self.dim), partner]
+        w = np.array([vp(int(x), self.p) for x in c], dtype=np.int64)
+        return partner, w, c // self.p ** w
+
     def dual_box(self, divs):
-        """Box orthogonal to a box under psi(beta(.,.)), for monomial grams."""
-        out = [self.exps[i] for i in range(self.dim)]  # start at full (zero)
-        for i in range(self.dim):
-            nz = [j for j in range(self.dim) if self.gram[i][j] % self.modulus]
-            if len(nz) != 1:
-                raise NotImplementedError("dual_box needs a monomial gram")
-            j = nz[0]
-            w = vp(self.gram[i][j] % self.modulus, self.p)
-            # beta(v, p^{c_i} e_i) = p^{c_i} * gram[i][j]... with v_j paired
-            need = max(0, (self.n + 1) - min(divs[i], self.exps[i]) - w)
-            out[j] = min(out[j], need)
-        return tuple(min(c, a) for c, a in zip(out, self.exps))
+        """Box orthogonal to a box under psi(beta(.,.)): v_{pi_i} pairs
+        with p^{c_i} e_i through p^{c_i + w_i}, so the dual box has the
+        divisor n + 1 - c_i - w_i at pi_i, capped."""
+        partner, w, _ = self.pairing
+        need = self.n + 1 - np.minimum(divs, self.exps) - w
+        return tuple(np.clip(need[partner], 0, self.exps).tolist())
 
     def __repr__(self):
         tag = ""
@@ -152,7 +160,7 @@ class GroupElem:
         return GroupElem(self.spec, prod_mat, check=False)
 
     def inverse(self) -> "GroupElem":
-        inv = mat_inv_stack([self.mat], self.spec.p, self.spec.n + 1)[0]
+        inv = inverse(self.spec, np.array(self)[None])[0]
         return GroupElem(self.spec, inv.tolist(), check=False)
 
     def is_symplectic(self) -> bool:
@@ -183,6 +191,27 @@ def is_symplectic(spec: SympModule, mats) -> np.ndarray:
     M = spec.modulus
     G = np.array(spec.gram, dtype=np.int64)
     return ~((mats.transpose(0, 2, 1) @ G % M @ mats - G) % M).any(axis=(1, 2))
+
+
+def inverse(spec: SympModule, mats) -> np.ndarray:
+    """g^{-1} = Omega^{-1} g^T Omega for each automorphism g of the form
+    in an int64 (N, d, d) stack: an int64 stack, rows reduced mod moduli.
+
+    beta(g^{-1} x, y) = beta(x, g y) puts g[pi_b, pi_a] c_b / c_a at entry
+    (a, b), c_i = gram[i][pi_i] = p^{w_i} u_i (`SympModule.pairing`).  The
+    division by p^{w_a - w_b} is exact, as p^{a_b - a_a} divides entry
+    (pi_b, pi_a) of g, when the pairing is perfect: w_i + a_i = n + 1 at
+    every i.  Raises ValueError where it is not."""
+    p, M = spec.p, spec.modulus
+    partner, w, u = spec.pairing
+    if (w + spec.exps != spec.n + 1).any():
+        raise ValueError(f"degenerate pairing on {spec}")
+    shift = w - w[:, None]
+    uinv = np.array([pow(int(x), -1, M) for x in u], dtype=np.int64)
+    mult = p ** np.maximum(shift, 0) * u % M * uinv[:, None] % M
+    g = np.asarray(mats, dtype=np.int64)[:, partner[:, None], partner]
+    return (g.swapaxes(1, 2) // p ** np.maximum(-shift, 0) * mult
+            % np.array(spec.moduli, dtype=np.int64)[:, None])
 
 
 # -- generators and closure ------------------------------------------------
@@ -345,7 +374,7 @@ class StabilizerChain:
                                for i in range(d)], dtype=np.int64)
         self.eye = np.eye(d, dtype=np.int64)
         S = np.asarray(gens, dtype=np.int64).reshape(-1, d, d) % self.mods
-        Sinv = mat_inv_stack(S, spec.p, spec.n + 1) % self.mods
+        Sinv = inverse(spec, S)
         # column j of a generator is e_j for j below its first moved point
         fixes = np.logical_and.accumulate(np.concatenate(
             [np.ones((len(S), 1), bool), (S == self.eye).all(axis=1)],
@@ -487,8 +516,7 @@ class StabilizerChain:
 
     def _add(self, h, lo, hi):
         """Add h as a generator of levels lo..hi and close their orbits."""
-        hinv = mat_inv_stack(h[None], self.spec.p, self.spec.n + 1) \
-            % self.mods
+        hinv = inverse(self.spec, h[None])
         for k in range(lo, hi + 1):
             self.gens[k] = np.concatenate([self.gens[k], h[None]])
             self.ginv[k] = np.concatenate([self.ginv[k], hinv])
@@ -597,9 +625,8 @@ def conjugacy_classes(group: FiniteGroup):
     """
     spec = group.spec
     mods = np.array(spec.moduli, dtype=np.int64)[:, None]
-    Sinv = mat_inv_stack(group.gens, spec.p, spec.n + 1) % mods
     perms = []
-    for s, sinv in zip(group.gens, Sinv):
+    for s, sinv in zip(group.gens, inverse(spec, group.gens)):
         perm = np.concatenate([
             group.find(s @ group.mats[part] % mods @ sinv)
             for part in chunks(len(group), spec.dim ** 2)])

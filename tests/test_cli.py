@@ -241,6 +241,18 @@ def test_rejects_invalid_input(argv, message, capsys):
     assert message in out.err and out.out == ""
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_into_a_missing_directory_is_invalid_input(command, tmp_path,
+                                                       capsys):
+    """An --out path whose directory does not exist exits 2 with one line
+    of message, before the report is computed."""
+    out = tmp_path / "missing" / "r.json"
+    assert main([command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out") and err.count("\n") == 1
+    assert str(out.parent) in err and not out.parent.exists()
+
+
 def test_schema_validates_reports(tmp_path):
     """`run` validates the report; the enums of `Report` are the schema's."""
     run(tmp_path, "v.json", ["field", "--p", "3"])

@@ -52,8 +52,8 @@ from weilrep.ring_rep import (MonomialOps, RingWeilRep, _box_invariant,
 from weilrep.rings import unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, FiniteGroup, GroupElem,
                                 StabilizerChain, SympModule, _lex_keys,
-                                _lex_order, group_closure, is_symplectic,
-                                orbits, symplectic_group,
+                                _lex_order, group_closure, inverse,
+                                is_symplectic, orbits, symplectic_group,
                                 transvection_generators)
 from weilrep.torus import (TorusContext, TorusSpec, multiplicity_report,
                            product_torus_multiplicities)
@@ -101,12 +101,12 @@ def test_closure_cap_without_overflow():
         group_closure(spec, transvection_generators(spec), cap=1000)
 
 
-def s4_generators():
-    """(12) and (1234) as permutation matrices on F_3^4, which generate
-    S_4 and preserve no symplectic form: the closure is generic."""
-    eye = np.eye(4, dtype=np.int64)
-    return np.stack([eye[:, images] for images in ([1, 0, 2, 3],
-                                                   [1, 2, 3, 0])])
+def tau04_generators():
+    """tau_0 and tau_4 of the `transvection_generators` of Sp(4, F_3), the
+    transvections at e_3 and e_1 + e_2: a subgroup of 24 elements, whose
+    generator commutators close to 4 and whose derived subgroup has 8, so
+    that the derived subgroup needs a conjugation round."""
+    return transvection_generators(SP4_SPEC)[[0, 4]]
 
 
 # Sp(4, F_3), 51,840 elements, and the transvection closure of the
@@ -127,8 +127,8 @@ def words(spec, gens, count, length, rng):
 
 
 def chain_generators(case):
-    if case == "S4":
-        return S4_SPEC, s4_generators()
+    if case == "tau0-tau4":
+        return SP4_SPEC, tau04_generators()
     if case[0] == "words":
         spec = SympModule.standard(*case[1])
         return spec, words(spec, transvection_generators(spec), 2, 8,
@@ -137,10 +137,11 @@ def chain_generators(case):
     return spec, transvection_generators(spec)
 
 
-S4_SPEC = SympModule.standard(3, 2, 0, 0)
+SP4_SPEC = SympModule.standard(3, 2, 0, 0)
 
 
-@pytest.mark.parametrize("case", CHAIN_CASES + ["S4"] + WORD_CASES, ids=str)
+@pytest.mark.parametrize("case", CHAIN_CASES + ["tau0-tau4"] + WORD_CASES,
+                         ids=str)
 def test_chain_matches_array_bfs(case):
     """The stabilizer chain lists the same elements in the same order as
     the breadth-first closure it replaced, and `find` gives the index of
@@ -295,18 +296,21 @@ def test_abelianization_matches_reference_bfs(args):
 
 
 def test_derived_subgroup_adds_conjugates():
-    """S_4 as permutation matrices, generated by (12) and (1234): the
-    commutators of the generators close to a group of order 3, and only
-    the conjugation rounds reach A_4."""
-    G = group_closure(S4_SPEC, s4_generators())
+    """<tau_0, tau_4> in Sp(4, F_3): the commutators of the generators
+    close to a group of order 4, and only the conjugation rounds reach the
+    derived subgroup of order 8, with 3 cosets."""
+    G = group_closure(SP4_SPEC, tau04_generators())
     D = reference_derived_subgroup(G)
-    assert len(G) == 24 and len(D) == 12
+    S, Sinv = G.gens, inverse(SP4_SPEC, G.gens)
+    comms = S[:, None] @ S[None] % 3 @ Sinv[:, None] % 3 @ Sinv[None] % 3
+    assert len(group_closure(SP4_SPEC, comms.reshape(-1, 4, 4))) == 4
+    assert len(G) == 24 and len(D) == 8
     assert {tuple(map(tuple, m)) for m in derived_subgroup(G).mats.tolist()} \
         == D
     labels, reps = abelianization_cosets(G)
     ref = reference_abelianization_cosets(G, D)
     assert [ref[g.mat] for g in elems(G.spec, G.mats)] == labels.tolist() \
-        and len(reps) == 2
+        and len(reps) == 3
 
 
 @pytest.mark.parametrize("args", AB_CASES, ids=str)

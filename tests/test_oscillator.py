@@ -11,12 +11,12 @@ from reference import (det_X, hasse_davenport_holds, mat_det, mat_mul,
                        reference_traces, tau_matrix)
 from weilrep import linalg, oscillator
 from weilrep.oscillator import (J_element, OscillatorRep, bruhat_decompose,
-                                cell_invariants, inverse_transpose,
-                                parabolic_identity_report, siegel_parabolic,
-                                weil_index)
+                                cell_invariants, parabolic_identity_report,
+                                siegel_parabolic, weil_index)
 from weilrep.rings import legendre
 from weilrep.symplectic import (StabilizerChain, SympModule, _lex_keys,
-                                symplectic_group, transvection_generators)
+                                inverse, symplectic_group,
+                                transvection_generators)
 
 
 def _check_against_reference(g, l, p):
@@ -205,17 +205,21 @@ def test_siegel_parabolic_is_the_C_zero_elements(l, p):
 
 
 def test_inverse_transpose_reads_the_blocks(sp4):
-    """J^T g J off the blocks, for the group and for integer matrices that
-    are not symplectic; it is g^{-T} on the group."""
+    """The transpose of `inverse` is J^T g J = [[D, -C], [-B, A]] off the
+    blocks of g, for the group and for integer matrices that are not
+    symplectic; it is g^{-T} on the group."""
     _, G = sp4
     rng = np.random.default_rng(2)
     for l, p in ((1, 5), (2, 3), (3, 7)):
-        gram = np.array(SympModule.standard(p, l, 0, 0).gram, dtype=np.int64)
+        spec = SympModule.standard(p, l, 0, 0)
+        gram = np.array(spec.gram, dtype=np.int64)
         g = rng.integers(-50, 50, (200, 2 * l, 2 * l))
-        assert (inverse_transpose(g, l) % p == gram.T @ g @ gram % p).all()
-    gram = np.array(SympModule.standard(3, 2, 0, 0).gram, dtype=np.int64)
-    gt = inverse_transpose(G.mats, 2)
-    assert (gt % 3 == gram.T @ G.mats @ gram % 3).all()
+        assert (inverse(spec, g).swapaxes(1, 2)
+                == gram.T @ g @ gram % p).all()
+    spec = SympModule.standard(3, 2, 0, 0)
+    gram = np.array(spec.gram, dtype=np.int64)
+    gt = inverse(spec, G.mats).swapaxes(1, 2)
+    assert (gt == gram.T @ G.mats @ gram % 3).all()
     assert (G.mats.swapaxes(1, 2) @ gt % 3 == np.eye(4, dtype=int)).all()
 
 

@@ -14,13 +14,15 @@ from reference import (act, add, brute_force_symplectic_count, elems, form,
                        tuple_generates_all_transvections, tuple_transvection,
                        vectors)
 from weilrep import symplectic
-from weilrep.linalg import mat_inv_stack
 from weilrep.ring_rep import (_box_invariant, abelianization_character,
-                              canonical_isotropic, faithful_model)
+                              canonical_isotropic, direct_sum,
+                              faithful_model, invariance_generators)
 from weilrep.symplectic import (ClosureCapExceeded, GroupElem,
                                 StabilizerChain, SympModule, _lex_keys,
-                                conjugacy_classes, group_closure, orbits,
-                                symplectic_group, transvection_generators)
+                                conjugacy_classes, group_closure, inverse,
+                                orbits, symplectic_group,
+                                transvection_generators)
+from weilrep.torus import TorusContext, TorusSpec
 
 
 def test_standard_module_shapes():
@@ -178,6 +180,70 @@ def test_inverse_and_symplectic_everywhere():
     for g in random.sample(G, 40):
         assert g.is_symplectic()
         assert g * g.inverse() == ident
+
+
+def _check_inverse(spec, mats):
+    """g g^-1 = g^-1 g = 1, rows reduced, for every g of the stack."""
+    mods = np.array(spec.moduli)[:, None]
+    inv = inverse(spec, mats)
+    eye = np.eye(spec.dim, dtype=np.int64) % mods
+    assert (mats @ inv % mods == eye).all()
+    assert (inv @ mats % mods == eye).all()
+
+
+# 3101, the model (3, 1, 1, 3) of `ring` 3111, 5101 and Sp(4, F_3)
+@pytest.mark.parametrize("args", [(3, 1, 0, 1), (3, 1, 1, 3), (5, 1, 0, 1),
+                                  (3, 2, 0, 0)], ids=str)
+def test_inverse_on_closures(args):
+    spec = SympModule.standard(*args)
+    _check_inverse(spec, symplectic_group(spec).mats)
+
+
+def test_inverse_on_mixed_moduli_words():
+    """Words in the transvections of (3, 2, 1, 1) and the scaled-pair
+    flip, which together generate more than the transvections do."""
+    spec = SympModule.standard(3, 2, 1, 1)
+    gens = elems(spec, invariance_generators(spec,
+                                             transvection_generators(spec)))
+    rng = random.Random(7)
+    mats = np.array([reduce(mul, rng.choices(gens, k=12)).mat
+                     for _ in range(200)])
+    _check_inverse(spec, np.concatenate([mats, np.array(gens)]))
+
+
+@pytest.mark.parametrize("factors", [
+    [(3, "unramified", 0, 1)] * 2,
+    [(3, "unramified", 0, 2), (3, "unramified", 1, 2)]], ids=str)
+def test_inverse_on_product_sums(factors):
+    """diag(a, b) over the torus elements a, b of two factors, on their
+    orthogonal sum; the second sum has mixed moduli (27, 27, 9, 9)."""
+    cA, cB = (TorusContext(TorusSpec(*f)) for f in factors)
+    big = direct_sum(cA.module, cB.module)
+    dA, d = cA.module.dim, big.dim
+    stack = np.zeros((len(cA.mats), len(cB.mats), d, d), dtype=np.int64)
+    stack[:, :, :dA, :dA] = cA.mats[:, None]
+    stack[:, :, dA:, dA:] = cB.mats[None]
+    _check_inverse(big, stack.reshape(-1, d, d))
+
+
+@pytest.mark.parametrize("args", [(3, 1, 0, 2), (3, 2, 0, 2), (3, 2, 1, 1)],
+                         ids=str)
+def test_residue_basis_inverse(args):
+    spec = SympModule.standard(*args)
+    iso = canonical_isotropic(spec, transvection_generators(spec))
+    k = len(iso.T)
+    assert k and (iso.Tinv @ iso.T % spec.p == np.eye(k, dtype=int)).all()
+
+
+def test_inverse_refuses_a_degenerate_pairing():
+    """With the gram of 3101 scaled by p, the pairing of Z/9 with Z/9 through
+    3 is not perfect, and the form does not determine g^-1."""
+    spec = SympModule.standard(3, 1, 0, 1)
+    scaled = SympModule(3, 1, spec.moduli,
+                        [[3 * x for x in row] for row in spec.gram])
+    with pytest.raises(ValueError, match="degenerate pairing"):
+        inverse(scaled, np.eye(2, dtype=np.int64)[None])
+    _check_inverse(spec, np.eye(2, dtype=np.int64)[None])
 
 
 # SL2(Z/9) and the 24-element group of the scaled module standard(3, 1, 1, 1)
@@ -354,8 +420,7 @@ def test_conjugacy_classes_are_the_conjugation_orbits(args):
     G = symplectic_group(spec)
     reps, sizes = conjugacy_classes(G)
     mods = np.array(spec.moduli)[:, None]
-    inv = lambda m: mat_inv_stack(m, spec.p, spec.n + 1) % mods
-    Ginv = inv(G.mats)
+    Ginv = inverse(spec, G.mats)
     label = np.full(len(G), -1)
     for k, (i, size) in enumerate(zip(reps, sizes)):
         members = np.unique(G.find(G.mats @ G.mats[i] % mods @ Ginv))
@@ -364,7 +429,7 @@ def test_conjugacy_classes_are_the_conjugation_orbits(args):
         label[members] = k
     assert (label >= 0).all()
     conj = G.find(G.gens[:, None] @ G.mats[reps] % mods
-                  @ inv(G.gens)[:, None])
+                  @ inverse(spec, G.gens)[:, None])
     assert (label[conj] == np.arange(len(reps))).all()
 
 
