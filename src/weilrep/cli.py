@@ -360,7 +360,7 @@ def cmd_torus(args) -> list:
                 measured={rec["char"].label: rec["conductor"]
                           for rec in table})
     if tspec.kind == "unramified" and tspec.u_val == 1:
-        eta0 = ctx.character_of([ctx.eta0(t) for t in ctx.C])
+        eta0 = ctx.eta0_char
         rep_doc.check("eta0-exclusion", "eta0-exclusion",
                       report["computed"][eta0.label] == 0,
                       measured={"eta0": eta0.label})
@@ -468,6 +468,8 @@ def _argument_error(args):
         return "--tol must be a finite positive number"
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out or "."))):
         return f"--out directory {os.path.dirname(args.out)} does not exist"
+    if args.out and os.path.isdir(args.out):
+        return f"--out {args.out} is a directory"
     return None
 
 

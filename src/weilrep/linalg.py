@@ -3,8 +3,9 @@
 One elimination runs on a numpy stack of matrices at once, with a
 pivot-row counter per matrix: `rank_normal_form_stack` (first nonzero entry
 at or below the current row, normalize the pivot row, clear every other
-row).  The package reads its rank and pivot columns, which depend on c
-alone, and det u = det(c)^{-1}; neither depends on the pivot rule.  No
+row).  It returns the rank and pivot columns, which depend on c alone, and
+det u = det(c)^{-1} of the row operations u, tracked as they run; none of
+these depends on the pivot rule, and u itself is never formed.  No
 matrix is inverted here: `symplectic.inverse` reads g^{-1} off the form.
 `symplectic_basis` needs no elimination: projecting a basis off a
 hyperbolic plane that two of its vectors span leaves the others a basis
@@ -28,17 +29,15 @@ def chunks(n, width):
 
 def rank_normal_form_stack(c, p):
     """Row reduction mod p of every matrix of an int64 (N, m, n) stack:
-    (u, pivot, r, det u), u (N, m, m) invertible with u c in reduced row
-    echelon form, pivot (N, n) marking its pivot columns and r (N,) the
-    rank.  Taking the pivot columns first, in order, and clearing the
+    (pivot, r, det u), for the invertible u (N, m, m) with u c in reduced
+    row echelon form, pivot (N, n) marking its pivot columns and r (N,)
+    the rank.  Taking the pivot columns first, in order, and clearing the
     others gives w with u c w = diag(1_r, 0).  det u is det(c)^{-1} when
     c is square of rank m.  A matrix without a pivot in a column keeps its
     rows."""
     m = np.asarray(c, dtype=np.int64) % p
     N, rows, cols = m.shape
     inv_mod_p = np.array([0] + [pow(x, -1, p) for x in range(1, p)])
-    m = np.concatenate([m, np.broadcast_to(np.eye(rows, dtype=np.int64),
-                                           (N, rows, rows))], axis=-1)
     n, r, det = np.arange(N), np.zeros(N, dtype=np.int64), np.ones(N, int)
     pivot = np.zeros((N, cols), dtype=bool)
     for col in range(cols):
@@ -55,7 +54,7 @@ def rank_normal_form_stack(c, p):
         f[n, at] = 0
         m = (m - f[:, :, None] * top[:, None]) % p
         r += has
-    return m[:, :, cols:], pivot, r, det
+    return pivot, r, det
 
 
 def symplectic_basis(gram, p):

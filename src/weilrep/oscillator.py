@@ -44,9 +44,9 @@ def cell_invariants(mats, l, p):
     blocks 1_j and D'_22; so theta = det(K)^{-1}.
     """
     mats = np.asarray(mats, dtype=np.int64) % p
-    _, pivot, j, _ = rank_normal_form_stack(mats[:, l:, :l], p)
+    pivot, j, _ = rank_normal_form_stack(mats[:, l:, :l], p)
     K = np.where(pivot[:, None], mats[:, l:, :l], mats[:, l:, l:])
-    return rank_normal_form_stack(K, p)[3], j
+    return rank_normal_form_stack(K, p)[2], j
 
 
 def bruhat_decompose(g, l, p):
@@ -291,7 +291,7 @@ def parabolic_identity_report(rep: OscillatorRep, mats, tol: float = 1e-8):
     failures, worst = [], 0.0
     for chunk, m in rep._chunks(par):
         # det u of the X-block A is 1 / det A: one square class
-        zeta = signs[rank_normal_form_stack(chunk[:, :l, :l], p)[3]]
+        zeta = signs[rank_normal_form_stack(chunk[:, :l, :l], p)[2]]
         M = rep._M_X(chunk)
         dev = np.abs(m[:, None, None] * M - zeta[:, None, None] * M)
         failures += [(g.tolist(), d) for g, d in

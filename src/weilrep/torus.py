@@ -13,6 +13,7 @@ in the Weil representation are exact rounded inner products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +38,6 @@ class TorusSpec:
             raise ValueError("u_val must be 0 or 1")
         if self.kind == "ramified" and self.u_val:
             raise ValueError("ramified tori have no u_val parameter")
-
-    @property
-    def mu(self) -> int:
-        # e = 1, conductor 0, trivial different
-        return -self.u_val if self.kind == "unramified" else -1
 
 
 class TorusContext:
@@ -128,7 +124,7 @@ class TorusContext:
     def subgroup(self, j: int) -> np.ndarray:
         """Image of the j-th congruence subgroup in the finite quotient, as
         an array of pairs."""
-        return self.ext.congruence_subgroup(self.elems, min(j, self.level))
+        return self.elems[self.depth >= min(j, self.level)]
 
     def visibility_depth(self) -> int:
         """Smallest j whose congruence subgroup is trivial here."""
@@ -198,23 +194,42 @@ class TorusContext:
                 for chi, cond, mult, val in zip(self.chars, self.conductors,
                                                 mults, vals)]
 
-    # -- predicted appearance ------------------------------------------------------
+    # -- the appearance rule -------------------------------------------------------
+
+    @cached_property
+    def eta0_char(self) -> "TorusChar":
+        """The excluded conductor-one character eta0, as a row of the
+        table; requires the unramified kind."""
+        return self.character_of([self.eta0(t) for t in self.C])
+
+    def _weight_datum(self, chi: "TorusChar"):
+        """Where the weight vector of chi starts, or None when chi does not
+        appear: () for the delta at 0; (j, a, e) for the weight sum over T_j
+        of the delta at model_point(a, e), with a from `_match_b`; (1,) for
+        the search over the seeds of T_1, the case u = 1 at conductor <= 1,
+        where every character but eta0 appears."""
+        cond = self.conductor(chi)
+        if self.tspec.u_val == 1:
+            if cond <= 1:
+                return None if chi.row == self.eta0_char.row else (1,)
+            if cond % 2 == 0:
+                return None
+            j = (cond + 1) // 2
+            a, e = self._match_b(chi, cond, j, j, unit_xi=True), -j
+        else:
+            if cond == 0:
+                return ()
+            if cond % 2:
+                return None
+            j = cond // 2
+            if self.tspec.kind == "ramified":
+                a, e = self._match_b(chi, j, j // 2, j), -1 - j
+            else:
+                a, e = self._match_b(chi, 2 * j, j, j), -j
+        return None if a is None else (j, a, e)
 
     def appearance_predicate(self, chi: "TorusChar") -> bool:
-        cond = self.conductor(chi)
-        if cond == 0:
-            return True
-        if self.tspec.kind == "unramified" and self.tspec.u_val == 0:
-            return cond % 2 == 0
-        if self.tspec.kind == "ramified":
-            return cond % 2 == 0 and self._match_b(
-                chi, cond // 2, cond // 4, cond // 2) is not None
-        # unramified, non-autodual
-        if cond == 1:
-            return any(abs(chi(t) - self.eta0(t)) > 1e-9 for t in self.C)
-        j = (cond - 1) // 2
-        return cond % 2 == 1 and self._match_b(
-            chi, cond, j + 1, j + 1, unit_xi=True) is not None
+        return self._weight_datum(chi) is not None
 
     # -- eigenvectors ----------------------------------------------------------------
 
@@ -269,45 +284,24 @@ class TorusContext:
         return QuadElem(int(xi), int(eta))
 
     def eigenvector(self, chi: "TorusChar"):
-        """Explicit weight vector for an appearing character.
-
-        Built as sum over torus cosets of chi(g^{-1}) S(g) applied to the
-        delta seed at the distinguished point of the appropriate shell.
-        """
-        cond = self.conductor(chi)
-        mu = self.tspec.mu
-        ramified = self.tspec.kind == "ramified"
-        if ramified or self.tspec.u_val == 0:
-            if cond == 0:
-                return self.rep.delta_vec(np.zeros(2, dtype=np.int64))
-            if cond % 2:
-                raise ValueError("character does not appear")
-            j = cond // 2
-            a = (self._match_b(chi, j, j // 2, j) if ramified
-                 else self._match_b(chi, 2 * j, j, j))
-            if a is None:
-                raise ValueError("character does not appear")
-            point = self.model_point(a, (mu if ramified else mu // 2) - j)
-            return self._weight_sum(chi, self.subgroup(j), point)
-        # unramified, non-autodual
-        if cond <= 1:
-            if cond == 1 and not self.appearance_predicate(chi):
-                raise ValueError("character does not appear")
-            sub = self.subgroup(1)
-            for c in self.rep.heis.pts:
-                for sv in np.eye(self.rep.sdim, dtype=complex):
-                    vec = self._weight_sum(chi, sub, c, sigma_vec=sv)
-                    if np.linalg.norm(vec) > 1e-8:
-                        return vec
+        """Explicit weight vector for an appearing character: the start
+        that `_weight_datum` names, summed as chi(g^{-1}) S(g) over the
+        torus cosets."""
+        datum = self._weight_datum(chi)
+        if datum is None:
             raise ValueError("character does not appear")
-        if cond % 2 == 0:
-            raise ValueError("character does not appear")
-        j = (cond - 1) // 2
-        a = self._match_b(chi, cond, j + 1, j + 1, unit_xi=True)
-        if a is None:
-            raise ValueError("character does not appear")
-        point = self.model_point(a, (mu - 1) // 2 - j)
-        return self._weight_sum(chi, self.subgroup(j + 1), point)
+        if not datum:
+            return self.rep.delta_vec(np.zeros(2, dtype=np.int64))
+        j, *at = datum
+        sub = self.subgroup(j)
+        if at:
+            return self._weight_sum(chi, sub, self.model_point(*at))
+        for c in self.rep.heis.pts:
+            for sv in np.eye(self.rep.sdim, dtype=complex):
+                vec = self._weight_sum(chi, sub, c, sigma_vec=sv)
+                if np.linalg.norm(vec) > 1e-8:
+                    return vec
+        raise ValueError("character does not appear")
 
     def _weight_sum(self, chi, sub, point, sigma_vec=None):
         """sum of chi(g^{-1}) S(g) applied to the delta seed at point, over
@@ -316,7 +310,7 @@ class TorusContext:
         reps = self._coset_reps(sub)
         inverses = self._indices(self.elems[reps] * (1, -1)
                                  % (self.ext.mod_xi, self.ext.mod_eta))
-        return self.table[chi.row, inverses] @ self.ops.apply(seed)[reps]
+        return self.table[chi.row, inverses] @ self.ops[reps].apply(seed)
 
     def eigen_residual(self, chi, vec) -> float:
         """max over t in C of |S(t) vec - chi(t) vec| / |vec|."""

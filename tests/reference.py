@@ -360,7 +360,7 @@ def brute_force_symplectic_count(spec, limit=2_000_000):
         g = np.stack(np.unravel_index(flat, sizes), axis=1).reshape(
             -1, d, d) * step
         g = g[~((g.transpose(0, 2, 1) @ G % M @ g - G) % M).any(axis=(1, 2))]
-        count += int((rank_normal_form_stack(g, p)[2] == d).sum())
+        count += int((rank_normal_form_stack(g, p)[1] == d).sum())
     return count
 
 

@@ -253,6 +253,21 @@ def test_out_into_a_missing_directory_is_invalid_input(command, tmp_path,
     assert str(out.parent) in err and not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_naming_a_directory_is_invalid_input(command, tmp_path, capsys,
+                                                 monkeypatch):
+    """An --out path that is an existing directory exits 2 with one line
+    of message, and no command runs."""
+    def refuse(args):
+        raise AssertionError("the command ran")
+
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", refuse)
+    assert main([command, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {tmp_path} is a directory\n"
+
+
 def test_schema_validates_reports(tmp_path):
     """`run` validates the report; the enums of `Report` are the schema's."""
     run(tmp_path, "v.json", ["field", "--p", "3"])
@@ -391,6 +406,25 @@ def test_torus_names_mismatched_characters(tmp_path, monkeypatch):
                 if c["anchor"] == "appearance-criteria")
     assert code == 1 and crit["status"] == "fail"
     assert crit["measured"] == {"mismatched": [flipped]}
+
+
+def test_torus_appearance_rule_has_one_source(tmp_path, monkeypatch):
+    """Dropping one appearing character from `_weight_datum` drops it from
+    the predicted table and from the weight vectors at once."""
+    datum = tor.TorusContext._weight_datum
+    dropped = "chi[0,1]"
+
+    def drop(self, chi):
+        return None if chi.label == dropped else datum(self, chi)
+
+    monkeypatch.setattr(tor.TorusContext, "_weight_datum", drop)
+    code, doc = run(tmp_path, "t.json", ["torus", "--p", "5", "--n", "1"])
+    checks = {c["anchor"]: c for c in doc["checks"]}
+    assert code == 1 and checks["mult-one"]["measured"][dropped] == 1
+    assert checks["appearance-criteria"]["measured"] == {
+        "mismatched": [dropped]}
+    assert checks["eigenvector-residual"]["measured"] == {
+        "no_weight_vector": [dropped]}
 
 
 def test_points_are_the_draws_of_rng_choice():

@@ -972,7 +972,7 @@ def reference_match_b(ctx, chi, lam, j, restrict_j, unit_xi=False):
 
 
 def match_args(ctx, cond):
-    """The arguments `TorusContext.eigenvector` passes to `_match_b` for a
+    """The arguments `TorusContext._weight_datum` passes to `_match_b` for a
     character of conductor cond, or None when it passes none."""
     if ctx.tspec.kind == "ramified":
         j = cond // 2

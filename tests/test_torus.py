@@ -14,10 +14,6 @@ def ctx_of(p, kind, uval=0, n=1):
     return TorusContext(TorusSpec(p, kind, uval, n))
 
 
-def eta0_char(ctx):
-    return ctx.character_of([ctx.eta0(t) for t in ctx.C])
-
-
 def test_embedding_is_injective_symplectic_homomorphism():
     for ctx in (ctx_of(3, "unramified", 0), ctx_of(3, "unramified", 1),
                 ctx_of(3, "ramified")):
@@ -80,12 +76,15 @@ def test_eta0_values():
     assert ctx.eta0(minus) == -legendre(-1, 3) == 1
     for t in ctx.C:
         assert ctx.eta0(t) == ctx.eta0_via_hilbert90(t)
+        assert abs(ctx.eta0_char(t) - ctx.eta0(t)) < 1e-12
 
 
 def test_eta0_rejects_ramified():
     ctx = ctx_of(3, "ramified")
     with pytest.raises(ValueError):
         ctx.eta0(QuadElem(1, 0))
+    with pytest.raises(ValueError):
+        ctx.eta0_char
 
 
 def test_multiplicities_u0_p3():
@@ -106,7 +105,7 @@ def test_multiplicities_u1_p3():
     ctx = ctx_of(3, "unramified", 1, 1)
     assert len(ctx.C) == 4 and ctx.dim == 3
     table = ctx.multiplicities()
-    eta0 = eta0_char(ctx)
+    eta0 = ctx.eta0_char
     for rec in table:
         chi = rec["char"]
         if char_order(chi) == 1:
@@ -176,7 +175,7 @@ def test_deep_truncation_conductor_parity():
 def test_deep_truncation_odd_conductors_non_autodual():
     ctx = ctx_of(3, "unramified", 1, 3)
     table = ctx.multiplicities()
-    eta0 = eta0_char(ctx)
+    eta0 = ctx.eta0_char
     for rec in table:
         c = rec["conductor"]
         if c == 0:
@@ -255,7 +254,7 @@ def test_product_torus_mixed_eta0_kills():
     tA = {r["char"].label: r["mult"] for r in cA.multiplicities()}
     tB = {r["char"].label: r["mult"] for r in cB.multiplicities()}
     assert all(m == tA[a] * tB[b] for (a, b), (m, _) in table.items())
-    eta0 = eta0_char(cB)
+    eta0 = cB.eta0_char
     assert all(m == 0 for (a, b), (m, _) in table.items()
                if b == eta0.label)
 
@@ -331,7 +330,7 @@ def test_product_torus_mixed_moduli_at_level_2(factors):
     assert sum(m for m, _ in table.values()) == rep.dim == 243
     # the excluded character of the u = 1 factor never appears
     i = 0 if factors[0][2] else 1
-    eta0 = eta0_char((cA, cB)[i])
+    eta0 = (cA, cB)[i].eta0_char
     assert all(m == 0 for key, (m, _) in table.items()
                if key[i] == eta0.label)
 
