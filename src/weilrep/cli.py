@@ -26,6 +26,10 @@ from .symplectic import (ClosureCapExceeded, FiniteGroup, StabilizerChain,
                          SympModule, conjugacy_classes, group_closure, orbits,
                          transvection_generators)
 
+try:  # CPython's lean sha256, as `random` takes sha512: hashlib loads OpenSSL
+    from _sha256 import sha256
+except ImportError:  # renamed in Python 3.12
+    from hashlib import sha256
 SCHEMA_VERSION = "2"
 
 
@@ -133,7 +137,8 @@ def cmd_field(args) -> list:
                     for part in chunks(order, order * rep.dim ** 2))
     else:
         # stacks g, h and gh of (2l)^2 integer entries per pair
-        pairs = _pair_chunks(rng, chain, args.samples, (2 * l) ** 2)
+        drawn = sha256()
+        pairs = _pair_chunks(rng, chain, args.samples, (2 * l) ** 2, drawn)
         worst = max((float(np.abs(Sg @ Sh - Sgh).max()) for g, h in pairs
                      for Sg, Sh, Sgh in zip(rep.iter_ops(g), rep.iter_ops(h),
                                             rep.iter_ops(g @ h % p))),
@@ -141,12 +146,14 @@ def cmd_field(args) -> list:
     name = "exhaustive" if exhaustive else "sampled"
     rep_doc.check(f"homomorphism-{name}", "genuine-splitting", worst <= tol,
                   measured={"group_order": order} if exhaustive else
-                  {"group_order": order, "pairs": args.samples},
+                  {"group_order": order, "pairs": args.samples,
+                   "draws": _digest(drawn)},
                   residual=worst)
 
     g, w, t = (np.array(col) for col in zip(*[
         (rng.randrange(order), rng.randrange(spec.size()), rng.randrange(p))
         for _ in range(1000)]))
+    drawn = _digest(sha256(), g, w, t)
     g, w = chain.element(g), _points(w, spec.moduli)
     # g acts on the Heisenberg group by g.(w, t) = (gw, t)
     gw = (g @ w[..., None])[..., 0] % p
@@ -156,7 +163,7 @@ def cmd_field(args) -> list:
                 for part, U in zip(chunks(len(g), rep.dim ** 2),
                                    rep.iter_ops(g)))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
-                  residual=worst)
+                  measured={"draws": drawn}, residual=worst)
 
     R, N = chain.elements(0, l), chain.elements(l, 2 * l)
     rpt = osc.parabolic_identity_report(rep, osc.siegel_parabolic(R, N, p),
@@ -203,68 +210,60 @@ def cmd_ring(args) -> list:
 
     try:
         G = group_closure(rep.spec, rep.gens, cap=args.cap_group)
+        rep_doc.doc["config"]["group_order"] = len(G)
     except ClosureCapExceeded as exc:
         rep_doc.add("group-closure", "caps", "skipped", note=str(exc))
         G = None
-    if G is None:
         if args.twist:
             rep_doc.add("twist", "caps", "skipped",
                         note=f"--twist needs the group closure, which "
                              f"exceeds cap {args.cap_group}")
-        # structural-only checks on sampled generator words
-        gens = rep.gens
-        letters = np.array([rng.choices(range(len(gens)), k=2 * rep.spec.dim)
-                            for _ in range(20)])
-        words = gens[letters[:, 0]]
-        for k in letters.T[1:]:
-            words = words @ gens[k] % rep.heis.mods[:, None]
-        covariance = _covariance_draws(rng, rep, iter(words[:10]))
-        U = rep.blocks(words)
-        # the Heisenberg element (0, 0) acts as the identity
-        one = rep.heis_op(np.zeros(rep.spec.dim, dtype=np.int64))
-        worst = (U @ U.adjoint()).deviation(one)
-        rep_doc.check("unitarity-sampled", "unitarity", worst <= tol,
-                      residual=worst)
-        _check_intertwining(rep_doc, rep, *covariance, tol)
-        return rep_doc.finish(args.out)
-
-    rep_doc.doc["config"]["group_order"] = len(G)
-    # every element, point and level is drawn before any check runs, in
-    # the order in which the checks use them
-    pairs = np.array([(rng.randrange(len(G)), rng.randrange(len(G)))
-                      for _ in range(max(50, args.samples // 100))])
+    # every draw comes before any check: the (g, h) pairs interleaved, then
+    # each covariance element followed by its point and level
+    pairs = _elements(rng, rep, G, 2 * max(50, args.samples // 100))
     covariance = _covariance_draws(
-        rng, rep, (G.mats[rng.randrange(len(G))] for _ in range(50)))
-    if args.twist:
+        rng, rep, (_elements(rng, rep, G, 1)[0] for _ in range(50)))
+    if G is not None and args.twist:
         chi, k = rr.abelianization_character(G)
         rep_doc.doc["config"]["twist_order"] = k
         rep.twist = lambda g: chi(g, args.twist)
-    summands = rr.decompose(rep, G)
+    summands = rr.decompose(rep, rep.gens)
     dims = sorted(s.dim for s in summands)
     rep_doc.check("summand-count", "summand-count", True,
                   measured={"count": len(summands), "dims": dims,
                             "sum": sum(dims), "model_dim": rep.dim})
-    # the summand characters (twisted or not) are class functions, so each
-    # sum over G is one term per conjugacy class, weighted by its size
-    reps, sizes = conjugacy_classes(G)
-    chars = rr.summand_characters(rep, G.mats[reps], summands)
-    gram = (chars * sizes) @ chars.conj().T / len(G)
-    irr_dev = float(np.abs(gram - np.eye(len(summands))).max())
-    rep_doc.check("summand-irreducibility", "summand-irreducibility",
-                  irr_dev <= 1e-6, residual=irr_dev)
-    # the summands decompose the model, so their characters sum to tr S(g)
-    cn, dev = rr.character_norm(chars.sum(axis=0), sizes)
-    orb = int(orbits(rep.spec, G.gens, rep.spec.exps).max()) + 1
-    rep_doc.check("orbit-count-identity", "orbit-count-identity",
-                  cn == orb and dev <= 1e-6,
-                  measured={"character_norm": cn, "orbit_count": orb},
-                  residual=dev)
-    n = len(pairs)
-    g, h = G.mats[pairs.T]
-    ops = rep.blocks(np.concatenate([g, h, g @ h % rep.heis.mods[:, None]]))
-    worst = (ops[:n] @ ops[n:2 * n]).deviation(ops[2 * n:])
-    rep_doc.check("homomorphism-sampled", "genuine-splitting", worst <= tol,
-                  residual=worst)
+    if G is not None:  # the two checks that sum over every element
+        # the summand characters (twisted or not) are class functions: one
+        # term per conjugacy class of G, weighted by its size
+        reps, sizes = conjugacy_classes(G)
+        chars = rr.summand_characters(rep, G.mats[reps], summands)
+        gram = (chars * sizes) @ chars.conj().T / len(G)
+        irr_dev = float(np.abs(gram - np.eye(len(summands))).max())
+        rep_doc.check("summand-irreducibility", "summand-irreducibility",
+                      irr_dev <= 1e-6, residual=irr_dev)
+        # the summands decompose the model: their characters sum to tr S(g)
+        cn, dev = rr.character_norm(chars.sum(axis=0), sizes)
+        orb = int(orbits(rep.spec, G.gens, rep.spec.exps).max()) + 1
+        rep_doc.check("orbit-count-identity", "orbit-count-identity",
+                      cn == orb and dev <= 1e-6,
+                      measured={"character_norm": cn, "orbit_count": orb},
+                      residual=dev)
+    g, h = pairs[0::2], pairs[1::2]
+    gh = g @ h % rep.heis.mods[:, None]
+    one = rep.heis_op(np.zeros(rep.spec.dim, dtype=np.int64))  # rho(0, 0) = 1
+    unitary = splitting = 0.0
+    # stacks g, h and gh of `blocks`, 3 _width entries a pair
+    for part in chunks(len(g), 3 * rr._width(rep)):
+        k = len(g[part])
+        ops = rep.blocks(np.concatenate([g[part], h[part], gh[part]]))
+        unitary = max(unitary, (ops @ ops.adjoint()).deviation(one))
+        splitting = max(splitting,
+                        (ops[:k] @ ops[k:2 * k]).deviation(ops[2 * k:]))
+    drawn = {"draws": _digest(sha256(), pairs)}
+    rep_doc.check("unitarity-sampled", "unitarity", unitary <= tol,
+                  measured=drawn, residual=unitary)
+    rep_doc.check("homomorphism-sampled", "genuine-splitting",
+                  splitting <= tol, measured=drawn, residual=splitting)
     _check_intertwining(rep_doc, rep, *covariance, tol)
     return rep_doc.finish(args.out)
 
@@ -283,21 +282,40 @@ def _points(idx, moduli):
     return np.stack(np.unravel_index(idx, moduli), axis=1).astype(np.int64)
 
 
-def _pair_chunks(rng, chain, samples, width):
+def _pair_chunks(rng, chain, samples, width, sha):
     """`samples` pairs of the chain's group as stacks (g, h), one per chunk
-    at width entries a pair, each drawn from rng when asked for, g first."""
+    at width entries a pair, drawn when asked for (g first) and fed to sha."""
     order = chain.order()
     for part in chunks(samples, width):
         idx = [rng.randrange(order) for _ in range(samples)[part]
                for _ in "gh"]
+        _digest(sha, idx)
         yield chain.element(idx[0::2]), chain.element(idx[1::2])
+
+
+def _elements(rng, rep, G, count):
+    """A stack of count elements drawn from rng in turn: uniform in the
+    closure G or, when G is None, words of 2 dim generator letters."""
+    if G is not None:
+        return G.mats[[rng.randrange(len(G)) for _ in range(count)]]
+    letters = np.array([rng.choices(range(len(rep.gens)), k=2 * rep.spec.dim)
+                        for _ in range(count)])
+    words = rep.gens[letters[:, 0]]
+    for k in letters.T[1:]:
+        words = words @ rep.gens[k] % rep.heis.mods[:, None]
+    return words
+
+
+def _digest(sha, *arrays):
+    """12 hex digits of sha fed the arrays' little-endian int64 bytes."""
+    sha.update(b"".join(np.asarray(a, dtype="<i8").tobytes() for a in arrays))
+    return sha.hexdigest()[:12]
 
 
 def _covariance_draws(rng, rep, elements):
     """Each element of an iterator, drawn in turn, followed by a point w of
     W and a level t drawn from rng: three stacks (g, w, t)."""
-    size = rep.spec.size()
-    draws = [(g, rng.randrange(size), rng.randrange(rep.M))
+    draws = [(g, rng.randrange(rep.spec.size()), rng.randrange(rep.M))
              for g in elements]
     gs, ws, ts = (np.array(col) for col in zip(*draws))
     return [gs, _points(ws, rep.spec.moduli), ts]
@@ -312,6 +330,7 @@ def _check_intertwining(rep_doc, rep, gs, ws, ts, tol):
     worst = (U @ rep.heis_op(ws, ts) @ U.adjoint()).deviation(
         rep.heis_op(gw, ts))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
+                  measured={"draws": _digest(sha256(), gs, ws, ts)},
                   residual=worst)
 
 

@@ -380,18 +380,19 @@ class Summand(NamedTuple):
     eps: int                    # the eigenvalue of S(-1) on the summand
 
 
-def decompose(rep: RingWeilRep, group: FiniteGroup) -> list[Summand]:
+def decompose(rep: RingWeilRep, gens) -> list[Summand]:
     """Orbit-support and parity decomposition of the representation.
 
     Summands are labelled ('sigma', eps) for the zero-coset block and
     ('orbit', representative, eps) for each nonzero orbit of cosets, the
     representative being its first point as a tuple; eps is the -Id
     eigenvalue, None in the label when -Id acts by a scalar there.  The
-    orbit numbers of `orbits` on the cosets number the parts.  With s the
-    sigma-block size and tr_O S(-1) the trace of S(-1) over the cosets of
-    O, the eps-summand of O has dimension (|O| s + eps tr_O S(-1))/2.
+    orbit numbers of `orbits` of the generators gens (N, d, d) on the
+    cosets number the parts.  With s the sigma-block size and tr_O S(-1)
+    the trace of S(-1) over the cosets of O, the eps-summand of O has
+    dimension (|O| s + eps tr_O S(-1))/2.
     """
-    owner = orbits(rep.spec, group.gens, rep.iso.uperp_box)
+    owner = orbits(rep.spec, gens, rep.iso.uperp_box)
     minus = -np.eye(rep.spec.dim, dtype=np.int64) % rep.heis.mods[:, None]
     tr_minus = np.rint(rep.blocks(minus).traces(owner)[:, 0].real)
     out = []

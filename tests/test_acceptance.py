@@ -107,7 +107,7 @@ def test_criterion_4_decomposition_counts():
         spec = SympModule.standard(p, r, l, n)
         rep = build_ring_rep(spec)
         G = symplectic_group(rep.spec)
-        summands = decompose(rep, G)
+        summands = decompose(rep, G.gens)
         reps, sizes = conjugacy_classes(G)
         chars = summand_characters(rep, G.mats[reps], summands)
         gram = (chars * sizes) @ chars.conj().T / len(G)

@@ -76,7 +76,7 @@ def _ring_traces():
 def _summand_characters():
     rep, G = _ring_group()
     return ring_rep.summand_characters(rep, G.mats,
-                                       ring_rep.decompose(rep, G))
+                                       ring_rep.decompose(rep, G.gens))
 
 
 def _conjugacy_classes():
@@ -119,6 +119,13 @@ CASES = {
                                      "--l", "1", "--n", "1"), None,
                      {"symplectic.conjugacy_classes",
                       "ring_rep.summand_characters"}),
+    "ring 3 1 0 1": (lambda: _report("ring", "--p", "3", "--r", "1",
+                                     "--l", "0", "--n", "1"), None,
+                     {"cli.cmd_ring"}),
+    "ring 3 2 1 1 capped": (lambda: _report("ring", "--p", "3", "--r", "2",
+                                            "--l", "1", "--n", "1",
+                                            "--cap-group", "2000"), None,
+                            {"cli.cmd_ring"}),
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -98,7 +99,32 @@ def test_ring_structural_when_group_too_large(tmp_path):
     assert "shell-dimensions" in names
     skipped = next(c for c in doc["checks"] if c["name"] == "group-closure")
     assert skipped["status"] == "skipped" and "2000" in skipped["note"]
-    assert "unitarity-sampled" in names
+    assert {"summand-count", "unitarity-sampled", "homomorphism-sampled",
+            "heisenberg-intertwining"} <= set(names)
+    assert not {"summand-irreducibility", "orbit-count-identity"} & set(names)
+    counts = next(c for c in doc["checks"] if c["name"] == "summand-count")
+    assert counts["measured"]["dims"] == [1, 2, 12, 12]
+    assert doc["failures"] == 0
+
+
+def test_ring_closure_adds_only_its_exhaustive_checks(tmp_path):
+    """Below and above --cap-group `ring` runs one path: the same summands
+    and the same sampled checks, and the closure adds only the two checks
+    that sum over every element."""
+    argv = ["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1"]
+    docs = [run(tmp_path, f"{k}.json", argv + extra)[1]
+            for k, extra in enumerate([[], ["--cap-group", "100"]])]
+    full, capped = ({c["name"]: c for c in doc["checks"]} for doc in docs)
+    assert full["summand-count"] == capped["summand-count"]
+    sampled = [[name for name, c in recs.items()
+                if "draws" in c.get("measured", {})]
+               for recs in (full, capped)]
+    assert sampled[0] == sampled[1] == [
+        "unitarity-sampled", "homomorphism-sampled",
+        "heisenberg-intertwining"]
+    assert full.keys() - capped.keys() == {"summand-irreducibility",
+                                           "orbit-count-identity"}
+    assert capped.keys() - full.keys() == {"group-closure"}
 
 
 def test_ring_twist_skipped_on_structural_path(tmp_path):
@@ -449,7 +475,8 @@ def test_pair_chunks_draw_the_pairs_in_order_at_any_chunk_length(
     chain = symplectic.StabilizerChain(
         spec, symplectic.transvection_generators(spec))
     a, b = random.Random(4), random.Random(4)
-    chunks = list(cli._pair_chunks(a, chain, 50, 4))
+    sha = hashlib.sha256()
+    chunks = list(cli._pair_chunks(a, chain, 50, 4, sha))
     assert [len(g) for g, _ in chunks] == [min(n, 50 - s)
                                           for s in range(0, 50, n)]
     pairs = [(b.randrange(chain.order()), b.randrange(chain.order()))
@@ -457,6 +484,9 @@ def test_pair_chunks_draw_the_pairs_in_order_at_any_chunk_length(
     for stack, column in zip(zip(*chunks), zip(*pairs)):
         assert (np.concatenate(stack) == chain.element(column)).all()
     assert a.random() == b.random()
+    # the chunks feed the indices in draw order, whatever their length
+    assert cli._digest(sha) == cli._digest(hashlib.sha256(),
+                                           np.ravel(pairs))
 
 
 def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):
@@ -531,13 +561,13 @@ def test_parses_every_flag_the_command_reads(command):
 
 def test_ring_pair_count_is_monotone_in_samples(monkeypatch):
     """`ring` checks the homomorphism on max(50, samples // 100) pairs,
-    one `blocks` call of three elements per pair, the last call before the
-    50 elements of the intertwining check."""
+    three elements per pair over the chunked `blocks` calls of `cmd_ring`,
+    before the 50 elements of the intertwining check."""
     sizes = []
     blocks = rr.RingWeilRep.blocks
 
     def spy(self, gs):
-        sizes.append(len(gs))
+        sizes.append((sys._getframe(1).f_code.co_name, len(gs)))
         return blocks(self, gs)
 
     monkeypatch.setattr(rr.RingWeilRep, "blocks", spy)
@@ -546,10 +576,11 @@ def test_ring_pair_count_is_monotone_in_samples(monkeypatch):
         sizes.clear()
         assert main(["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1",
                      "--samples", str(samples), "--out", os.devnull]) == 0
-        assert sizes[-1] == 50
-        return sizes[-2] // 3
+        assert sizes[-1] == ("_check_intertwining", 50)
+        return sum(k for caller, k in sizes if caller == "cmd_ring") // 3
 
-    assert [pairs(s) for s in (99, 100, 10_000)] == [50, 50, 100]
+    assert [pairs(s) for s in (99, 100, 10_000, 100_000)] == [50, 50, 100,
+                                                               1000]
 
 
 def test_reports_do_not_depend_on_earlier_runs(tmp_path):

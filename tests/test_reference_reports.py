@@ -9,8 +9,10 @@ numpy may move, so it need only stay below 1e-9.
 
 import json
 
+import numpy as np
 import pytest
 
+from weilrep import cli
 from write_reference_reports import ARGVS, CORPUS_DIR, file_name, run
 
 NOISE = 1e-9
@@ -60,3 +62,25 @@ def test_differences_forgives_only_residual_noise():
                                             "measured": {"x": 2e-16}}]})
     assert differences({"residual": 0.5}, {"residual": 0.5000001})
     assert differences({"a": 1}, {"a": 1.0})
+
+
+def test_draws_tell_apart_what_the_residuals_cannot(tmp_path, monkeypatch):
+    """With each level drawn before its point, `ring`'s intertwining check
+    runs on other Heisenberg elements and its residual moves only within
+    the forgiven noise; the `draws` leaf still shows the change."""
+    def swapped(rng, rep, elements):
+        draws = []
+        for g in elements:
+            t = rng.randrange(rep.M)
+            draws.append((g, rng.randrange(rep.spec.size()), t))
+        gs, ws, ts = (np.array(col) for col in zip(*draws))
+        return [gs, cli._points(ws, rep.spec.moduli), ts]
+
+    monkeypatch.setattr(cli, "_covariance_draws", swapped)
+    argv = ARGVS[[file_name(a) for a in ARGVS].index(
+        "ring_p_3_r_1_l_0_n_1_seed_1.json")]
+    doc = json.loads((CORPUS_DIR / file_name(argv)).read_text())
+    code, report = run(argv, tmp_path / "report.json")
+    assert code == doc["exit_code"]
+    diffs = differences(doc["report"], report)
+    assert diffs and all("/measured/draws:" in d for d in diffs)

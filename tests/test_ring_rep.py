@@ -121,7 +121,7 @@ def test_decompose_l0():
     spec = SympModule.standard(3, 1, 0, 1)
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
-    summands = decompose(rep, G)
+    summands = decompose(rep, G.gens)
     assert sorted(s.dim for s in summands) == [1, 4, 4]
     assert sum(s.dim for s in summands) == rep.dim
     reps, sizes = conjugacy_classes(G)
@@ -135,7 +135,7 @@ def test_decompose_lifted_l_equals_r():
     rep = build_ring_rep(spec)
     assert faithful_model(spec)[1] and rep.dim == 27
     G = symplectic_group(rep.spec)
-    summands = decompose(rep, G)
+    summands = decompose(rep, G.gens)
     assert len(summands) == 4
     assert sorted(s.dim for s in summands) == [1, 2, 12, 12]
     reps, sizes = conjugacy_classes(G)
@@ -153,7 +153,7 @@ def test_unlifted_degenerate_model_matches_residue():
     reps, sizes = conjugacy_classes(G)
     cn, dev = character_norm(traces(rep, G.mats[reps]), sizes)
     assert cn == orbit_count(G.gens, spec) == 2
-    summands = decompose(rep, G)
+    summands = decompose(rep, G.gens)
     assert len(summands) == 2
     assert sorted(s.dim for s in summands) == [1, 2]
 
@@ -166,8 +166,8 @@ def test_summand_characters_sum_to_the_trace(args):
     rep = build_ring_rep(SympModule.standard(*args))
     G = symplectic_group(rep.spec)
     reps, sizes = conjugacy_classes(G)
-    total = summand_characters(rep, G.mats[reps], decompose(rep, G)).sum(
-        axis=0)
+    total = summand_characters(rep, G.mats[reps],
+                               decompose(rep, G.gens)).sum(axis=0)
     assert np.abs(total - traces(rep, G.mats[reps])).max() < 1e-12
     cn, dev = character_norm(total, sizes)
     assert cn == orbit_count(G.gens, rep.spec) and dev < 1e-9
@@ -185,7 +185,7 @@ def test_class_sums_equal_the_per_element_sums(args, twist, tmp_path):
     if twist:
         chi, _ = abelianization_character(G)
         rep.twist = lambda g: chi(g, twist)
-    summands = decompose(rep, G)
+    summands = decompose(rep, G.gens)
     gram_ref, (cn_ref, dev_ref) = per_element_sums(rep, G, summands)
     reps, sizes = conjugacy_classes(G)
     chars = summand_characters(rep, G.mats[reps], summands)
@@ -345,5 +345,5 @@ def test_summand_dims_square_bound():
     spec = SympModule.standard(3, 1, 0, 1)
     rep = build_ring_rep(spec)
     G = symplectic_group(spec)
-    summands = decompose(rep, G)
+    summands = decompose(rep, G.gens)
     assert sum(s.dim ** 2 for s in summands) <= rep.dim ** 2
