@@ -323,12 +323,14 @@ def _covariance_draws(rng, rep, elements):
 
 def _check_intertwining(rep_doc, rep, gs, ws, ts, tol):
     """S(g) rho(w, t) S(g)^* = rho(g w, t) for each drawn (g, w, t), from
-    one `blocks` call and stacked Heisenberg operators, composed and
-    compared as block-monomial operators."""
-    U = rep.blocks(gs)
-    gw = (gs @ ws[..., None])[..., 0] % rep.heis.mods
-    worst = (U @ rep.heis_op(ws, ts) @ U.adjoint()).deviation(
-        rep.heis_op(gw, ts))
+    `blocks` and stacked Heisenberg operators of each of their `chunks`,
+    composed and compared as block-monomial operators."""
+    worst = 0.0
+    for part in chunks(len(gs), 3 * rr._width(rep)):  # S(g) and two rho
+        g, w, t = gs[part], ws[part], ts[part]
+        U, gw = rep.blocks(g), (g @ w[..., None])[..., 0] % rep.heis.mods
+        worst = max(worst, (U @ rep.heis_op(w, t) @ U.adjoint()).deviation(
+            rep.heis_op(gw, t)))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
                   measured={"draws": _digest(sha256(), gs, ws, ts)},
                   residual=worst)

@@ -7,9 +7,7 @@ row).  It returns the rank and pivot columns, which depend on c alone, and
 det u = det(c)^{-1} of the row operations u, tracked as they run; none of
 these depends on the pivot rule, and u itself is never formed.  No
 matrix is inverted here: `symplectic.inverse` reads g^{-1} off the form.
-`symplectic_basis` needs no elimination: projecting a basis off a
-hyperbolic plane that two of its vectors span leaves the others a basis
-of the complement.  Every loop over a stack runs in `chunks`.
+Every loop over a stack runs in `chunks`.
 """
 
 from __future__ import annotations
@@ -56,29 +54,3 @@ def rank_normal_form_stack(c, p):
         r += has
     return pivot, r, det
 
-
-def symplectic_basis(gram, p):
-    """T (dim, dim) whose columns (e_1..e_k, f_1..f_k) are a symplectic
-    basis over F_p for a nondegenerate alternating Gram matrix:
-    T^T gram T = [[0, 1], [-1, 0]] mod p.
-
-    Greedy Gram-Schmidt from the standard basis: e is the first available
-    vector, f the next one pairing with it, scaled to beta(e, f) = 1, and
-    the other available vectors, projected off the plane (e, f), are a
-    basis of its orthogonal complement, where the next step starts."""
-    gram = np.asarray(gram, dtype=np.int64) % p
-    dim = len(gram)
-    avail = np.eye(dim, dtype=np.int64)
-    es, fs = [], []
-    while len(avail):
-        e, pairs = avail[0], avail @ gram @ avail[0] % p
-        if not pairs[1:].any():
-            raise ValueError("degenerate residue form")
-        j = 1 + int(np.argmax(pairs[1:] != 0))
-        f = avail[j] * pow(int(-pairs[j]), -1, p) % p
-        rest = np.delete(avail, [0, j], axis=0)
-        avail = (rest - np.outer(rest @ gram @ f, e)
-                 + np.outer(rest @ gram @ e, f)) % p
-        es.append(e)
-        fs.append(f)
-    return np.array(es + fs, dtype=np.int64).reshape(dim, dim).T

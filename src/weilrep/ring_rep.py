@@ -21,7 +21,7 @@ import numpy as np
 
 from .heisenberg import SchrodingerModel, box_isotropic
 from .rings import _roots
-from .linalg import chunks, symplectic_basis
+from .linalg import chunks
 from .oscillator import OscillatorRep
 from .symplectic import (FiniteGroup, SympModule, _lex_keys, _lex_order,
                          group_closure, inverse, is_symplectic, orbits,
@@ -33,21 +33,13 @@ from .symplectic import (FiniteGroup, SympModule, _lex_keys, _lex_order,
 
 @dataclass
 class IsotropicData:
+    """U and U-perp as coordinate boxes, and the coordinates of U-perp/U
+    in a standard symplectic basis (e_1..e_l, f_1..f_l), f_i pairing e_i."""
     spec: SympModule
     u_box: tuple              # divisor exponents of U
     uperp_box: tuple          # divisor exponents of U-perp
     res_coords: tuple         # coordinates carrying the residue space
-    res_gram: np.ndarray      # residue symplectic form over F_p, (k, k)
-    T: np.ndarray             # change of basis to a standard symplectic basis
     l_res: int                # half the residue dimension
-
-    @cached_property
-    def Tinv(self) -> np.ndarray:
-        """T^{-1} = J^T T^T res_gram mod p, as T^T res_gram T = J =
-        [[0, 1], [-1, 0]]: J^T X is X with its row halves swapped, the
-        new top half negated."""
-        X, l = self.T.T @ self.res_gram, self.l_res
-        return np.concatenate([-X[l:], X[:l]]) % self.spec.p
 
     @cached_property
     def _den(self) -> np.ndarray:
@@ -64,7 +56,7 @@ class IsotropicData:
         img = mats[:, rc][:, :, rc] * den % mods[:, None]
         if (img % den[:, None]).any():
             raise AssertionError("U-perp not invariant under g")
-        return self.Tinv @ (img // den[:, None] % p @ self.T % p) % p
+        return img // den[:, None] % p
 
     def residues(self, u) -> np.ndarray:
         """Classes in U-perp/U, in standard residue coordinates, of points
@@ -72,7 +64,7 @@ class IsotropicData:
         ur = u[..., list(self.res_coords)]
         if (ur % self._den).any():
             raise AssertionError("element not in U-perp")
-        return (ur // self._den % self.spec.p) @ self.Tinv.T % self.spec.p
+        return ur // self._den % self.spec.p
 
 
 def scaled_pair_flip(spec: SympModule) -> np.ndarray | None:
@@ -108,12 +100,12 @@ def canonical_isotropic(spec: SympModule, gens) -> IsotropicData:
 
     Searched over all coordinate boxes and certified: isotropy, invariance
     under gens (the `transvection_generators` of spec) plus the scaled-pair
-    flip, maximality, and the residue-field structure (m * U-perp inside U,
-    nondegenerate reduced form).
+    flip, maximality, and the residue-field structure: m * U-perp inside U,
+    and the form p^n J on the residue coordinates in the order of the
+    pairing, which is their standard symplectic basis.  Raises ValueError
+    on a module whose residue form is another one.
     """
-    p = spec.p
     exps = spec.exps
-    dim = spec.dim
     gens = invariance_generators(spec, gens)
     candidates = []
     for divs in np.ndindex(*[e + 1 for e in exps]):
@@ -133,18 +125,21 @@ def canonical_isotropic(spec: SympModule, gens) -> IsotropicData:
             "oscillator representation")
     u_box = tuple(min(c, e) for c, e in zip(best, exps))
     uperp_box = spec.dual_box(u_box)
-    res_coords = tuple(i for i in range(dim)
-                       if min(u_box[i], exps[i]) > uperp_box[i])
-    for i in range(dim):
-        gap = min(u_box[i], exps[i]) - uperp_box[i]
-        if gap not in (0, 1):
-            raise AssertionError("U-perp/U is not elementary abelian")
+    gap = np.subtract(u_box, uperp_box)
+    if not np.isin(gap, (0, 1)).all():
+        raise AssertionError("U-perp/U is not elementary abelian")
+    # the residue basis read off the pairing: the residue coordinates i
+    # with i < pi_i, then their partners in the same order
+    partner, res = spec.pairing[0], np.flatnonzero(gap)
+    es = res[res < partner[res]]
+    res_coords = tuple(np.concatenate([es, partner[es]]).tolist())
+    J = np.kron([[0, 1], [-1, 0]], np.eye(len(es), dtype=np.int64))
     val = spec.box_form(uperp_box)[np.ix_(res_coords, res_coords)]
-    if (val % p ** spec.n).any():
-        raise AssertionError("residue form not in the minimal ideal")
-    res_gram = val // p ** spec.n % p
-    return IsotropicData(spec, u_box, uperp_box, res_coords, res_gram,
-                         symplectic_basis(res_gram, p), len(res_coords) // 2)
+    if sorted(res_coords) != res.tolist() or (
+            (val - spec.p ** spec.n * J) % spec.modulus).any():
+        raise ValueError(f"residue form on {spec} is not p^n J in the "
+                         f"pairing basis")
+    return IsotropicData(spec, u_box, uperp_box, res_coords, len(es))
 
 
 def _box_invariant(spec, divs, gens):
@@ -541,27 +536,18 @@ def direct_sum_isotropic(big: SympModule, isoA: IsotropicData,
                          isoB: IsotropicData) -> IsotropicData:
     """Blockwise isotropic data for an orthogonal direct sum.
 
-    The standard symplectic residue basis is interleaved globally:
-    (e-vectors of A, e-vectors of B, f-vectors of A, f-vectors of B), so the
-    oscillator basis of the sum is the tensor basis of the factors.  Where
-    the moduli of A and B agree, `canonical_isotropic` returns this data;
-    where they differ, `transvection_generators` refuses the sum.
+    The residue coordinates are interleaved globally: (e of A, e of B,
+    f of A, f of B), so the oscillator basis of the sum is the tensor basis
+    of the factors.  Where the moduli of A and B agree,
+    `canonical_isotropic` returns this data; where they differ,
+    `transvection_generators` refuses the sum.
     """
-    da = isoA.spec.dim
-    u_box = isoA.u_box + isoB.u_box
-    uperp_box = isoA.uperp_box + isoB.uperp_box
-    res_coords = isoA.res_coords + tuple(da + i for i in isoB.res_coords)
-    ka, kb = len(isoA.res_coords), len(isoB.res_coords)
-    k = ka + kb
-    gram = _block_diag(isoA.res_gram, isoB.res_gram)
     la, lb = isoA.l_res, isoB.l_res
-    cols = [*range(la), *range(ka, ka + lb), *range(la, ka),
-            *range(ka + lb, k)]
-    T = np.array(_block_diag(isoA.T, isoB.T), dtype=np.int64).reshape(
-        k, k)[:, cols]
-    return IsotropicData(big, u_box, uperp_box, res_coords,
-                         np.array(gram, dtype=np.int64).reshape(k, k), T,
-                         la + lb)
+    resB = [isoA.spec.dim + i for i in isoB.res_coords]
+    res_coords = (isoA.res_coords[:la] + tuple(resB[:lb])
+                  + isoA.res_coords[la:] + tuple(resB[lb:]))
+    return IsotropicData(big, isoA.u_box + isoB.u_box,
+                         isoA.uperp_box + isoB.uperp_box, res_coords, la + lb)
 
 
 # -- shell dimensions ----------------------------------------------------------

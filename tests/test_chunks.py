@@ -121,11 +121,11 @@ CASES = {
                       "ring_rep.summand_characters"}),
     "ring 3 1 0 1": (lambda: _report("ring", "--p", "3", "--r", "1",
                                      "--l", "0", "--n", "1"), None,
-                     {"cli.cmd_ring"}),
+                     {"cli.cmd_ring", "cli._check_intertwining"}),
     "ring 3 2 1 1 capped": (lambda: _report("ring", "--p", "3", "--r", "2",
                                             "--l", "1", "--n", "1",
                                             "--cap-group", "2000"), None,
-                            {"cli.cmd_ring"}),
+                            {"cli.cmd_ring", "cli._check_intertwining"}),
 }
 
 

@@ -34,7 +34,7 @@ import pytest
 
 from elements import sl2_elements, sp_elements
 from reference import (act, add, bfs_closure, build_ring_rep, elems,
-                       embed_pair, form, mat_inv, mat_mul, mat_vec,
+                       embed_pair, form, mat_inv, mat_vec,
                        orbit_lists, per_element_norm, psi, quotient_reduce,
                        quotient_reps, reference_invariants, reference_orbits,
                        smul, sub, vectors)
@@ -398,14 +398,13 @@ def reference_reduce(iso, g):
         img = act(g, smul(iso.spec, scale, e))
         cols.append([(img[gi] // p ** iso.uperp_box[gi]) % p
                      for gi in iso.res_coords])
-    R = tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-    return mat_mul(iso.Tinv.tolist(), mat_mul(R, iso.T.tolist(), p), p)
+    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
 def reference_project(iso, u):
     p = iso.spec.p
-    vec = tuple((u[gi] // p ** iso.uperp_box[gi]) % p for gi in iso.res_coords)
-    return mat_vec(iso.Tinv.tolist(), vec, p) if vec else tuple()
+    return tuple((u[gi] // p ** iso.uperp_box[gi]) % p
+                 for gi in iso.res_coords)
 
 
 def reference_rho(rep, ubar):
@@ -1167,10 +1166,10 @@ def reference_res_gram(spec, iso):
                                   (5, 1, 0, 2), (3, 2, 2, 1)])
 @pytest.mark.parametrize("side", ["B", "Bstar"])
 def test_gram_predicates_match_entry_loops(args, side):
-    """box_isotropic and _box_invariant on every box, the residue form,
-    and is_symplectic on the generators and on perturbed generators, for
-    the module of the lattice (side "B") and of its dual (the standard
-    module at r - l)."""
+    """box_isotropic and _box_invariant on every box, the residue form
+    (J in the order of res_coords), and is_symplectic on the generators and
+    on perturbed generators, for the module of the lattice (side "B") and
+    of its dual (the standard module at r - l)."""
     p, r, l, n = args
     spec = SympModule.standard(p, r, l if side == "B" else r - l, n)
     gens = invariance_generators(spec, transvection_generators(spec))
@@ -1180,7 +1179,10 @@ def test_gram_predicates_match_entry_loops(args, side):
         assert _box_invariant(spec, divs, gens) == \
             reference_box_invariant(spec, divs, els)
     iso = canonical_isotropic(spec, transvection_generators(spec))
-    assert iso.res_gram.tolist() == reference_res_gram(spec, iso)
+    k, l = len(iso.res_coords), iso.l_res
+    J = [[1 if j == i + l else p - 1 if i == j + l else 0 for j in range(k)]
+         for i in range(k)]
+    assert reference_res_gram(spec, iso) == J
     rng = random.Random(sum(args))
     assert is_symplectic(spec, gens).all()
     for g in els:

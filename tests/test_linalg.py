@@ -2,13 +2,12 @@
 matrices, against the tuple-of-rows reference elimination."""
 
 import numpy as np
-import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (_rank_normal_form, gauss_jordan, mat_det, mat_mul,
                        mat_rank, mat_T)
-from weilrep.linalg import rank_normal_form_stack, symplectic_basis
+from weilrep.linalg import rank_normal_form_stack
 
 
 @st.composite
@@ -107,36 +106,3 @@ def test_rectangular_rank_normal_form_matches_gauss_jordan(case):
     for c, pi, ri in zip(stack, pivot, r.tolist()):
         _, pivots, _, _ = gauss_jordan(c, p)
         assert ri == len(pivots) and np.flatnonzero(pi).tolist() == pivots
-
-
-@st.composite
-def alternating_form(draw):
-    """(gram, p): a nondegenerate alternating form over F_p, dim 2-6."""
-    p = draw(st.sampled_from([3, 5, 7]))
-    dim = 2 * draw(st.integers(1, 3))
-    gram = np.zeros((dim, dim), dtype=np.int64)
-    gram[np.triu_indices(dim, 1)] = draw(st.lists(
-        st.integers(0, p - 1), min_size=dim * (dim - 1) // 2,
-        max_size=dim * (dim - 1) // 2))
-    gram = (gram - gram.T) % p
-    assume(mat_rank(gram.tolist(), p) == dim)
-    return gram, p
-
-
-@settings(deadline=None)
-@given(alternating_form())
-def test_symplectic_basis_is_symplectic(case):
-    gram, p = case
-    T = symplectic_basis(gram, p)
-    k = len(gram) // 2
-    J = np.block([[np.zeros((k, k), int), np.eye(k, dtype=int)],
-                  [-np.eye(k, dtype=int), np.zeros((k, k), int)]])
-    assert (T.T @ gram @ T % p == J % p).all()
-
-
-def test_symplectic_basis_rejects_a_degenerate_form():
-    gram = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    with pytest.raises(ValueError):
-        symplectic_basis(gram, 3)
-    assert symplectic_basis(np.zeros((0, 0), dtype=np.int64), 3).shape \
-        == (0, 0)

@@ -41,6 +41,18 @@ def test_canonical_isotropic_field_error():
         canonical_isotropic(spec, transvection_generators(spec))
 
 
+def test_canonical_isotropic_refuses_a_non_standard_residue_form():
+    """With the gram of 3111 doubled, the residue form on the pairing
+    basis is 2J, not J: `canonical_isotropic` refuses the module rather
+    than rescale the basis."""
+    spec = SympModule.standard(3, 1, 1, 1)
+    doubled = SympModule(3, 1, spec.moduli,
+                         [[2 * x for x in row] for row in spec.gram])
+    assert canonical_isotropic(spec, transvection_generators(spec)).l_res
+    with pytest.raises(ValueError, match="residue form on SympModule"):
+        canonical_isotropic(doubled, transvection_generators(doubled))
+
+
 def test_faithful_model_lift():
     spec = SympModule.standard(3, 1, 1, 1)
     model, lifted = faithful_model(spec)
