@@ -22,8 +22,8 @@ from . import ring_rep as rr
 from . import torus as tor
 from .linalg import chunks
 from .rings import _is_prime, legendre
-from .symplectic import (ClosureCapExceeded, FiniteGroup, StabilizerChain,
-                         SympModule, conjugacy_classes, group_closure, orbits,
+from .symplectic import (ClosureCapExceeded, StabilizerChain, SympModule,
+                         conjugacy_classes, group_closure, orbits,
                          transvection_generators)
 
 try:  # CPython's lean sha256, as `random` takes sha512: hashlib loads OpenSSL
@@ -118,37 +118,29 @@ def cmd_field(args) -> list:
     rep_doc.check("hasse-davenport", "hasse-davenport", hd <= tol, residual=hd)
 
     rep = osc.OscillatorRep(l, p)
-    spec = SympModule.standard(p, l, 0, 0)
-    gens = transvection_generators(spec)
+    spec, gens = rep.spec, transvection_generators(rep.spec)
     # G = R N: the first l levels of the chain give one element of each
     # left coset of the Siegel unipotent radical N, the last l give N, and
     # a drawn index names one element through its transversals
     chain = StabilizerChain(spec, gens)
     order = chain.order()
-    exhaustive = order <= 150
-    # the rng draws in the order of the checks: each chunk of sampled pairs
-    # just before it is checked, then the 1,000 intertwining draws
-    if exhaustive:
-        G = FiniteGroup(spec, chain.elements(), gens)
-        S = rep.ops(G.mats)
-        prods = G.find(G.mats[:, None] @ G.mats[None] % p)
-        # the multiplication table in `chunks` of rows of order d x d products
-        worst = max(float(np.abs(S[part, None] @ S - S[prods[part]]).max())
-                    for part in chunks(order, order * rep.dim ** 2))
-    else:
-        # stacks g, h and gh of (2l)^2 integer entries per pair
-        drawn = sha256()
-        pairs = _pair_chunks(rng, chain, args.samples, (2 * l) ** 2, drawn)
-        worst = max((float(np.abs(Sg @ Sh - Sgh).max()) for g, h in pairs
-                     for Sg, Sh, Sgh in zip(rep.iter_ops(g), rep.iter_ops(h),
-                                            rep.iter_ops(g @ h % p))),
-                    default=0.0)
+    # S(sg) = S(s) S(g) at s = 1, each generator s and all g makes S a group
+    # homomorphism; the rng draws each chunk of drawn pairs as it is checked
+    width, drawn = (2 * l) ** 2, sha256()  # g, h and gh: (2l)^2 entries each
+    count = (len(gens) + 1) * order
+    exhaustive = count <= args.samples
+    pairs = (_generator_pairs(chain, gens, width) if exhaustive else
+             _pair_chunks(rng, chain, args.samples, width, drawn))
+    worst = max((float(np.abs(Sg @ Sh - Sgh).max()) for g, h in pairs
+                 for Sg, Sh, Sgh in zip(rep.iter_ops(g), rep.iter_ops(h),
+                                        rep.iter_ops(g @ h % p))),
+                default=0.0)
+    measured = {"group_order": order, "pairs": min(count, args.samples)}
+    if not exhaustive:
+        measured["draws"] = _digest(drawn)
     name = "exhaustive" if exhaustive else "sampled"
     rep_doc.check(f"homomorphism-{name}", "genuine-splitting", worst <= tol,
-                  measured={"group_order": order} if exhaustive else
-                  {"group_order": order, "pairs": args.samples,
-                   "draws": _digest(drawn)},
-                  residual=worst)
+                  measured=measured, residual=worst)
 
     g, w, t = (np.array(col) for col in zip(*[
         (rng.randrange(order), rng.randrange(spec.size()), rng.randrange(p))
@@ -190,18 +182,17 @@ def cmd_field(args) -> list:
 def cmd_ring(args) -> list:
     p, r, l, n = args.p, args.r, args.l, args.n
     rng = random.Random(args.seed)
+    level, lifted = rr.faithful_model(r, l, n)
     rep_doc = Report("ring", {"p": p, "r": r, "l": l, "n": n,
-                              "cap_group": args.cap_group,
+                              "cap_group": args.cap_group, "lifted": lifted,
                               "cap_dim": args.cap_dim, "twist": args.twist},
                      args.seed)
     tol = args.tol
-    spec = SympModule.standard(p, r, l, n)
-    model_spec, lifted = rr.faithful_model(spec)
-    rep_doc.doc["config"]["model_moduli"] = list(model_spec.moduli)
-    rep_doc.doc["config"]["lifted"] = lifted
-    if model_spec.size() > args.cap_dim ** 2:
-        return _skip_model(rep_doc, math.isqrt(model_spec.size()), args)
-    rep = rr.RingWeilRep(model_spec)
+    # |W|^(1/2) = p^(l level + (r - l)(level + 1)) is the model dimension
+    if _over_cap(rep_doc, p, r * (level + 1) - l, args.cap_dim):
+        return rep_doc.finish(args.out)
+    rep = rr.RingWeilRep(SympModule.standard(p, r, l, level))
+    rep_doc.doc["config"]["model_moduli"] = list(rep.spec.moduli)
 
     shells = rr.shell_dimensions(p, r, l, n)
     rep_doc.check("shell-dimensions", "shell-dimensions", shells["all_match"],
@@ -268,10 +259,13 @@ def cmd_ring(args) -> list:
     return rep_doc.finish(args.out)
 
 
-def _skip_model(rep_doc, dim, args):
-    rep_doc.add("model", "caps", "skipped",
-                note=f"model dimension {dim} exceeds cap {args.cap_dim}")
-    return rep_doc.finish(args.out)
+def _over_cap(rep_doc, p, e, cap):
+    """Whether the model dimension p^e exceeds cap, adding the skip if so;
+    p^e > 2^e > cap at e >= cap.bit_length(), with no large power formed."""
+    if over := e >= cap.bit_length() or p ** e > cap:
+        rep_doc.add("model", "caps", "skipped",
+                    note=f"model dimension {p}^{e} exceeds cap {cap}")
+    return over
 
 
 def _points(idx, moduli):
@@ -291,6 +285,14 @@ def _pair_chunks(rng, chain, samples, width, sha):
                for _ in "gh"]
         _digest(sha, idx)
         yield chain.element(idx[0::2]), chain.element(idx[1::2])
+
+
+def _generator_pairs(chain, gens, width):
+    """Every pair (s, g), s = 1 or in gens, s major, as `_pair_chunks`."""
+    order, S = chain.order(), np.concatenate([chain.eye[None], gens])
+    for part in chunks(len(S) * order, width):
+        s, g = np.divmod(np.arange(len(S) * order)[part], order)
+        yield S[s], chain.element(g)
 
 
 def _elements(rng, rep, G, count):
@@ -344,9 +346,8 @@ def cmd_torus(args) -> list:
     rep_doc = Report("torus", {"p": args.p, "kind": args.kind,
                                "uval": args.uval, "n": args.n}, args.seed)
     tol = args.tol
-    dim = args.p ** (args.n + 1 - args.uval)
-    if dim > args.cap_dim:
-        return _skip_model(rep_doc, dim, args)
+    if _over_cap(rep_doc, args.p, args.n + 1 - args.uval, args.cap_dim):
+        return rep_doc.finish(args.out)
     ctx = tor.TorusContext(tspec)
     rep_doc.doc["config"]["torus_order"] = len(ctx.C)
     rep_doc.doc["config"]["model_dim"] = ctx.dim
@@ -401,19 +402,16 @@ def cmd_torus(args) -> list:
 
 def cmd_selfcheck(args) -> list:
     rep_doc = Report("selfcheck", {}, args.seed)
-    failures = 0
     failed_runs = []
 
     def run(command, **over):
         """Run the command line `command --k v ...` of the overrides, with
         the battery's seed and tol, through the same parser."""
-        nonlocal failures
         argv = [command, *(f"--{k}={v}" for k, v in over.items()),
                 f"--seed={args.seed}", f"--tol={args.tol}",
                 f"--out={os.devnull}"]
         sub = _parser().parse_args(argv)
         failed = sub.fn(sub)
-        failures += len(failed)
         if failed:
             failed_runs.append({"command": command, "overrides": over,
                                 "anchors": failed})
@@ -424,10 +422,10 @@ def cmd_selfcheck(args) -> list:
     run("ring", p=3, r=1, l=1, n=1)
     for kind, uval in (("unramified", 0), ("unramified", 1), ("ramified", 0)):
         run("torus", p=3, kind=kind, uval=uval, n=1)
-    measured = {"sub_failures": failures}
+    measured = {"sub_failures": sum(len(f["anchors"]) for f in failed_runs)}
     if failed_runs:
         measured["failed_runs"] = failed_runs
-    rep_doc.check("battery", "selfcheck", failures == 0, measured=measured)
+    rep_doc.check("battery", "selfcheck", not failed_runs, measured=measured)
     return rep_doc.finish(args.out)
 
 
@@ -444,9 +442,12 @@ def _parser():
     # each flag on the subcommands that read it, and on no other
     for sp in (field, ring, torus):
         sp.add_argument("--p", type=int, default=3)
-    for sp in (field, ring):
+    for sp, pairs in ((field, "every (s, g), s = 1 or a generator, if at "
+                              "most SAMPLES, else on SAMPLES drawn"),
+                      (ring, "max(50, SAMPLES // 100) drawn")):
         sp.add_argument("--r", "--rank", dest="r", type=int, default=1)
-        sp.add_argument("--samples", type=int, default=10_000)
+        sp.add_argument("--samples", type=int, default=10_000,
+                        help=f"check S(g)S(h) = S(gh) on {pairs} pairs")
     ring.add_argument("--l", type=int, default=0)
     ring.add_argument("--twist", type=int, default=0,
                       help="tensor the ring representation by the given "

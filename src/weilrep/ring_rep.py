@@ -348,8 +348,9 @@ class MonomialOps:
         return out[0] if owner is None else out
 
 
-def faithful_model(spec: SympModule) -> tuple[SympModule, bool]:
-    """The module actually carrying the level-n Weil representation.
+def faithful_model(r, l, n) -> tuple[int, bool]:
+    """The level of the standard module of (r, l) actually carrying the
+    level-n Weil representation, and whether it is lifted past n.
 
     When the realized lattice invariant equals r the literal level-n module
     is annihilated by the maximal ideal and carries only the residue-level
@@ -357,10 +358,9 @@ def faithful_model(spec: SympModule) -> tuple[SympModule, bool]:
     2n+1, which the truncation identification matches with functions
     supported on the level-n shell.
     """
-    if spec.l is not None and spec.l == spec.r >= 1 and spec.n >= 1:
-        return SympModule.standard(spec.p, spec.r, spec.r, 2 * spec.n + 1), \
-            True
-    return spec, False
+    if l == r >= 1 and n >= 1:
+        return 2 * n + 1, True
+    return n, False
 
 
 # -- decomposition -----------------------------------------------------------

@@ -38,7 +38,7 @@ class SympModule:
         # largest s with all gram entries divisible by p^s
         self.form_content = min((vp(x, p) for row in self.gram for x in row
                                  if x), default=n + 1)
-        # Python ints: a module is built before any size cap is checked
+        # Python ints: a module's moduli may pass int64
         G = np.array(self.gram, dtype=object).reshape(self.dim, self.dim)
         if np.diagonal(G).any() or ((G + G.T) % self.modulus).any():
             raise ValueError("gram must be alternating")
@@ -562,7 +562,6 @@ def group_closure(spec: SympModule, gens,
     """The group generated by gens, enumerated from its `StabilizerChain`.
     Raises `ClosureCapExceeded` when its order is above cap, as soon as the
     chain certifies that, before any element is listed."""
-    gens = np.asarray(gens, dtype=np.int64).reshape(-1, spec.dim, spec.dim)
     if not len(gens):
         raise ValueError("need at least one generator")
     if spec.dim * (max(spec.moduli) - 1) ** 2 >= 2 ** 63:

@@ -487,7 +487,9 @@ def elems(spec, mats):
 def build_ring_rep(spec):
     """The representation that `ring` builds for a standard module: the
     canonical one on its faithful model."""
-    return RingWeilRep(faithful_model(spec)[0])
+    level, lifted = faithful_model(spec.r, spec.l, spec.n)
+    return RingWeilRep(SympModule.standard(spec.p, spec.r, spec.l, level)
+                       if lifted else spec)
 
 
 def per_element_norm(chi):

@@ -14,6 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import weilrep.oscillator as osc
 import weilrep.ring_rep as rr
 import weilrep.torus as tor
 from weilrep import cli, linalg, symplectic
@@ -176,9 +177,9 @@ def test_torus_commands(tmp_path):
 
 
 @pytest.mark.parametrize("argv, dim", [
-    (["--uval", "0", "--n", "1", "--cap-dim", "8"], 9),
-    (["--uval", "1", "--n", "2", "--cap-dim", "8"], 9),
-    (["--kind", "ramified", "--n", "3", "--cap-dim", "80"], 81),
+    (["--uval", "0", "--n", "1", "--cap-dim", "8"], "3^2"),
+    (["--uval", "1", "--n", "2", "--cap-dim", "8"], "3^2"),
+    (["--kind", "ramified", "--n", "3", "--cap-dim", "80"], "3^4"),
 ], ids=["u0", "u1", "ramified"])
 def test_torus_honours_cap_dim(tmp_path, argv, dim):
     code, doc = run(tmp_path, "capdim.json", ["torus", "--p", "3"] + argv)
@@ -196,17 +197,31 @@ def test_torus_honours_cap_dim(tmp_path, argv, dim):
     (["torus"], lambda n: n + 1)], ids=["ring-l0", "ring-l1", "torus"])
 def test_deep_level_beyond_int64_skips_at_cap_dim(tmp_path, command,
                                                   exponent):
-    """p^(n+1) = 3^41 does not fit an int64, nor 3^401 a float; the model
-    is refused by its size before any array holds the form, and the note
-    gives its exact dimension."""
-    for n in (40, 400):
+    """p^(n+1) = 3^41 does not fit an int64, nor 3^401 a float, and 3^9013
+    has more decimal digits than Python converts to a string; the model is
+    refused by its dimension exponent before any module is built, and the
+    note gives its exact dimension as a power."""
+    for n in (40, 400, 9012):
         code, doc = run(tmp_path, "deep.json",
                         command + ["--p", "3", "--n", str(n)])
         assert code == 0
         [rec] = doc["checks"]
         assert (rec["anchor"], rec["status"]) == ("caps", "skipped")
-        assert rec["note"] == (f"model dimension {3 ** exponent(n)} exceeds "
+        assert rec["note"] == (f"model dimension 3^{exponent(n)} exceeds "
                                f"cap 2000")
+
+
+def test_wide_module_skips_at_cap_dim_before_building():
+    """At r = 1600 the model has dimension 3^3200: the skip comes before
+    any module is built, as its (2r)^2 form entries are Python ints."""
+    tracemalloc.start()
+    try:
+        assert main(["ring", "--p", "3", "--r", "1600", "--l", "0", "--n", "1",
+                     "--out", os.devnull]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_torus_eta0_records(tmp_path):
@@ -375,10 +390,12 @@ def test_no_command_builds_a_group_elem(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [["--p", "3", "--rank", "2"],
-                                  ["--p", "7", "--rank", "1"]], ids=" ".join)
+                                  ["--p", "7", "--rank", "1"],
+                                  ["--p", "3", "--rank", "1"],
+                                  ["--p", "5", "--rank", "1"]], ids=" ".join)
 def test_field_builds_no_group(argv, tmp_path, monkeypatch):
-    """Above 150 elements `field` reads the group off its stabilizer
-    chain: with `FiniteGroup` refusing to be built and the chain refusing
+    """`field` reads the group off its stabilizer chain, exhaustive or
+    sampled: with `FiniteGroup` refusing to be built and the chain refusing
     to list all of its levels (its halves R and N stay allowed), every
     check still passes."""
     def refuse(self, *args, **kwargs):
@@ -396,6 +413,29 @@ def test_field_builds_no_group(argv, tmp_path, monkeypatch):
     code, doc = run(tmp_path, "f.json", ["field", *argv])
     assert code == 0
     assert [c["status"] for c in doc["checks"]] == ["pass"] * 8
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_field_finds_one_negated_operator(p, tmp_path, monkeypatch):
+    """With S(g0) negated at g0 = [[1, 1], [1, 2]], which is neither 1, a
+    generator nor parabolic, S(s) S(g) = S(sg) fails at sg = g0 and every
+    other check of `field` still holds: at the default samples the pairs
+    (s, g), s = 1 or a generator, are all checked, and they find it."""
+    g0 = np.array([[1, 1], [1, 2]])
+    iter_ops = osc.OscillatorRep.iter_ops
+
+    def negated(self, mats):
+        mats, start = np.asarray(mats), 0
+        for ops in iter_ops(self, mats):
+            at = (mats[start:start + len(ops)] % self.p == g0).all(axis=(1, 2))
+            ops[at] *= -1
+            start += len(ops)
+            yield ops
+
+    monkeypatch.setattr(osc.OscillatorRep, "iter_ops", negated)
+    code, doc = run(tmp_path, "f.json", ["field", "--p", str(p)])
+    failed = [c["name"] for c in doc["checks"] if c["status"] == "fail"]
+    assert code == 1 and failed == ["homomorphism-exhaustive"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -54,13 +54,10 @@ def test_canonical_isotropic_refuses_a_non_standard_residue_form():
 
 
 def test_faithful_model_lift():
-    spec = SympModule.standard(3, 1, 1, 1)
-    model, lifted = faithful_model(spec)
-    assert lifted and model.moduli == (27, 27)
-    spec0 = SympModule.standard(3, 1, 0, 1)
+    level, lifted = faithful_model(1, 1, 1)
+    assert lifted and SympModule.standard(3, 1, 1, level).moduli == (27, 27)
     # the module of the dual lattice, at r - l = 0, is already faithful
-    model0, lifted0 = faithful_model(spec0)
-    assert not lifted0 and model0 is spec0
+    assert faithful_model(1, 0, 1) == (1, False)
 
 
 def test_rep_dimension_and_unitarity():
@@ -145,7 +142,7 @@ def test_decompose_l0():
 def test_decompose_lifted_l_equals_r():
     spec = SympModule.standard(3, 1, 1, 1)
     rep = build_ring_rep(spec)
-    assert faithful_model(spec)[1] and rep.dim == 27
+    assert faithful_model(1, 1, 1)[1] and rep.dim == 27
     G = symplectic_group(rep.spec)
     summands = decompose(rep, G.gens)
     assert len(summands) == 4

@@ -380,7 +380,7 @@ def test_transvection_certificate_matches_tuple_form(spec, seed):
 
 def _ring_module(p, r, l, n):
     """The faithful model on which `ring` closes the group."""
-    return faithful_model(SympModule.standard(p, r, l, n))[0]
+    return SympModule.standard(p, r, l, faithful_model(r, l, n)[0])
 
 
 # SL2(F_q) has q + 4 classes; the others are the class counts of the groups

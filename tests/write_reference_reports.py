@@ -44,6 +44,8 @@ _KINDS = [["--kind", "unramified", "--uval", "0"],
 ARGVS = (
     [["field", "--p", str(p), "--rank", str(r), "--samples", "1000"]
      for p, r in ((3, 1), (5, 1), (7, 1), (3, 2))]
+    # every generator pair at the default samples
+    + [["field", "--p", "7", "--rank", "1"]]
     + [["ring", *args] for args in _RING]
     + [["torus", "--p", str(p), *kind, "--n", "1"]
        for p in (3, 5) for kind in _KINDS]
@@ -52,6 +54,8 @@ ARGVS = (
        ["torus", "--p", "3", "--uval", "0", "--n", "2"],
        ["torus", "--p", "3", "--kind", "ramified", "--n", "3"],
        ["torus", "--p", "3", "--uval", "1", "--n", "2"],
+       # skipped at --cap-dim by its dimension exponent
+       ["torus", "--p", "3", "--n", "9012"],
        ["selfcheck"]])
 ARGVS = [argv + ["--seed", "1"] for argv in ARGVS]
 
