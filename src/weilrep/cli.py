@@ -23,8 +23,7 @@ from . import torus as tor
 from .linalg import chunks
 from .rings import _is_prime, legendre
 from .symplectic import (ClosureCapExceeded, StabilizerChain, SympModule,
-                         conjugacy_classes, group_closure, orbits,
-                         transvection_generators)
+                         conjugacy_classes, group_closure, orbits)
 
 try:  # CPython's lean sha256, as `random` takes sha512: hashlib loads OpenSSL
     from _sha256 import sha256
@@ -102,7 +101,8 @@ def cmd_field(args) -> list:
     tol = args.tol
     if l not in (1, 2) or p > 7 or (l == 2 and p > 3):
         rep_doc.add("configuration", "caps", "skipped",
-                    note="rank/prime outside the enumerable range")
+                    note="field runs rank 1 at p <= 7 and rank 2 at p = 3 "
+                         "only")
         return rep_doc.finish(args.out)
 
     w1 = osc.weil_index(p, 1)
@@ -117,8 +117,9 @@ def cmd_field(args) -> list:
     hd = abs(-osc.weil_index_quadratic_ext(p) - (-w1) ** 2)
     rep_doc.check("hasse-davenport", "hasse-davenport", hd <= tol, residual=hd)
 
-    rep = osc.OscillatorRep(l, p)
-    spec, gens = rep.spec, transvection_generators(rep.spec)
+    # the one-coset ring model over F_p: its blocks are sigma's operators
+    rep = rr.RingWeilRep(SympModule.standard(p, l, 0, 0))
+    spec, gens = rep.spec, rep.gens
     # G = R N: the first l levels of the chain give one element of each
     # left coset of the Siegel unipotent radical N, the last l give N, and
     # a drawn index names one element through its transversals
@@ -131,35 +132,20 @@ def cmd_field(args) -> list:
     exhaustive = count <= args.samples
     pairs = (_generator_pairs(chain, gens, width) if exhaustive else
              _pair_chunks(rng, chain, args.samples, width, drawn))
-    worst = max((float(np.abs(Sg @ Sh - Sgh).max()) for g, h in pairs
-                 for Sg, Sh, Sgh in zip(rep.iter_ops(g), rep.iter_ops(h),
-                                        rep.iter_ops(g @ h % p))),
-                default=0.0)
     measured = {"group_order": order, "pairs": min(count, args.samples)}
-    if not exhaustive:
-        measured["draws"] = _digest(drawn)
-    name = "exhaustive" if exhaustive else "sampled"
-    rep_doc.check(f"homomorphism-{name}", "genuine-splitting", worst <= tol,
-                  measured=measured, residual=worst)
+    _check_splitting(rep_doc, rep, pairs, measured, tol,
+                     None if exhaustive else drawn)
 
     g, w, t = (np.array(col) for col in zip(*[
         (rng.randrange(order), rng.randrange(spec.size()), rng.randrange(p))
         for _ in range(1000)]))
-    drawn = _digest(sha256(), g, w, t)
-    g, w = chain.element(g), _points(w, spec.moduli)
-    # g acts on the Heisenberg group by g.(w, t) = (gw, t)
-    gw = (g @ w[..., None])[..., 0] % p
-    worst = max(float(np.abs(U @ rep.rho(w[part], t[part])
-                             @ U.conj().transpose(0, 2, 1)
-                             - rep.rho(gw[part], t[part])).max())
-                for part, U in zip(chunks(len(g), rep.dim ** 2),
-                                   rep.iter_ops(g)))
-    rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
-                  measured={"draws": drawn}, residual=worst)
+    _check_intertwining(rep_doc, rep, chain.element(g),
+                        _points(w, spec.moduli), t,
+                        _digest(sha256(), g, w, t), tol)
 
     R, N = chain.elements(0, l), chain.elements(l, 2 * l)
-    rpt = osc.parabolic_identity_report(rep, osc.siegel_parabolic(R, N, p),
-                                        tol=tol)
+    rpt = osc.parabolic_identity_report(
+        rep.sigma, osc.siegel_parabolic(R, N, p), tol=tol)
     rep_doc.check("parabolic-scalar", "parabolic-scalar",
                   not rpt["parabolic_failures"],
                   measured={"failures": len(rpt["parabolic_failures"])},
@@ -167,12 +153,13 @@ def cmd_field(args) -> list:
     rep_doc.check("siegel-flip-scalar", "siegel-flip-scalar",
                   rpt["J_deviation"] <= tol, residual=rpt["J_deviation"])
 
-    cn = rep.character_norm(R, N)
+    cn = rep.sigma.character_norm(R, N)
     orb = int(orbits(spec, gens, spec.exps).max()) + 1
     rep_doc.check("orbit-count-identity", "orbit-count-identity",
                   abs(cn - orb) <= 1e-6,
                   measured={"character_norm": cn, "orbit_count": orb},
                   residual=abs(cn - orb))
+    _check_summands(rep_doc, rep)
     return rep_doc.finish(args.out)
 
 
@@ -218,11 +205,7 @@ def cmd_ring(args) -> list:
         chi, k = rr.abelianization_character(G)
         rep_doc.doc["config"]["twist_order"] = k
         rep.twist = lambda g: chi(g, args.twist)
-    summands = rr.decompose(rep, rep.gens)
-    dims = sorted(s.dim for s in summands)
-    rep_doc.check("summand-count", "summand-count", True,
-                  measured={"count": len(summands), "dims": dims,
-                            "sum": sum(dims), "model_dim": rep.dim})
+    summands = _check_summands(rep_doc, rep)
     if G is not None:  # the two checks that sum over every element
         # the summand characters (twisted or not) are class functions: one
         # term per conjugacy class of G, weighted by its size
@@ -239,23 +222,11 @@ def cmd_ring(args) -> list:
                       cn == orb and dev <= 1e-6,
                       measured={"character_norm": cn, "orbit_count": orb},
                       residual=dev)
-    g, h = pairs[0::2], pairs[1::2]
-    gh = g @ h % rep.heis.mods[:, None]
-    one = rep.heis_op(np.zeros(rep.spec.dim, dtype=np.int64))  # rho(0, 0) = 1
-    unitary = splitting = 0.0
-    # stacks g, h and gh of `blocks`, 3 _width entries a pair
-    for part in chunks(len(g), 3 * rr._width(rep)):
-        k = len(g[part])
-        ops = rep.blocks(np.concatenate([g[part], h[part], gh[part]]))
-        unitary = max(unitary, (ops @ ops.adjoint()).deviation(one))
-        splitting = max(splitting,
-                        (ops[:k] @ ops[k:2 * k]).deviation(ops[2 * k:]))
-    drawn = {"draws": _digest(sha256(), pairs)}
-    rep_doc.check("unitarity-sampled", "unitarity", unitary <= tol,
-                  measured=drawn, residual=unitary)
-    rep_doc.check("homomorphism-sampled", "genuine-splitting",
-                  splitting <= tol, measured=drawn, residual=splitting)
-    _check_intertwining(rep_doc, rep, *covariance, tol)
+    _digest(sha := sha256(), pairs)
+    _check_splitting(rep_doc, rep, [(pairs[0::2], pairs[1::2])], {}, tol,
+                     sha)
+    _check_intertwining(rep_doc, rep, *covariance,
+                        _digest(sha256(), *covariance), tol)
     return rep_doc.finish(args.out)
 
 
@@ -323,10 +294,45 @@ def _covariance_draws(rng, rep, elements):
     return [gs, _points(ws, rep.spec.moduli), ts]
 
 
-def _check_intertwining(rep_doc, rep, gs, ws, ts, tol):
+def _check_summands(rep_doc, rep):
+    """Add the `summand-count` record of `decompose`; return the summands."""
+    summands = rr.decompose(rep, rep.gens)
+    dims = sorted(s.dim for s in summands)
+    rep_doc.check("summand-count", "summand-count", True,
+                  measured={"count": len(summands), "dims": dims,
+                            "sum": sum(dims), "model_dim": rep.dim})
+    return summands
+
+
+def _check_splitting(rep_doc, rep, pairs, measured, tol, sha=None):
+    """S(g) S(g)^* = 1 and S(g) S(h) = S(gh) for each pair of an iterable
+    of stacks (g, h), from `blocks` of g, h and gh stacked in their
+    `chunks`.  sha is the sha256 fed the draws as the pairs are drawn, its
+    digest read once all are checked; None marks an exhaustive check."""
+    one = rep.heis_op(np.zeros(rep.spec.dim, dtype=np.int64))  # rho(0, 0) = 1
+    unitary = splitting = 0.0
+    for gs, hs in pairs:
+        ghs = gs @ hs % rep.heis.mods[:, None]
+        for part in chunks(len(gs), 3 * rr._width(rep)):
+            k = len(gs[part])
+            ops = rep.blocks(np.concatenate([gs[part], hs[part], ghs[part]]))
+            unitary = max(unitary, (ops @ ops.adjoint()).deviation(one))
+            splitting = max(splitting,
+                            (ops[:k] @ ops[k:2 * k]).deviation(ops[2 * k:]))
+    kind = "exhaustive" if sha is None else "sampled"
+    if sha is not None:
+        measured = {**measured, "draws": _digest(sha)}
+    rep_doc.check(f"unitarity-{kind}", "unitarity", unitary <= tol,
+                  measured=measured, residual=unitary)
+    rep_doc.check(f"homomorphism-{kind}", "genuine-splitting",
+                  splitting <= tol, measured=measured, residual=splitting)
+
+
+def _check_intertwining(rep_doc, rep, gs, ws, ts, drawn, tol):
     """S(g) rho(w, t) S(g)^* = rho(g w, t) for each drawn (g, w, t), from
     `blocks` and stacked Heisenberg operators of each of their `chunks`,
-    composed and compared as block-monomial operators."""
+    composed and compared as block-monomial operators; drawn is the
+    `_digest` of the draws."""
     worst = 0.0
     for part in chunks(len(gs), 3 * rr._width(rep)):  # S(g) and two rho
         g, w, t = gs[part], ws[part], ts[part]
@@ -334,8 +340,7 @@ def _check_intertwining(rep_doc, rep, gs, ws, ts, tol):
         worst = max(worst, (U @ rep.heis_op(w, t) @ U.adjoint()).deviation(
             rep.heis_op(gw, t)))
     rep_doc.check("heisenberg-intertwining", "covariance", worst <= tol,
-                  measured={"draws": _digest(sha256(), gs, ws, ts)},
-                  residual=worst)
+                  measured={"draws": drawn}, residual=worst)
 
 
 # -- torus command ----------------------------------------------------------------

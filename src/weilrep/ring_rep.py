@@ -7,7 +7,8 @@ of U.  Operators act block-monomially on U-perp cosets: S(g) and the
 Heisenberg operators are `MonomialOps`, a coset permutation with one s x s
 block per coset, which compose, take adjoints and compare in that form.
 The sigma-block is the canonical finite-field representation of the
-residue space pulled back through the reduction morphism.
+residue space pulled back through the reduction morphism.  At n = 0,
+U = 0 and U-perp = W is one coset, on which S(g) is the sigma-block.
 """
 
 from __future__ import annotations
@@ -103,26 +104,19 @@ def canonical_isotropic(spec: SympModule, gens) -> IsotropicData:
     flip, maximality, and the residue-field structure: m * U-perp inside U,
     and the form p^n J on the residue coordinates in the order of the
     pairing, which is their standard symplectic basis.  Raises ValueError
-    on a module whose residue form is another one.
+    on a module whose residue form is another one.  At n = 0 it is U = 0,
+    and U-perp = W, one coset, is all residue space.
     """
     exps = spec.exps
     gens = invariance_generators(spec, gens)
-    candidates = []
-    for divs in np.ndindex(*[e + 1 for e in exps]):
-        if not box_isotropic(spec, divs):
-            continue
-        if not _box_invariant(spec, divs, gens):
-            continue
-        candidates.append(divs)
+    candidates = [divs for divs in np.ndindex(*[e + 1 for e in exps])
+                  if box_isotropic(spec, divs)
+                  and _box_invariant(spec, divs, gens)]
     best = max(candidates, key=spec.box_size)
     for other in candidates:
         if not _box_contains(spec, best, other):
             raise AssertionError(
                 "no unique maximal invariant isotropic submodule")
-    if spec.box_size(best) == 1 and spec.n == 0:
-        raise ValueError(
-            "no nonzero invariant isotropic submodule; use the field-level "
-            "oscillator representation")
     u_box = tuple(min(c, e) for c, e in zip(best, exps))
     uperp_box = spec.dual_box(u_box)
     gap = np.subtract(u_box, uperp_box)
@@ -221,7 +215,7 @@ class RingWeilRep:
         Row coset x of S(g) has one nonzero block, in the column of the
         coset of y = g^{-1} x: psi(beta(xc, u)/2) sigma(g) rho_res(u),
         times twist(g) when a twist is set.  sigma(g) comes from one
-        `sigma.ops` pass, which forms each scalar once per bottom row.
+        `sigma.ops` pass, and the product is skipped when every u is 0.
         """
         d = self.spec.dim
         mats = np.asarray(gs, dtype=np.int64).reshape(-1, d, d)
@@ -231,10 +225,9 @@ class RingWeilRep:
         ph = self.heis.phase(e)
         if self.twist is not None:
             ph = ph * self.twist(mats)[:, None]
-        rho = self.rho_res(ubar)
-        if self.sigma is not None:
-            sig = self.sigma.ops(self.iso.reduce_morphisms(mats))
-            rho = sig[:, None] @ rho
+        sig = (self.sigma.ops(self.iso.reduce_morphisms(mats))[:, None]
+               if self.sigma is not None else np.ones((1, 1, 1, 1)))
+        rho = sig @ self.rho_res(ubar) if ubar.any() else sig
         return MonomialOps(cj, ph[..., None, None] * rho)
 
     def op(self, g) -> np.ndarray:

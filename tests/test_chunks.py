@@ -111,21 +111,23 @@ CASES = {
                        {"oscillator.character_norm"}),
     "field 3 2": (lambda: _report("field", "--p", "3", "--rank", "2",
                                   "--samples", "1000"), None,
-                  {"cli._pair_chunks", "cli.cmd_field", "oscillator._chunks",
+                  {"cli._pair_chunks", "cli._check_splitting",
+                   "cli._check_intertwining", "oscillator._chunks",
                    "oscillator.character_norm", "symplectic._test"}),
     "field 3 1": (_field_3_1_checks, None,
-                  {"cli.cmd_field", "oscillator._chunks"}),
+                  {"cli._check_splitting", "cli._check_intertwining"}),
     "ring 3 1 1 1": (lambda: _report("ring", "--p", "3", "--r", "1",
                                      "--l", "1", "--n", "1"), None,
                      {"symplectic.conjugacy_classes",
                       "ring_rep.summand_characters"}),
     "ring 3 1 0 1": (lambda: _report("ring", "--p", "3", "--r", "1",
                                      "--l", "0", "--n", "1"), None,
-                     {"cli.cmd_ring", "cli._check_intertwining"}),
+                     {"cli._check_splitting", "cli._check_intertwining"}),
     "ring 3 2 1 1 capped": (lambda: _report("ring", "--p", "3", "--r", "2",
                                             "--l", "1", "--n", "1",
                                             "--cap-group", "2000"), None,
-                            {"cli.cmd_ring", "cli._check_intertwining"}),
+                            {"cli._check_splitting",
+                             "cli._check_intertwining"}),
 }
 
 

@@ -73,6 +73,16 @@ def test_field_caps_skip(tmp_path):
     assert doc["checks"][0]["status"] == "skipped"
 
 
+def test_field_skip_names_its_gate(tmp_path):
+    """Outside rank 1 at p <= 7 and rank 2 at p = 3, `field` exits 0 with
+    one skipped `caps` record whose note names that gate."""
+    code, doc = run(tmp_path, "f11.json", ["field", "--p", "11"])
+    assert code == 0
+    assert [(c["anchor"], c["status"], c["note"]) for c in doc["checks"]] == [
+        ("caps", "skipped",
+         "field runs rank 1 at p <= 7 and rank 2 at p = 3 only")]
+
+
 def test_ring_l0(tmp_path):
     code, doc = run(tmp_path, "r0.json",
                     ["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1"])
@@ -412,7 +422,7 @@ def test_field_builds_no_group(argv, tmp_path, monkeypatch):
     monkeypatch.setattr(symplectic.StabilizerChain, "elements", halves)
     code, doc = run(tmp_path, "f.json", ["field", *argv])
     assert code == 0
-    assert [c["status"] for c in doc["checks"]] == ["pass"] * 8
+    assert [c["status"] for c in doc["checks"]] == ["pass"] * 10
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -601,8 +611,8 @@ def test_parses_every_flag_the_command_reads(command):
 
 def test_ring_pair_count_is_monotone_in_samples(monkeypatch):
     """`ring` checks the homomorphism on max(50, samples // 100) pairs,
-    three elements per pair over the chunked `blocks` calls of `cmd_ring`,
-    before the 50 elements of the intertwining check."""
+    three elements per pair over the chunked `blocks` calls of
+    `_check_splitting`, before the 50 elements of the intertwining check."""
     sizes = []
     blocks = rr.RingWeilRep.blocks
 
@@ -617,7 +627,8 @@ def test_ring_pair_count_is_monotone_in_samples(monkeypatch):
         assert main(["ring", "--p", "3", "--r", "1", "--l", "0", "--n", "1",
                      "--samples", str(samples), "--out", os.devnull]) == 0
         assert sizes[-1] == ("_check_intertwining", 50)
-        return sum(k for caller, k in sizes if caller == "cmd_ring") // 3
+        return sum(k for caller, k in sizes
+                   if caller == "_check_splitting") // 3
 
     assert [pairs(s) for s in (99, 100, 10_000, 100_000)] == [50, 50, 100,
                                                                1000]

@@ -13,8 +13,9 @@ from weilrep.ring_rep import (RingWeilRep, _shell_counts,
                               character_norm, decompose, direct_sum,
                               direct_sum_isotropic, faithful_model,
                               shell_dimensions, summand_characters, traces)
-from weilrep.symplectic import (SympModule, conjugacy_classes, orbits,
-                                symplectic_group, transvection_generators)
+from weilrep.symplectic import (StabilizerChain, SympModule,
+                                conjugacy_classes, orbits, symplectic_group,
+                                transvection_generators)
 
 
 def orbit_count(gens, spec):
@@ -35,10 +36,27 @@ def test_canonical_isotropic_mixed():
     assert 2 * iso.l_res == 2      # residue is a plane over F_p
 
 
-def test_canonical_isotropic_field_error():
-    spec = SympModule.standard(3, 1, 0, 0)
-    with pytest.raises(ValueError):
-        canonical_isotropic(spec, transvection_generators(spec))
+@pytest.mark.parametrize("p, l, dims", [(3, 1, [1, 2]), (5, 1, [2, 3]),
+                                         (7, 1, [3, 4]), (3, 2, [4, 5])])
+def test_field_level_model_is_the_oscillator(p, l, dims):
+    """At n = 0, U = 0: the model is one coset carrying sigma, its blocks
+    are sigma's operators bit for bit on every element of the stabilizer
+    chain, its Heisenberg operators are sigma's, and `decompose` splits it
+    into the two halves of the finite-field Weil representation."""
+    rep = RingWeilRep(SympModule.standard(p, l, 0, 0))
+    assert rep.heis.dim == 1 and rep.iso.l_res == l
+    assert rep.dim == rep.sigma.dim == p ** l
+    chain = StabilizerChain(rep.spec, rep.gens)
+    for start in range(0, chain.order(), 4096):
+        g = chain.element(np.arange(start, min(start + 4096, chain.order())))
+        ops = rep.blocks(g)
+        assert (ops.cj == 0).all()
+        assert np.array_equal(ops.blocks[:, 0], rep.sigma.ops(g))
+    w = rep.spec.points()
+    t = np.arange(len(w)) % p
+    heis = rep.heis_op(w, t).dense()
+    assert np.abs(heis - rep.sigma.rho(w, t)).max() < 1e-15
+    assert sorted(s.dim for s in decompose(rep, rep.gens)) == dims
 
 
 def test_canonical_isotropic_refuses_a_non_standard_residue_form():
