@@ -132,9 +132,8 @@ def cmd_field(args) -> list:
     exhaustive = count <= args.samples
     pairs = (_generator_pairs(chain, gens, width) if exhaustive else
              _pair_chunks(rng, chain, args.samples, width, drawn))
-    measured = {"group_order": order, "pairs": min(count, args.samples)}
-    _check_splitting(rep_doc, rep, pairs, measured, tol,
-                     None if exhaustive else drawn)
+    _check_splitting(rep_doc, rep, pairs, tol, None if exhaustive else drawn,
+                     group_order=order, pairs=min(count, args.samples))
 
     g, w, t = (np.array(col) for col in zip(*[
         (rng.randrange(order), rng.randrange(spec.size()), rng.randrange(p))
@@ -222,9 +221,8 @@ def cmd_ring(args) -> list:
                       cn == orb and dev <= 1e-6,
                       measured={"character_norm": cn, "orbit_count": orb},
                       residual=dev)
-    _digest(sha := sha256(), pairs)
-    _check_splitting(rep_doc, rep, [(pairs[0::2], pairs[1::2])], {}, tol,
-                     sha)
+    _check_splitting(rep_doc, rep, [(pairs[0::2], pairs[1::2])], tol,
+                     sha256(np.asarray(pairs, dtype="<i8").tobytes()))
     _check_intertwining(rep_doc, rep, *covariance,
                         _digest(sha256(), *covariance), tol)
     return rep_doc.finish(args.out)
@@ -304,14 +302,14 @@ def _check_summands(rep_doc, rep):
     return summands
 
 
-def _check_splitting(rep_doc, rep, pairs, measured, tol, sha=None):
-    """S(g) S(g)^* = 1 and S(g) S(h) = S(gh) for each pair of an iterable
-    of stacks (g, h), from `blocks` of g, h and gh stacked in their
-    `chunks`.  sha is the sha256 fed the draws as the pairs are drawn, its
-    digest read once all are checked; None marks an exhaustive check."""
+def _check_splitting(rep_doc, rep, stacks, tol, sha, **measured):
+    """S(g) S(g)^* = 1 and S(g) S(h) = S(gh) for each pair of the
+    iterable of stacks (g, h), from `blocks` of g, h and gh stacked in their
+    `chunks`.  sha is the sha256 of the draws, fed them as the pairs are
+    drawn and read once all are checked; None marks an exhaustive check."""
     one = rep.heis_op(np.zeros(rep.spec.dim, dtype=np.int64))  # rho(0, 0) = 1
     unitary = splitting = 0.0
-    for gs, hs in pairs:
+    for gs, hs in stacks:
         ghs = gs @ hs % rep.heis.mods[:, None]
         for part in chunks(len(gs), 3 * rr._width(rep)):
             k = len(gs[part])
@@ -321,7 +319,7 @@ def _check_splitting(rep_doc, rep, pairs, measured, tol, sha=None):
                             (ops[:k] @ ops[k:2 * k]).deviation(ops[2 * k:]))
     kind = "exhaustive" if sha is None else "sampled"
     if sha is not None:
-        measured = {**measured, "draws": _digest(sha)}
+        measured["draws"] = _digest(sha)
     rep_doc.check(f"unitarity-{kind}", "unitarity", unitary <= tol,
                   measured=measured, residual=unitary)
     rep_doc.check(f"homomorphism-{kind}", "genuine-splitting",

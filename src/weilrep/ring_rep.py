@@ -109,9 +109,13 @@ def canonical_isotropic(spec: SympModule, gens) -> IsotropicData:
     """
     exps = spec.exps
     gens = invariance_generators(spec, gens)
-    candidates = [divs for divs in np.ndindex(*[e + 1 for e in exps])
-                  if box_isotropic(spec, divs)
-                  and _box_invariant(spec, divs, gens)]
+    candidates = []
+    for divs in np.ndindex(*[e + 1 for e in exps]):
+        if not box_isotropic(spec, divs):
+            continue
+        if not _box_invariant(spec, divs, gens):
+            continue
+        candidates.append(divs)
     best = max(candidates, key=spec.box_size)
     for other in candidates:
         if not _box_contains(spec, best, other):
@@ -215,7 +219,7 @@ class RingWeilRep:
         Row coset x of S(g) has one nonzero block, in the column of the
         coset of y = g^{-1} x: psi(beta(xc, u)/2) sigma(g) rho_res(u),
         times twist(g) when a twist is set.  sigma(g) comes from one
-        `sigma.ops` pass, and the product is skipped when every u is 0.
+        `sigma.ops` pass, which forms each scalar once per bottom row.
         """
         d = self.spec.dim
         mats = np.asarray(gs, dtype=np.int64).reshape(-1, d, d)
@@ -225,9 +229,10 @@ class RingWeilRep:
         ph = self.heis.phase(e)
         if self.twist is not None:
             ph = ph * self.twist(mats)[:, None]
-        sig = (self.sigma.ops(self.iso.reduce_morphisms(mats))[:, None]
-               if self.sigma is not None else np.ones((1, 1, 1, 1)))
-        rho = sig @ self.rho_res(ubar) if ubar.any() else sig
+        rho = self.rho_res(ubar)
+        if self.sigma is not None:
+            sig = self.sigma.ops(self.iso.reduce_morphisms(mats))
+            rho = sig[:, None] @ rho
         return MonomialOps(cj, ph[..., None, None] * rho)
 
     def op(self, g) -> np.ndarray:
