@@ -259,8 +259,9 @@ def _pair_chunks(rng, chain, samples, width, sha):
 def _generator_pairs(chain, gens, width):
     """Every pair (s, g), s = 1 or in gens, s major, as `_pair_chunks`."""
     order, S = chain.order(), np.concatenate([chain.eye[None], gens])
-    for part in chunks(len(S) * order, width):
-        s, g = np.divmod(np.arange(len(S) * order)[part], order)
+    n = len(S) * order
+    for part in chunks(n, width):
+        s, g = np.divmod(np.arange(*part.indices(n)), order)
         yield S[s], chain.element(g)
 
 

@@ -6,11 +6,9 @@ m built from the Weil index (normalized quadratic Gauss sum) of Rao's
 invariant theta and from j = rank C, both read off eliminations of the
 lower-left block C of g and of one matrix built from C and D.  The scalar
 normalization makes g -> S(g) a genuine homomorphism splitting the
-metaplectic extension.  The scalar depends on the bottom block row (C, D)
-alone, and the elements with one (C, D) form a coset of the Siegel
-unipotent radical whose M_X differ by one phase per row; so stacked
-operators take the scalar, and traces the diagonal of M_X as well, once
-per distinct (C, D).
+metaplectic extension.  A stack of operators is built one chunk at a time,
+each chunk in one pass: one stacked elimination pair for the scalars of its
+elements and one `bincount` for their M_X.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 from .heisenberg import SchrodingerModel, standard_selfdual
 from .linalg import chunks, rank_normal_form_stack
 from .rings import QuadExt, _roots, legendre, unit_phase
-from .symplectic import SympModule, _lex_keys, inverse
+from .symplectic import SympModule, inverse
 
 
 # -- the Bruhat cell of g -----------------------------------------------------
@@ -151,106 +149,48 @@ class OscillatorRep:
         op /= d
         return op.reshape(N, d, d)
 
-    def _cosets(self, mats):
-        """The distinct bottom rows (C, D) of an int64 stack, keyed with no
-        reduced copy of it: the index of the first element with each, the
-        row of each element, and the scalar m(g) p^{j/2} of each row,
-        m(g) = omega(theta)^{-1} omega(1)^{1-j}."""
-        l, p = self.l, self.p
-        _, first, which = np.unique(_lex_keys(mats[:, l:], (p,) * l),
-                                    return_index=True, return_inverse=True)
-        return first, which, self._scalar[cell_invariants(mats[first], l, p)]
-
     def _chunks(self, mats):
         """The `chunks` of a stack, p^{2l} terms of M_X per element, reduced
-        mod p, with their scalars from `_cosets` of the whole stack."""
+        mod p, with the scalar m(g) p^{j/2} of each element, m(g) =
+        omega(theta)^{-1} omega(1)^{1-j}."""
         mats = np.asarray(mats, dtype=np.int64)
-        _, which, m = self._cosets(mats)
         for part in chunks(len(mats), self.dim ** 2):
-            yield mats[part] % self.p, m[which[part]]
-
-    def iter_ops(self, mats):
-        """S(g) = m(g) p^{j/2} M_X(g) for every matrix of an int64
-        (N, 2l, 2l) stack, in order, one (n, p^l, p^l) array per chunk of
-        `_chunks`."""
-        for chunk, m in self._chunks(mats):
-            yield m[:, None, None] * self._M_X(chunk)
+            chunk = mats[part] % self.p
+            yield chunk, self._scalar[cell_invariants(chunk, self.l, self.p)]
 
     def ops(self, mats) -> np.ndarray:
-        """The concatenation of `iter_ops`: (N, p^l, p^l)."""
-        return np.concatenate([np.empty((0, self.dim, self.dim), complex),
-                               *self.iter_ops(mats)])
-
-    def _diagonals(self, reps, m) -> np.ndarray:
-        """The diagonal of m M_X(g) for each matrix g of an int64 stack
-        with scalars m, from the p^{2l} terms per element of each of their
-        `chunks`: (N, p^l)."""
-        d = self.dim
-        diag = np.empty((len(reps), d), dtype=complex)
-        for part in chunks(len(reps), d * d):
-            chunk = reps[part] % self.p
-            cols, e = self._terms(chunk)
-            on = np.where(cols == self._rows, self._roots[e], 0)
-            diag[part] = on.reshape(len(chunk), d, d).sum(
-                axis=2) * (m[part, None] / d)
-        return diag
-
-    def _phases(self, B) -> np.ndarray:
-        """psi(yBy/2) at each y of the basis for each B of an int64
-        (N, l, l) stack of symmetric matrices: (N, p^l), the row phases
-        of M_X([[1, B], [0, 1]] g) over those of M_X(g)."""
-        e = self.half * B.reshape(len(B), -1) @ self._yy % self.p
-        return self._roots[e]
-
-    def traces(self, mats) -> np.ndarray:
-        """tr S(g) for every matrix of an int64 (N, 2l, 2l) stack, which
-        must be symplectic: (N,).
-
-        The elements with one bottom row (C, D) form a coset N g_c of the
-        Siegel unipotent radical N, g_c the first of them in the stack, and
-        g g_c^{-1} = [[1, B], [0, 1]] with B symmetric; `inverse` reads
-        g_c^{-1} off the form, which gives the inverse only for symplectic
-        g_c.  As g^{-T} = n^{-T} g_c^{-T} for n = g g_c^{-1}, the point z =
-        (x, y) goes to the same v = z g^{-T} as z' = (x - yB, y) under
-        g_c^{-T}, and x.y = (x - yB).y + yBy.  So substituting x -> x - yB
-        in the sum over x of row y of M_X(g) gives row y of M_X(g) =
-        psi(yBy/2) times row y of M_X(g_c), with no use of S being a
-        homomorphism; and m(g) = m(g_c) reads (C, D) alone.  The diagonal
-        diag_c of m M_X(g_c) is built once per coset (`_diagonals`), and tr
-        S(g) = sum_y psi(yBy/2) diag_c[y] (`_phases`): p^l terms per
-        element, not p^{2l}.  Both passes run in `chunks`."""
-        mats, l, p = np.asarray(mats, np.int64), self.l, self.p
-        first, which, m = self._cosets(mats)
-        diag = self._diagonals(mats[first], m)
-        # the last l columns [[-B_c^T], [A_c^T]] of each g_c^{-1}
-        right = inverse(self.spec, mats[first])[..., l:]
-        out = np.empty(len(mats), dtype=complex)
-        for part in chunks(len(mats), self.dim):
-            c = which[part]
-            B = mats[part, :l] @ right[c] % p
-            out[part] = (self._phases(B) * diag[c]).sum(axis=1)
-        return out
+        """S(g) = m(g) p^{j/2} M_X(g) for every matrix of an int64
+        (N, 2l, 2l) stack, in order: (N, p^l, p^l), one chunk of `_chunks`
+        at a time."""
+        return np.concatenate([np.empty((0, self.dim, self.dim), complex), *(
+            m[:, None, None] * self._M_X(chunk)
+            for chunk, m in self._chunks(mats))])
 
     def character_norm(self, R, N) -> float:
         """(1/|G|) sum_g |tr S(g)|^2 over G = R N, for int64 stacks of the
         whole Siegel unipotent radical N and of one element of each left
         coset r N.
 
-        As g -> g^{-1} permutes G, the sum is over the n r^{-1}, and n
-        r^{-1} runs over the right coset N r^{-1}: with D the diagonals of
-        m M_X at the r^{-1} and F the phases psi(yBy/2) of the n (as in
-        `traces`), the traces are the entries of the (|R|, |N|) product
-        D F^T, summed over the `chunks` of R, each r building the p^{2l}
-        terms of its diagonal and |N| traces.  The r^{-1} have distinct
-        bottom rows, since their cosets N r^{-1} are distinct; so each
-        scalar is one elimination."""
-        l, total = self.l, 0.0
-        F = self._phases(N[:, :l, l:]).T
-        for part in chunks(len(R), max(self.dim ** 2, len(N))):
+        As g -> g^{-1} permutes G, the sum is over the n r^{-1}, n =
+        [[1, B], [0, 1]] with B symmetric.  As (n g)^{-T} = n^{-T} g^{-T},
+        the point z = (x, y) goes to the same v under (n g)^{-T} as z' =
+        (x - yB, y) under g^{-T}, and x.y = (x - yB).y + yBy; so
+        substituting x -> x - yB in the sum over x of row y of M_X(n g)
+        gives psi(yBy/2) times row y of M_X(g), and m(n g) = m(g) reads
+        (C, D) alone.  With D the diagonals of m M_X at the r^{-1} and F
+        the phases psi(yBy/2) at the n, the traces are the entries of the
+        (|R|, |N|) product D F^T, built one chunk of R at a time, each r
+        building the p^{2l} terms of its diagonal and |N| traces."""
+        l, p, d, total = self.l, self.p, self.dim, 0.0
+        F = self._roots[self.half * N[:, :l, l:].reshape(len(N), -1)
+                        @ self._yy % p]
+        for part in chunks(len(R), max(d * d, len(N))):
             rinv = inverse(self.spec, R[part])
-            D = self._diagonals(
-                rinv, self._scalar[cell_invariants(rinv, l, self.p)])
-            total += float(np.sum(np.abs(D @ F) ** 2))
+            cols, e = self._terms(rinv)
+            m = self._scalar[cell_invariants(rinv, l, p)]
+            D = np.where(cols == self._rows, self._roots[e], 0).reshape(
+                len(rinv), d, d).sum(axis=2) * (m[:, None] / d)
+            total += float(np.sum(np.abs(D @ F.T) ** 2))
         return total / (len(R) * len(N))
 
     def M_X(self, g) -> np.ndarray:

@@ -218,8 +218,8 @@ class RingWeilRep:
 
         Row coset x of S(g) has one nonzero block, in the column of the
         coset of y = g^{-1} x: psi(beta(xc, u)/2) sigma(g) rho_res(u),
-        times twist(g) when a twist is set.  sigma(g) comes from one
-        `sigma.ops` pass, which forms each scalar once per bottom row.
+        times twist(g) when a twist is set.  sigma(g) comes from
+        `sigma.ops`, which builds each chunk of operators in one pass.
         """
         d = self.spec.dim
         mats = np.asarray(gs, dtype=np.int64).reshape(-1, d, d)

@@ -1,7 +1,6 @@
 """Tuple-of-rows matrices over F_p and the Bruhat factorization built on
 them: the references the stacked elimination and the cell invariants are
-compared with, and the per-chunk trace path of the field-level
-representation that its whole-stack scalars replace; points of W as tuples, with the transvection, orbit and
+compared with; points of W as tuples, with the transvection, orbit and
 shell loops the int64 point arrays replace; group elements as checked
 `GroupElem`s, with the one-element transvection and level reduction, and
 `GroupElem` views of a stacked group; the breadth-first closure the
@@ -19,8 +18,7 @@ from itertools import product
 import numpy as np
 
 from weilrep.linalg import rank_normal_form_stack
-from weilrep.oscillator import (cell_invariants, weil_index,
-                                weil_index_quadratic_ext)
+from weilrep.oscillator import weil_index, weil_index_quadratic_ext
 from weilrep.ring_rep import RingWeilRep, faithful_model, summand_characters
 from weilrep.rings import _roots, unit_phase
 from weilrep.symplectic import (ClosureCapExceeded, GroupElem, SympModule,
@@ -183,31 +181,6 @@ def reference_invariants(g, l, p):
     """(theta, j) read off the reference factorization g = p1 tau_S p2."""
     p1, S, p2 = reference_bruhat(g, l, p)
     return det_X(p1, l, p) * det_X(p2, l, p) % p, len(S)
-
-
-def reference_traces(rep, mats, chunk=512):
-    """tr S(g) of an `OscillatorRep` for a stack, chunk elements at a time,
-    each chunk reduced mod p with its own two eliminations of every
-    element, g^{-T} = J^T g J by two products with the Gram matrix J, and
-    the p^{2l} terms of every element's own M_X: the per-chunk path that
-    the whole-stack scalars and the per-coset diagonals replace."""
-    l, p = rep.l, rep.p
-    gram = np.array(SympModule.standard(p, l, 0, 0).gram, dtype=np.int64)
-    add = (rep._ys[:, None] + rep._ys) % p @ rep._radix
-    roots = np.array(_roots(p))
-    xy = np.eye(2 * l, k=l, dtype=np.int64)  # the form x.y
-    out = np.empty(len(mats), dtype=complex)
-    for start in range(0, len(mats), chunk):
-        c = np.asarray(mats[start:start + chunk], dtype=np.int64) % p
-        m = rep._scalar[cell_invariants(c, l, p)]
-        gt = gram.T @ c @ gram % p
-        cols = add[(rep._ys @ gt[:, l:, l:] % p @ rep._radix)[..., None],
-                   (rep._ys @ gt[:, :l, l:] % p @ rep._radix)[:, None]]
-        form = rep.half * (xy - gt[..., :l] @ gt[..., l:].swapaxes(1, 2)) % p
-        e = (form.reshape(len(c), -1) @ rep._zz).astype(np.int64) % p
-        diag = np.where(cols.reshape(len(c), -1) == rep._rows, roots[e], 0)
-        out[start:start + chunk] = m * diag.sum(axis=1) / rep.dim
-    return out
 
 
 # -- points of W as tuples: the loops the int64 point arrays replace ---------

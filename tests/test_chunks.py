@@ -58,11 +58,6 @@ def _ops():
     return oscillator.OscillatorRep(1, 5).ops(chain.elements())
 
 
-def _traces():
-    chain = _chain(5, 1)
-    return oscillator.OscillatorRep(1, 5).traces(chain.elements())
-
-
 def _ring_group():
     rep = build_ring_rep(SympModule.standard(3, 1, 0, 1))
     return rep, group_closure(rep.spec, rep.gens)
@@ -98,8 +93,6 @@ def _character_norm():
 # that must run at least three chunks at the small budget)
 CASES = {
     "ops": (_ops, None, {"oscillator._chunks"}),
-    "traces": (_traces, None,
-               {"oscillator._diagonals", "oscillator.traces"}),
     "ring_rep.traces": (_ring_traces, None, {"ring_rep.traces"}),
     "summand_characters": (_summand_characters, None,
                            {"ring_rep.summand_characters"}),

@@ -432,17 +432,14 @@ def test_field_finds_one_negated_operator(p, tmp_path, monkeypatch):
     other check of `field` still holds: at the default samples the pairs
     (s, g), s = 1 or a generator, are all checked, and they find it."""
     g0 = np.array([[1, 1], [1, 2]])
-    iter_ops = osc.OscillatorRep.iter_ops
+    ops = osc.OscillatorRep.ops
 
     def negated(self, mats):
-        mats, start = np.asarray(mats), 0
-        for ops in iter_ops(self, mats):
-            at = (mats[start:start + len(ops)] % self.p == g0).all(axis=(1, 2))
-            ops[at] *= -1
-            start += len(ops)
-            yield ops
+        S = ops(self, mats)
+        S[(np.asarray(mats) % self.p == g0).all(axis=(1, 2))] *= -1
+        return S
 
-    monkeypatch.setattr(osc.OscillatorRep, "iter_ops", negated)
+    monkeypatch.setattr(osc.OscillatorRep, "ops", negated)
     code, doc = run(tmp_path, "f.json", ["field", "--p", str(p)])
     failed = [c["name"] for c in doc["checks"] if c["status"] == "fail"]
     assert code == 1 and failed == ["homomorphism-exhaustive"]
@@ -537,6 +534,26 @@ def test_pair_chunks_draw_the_pairs_in_order_at_any_chunk_length(
     # the chunks feed the indices in draw order, whatever their length
     assert cli._digest(sha) == cli._digest(hashlib.sha256(),
                                            np.ravel(pairs))
+
+
+def test_generator_pairs_build_only_each_chunk_of_indices():
+    """On Sp(4, F_3), 8 x 51,840 pairs (s, g), three chunks of
+    `_generator_pairs` at 16 entries a pair peak under 1.5 MiB: each chunk
+    holds about 0.25 MiB of arrays, and building the whole 3.2 MiB index
+    range per chunk peaked at 3.45 MiB."""
+    spec = symplectic.SympModule.standard(3, 2, 0, 0)
+    gens = symplectic.transvection_generators(spec)
+    chain = symplectic.StabilizerChain(spec, gens)
+    next(cli._generator_pairs(chain, gens, 16))
+    tracemalloc.start()
+    try:
+        pairs = cli._generator_pairs(chain, gens, 16)
+        for s, g in (next(pairs) for _ in range(3)):
+            assert len(s) == len(g) == linalg.BUDGET // 16
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_torus_even_level_names_missing_weight_vectors(tmp_path, capsys):

@@ -7,8 +7,7 @@ import pytest
 
 from elements import parabolic_elements, sl2_elements, sp_elements
 from reference import (det_X, hasse_davenport_holds, mat_det, mat_mul,
-                       reference_bruhat, reference_invariants,
-                       reference_traces, tau_matrix)
+                       reference_bruhat, reference_invariants, tau_matrix)
 from weilrep import linalg, oscillator
 from weilrep.oscillator import (J_element, OscillatorRep, bruhat_decompose,
                                 cell_invariants, parabolic_identity_report,
@@ -77,47 +76,25 @@ def count_eliminations(monkeypatch):
 
 
 def test_stacked_path_runs_no_per_element_elimination(monkeypatch, sp4):
-    """ops eliminates once for C and once for K, each on the distinct
-    bottom block rows (C, D) of the whole stack."""
+    """ops eliminates once for C and once for K on each chunk of
+    `_chunks`, each elimination on the whole chunk."""
     rep, G = sp4
     mats = G.mats[random.Random(6).sample(range(len(G)), 1000)]
+    sizes = [len(chunk) for chunk, _ in rep._chunks(mats)]
     calls = count_eliminations(monkeypatch)
     S = rep.ops(mats)
-    rows = len(np.unique(mats[:, 2:], axis=0))
-    assert rows < 1000 and calls == [rows, rows]
+    assert len(sizes) > 2 and calls == [n for n in sizes for _ in "CK"]
     assert np.abs(S @ S.conj().swapaxes(1, 2) - np.eye(rep.dim)).max() < 1e-12
     assert bruhat_decompose(mats[0], 2, 3)[1] == np.linalg.matrix_rank(
         mats[0][2:, :2])
 
 
-def test_whole_group_traces_eliminate_each_bottom_row_once(monkeypatch, sp4):
-    """tr S(g) on all of Sp(4, F_3) agrees with the per-chunk path to
-    1e-12, from two eliminations of the 1,920 distinct (C, D), each shared
-    by the 27 elements of a coset of the Siegel unipotent radical, and
-    from the terms of M_X on one element per coset."""
-    rep, G = sp4
-    calls = count_eliminations(monkeypatch)
-    terms = []
-
-    def counted(mats):
-        terms.append(len(mats))
-        return point_terms(mats)
-    point_terms = rep._terms
-    monkeypatch.setattr(rep, "_terms", counted)
-    tr = rep.traces(G.mats)
-    assert calls == [1920, 1920] and sum(terms) == 1920
-    assert len(np.unique(G.mats[:, 2:], axis=0)) == 1920
-    monkeypatch.undo()
-    assert np.abs(tr - reference_traces(rep, G.mats)).max() < 1e-12
-
-
 @pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
-def test_iter_ops_streams_ops_within_the_budget(l, p, monkeypatch):
-    """On a drawn stack that crosses two chunk boundaries, `iter_ops`
-    yields chunks of at most `linalg.BUDGET` dense entries, one `_cosets` for
-    the whole stack, whose concatenation is `ops` bit for bit; each S(g)
-    at a boundary is its one-element `op`, and `traces` are the traces of
-    `ops`."""
+def test_ops_builds_each_chunk_in_one_pass(l, p, monkeypatch):
+    """On a drawn stack that crosses two chunk boundaries, `ops` runs
+    `_chunks` of at most `linalg.BUDGET` dense entries, with one stacked
+    elimination pair per chunk; each S(g) at a boundary is its one-element
+    `op`, bit for bit."""
     rep = OscillatorRep(l, p)
     spec = SympModule.standard(p, l, 0, 0)
     chain = StabilizerChain(spec, transvection_generators(spec))
@@ -125,25 +102,14 @@ def test_iter_ops_streams_ops_within_the_budget(l, p, monkeypatch):
     assert n * rep.dim ** 2 <= linalg.BUDGET < (n + 1) * rep.dim ** 2
     idx = np.random.default_rng(l * p).integers(0, chain.order(), 2 * n + 7)
     mats = chain.element(idx)
-    cosets = []
-
-    def counted(stack):
-        cosets.append(len(stack))
-        return whole(stack)
-    whole = rep._cosets
-    monkeypatch.setattr(rep, "_cosets", counted)
-    chunks = list(rep.iter_ops(mats))
-    assert cosets == [len(mats)]
-    assert [len(S) for S in chunks] == [n, n, 7]
+    assert [len(chunk) for chunk, _ in rep._chunks(mats)] == [n, n, 7]
+    calls = count_eliminations(monkeypatch)
     S = rep.ops(mats)
+    assert calls == [n, n, n, n, 7, 7]
     assert S.shape == (len(mats), rep.dim, rep.dim)
-    assert np.array_equal(np.concatenate(chunks), S)
     for i in (n - 1, n, 2 * n - 1, 2 * n):
         assert np.array_equal(rep.op(mats[i]), S[i])
-    assert np.abs(rep.traces(mats) - np.trace(S, axis1=1, axis2=2)).max() \
-        < 1e-12
     empty = np.empty((0, 2 * l, 2 * l), dtype=np.int64)
-    assert list(rep.iter_ops(empty)) == []
     assert rep.ops(empty).shape == (0, rep.dim, rep.dim)
 
 
@@ -184,13 +150,21 @@ def siegel_factors(l, p):
             chain.elements(l, 2 * l))
 
 
+def dense_traces(rep, mats):
+    """tr S(g) from the dense `ops`, 4,096 elements at a time."""
+    return np.concatenate([np.trace(rep.ops(mats[i:i + 4096]), axis1=1,
+                                    axis2=2)
+                           for i in range(0, len(mats), 4096)])
+
+
 @pytest.mark.parametrize("l, p", [(1, 3), (1, 5), (1, 7), (2, 3)])
 def test_character_norm_over_cosets_is_the_per_element_sum(l, p):
     """(1/|G|) sum_g |tr S(g)|^2 from the (|R|, |N|) product of coset
-    diagonals and phases equals the sum of the per-element `traces`."""
+    diagonals and phases equals the mean of |tr|^2 of the dense `ops`
+    over every element."""
     rep = OscillatorRep(l, p)
     mats, R, N = siegel_factors(l, p)
-    whole = float(np.sum(np.abs(rep.traces(mats)) ** 2)) / len(mats)
+    whole = float(np.mean(np.abs(dense_traces(rep, mats)) ** 2))
     assert abs(rep.character_norm(R, N) - whole) < 1e-12
 
 
@@ -223,26 +197,10 @@ def test_inverse_transpose_reads_the_blocks(sp4):
     assert (G.mats.swapaxes(1, 2) @ gt % 3 == np.eye(4, dtype=int)).all()
 
 
-def test_traces_allocate_well_under_a_reduced_copy_of_the_stack(sp4):
-    """The keys of the bottom rows are built without reducing the stack:
-    the peak of `traces` on Sp(4, F_3) stays under 60% of the 6.6 MB that
-    one reduced copy of its 51,840 elements takes."""
-    rep, G = sp4
-    rep.traces(G.mats[:1])
-    tracemalloc.start()
-    try:
-        rep.traces(G.mats)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.6 * G.mats.nbytes
-
-
 def test_character_norm_streams_its_trace_products():
     """On Sp(4, F_3) = R N, `character_norm` builds the 1,920 x 27 traces
     of D F^T a chunk of R at a time: its peak stays under 1.5 MiB (one
-    unchunked pass peaks at 1.69 MiB), and it is the mean of |tr S(g)|^2
-    over every element to 1e-12."""
+    unchunked pass peaks at 1.69 MiB)."""
     rep = OscillatorRep(2, 3)
     spec = SympModule.standard(3, 2, 0, 0)
     chain = StabilizerChain(spec, transvection_generators(spec))
@@ -250,13 +208,11 @@ def test_character_norm_streams_its_trace_products():
     rep.character_norm(R[:1], N)
     tracemalloc.start()
     try:
-        cn = rep.character_norm(R, N)
+        rep.character_norm(R, N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2 ** 20
-    tr = rep.traces(chain.elements())
-    assert abs(cn - np.mean(np.abs(tr) ** 2)) < 1e-12
 
 
 def test_weil_index_identities():
